@@ -118,7 +118,7 @@ def main():
 
     for backoff in (6.0, 8.0, 10.0):
         try:
-            evm = evm_64qam(sim.am_am_level_map(), sim.am_pm_level_map(), backoff)
+            evm = evm_64qam((sim.v, sim.am_am_db), (sim.v, sim.am_pm_deg), backoff)
         except ValueError as exc:
             print(f"64QAM EVM at {backoff:.0f} dB backoff: n/a ({exc})")
             continue

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ideal import (
-    CurrentPoint,
     DohertyConfig,
     current_profile,
     itr_conv,
@@ -58,21 +57,17 @@ class DegenerateTransferError(RuntimeError):
     """Transfer from a source port to the load is numerically zero."""
 
 
-def _terminated_copy(netlist: Netlist, ports: list[str], ohms: float) -> Netlist:
+def _terminated_copy(netlist: Netlist, ports: list[str], ohms: float | None) -> Netlist:
+    """Copy with a resistor across each of ``ports``: ``ohms``, or by
+    default the load termination's value (50 ohm without one)."""
+    if ohms is None:
+        loads = netlist.load_terminations()
+        ohms = loads[0].component.ohms if loads else 50.0
     work = netlist.copy()
     for p in ports:
         plus, minus = work.ports[p]
         work.add(f"__offs_term_{p}", Resistor(ohms), plus, minus)
     return work
-
-
-def _default_termination(netlist: Netlist) -> float:
-    if netlist.load_port is not None:
-        plus, minus = netlist.ports[netlist.load_port]
-        for e in netlist.elements:
-            if isinstance(e.component, Resistor) and set(e.nodes) == {plus, minus}:
-                return e.component.ohms
-    return 50.0
 
 
 def required_phase_offset(
@@ -96,8 +91,7 @@ def required_phase_offset(
     the drive level.
     """
     f0 = f0 if f0 is not None else netlist.f0
-    ohms = termination_ohms if termination_ohms is not None else _default_termination(netlist)
-    work = _terminated_copy(netlist, [main_port, aux_port], ohms)
+    work = _terminated_copy(netlist, [main_port, aux_port], termination_ohms)
     lp, lm = work.ports[load_port]
 
     args = {}
@@ -129,8 +123,7 @@ def offset_delivered_power(
     the +-1 degree perturbation checks run against this function.
     """
     f0 = f0 if f0 is not None else netlist.f0
-    ohms = termination_ohms if termination_ohms is not None else _default_termination(netlist)
-    work = _terminated_copy(netlist, [main_port, aux_port], ohms)
+    work = _terminated_copy(netlist, [main_port, aux_port], termination_ohms)
     work.load_port = load_port
     i_main = cmath.exp(1j * math.radians(offset_deg))
     result = solve(work, f0, {main_port: i_main, aux_port: 1.0})
@@ -159,12 +152,6 @@ class DriveProfile:
 
     def __len__(self) -> int:
         return len(self.i_main)
-
-    def points(self) -> list[CurrentPoint]:
-        return [
-            CurrentPoint(float(i), float(a), float(p))
-            for i, a, p in zip(self.i_main, self.i_aux, self.pbo_db)
-        ]
 
 
 def drive_profile(
@@ -263,8 +250,7 @@ def load_modulation(
         else:
             y_aux[k] = 0j  # ideal current source off = open
         p_del[k] = r.load_power
-        injected = r.total_injected()
-        eta[k] = r.load_power / injected if injected > 0 else math.nan
+        eta[k] = r.passive_efficiency()
     return LoadModulationSweep(profile, z_main, z_aux, y_aux, p_del, eta)
 
 
@@ -349,9 +335,7 @@ def bandwidth_report(
     if metric == "passive-efficiency":
         eta = np.empty(n_points)
         for i, f in enumerate(freqs):
-            r = solve(netlist, float(f), excitations)
-            injected = r.total_injected()
-            eta[i] = r.load_power / injected if injected > 0 else np.nan
+            eta[i] = solve(netlist, float(f), excitations).passive_efficiency()
         ref = eta[i_center]
         with np.errstate(divide="ignore", invalid="ignore"):
             values_db = 10.0 * np.log10(eta / ref)
@@ -407,12 +391,6 @@ class PASimResult:
     def eta_at_pbo(self, pbo_db: float) -> float:
         order = np.argsort(self.pbo_db)
         return float(np.interp(pbo_db, self.pbo_db[order], self.eta[order]))
-
-    def am_am_level_map(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.v.copy(), self.am_am_db.copy()
-
-    def am_pm_level_map(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.v.copy(), self.am_pm_deg.copy()
 
 
 def simulate_pa(

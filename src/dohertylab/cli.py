@@ -51,7 +51,9 @@ Netlist JSON schema (produced by ``Netlist.to_json_dict``)::
       ]
     }
 
-``q`` and ``loss_db_per_quarter`` are omitted when lossless.
+``q`` and ``loss_db_per_quarter`` are omitted when lossless.  Node lists
+are lists of names and every value is a finite number (``amps`` a
+[re, im] pair).
 """
 
 from __future__ import annotations
@@ -352,26 +354,20 @@ def cmd_analyze(args) -> int:
     if args.mode == "pbo-eff":
         if args.q_l is None and spec is not None and math.isinf(spec["q_l"]):
             raise _fail("pbo-eff needs a finite Q: pass --q-l/--q-c or a q_budget")
+        if args.compare == "two-line" and spec is None:
+            raise _fail("--compare two-line needs a design-file input")
+        header = ["pbo_db", "i_main", "i_aux", "eta_passive"]
+        prof = analysis.drive_profile(cfg, netlist, n_points, cfg.i_main_turn_on)
+        pbo, eta = analysis.passive_eff_vs_pbo(netlist, cfg, prof)
+        columns = [pbo, prof.i_main, prof.i_aux, eta]
         if args.compare == "two-line":
-            if spec is None:
-                raise _fail("--compare two-line needs a design-file input")
+            # the reference gets its own phase offset on the same drive grid
             ref = to_netlist(synth_two_line(cfg), q_l=q_l, q_c=q_c, implementation="lumped-pi")
-            pbo, eta, eta_ref = analysis.compare_passive_eff(
-                netlist, ref, cfg, n_points, i_main_min=cfg.i_main_turn_on
-            )
-            prof = analysis.drive_profile(cfg, netlist, n_points, cfg.i_main_turn_on)
-            header = ["pbo_db", "i_main", "i_aux", "eta_passive", "eta_passive_ref"]
-            rows = [
-                [pbo[k], prof.i_main[k], prof.i_aux[k], eta[k], eta_ref[k]]
-                for k in range(len(pbo))
-            ]
-        else:
-            prof = analysis.drive_profile(cfg, netlist, n_points, cfg.i_main_turn_on)
-            pbo, eta = analysis.passive_eff_vs_pbo(netlist, cfg, prof)
-            header = ["pbo_db", "i_main", "i_aux", "eta_passive"]
-            rows = [[pbo[k], prof.i_main[k], prof.i_aux[k], eta[k]] for k in range(len(pbo))]
+            ref_prof = analysis.drive_profile(cfg, ref, n_points, cfg.i_main_turn_on)
+            header.append("eta_passive_ref")
+            columns.append(analysis.passive_eff_vs_pbo(ref, cfg, ref_prof)[1])
         path = os.path.join(args.out_dir, "pbo_eff.csv")
-        _write(path, report.csv_text(header, rows))
+        _write(path, report.csv_text(header, list(zip(*columns))))
         print(path)
         return 0
 

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "DohertyConfig",
-    "CurrentPoint",
     "EfficiencyCurve",
     "ZeroItrResult",
     "current_profile",
@@ -84,13 +83,6 @@ class DohertyConfig:
     @property
     def second_peak_pbo_db(self) -> float:
         return 20.0 * math.log10(1.0 + self.alpha)
-
-
-@dataclass(frozen=True)
-class CurrentPoint:
-    i_main: float
-    i_aux: float
-    pbo_db: float
 
 
 @dataclass(frozen=True)

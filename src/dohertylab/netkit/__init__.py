@@ -46,7 +46,6 @@ __all__ = [
     "SingularSystemError",
     "assemble",
     "solve",
-    "passive_efficiency",
     "Series",
     "Shunt",
     "TwoPortMatrix",
@@ -59,30 +58,3 @@ __all__ = [
     "TouchstoneData",
 ]
 
-
-class EfficiencyUndefinedError(ValueError):
-    """Raised when passive efficiency is requested with no injected power."""
-
-
-def passive_efficiency(netlist, freq, excitations, load_port):
-    """Fraction of injected power that reaches the load-port termination.
-
-    Equals 1.0 for lossless networks.  ``load_port`` must carry a resistive
-    termination element; raises :class:`EfficiencyUndefinedError` when the
-    total injected power is not positive.
-    """
-    if load_port not in netlist.ports:
-        raise ValueError(f"unknown load port '{load_port}'")
-    work = netlist.copy()
-    work.load_port = load_port
-    from .mna import _load_termination_names
-
-    if not _load_termination_names(work):
-        raise ValueError(f"load port '{load_port}' has no resistive termination")
-    result = solve(work, freq, excitations)
-    injected = result.total_injected()
-    if injected <= 0.0:
-        raise EfficiencyUndefinedError(
-            f"total injected power {injected:.3e} W; efficiency undefined"
-        )
-    return result.load_power / injected

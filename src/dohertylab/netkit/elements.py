@@ -1,10 +1,18 @@
 """Linear AC element models.
 
-Components carry values only; wiring them into a circuit is the job of
-:class:`~dohertylab.netkit.netlist.Netlist`.  All values are SI (ohms,
-henries, farads, hertz, amperes) and phasors are peak amplitudes, so the
-average power in a resistor is |V|^2 / (2R).
+Each element class is the one description of its type: its netlist JSON
+``kind`` and ``json_keys`` (JSON key -> field; a field at its default is
+left out), its node count ``terminals`` (2, or 4 for two terminal pairs),
+its number ``aux`` of auxiliary MNA unknowns (branch currents), its
+``stamp`` into the MNA system at a frequency and its ``readback`` of
+branch currents and absorbed power from a solution.  Stamp and readback
+get the matrix slots of the terminals ``t`` and of the auxiliary unknowns
+``a``; ground has a slot of its own that the solver drops.  The netlist
+and the solver know no element type: a new type is a new class here,
+added to ``Component``.
 
+All values are SI (ohms, henries, farads, hertz, amperes) and phasors are
+peak amplitudes, so the average power in a resistor is |V|^2 / (2R).
 Loss model: a finite-Q inductor is a series resistance R = wL/Q and a
 finite-Q capacitor a shunt conductance G = wC/Q, both evaluated at the
 analysis frequency (Q is held constant over frequency).  Transmission
@@ -13,10 +21,13 @@ lines take a uniform attenuation in dB per quarter wavelength.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = [
+    "Element",
     "Resistor",
     "Inductor",
     "Capacitor",
@@ -37,36 +48,120 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _positive(val: float, what: str) -> None:
+    if not 0 < val < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {val}")
+
+
+class Element:
+    """What every element type describes; see the module docstring."""
+
+    kind: ClassVar[str]
+    json_keys: ClassVar[dict[str, str]]  # JSON key -> field name
+    terminals: ClassVar[int]
+    aux: ClassVar[int]
+    #: a current source: it is an excitation and delivers 0.5*Re(V I*)
+    source: ClassVar[bool] = False
+    #: a resistor: it counts as the load when it sits across the load port
+    resistive: ClassVar[bool] = False
+
+    def links(self, nodes: tuple[str, ...], ground: str) -> tuple[tuple[str, ...], ...]:
+        """Node pairs the element ties together, for the ground-reach check."""
+        return (nodes[:2], nodes[2:]) if self.terminals == 4 else (nodes,)
+
+    def stamp(self, A, b, t: list[int], a: range, freq: float) -> None:
+        """Add the element's entries to matrix ``A`` and right-hand side ``b``."""
+        raise NotImplementedError
+
+    def readback(
+        self, x: list[complex], t: list[int], a: range, freq: float
+    ) -> tuple[tuple[complex, ...], float]:
+        """(branch currents, absorbed average power) from the solution ``x``;
+        currents flow into the first node of each terminal pair."""
+        raise NotImplementedError
+
+
+class _Lumped(Element):
+    """Two-terminal element stamped as an admittance; a subclass defines
+    ``impedance`` or ``admittance`` and gets the other as its inverse."""
+
+    terminals = 2
+    aux = 0
+
+    def impedance(self, freq: float) -> complex:
+        return 1.0 / self.admittance(freq)
+
+    def admittance(self, freq: float) -> complex:
+        return 1.0 / self.impedance(freq)
+
+    def stamp(self, A, b, t, a, freq):
+        n1, n2 = t
+        y = self.admittance(freq)
+        A[n1, n1] += y
+        A[n2, n2] += y
+        A[n1, n2] -= y
+        A[n2, n1] -= y
+
+    def readback(self, x, t, a, freq):
+        dv = x[t[0]] - x[t[1]]
+        i_in = self.admittance(freq) * dv
+        return (i_in,), 0.5 * (dv * i_in.conjugate()).real
+
+
 @dataclass(frozen=True)
-class Resistor:
+class Resistor(_Lumped):
     ohms: float
 
+    kind = "resistor"
+    json_keys = {"ohms": "ohms"}
+    resistive = True
+
     def __post_init__(self):
-        _require(self.ohms > 0, f"resistance must be positive, got {self.ohms}")
+        _positive(self.ohms, "resistance")
+
+    def impedance(self, freq: float) -> complex:
+        return complex(self.ohms)
 
 
 @dataclass(frozen=True)
-class Inductor:
+class Inductor(_Lumped):
     henries: float
     q: float = math.inf
 
+    kind = "inductor"
+    json_keys = {"henries": "henries", "q": "q"}
+
     def __post_init__(self):
-        _require(self.henries > 0, f"inductance must be positive, got {self.henries}")
+        _positive(self.henries, "inductance")
         _require(self.q > 0, f"Q must be positive or inf, got {self.q}")
+
+    def impedance(self, freq: float) -> complex:
+        w = 2.0 * math.pi * freq
+        r_series = 0.0 if math.isinf(self.q) else w * self.henries / self.q
+        return complex(r_series, w * self.henries)
 
 
 @dataclass(frozen=True)
-class Capacitor:
+class Capacitor(_Lumped):
     farads: float
     q: float = math.inf
 
+    kind = "capacitor"
+    json_keys = {"farads": "farads", "q": "q"}
+
     def __post_init__(self):
-        _require(self.farads > 0, f"capacitance must be positive, got {self.farads}")
+        _positive(self.farads, "capacitance")
         _require(self.q > 0, f"Q must be positive or inf, got {self.q}")
+
+    def admittance(self, freq: float) -> complex:
+        # shunt-G loss model; impedance() is its inverse
+        w = 2.0 * math.pi * freq
+        g_shunt = 0.0 if math.isinf(self.q) else w * self.farads / self.q
+        return complex(g_shunt, w * self.farads)
 
 
 @dataclass(frozen=True)
-class CoupledInductors:
+class CoupledInductors(Element):
     """Magnetically coupled winding pair.
 
     ``l_p`` is the primary inductance, ``n`` the turn ratio (secondary
@@ -76,6 +171,10 @@ class CoupledInductors:
     exact decomposition - series leakage (1-k^2)*l_p and shunt magnetizing
     k^2*l_p ahead of an ideal n/k transformer - so the pair and its
     decomposition stay interchangeable at any Q.
+
+    Nodes are (p1, p2, s1, s2).  The two winding currents are auxiliary
+    unknowns and the pair is stamped through its 2x2 impedance relation,
+    which stays regular as k -> 1.
     """
 
     l_p: float
@@ -83,9 +182,14 @@ class CoupledInductors:
     k: float
     q: float = math.inf
 
+    kind = "coupled_inductors"
+    json_keys = {"l_p_henries": "l_p", "n": "n", "k": "k", "q": "q"}
+    terminals = 4
+    aux = 2
+
     def __post_init__(self):
-        _require(self.l_p > 0, f"primary inductance must be positive, got {self.l_p}")
-        _require(self.n > 0, f"turn ratio must be positive, got {self.n}")
+        _positive(self.l_p, "primary inductance")
+        _positive(self.n, "turn ratio")
         _require(0.0 < self.k < 1.0, f"coupling must lie in (0, 1), got {self.k}")
         _require(self.q > 0, f"Q must be positive or inf, got {self.q}")
 
@@ -126,23 +230,75 @@ class CoupledInductors:
         ratio = self.ideal_ratio
         return z_leak + z_mag, ratio * z_mag, ratio * ratio * z_mag
 
+    def stamp(self, A, b, t, a, freq):
+        p1, p2, s1, s2 = t
+        ap, as_ = a
+        zp, zm, zs = self.z_matrix(freq)
+        for node, aux, sign in ((p1, ap, 1.0), (p2, ap, -1.0), (s1, as_, 1.0), (s2, as_, -1.0)):
+            A[node, aux] += sign
+        # (Vp1 - Vp2) = zp*ip + zm*is ; (Vs1 - Vs2) = zm*ip + zs*is
+        A[ap, p1] += 1.0
+        A[ap, p2] -= 1.0
+        A[ap, ap] -= zp
+        A[ap, as_] -= zm
+        A[as_, s1] += 1.0
+        A[as_, s2] -= 1.0
+        A[as_, ap] -= zm
+        A[as_, as_] -= zs
+
+    def readback(self, x, t, a, freq):
+        ip, is_ = x[a[0]], x[a[1]]
+        dvp = x[t[0]] - x[t[1]]
+        dvs = x[t[2]] - x[t[3]]
+        return (ip, is_), 0.5 * (dvp * ip.conjugate() + dvs * is_.conjugate()).real
+
 
 @dataclass(frozen=True)
-class IdealTransformer:
-    """Lossless ideal transformer, ``n`` = secondary/primary voltage ratio."""
+class IdealTransformer(Element):
+    """Lossless ideal transformer, ``n`` = secondary/primary voltage ratio.
+
+    Nodes are (p1, p2, s1, s2).  One auxiliary unknown, the current
+    delivered out of the secondary, and a voltage-relation row keep it
+    solvable where no impedance stamp exists.
+    """
 
     n: float
 
+    kind = "ideal_transformer"
+    json_keys = {"n": "n"}
+    terminals = 4
+    aux = 1
+
     def __post_init__(self):
-        _require(self.n > 0, f"turn ratio must be positive, got {self.n}")
+        _positive(self.n, "turn ratio")
+
+    def stamp(self, A, b, t, a, freq):
+        p1, p2, s1, s2 = t
+        (j,) = a
+        # the primary draws n*j; row j enforces Vs = n*Vp
+        for node, sign in ((p1, self.n), (p2, -self.n), (s1, -1.0), (s2, 1.0)):
+            A[node, j] += sign
+        A[j, s1] += 1.0
+        A[j, s2] -= 1.0
+        A[j, p1] -= self.n
+        A[j, p2] += self.n
+
+    def readback(self, x, t, a, freq):
+        j = x[a[0]]
+        return (self.n * j, -j), 0.0  # lossless by construction
 
 
 @dataclass(frozen=True)
-class TransmissionLine:
+class TransmissionLine(Element):
     """Uniform line: ``theta_deg`` electrical length at ``f_ref`` hertz.
 
     Electrical length scales linearly with frequency.  Loss, when present,
     is ``loss_db_per_quarter`` dB per 90 degrees of electrical length.
+
+    The two port currents are auxiliary unknowns and the line is stamped
+    through its chain (ABCD) relation, which stays regular at any
+    electrical length (a Y stamp blows up at multiples of 180 degrees).
+    Both terminals are referred to ground.
     """
 
     z0: float
@@ -150,11 +306,21 @@ class TransmissionLine:
     f_ref: float
     loss_db_per_quarter: float = 0.0
 
+    kind = "tline"
+    json_keys = {
+        "z0_ohm": "z0",
+        "theta_deg": "theta_deg",
+        "f_ref_hz": "f_ref",
+        "loss_db_per_quarter": "loss_db_per_quarter",
+    }
+    terminals = 2
+    aux = 2
+
     def __post_init__(self):
-        _require(self.z0 > 0, f"characteristic impedance must be positive, got {self.z0}")
-        _require(self.theta_deg > 0, f"electrical length must be positive, got {self.theta_deg}")
-        _require(self.f_ref > 0, f"reference frequency must be positive, got {self.f_ref}")
-        _require(self.loss_db_per_quarter >= 0, "line loss cannot be negative")
+        _positive(self.z0, "characteristic impedance")
+        _positive(self.theta_deg, "electrical length")
+        _positive(self.f_ref, "reference frequency")
+        _require(0 <= self.loss_db_per_quarter < math.inf, "line loss must be finite and >= 0")
 
     def gamma_length(self, freq: float) -> complex:
         """Propagation constant times length, alpha*l + j*beta*l, at ``freq``."""
@@ -162,13 +328,54 @@ class TransmissionLine:
         alpha_l = self.loss_db_per_quarter * _DB_TO_NEPER * (theta / (math.pi / 2.0))
         return complex(alpha_l, theta)
 
+    def links(self, nodes, ground):
+        return (nodes, (nodes[0], ground), (nodes[1], ground))
+
+    def stamp(self, A, b, t, a, freq):
+        n1, n2 = t
+        a1, a2 = a
+        gl = self.gamma_length(freq)
+        ch, sh = cmath.cosh(gl), cmath.sinh(gl)
+        # chain relation with i1 into port 1, i2 into port 2:
+        #   V1 = ch*V2 + z0*sh*(-i2)
+        #   i1 = (sh/z0)*V2 + ch*(-i2)
+        A[n1, a1] += 1.0
+        A[a1, n1] += 1.0
+        A[n2, a2] += 1.0
+        A[a1, n2] -= ch
+        A[a2, n2] -= sh / self.z0
+        A[a1, a2] += self.z0 * sh
+        A[a2, a1] += 1.0
+        A[a2, a2] += ch
+
+    def readback(self, x, t, a, freq):
+        i1, i2 = x[a[0]], x[a[1]]
+        return (i1, i2), 0.5 * (x[t[0]] * i1.conjugate() + x[t[1]] * i2.conjugate()).real
+
 
 @dataclass(frozen=True)
-class CurrentSource:
+class CurrentSource(Element):
     """AC current source; ``amps`` is the complex peak current pushed into
     the first attachment node (and pulled out of the second)."""
 
     amps: complex
+
+    kind = "current_source"
+    json_keys = {"amps": "amps"}
+    terminals = 2
+    aux = 0
+    source = True
+
+    def __post_init__(self):
+        _require(cmath.isfinite(self.amps), f"source current must be finite, got {self.amps}")
+
+    def stamp(self, A, b, t, a, freq):
+        b[t[0]] += self.amps
+        b[t[1]] -= self.amps
+
+    def readback(self, x, t, a, freq):
+        # a source delivers power; the solver books it with the ports
+        return (self.amps,), 0.0
 
 
 Component = (
@@ -184,24 +391,13 @@ Component = (
 
 def impedance(comp: Resistor | Inductor | Capacitor, freq: float) -> complex:
     """Series impedance of a two-terminal component at ``freq``, loss included."""
-    w = 2.0 * math.pi * freq
-    if isinstance(comp, Resistor):
-        return complex(comp.ohms)
-    if isinstance(comp, Inductor):
-        r_series = 0.0 if math.isinf(comp.q) else w * comp.henries / comp.q
-        return complex(r_series, w * comp.henries)
-    if isinstance(comp, Capacitor):
-        # Shunt-G loss model expressed as the equivalent series impedance.
-        return 1.0 / admittance(comp, freq)
-    raise TypeError(f"no series impedance for {type(comp).__name__}")
+    if not isinstance(comp, _Lumped):
+        raise TypeError(f"no series impedance for {type(comp).__name__}")
+    return comp.impedance(freq)
 
 
 def admittance(comp: Resistor | Inductor | Capacitor, freq: float) -> complex:
     """Admittance of a two-terminal component at ``freq``, loss included."""
-    w = 2.0 * math.pi * freq
-    if isinstance(comp, Capacitor):
-        g_shunt = 0.0 if math.isinf(comp.q) else w * comp.farads / comp.q
-        return complex(g_shunt, w * comp.farads)
-    if isinstance(comp, (Resistor, Inductor)):
-        return 1.0 / impedance(comp, freq)
-    raise TypeError(f"no admittance for {type(comp).__name__}")
+    if not isinstance(comp, _Lumped):
+        raise TypeError(f"no admittance for {type(comp).__name__}")
+    return comp.admittance(freq)

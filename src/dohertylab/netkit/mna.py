@@ -1,15 +1,11 @@
 """Complex-valued modified nodal analysis at a single frequency.
 
-Unknowns are the non-ground node voltages plus auxiliary branch currents
-for elements that are awkward or singular as pure admittance stamps:
-
-* transmission lines get two branch currents and are stamped through
-  their chain (ABCD) relation, which stays regular at any electrical
-  length (a Y stamp blows up at multiples of 180 degrees);
-* coupled windings get two branch currents and are stamped through the
-  2x2 impedance relation, which stays regular as k -> 1;
-* ideal transformers get one branch current and a voltage-relation row,
-  so they remain solvable where an impedance stamp does not exist.
+Unknowns are the non-ground node voltages plus the auxiliary branch
+currents each element asks for.  Elements stamp and read themselves back
+(:mod:`~dohertylab.netkit.elements`); this module numbers the unknowns,
+solves and books the powers.  Ground is a trailing slot of the matrix,
+the right-hand side and the solution: stamps write to it freely, it is
+dropped before the solve and comes back as a zero.
 
 Sign conventions: KCL rows sum currents *leaving* each node through
 elements; sources and port excitations enter on the right-hand side.
@@ -18,23 +14,12 @@ Phasors are peak amplitudes (P = |V|^2 / 2R).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (
-    Capacitor,
-    CoupledInductors,
-    CurrentSource,
-    IdealTransformer,
-    Inductor,
-    Resistor,
-    TransmissionLine,
-    admittance,
-)
-from .netlist import Netlist
+from .netlist import Netlist, Placed
 
 __all__ = ["AnalysisResult", "SingularSystemError", "solve", "assemble", "MnaSystem"]
 
@@ -68,15 +53,18 @@ class AnalysisResult:
     load_power: float
     kcl_residual: float
 
-    def voltage(self, node: str) -> complex:
-        return self.node_voltages[node]
-
     def port_voltage(self, netlist: Netlist, port: str) -> complex:
         plus, minus = netlist.ports[port]
         return self.node_voltages[plus] - self.node_voltages[minus]
 
     def total_injected(self) -> float:
         return sum(self.port_injected_power.values())
+
+    def passive_efficiency(self) -> float:
+        """Fraction of the injected power that reaches the load port's
+        termination; NaN when no power is injected."""
+        injected = self.total_injected()
+        return self.load_power / injected if injected > 0 else math.nan
 
     def total_dissipated(self) -> float:
         return sum(self.element_power.values())
@@ -91,14 +79,15 @@ class AnalysisResult:
 
 @dataclass
 class MnaSystem:
-    """Assembled matrix with its index bookkeeping."""
+    """Assembled matrix with its index bookkeeping; ``node_index`` and
+    ``source_rhs`` include the ground slot, ``matrix`` does not."""
 
     netlist: Netlist
     freq: float
     matrix: np.ndarray
     source_rhs: np.ndarray  # contributions from current-source elements
     node_index: dict[str, int]
-    aux_index: dict[str, tuple[int, ...]]  # element name -> aux unknown rows
+    slots: list[tuple[Placed, list[int], range]]  # element, terminal and aux slots
     names: list[str]  # unknown labels, for diagnostics
 
     @property
@@ -111,13 +100,9 @@ class MnaSystem:
             if port not in self.netlist.ports:
                 raise ValueError(f"unknown port '{port}'")
             plus, minus = self.netlist.ports[port]
-            ip = self.node_index.get(plus, -1)
-            im = self.node_index.get(minus, -1)
-            if ip >= 0:
-                b[ip] += current
-            if im >= 0:
-                b[im] -= current
-        return b
+            b[self.node_index[plus]] += current
+            b[self.node_index[minus]] -= current
+        return b[:-1]
 
 
 def assemble(netlist: Netlist, freq: float) -> MnaSystem:
@@ -127,110 +112,23 @@ def assemble(netlist: Netlist, freq: float) -> MnaSystem:
     netlist.validate()
 
     nodes = netlist.nodes()
-    node_index = {n: i for i, n in enumerate(nodes)}
-    names = [f"V({n})" for n in nodes]
-
-    aux_index: dict[str, tuple[int, ...]] = {}
-    next_row = len(nodes)
+    n = len(nodes) + sum(e.component.aux for e in netlist.elements)
+    node_index = {nd: i for i, nd in enumerate(nodes)}
+    node_index[netlist.ground] = n
+    names = [f"V({nd})" for nd in nodes]
+    A = np.zeros((n + 1, n + 1), dtype=complex)
+    b = np.zeros(n + 1, dtype=complex)
+    slots = []
     for e in netlist.elements:
-        if isinstance(e.component, (TransmissionLine, CoupledInductors)):
-            aux_index[e.name] = (next_row, next_row + 1)
-            names += [f"I({e.name}:1)", f"I({e.name}:2)"]
-            next_row += 2
-        elif isinstance(e.component, IdealTransformer):
-            aux_index[e.name] = (next_row,)
+        t = [node_index[nd] for nd in e.nodes]
+        a = range(len(names), len(names) + e.component.aux)
+        if len(a) == 1:
             names.append(f"I({e.name})")
-            next_row += 1
-
-    n = next_row
-    A = np.zeros((n, n), dtype=complex)
-    b = np.zeros(n, dtype=complex)
-
-    def idx(node: str) -> int:
-        return node_index.get(node, -1)  # ground -> -1
-
-    def stamp_admittance(n1: int, n2: int, y: complex) -> None:
-        if n1 >= 0:
-            A[n1, n1] += y
-        if n2 >= 0:
-            A[n2, n2] += y
-        if n1 >= 0 and n2 >= 0:
-            A[n1, n2] -= y
-            A[n2, n1] -= y
-
-    for e in netlist.elements:
-        comp = e.component
-        if isinstance(comp, (Resistor, Inductor, Capacitor)):
-            stamp_admittance(idx(e.nodes[0]), idx(e.nodes[1]), admittance(comp, freq))
-
-        elif isinstance(comp, CurrentSource):
-            n1, n2 = idx(e.nodes[0]), idx(e.nodes[1])
-            if n1 >= 0:
-                b[n1] += comp.amps
-            if n2 >= 0:
-                b[n2] -= comp.amps
-
-        elif isinstance(comp, TransmissionLine):
-            n1, n2 = idx(e.nodes[0]), idx(e.nodes[1])
-            a1, a2 = aux_index[e.name]
-            gl = comp.gamma_length(freq)
-            ch, sh = cmath.cosh(gl), cmath.sinh(gl)
-            # chain relation with i1 into port 1, i2 into port 2:
-            #   V1 = ch*V2 + z0*sh*(-i2)
-            #   i1 = (sh/z0)*V2 + ch*(-i2)
-            if n1 >= 0:
-                A[n1, a1] += 1.0
-                A[a1, n1] += 1.0
-            if n2 >= 0:
-                A[n2, a2] += 1.0
-                A[a1, n2] -= ch
-                A[a2, n2] -= sh / comp.z0
-            A[a1, a2] += comp.z0 * sh
-            A[a2, a1] += 1.0
-            A[a2, a2] += ch
-
-        elif isinstance(comp, CoupledInductors):
-            p1, p2, s1, s2 = (idx(nd) for nd in e.nodes)
-            ap, as_ = aux_index[e.name]
-            zp, zm, zs = comp.z_matrix(freq)
-            for node, aux, sign in ((p1, ap, 1.0), (p2, ap, -1.0), (s1, as_, 1.0), (s2, as_, -1.0)):
-                if node >= 0:
-                    A[node, aux] += sign
-            # (Vp1 - Vp2) = zp*ip + zm*is ; (Vs1 - Vs2) = zm*ip + zs*is
-            if p1 >= 0:
-                A[ap, p1] += 1.0
-            if p2 >= 0:
-                A[ap, p2] -= 1.0
-            A[ap, ap] -= zp
-            A[ap, as_] -= zm
-            if s1 >= 0:
-                A[as_, s1] += 1.0
-            if s2 >= 0:
-                A[as_, s2] -= 1.0
-            A[as_, ap] -= zm
-            A[as_, as_] -= zs
-
-        elif isinstance(comp, IdealTransformer):
-            p1, p2, s1, s2 = (idx(nd) for nd in e.nodes)
-            (a,) = aux_index[e.name]
-            # aux unknown j = current delivered out of the secondary; the
-            # primary then draws n*j.  Row a enforces Vs = n*Vp.
-            for node, sign in ((p1, comp.n), (p2, -comp.n), (s1, -1.0), (s2, 1.0)):
-                if node >= 0:
-                    A[node, a] += sign
-            if s1 >= 0:
-                A[a, s1] += 1.0
-            if s2 >= 0:
-                A[a, s2] -= 1.0
-            if p1 >= 0:
-                A[a, p1] -= comp.n
-            if p2 >= 0:
-                A[a, p2] += comp.n
-
-        else:
-            raise TypeError(f"unsupported component {type(comp).__name__}")
-
-    return MnaSystem(netlist, freq, A, b, node_index, aux_index, names)
+        elif a:
+            names += [f"I({e.name}:{k})" for k in range(1, len(a) + 1)]
+        e.component.stamp(A, b, t, a, freq)
+        slots.append((e, t, a))
+    return MnaSystem(netlist, freq, np.ascontiguousarray(A[:n, :n]), b, node_index, slots, names)
 
 
 def _diagnose_singular(system: MnaSystem) -> SingularSystemError:
@@ -251,16 +149,25 @@ def _diagnose_singular(system: MnaSystem) -> SingularSystemError:
     )
 
 
-def _solve_columns(system: MnaSystem, rhs: np.ndarray) -> np.ndarray:
+def _solve_accepted(system: MnaSystem, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve for one or more right-hand-side columns and reject a solution
+    whose KCL residual exceeds 1e-6 of the drive (at least 1 A).
+
+    Returns the solution with the ground slot (zero) appended, and the
+    residual relative to the largest drive.
+    """
+    A = system.matrix
     try:
-        x = np.linalg.solve(system.matrix, rhs)
+        x = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
         raise _diagnose_singular(system) from None
-    residual = np.abs(system.matrix @ x - rhs).max()
-    scale = max(np.abs(rhs).max(), 1.0)
-    if not np.isfinite(residual) or residual > 1e-6 * scale:
+    residual = float(np.abs(A @ x - rhs).max())
+    scale = float(np.abs(rhs).max())
+    if not np.isfinite(residual) or residual > 1e-6 * max(scale, 1.0):
         raise _diagnose_singular(system)
-    return x
+    with_ground = np.zeros((len(x) + 1,) + x.shape[1:], dtype=complex)
+    with_ground[:-1] = x
+    return with_ground, residual / max(scale, 1e-300)
 
 
 def solve(
@@ -276,14 +183,9 @@ def solve(
     """
     excitations = dict(excitations or {})
     system = assemble(netlist, freq)
-    if not excitations and not any(
-        isinstance(e.component, CurrentSource) for e in netlist.elements
-    ):
+    if not excitations and not any(e.component.source for e in netlist.elements):
         raise ValueError("no excitation: provide port currents or source elements")
-    b = system.rhs(excitations)
-    x = _solve_columns(system, b)
-
-    kcl_residual = float(np.abs(system.matrix @ x - b).max() / max(np.abs(b).max(), 1e-300))
+    x, kcl_residual = _solve_accepted(system, system.rhs(excitations))
     if kcl_residual > RESIDUAL_TOL:
         raise SingularSystemError(
             f"solution rejected: KCL residual {kcl_residual:.2e} exceeds {RESIDUAL_TOL}"
@@ -297,69 +199,35 @@ def _package(
     x: np.ndarray,
     kcl_residual: float,
 ) -> AnalysisResult:
-    netlist, freq = system.netlist, system.freq
-
-    def v(node: str) -> complex:
-        i = system.node_index.get(node, -1)
-        return complex(x[i]) if i >= 0 else 0j
-
-    node_voltages = {n: complex(x[i]) for n, i in system.node_index.items()}
-    node_voltages[netlist.ground] = 0j
+    netlist, index = system.netlist, system.node_index
+    v = x.tolist()
+    node_voltages = {n: v[i] for n, i in index.items()}
 
     branch_currents: dict[str, tuple[complex, ...]] = {}
     element_power: dict[str, float] = {}
-    load_resistors = _load_termination_names(netlist)
+    loads = {e.name for e in netlist.load_terminations()}
     load_power = 0.0
-
-    for e in netlist.elements:
-        comp = e.component
-        if isinstance(comp, (Resistor, Inductor, Capacitor)):
-            dv = v(e.nodes[0]) - v(e.nodes[1])
-            i_in = admittance(comp, freq) * dv
-            branch_currents[e.name] = (i_in,)
-            p = 0.5 * (dv * i_in.conjugate()).real
-        elif isinstance(comp, CurrentSource):
-            dv = v(e.nodes[0]) - v(e.nodes[1])
-            branch_currents[e.name] = (comp.amps,)
-            # a source *delivers* 0.5*Re(V I*); count it with the ports
-            p = 0.0
-        elif isinstance(comp, TransmissionLine):
-            a1, a2 = system.aux_index[e.name]
-            i1, i2 = complex(x[a1]), complex(x[a2])
-            branch_currents[e.name] = (i1, i2)
-            p = 0.5 * (v(e.nodes[0]) * i1.conjugate() + v(e.nodes[1]) * i2.conjugate()).real
-        elif isinstance(comp, CoupledInductors):
-            ap, as_ = system.aux_index[e.name]
-            ip_, is_ = complex(x[ap]), complex(x[as_])
-            branch_currents[e.name] = (ip_, is_)
-            dvp = v(e.nodes[0]) - v(e.nodes[1])
-            dvs = v(e.nodes[2]) - v(e.nodes[3])
-            p = 0.5 * (dvp * ip_.conjugate() + dvs * is_.conjugate()).real
-        elif isinstance(comp, IdealTransformer):
-            (a,) = system.aux_index[e.name]
-            j = complex(x[a])
-            branch_currents[e.name] = (comp.n * j, -j)
-            p = 0.0  # lossless by construction
-        else:  # pragma: no cover - assemble() already rejects these
-            raise TypeError(type(comp).__name__)
-
-        if e.name in load_resistors:
+    sources: dict[str, float] = {}
+    for e, t, a in system.slots:
+        currents, p = e.component.readback(v, t, a, system.freq)
+        branch_currents[e.name] = currents
+        if e.name in loads:
             load_power += p
         else:
             element_power[e.name] = p
+        if e.component.source:
+            dv = v[t[0]] - v[t[1]]
+            sources[f"source:{e.name}"] = 0.5 * (dv * currents[0].conjugate()).real
 
     port_injected: dict[str, float] = {}
     for port, current in excitations.items():
         plus, minus = netlist.ports[port]
-        vp = v(plus) - v(minus)
+        vp = v[index[plus]] - v[index[minus]]
         port_injected[port] = 0.5 * (vp * current.conjugate()).real
-    for e in netlist.elements:
-        if isinstance(e.component, CurrentSource):
-            dv = v(e.nodes[0]) - v(e.nodes[1])
-            port_injected[f"source:{e.name}"] = 0.5 * (dv * e.component.amps.conjugate()).real
+    port_injected.update(sources)
 
     return AnalysisResult(
-        freq=freq,
+        freq=system.freq,
         node_voltages=node_voltages,
         branch_currents=branch_currents,
         element_power=element_power,
@@ -367,15 +235,3 @@ def _package(
         load_power=load_power,
         kcl_residual=kcl_residual,
     )
-
-
-def _load_termination_names(netlist: Netlist) -> set[str]:
-    """Resistors sitting directly across the designated load port."""
-    if netlist.load_port is None:
-        return set()
-    plus, minus = netlist.ports[netlist.load_port]
-    return {
-        e.name
-        for e in netlist.elements
-        if isinstance(e.component, Resistor) and set(e.nodes) == {plus, minus}
-    }

@@ -3,25 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
-from .elements import (
-    Capacitor,
-    Component,
-    CoupledInductors,
-    CurrentSource,
-    IdealTransformer,
-    Inductor,
-    Resistor,
-    TransmissionLine,
-)
+from .elements import Component
 
 __all__ = ["Placed", "Netlist", "NetworkTopologyError"]
 
 
 class NetworkTopologyError(ValueError):
     """Raised when a netlist is structurally unsound (floating nodes,
-    missing port nodes, duplicate element names)."""
+    missing port nodes, duplicate element names) or its JSON is malformed."""
 
     def __init__(self, msg: str, node: str | None = None, element: str | None = None):
         super().__init__(msg)
@@ -36,7 +28,7 @@ class Placed:
     nodes: tuple[str, ...]
 
     def __post_init__(self):
-        want = 4 if isinstance(self.component, (CoupledInductors, IdealTransformer)) else 2
+        want = self.component.terminals
         if len(self.nodes) != want:
             raise NetworkTopologyError(
                 f"{type(self.component).__name__} '{self.name}' needs {want} nodes, "
@@ -96,10 +88,21 @@ class Netlist:
             load_port=self.load_port,
         )
 
+    def load_terminations(self) -> list[Placed]:
+        """Resistors sitting directly across the designated load port."""
+        if self.load_port is None:
+            return []
+        plus, minus = self.ports[self.load_port]
+        return [
+            e for e in self.elements if e.component.resistive and set(e.nodes) == {plus, minus}
+        ]
+
     def validate(self) -> None:
         """Check structural invariants; raises NetworkTopologyError."""
-        if self.f0 <= 0:
-            raise NetworkTopologyError(f"reference frequency must be positive, got {self.f0}")
+        if not 0 < self.f0 < math.inf:
+            raise NetworkTopologyError(
+                f"reference frequency must be positive and finite, got {self.f0}"
+            )
         node_set = set(self.nodes()) | {self.ground}
         for pname, (plus, minus) in self.ports.items():
             for n in (plus, minus):
@@ -113,23 +116,10 @@ class Netlist:
         # Every node must reach ground through the element graph, otherwise
         # its potential is undetermined and the MNA matrix is singular.
         adjacency: dict[str, set[str]] = {n: set() for n in node_set}
-
-        def link(a: str, b: str) -> None:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-
         for e in self.elements:
-            comp = e.component
-            if isinstance(comp, (CoupledInductors, IdealTransformer)):
-                link(e.nodes[0], e.nodes[1])
-                link(e.nodes[2], e.nodes[3])
-            elif isinstance(comp, TransmissionLine):
-                # A line is a grounded two-port: both terminals tie to ground.
-                link(e.nodes[0], e.nodes[1])
-                link(e.nodes[0], self.ground)
-                link(e.nodes[1], self.ground)
-            else:
-                link(e.nodes[0], e.nodes[1])
+            for a, b in e.component.links(e.nodes, self.ground):
+                adjacency[a].add(b)
+                adjacency[b].add(a)
 
         reached = {self.ground}
         stack = [self.ground]
@@ -162,76 +152,98 @@ class Netlist:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Netlist":
-        net = cls(f0=float(doc["f0_hz"]), ground=str(doc.get("ground", "0")))
-        for name, (plus, minus) in doc.get("ports", {}).items():
-            net.add_port(str(name), str(plus), str(minus))
-        net.load_port = doc.get("load_port")
-        for entry in doc.get("elements", []):
-            net.add(str(entry["name"]), _component_from_json(entry), *entry["nodes"])
+        """Decode and check a netlist document; raises NetworkTopologyError."""
+        f0 = _number(doc.get("f0_hz"))
+        _check(f0 is not None, "key 'f0_hz' must be a number")
+        net = cls(f0=f0, ground=str(doc.get("ground", "0")))
+        ports = doc.get("ports", {})
+        _check(isinstance(ports, dict), "key 'ports' must be an object")
+        for name, pair in ports.items():
+            _check(_is_nodes(pair) and len(pair) == 2, f"port '{name}' must be a node pair")
+            net.add_port(name, *pair)
+        load_port = doc.get("load_port")
+        _check(load_port is None or isinstance(load_port, str), "key 'load_port' must be a name")
+        net.load_port = load_port
+        elements = doc.get("elements", [])
+        _check(isinstance(elements, list), "key 'elements' must be a list")
+        for entry in elements:
+            _check(isinstance(entry, dict), "each element must be an object")
+            name = entry.get("name")
+            _check(isinstance(name, str), "each element needs a string 'name'")
+            nodes = entry.get("nodes")
+            _check(_is_nodes(nodes), f"nodes of element '{name}' must be a list of names", name)
+            net.add(name, _component_from_json(name, entry), *nodes)
         net.validate()
         return net
 
 
-def _maybe_q(comp) -> dict:
-    return {} if math.isinf(comp.q) else {"q": comp.q}
+def _check(cond: bool, msg: str, element: str | None = None) -> None:
+    if not cond:
+        raise NetworkTopologyError(msg, element=element)
+
+
+def _number(val) -> float | None:
+    """A JSON number as a float (an integer beyond float range as inf), else None."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        return float(val)
+    except OverflowError:
+        return math.inf
+
+
+def _is_nodes(val) -> bool:
+    return isinstance(val, list) and all(isinstance(n, str) for n in val)
+
+
+def _json_schema(cls) -> tuple[type, list[tuple[str, str, object, bool]]]:
+    """(class, [(JSON key, field, default or MISSING, complex-valued)])."""
+    hints = typing.get_type_hints(cls)
+    defaults = {f.name: f.default for f in fields(cls)}
+    return cls, [
+        (key, name, defaults[name], hints[name] is complex)
+        for key, name in cls.json_keys.items()
+    ]
+
+
+#: element kind -> JSON schema, from the element descriptions
+_SCHEMAS = {cls.kind: _json_schema(cls) for cls in typing.get_args(Component)}
 
 
 def _element_to_json(e: Placed) -> dict:
     comp = e.component
-    base = {"name": e.name, "nodes": list(e.nodes)}
-    if isinstance(comp, Resistor):
-        return base | {"kind": "resistor", "ohms": comp.ohms}
-    if isinstance(comp, Inductor):
-        return base | {"kind": "inductor", "henries": comp.henries} | _maybe_q(comp)
-    if isinstance(comp, Capacitor):
-        return base | {"kind": "capacitor", "farads": comp.farads} | _maybe_q(comp)
-    if isinstance(comp, CoupledInductors):
-        return base | {
-            "kind": "coupled_inductors",
-            "l_p_henries": comp.l_p,
-            "n": comp.n,
-            "k": comp.k,
-        } | _maybe_q(comp)
-    if isinstance(comp, IdealTransformer):
-        return base | {"kind": "ideal_transformer", "n": comp.n}
-    if isinstance(comp, TransmissionLine):
-        out = base | {
-            "kind": "tline",
-            "z0_ohm": comp.z0,
-            "theta_deg": comp.theta_deg,
-            "f_ref_hz": comp.f_ref,
-        }
-        if comp.loss_db_per_quarter:
-            out["loss_db_per_quarter"] = comp.loss_db_per_quarter
-        return out
-    if isinstance(comp, CurrentSource):
-        return base | {"kind": "current_source", "amps": [comp.amps.real, comp.amps.imag]}
-    raise TypeError(f"cannot serialize {type(comp).__name__}")
+    out = {"name": e.name, "nodes": list(e.nodes), "kind": comp.kind}
+    for key, name, default, is_complex in _SCHEMAS[comp.kind][1]:
+        val = getattr(comp, name)
+        if val != default:
+            out[key] = [val.real, val.imag] if is_complex else val
+    return out
 
 
-def _component_from_json(entry: dict) -> Component:
+def _component_from_json(name: str, entry: dict) -> Component:
     kind = entry.get("kind")
-    q = float(entry.get("q", math.inf))
-    if kind == "resistor":
-        return Resistor(float(entry["ohms"]))
-    if kind == "inductor":
-        return Inductor(float(entry["henries"]), q=q)
-    if kind == "capacitor":
-        return Capacitor(float(entry["farads"]), q=q)
-    if kind == "coupled_inductors":
-        return CoupledInductors(
-            float(entry["l_p_henries"]), float(entry["n"]), float(entry["k"]), q=q
-        )
-    if kind == "ideal_transformer":
-        return IdealTransformer(float(entry["n"]))
-    if kind == "tline":
-        return TransmissionLine(
-            float(entry["z0_ohm"]),
-            float(entry["theta_deg"]),
-            float(entry["f_ref_hz"]),
-            loss_db_per_quarter=float(entry.get("loss_db_per_quarter", 0.0)),
-        )
-    if kind == "current_source":
-        re_i, im_i = entry["amps"]
-        return CurrentSource(complex(float(re_i), float(im_i)))
-    raise NetworkTopologyError(f"unknown element kind '{kind}'", element=entry.get("name"))
+    if not isinstance(kind, str) or kind not in _SCHEMAS:
+        raise NetworkTopologyError(f"unknown element kind '{kind}'", element=name)
+    cls, keys = _SCHEMAS[kind]
+    values = {}
+    for key, attr, default, is_complex in keys:
+        if key not in entry:
+            _check(default is not MISSING, f"element '{name}' needs key '{key}'", name)
+            continue
+        val = entry[key]
+        if is_complex:
+            parts = [_number(v) for v in val] if isinstance(val, list) else []
+            _check(
+                len(parts) == 2 and None not in parts,
+                f"key '{key}' of element '{name}' must be a [re, im] pair of numbers",
+                name,
+            )
+            values[attr] = complex(*parts)
+        else:
+            values[attr] = _number(val)
+            _check(values[attr] is not None, f"key '{key}' of element '{name}' must be a number",
+                   name)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise NetworkTopologyError(f"element '{name}': {exc}", element=name) from None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import Resistor
-from .mna import assemble, _solve_columns
+from .mna import _solve_accepted, assemble
 from .netlist import Netlist
 
 __all__ = [
@@ -68,14 +68,12 @@ def s_parameters(
         rhs = np.zeros((system.size, n), dtype=complex)
         for k, p in enumerate(ports):
             rhs[:, k] = system.rhs({p: i0})
-        x = _solve_columns(system, rhs)
-        for k in range(n):
-            for j, pj in enumerate(ports):
-                plus, minus = terminated.ports[pj]
-                vj = x[system.node_index[plus], k] if plus != terminated.ground else 0j
-                if minus != terminated.ground:
-                    vj -= x[system.node_index[minus], k]
-                out[fi, j, k] = 2.0 * vj / (z_ref * i0) - (1.0 if j == k else 0.0)
+        x, _ = _solve_accepted(system, rhs)
+        for j, pj in enumerate(ports):
+            plus, minus = terminated.ports[pj]
+            vj = x[system.node_index[plus]] - x[system.node_index[minus]]
+            for k in range(n):
+                out[fi, j, k] = 2.0 * vj[k] / (z_ref * i0) - (1.0 if j == k else 0.0)
     return out
 
 

@@ -31,8 +31,6 @@ from .netkit import (
     Inductor,
     Netlist,
     Resistor,
-    Series,
-    Shunt,
     TransmissionLine,
 )
 
@@ -117,16 +115,6 @@ class PiNetwork:
     series_value: float
     shunt_value: float
     f0: float
-
-    def chain(self, q_l: float = math.inf, q_c: float = math.inf):
-        """The section as a two-port cascade, input to output."""
-        if self.kind == "low-pass":
-            sh = Shunt(Capacitor(self.shunt_value, q=q_c))
-            se = Series(Inductor(self.series_value, q=q_l))
-        else:
-            sh = Shunt(Inductor(self.shunt_value, q=q_l))
-            se = Series(Capacitor(self.series_value, q=q_c))
-        return [sh, se, sh]
 
 
 @dataclass(frozen=True)
@@ -374,11 +362,11 @@ def _add_pi(net: Netlist, tag: str, pi: PiNetwork, n_in: str, n_out: str,
         net.add(f"{tag}_lout", Inductor(pi.shunt_value, q=q_l), n_out, g)
 
 
-def _finish(net: Netlist, r_l: float, include_load: bool) -> Netlist:
+def _finish(net: Netlist, r_l: float, include_load: bool, aux_node: str = "aux") -> Netlist:
     if include_load:
         net.add("RL", Resistor(r_l), "out", net.ground)
     net.add_port("main", "main")
-    net.add_port("aux", "aux")
+    net.add_port("aux", aux_node)
     net.add_port("load", "out")
     net.load_port = "load"
     net.validate()
@@ -417,14 +405,7 @@ def to_netlist(
                     "aux_node", "out", q_l, q_c)
         else:
             raise ValueError(f"unknown implementation '{implementation}'")
-        if include_load:
-            net.add("RL", Resistor(design.cfg.r_l), "out", g)
-        net.add_port("main", "main")
-        net.add_port("aux", "aux_node")
-        net.add_port("load", "out")
-        net.load_port = "load"
-        net.validate()
-        return net
+        return _finish(net, design.cfg.r_l, include_load, aux_node="aux_node")
 
     if isinstance(design, ThreeLineDesign):
         if implementation == "line":

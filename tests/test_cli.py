@@ -119,6 +119,30 @@ def test_unknown_key_named_in_error(tmp_path, capsys):
     assert json.loads(err)["key"] == "r_opt"
 
 
+@pytest.mark.parametrize(
+    "element",
+    [
+        '{"kind": "current_source", "name": "I1", "nodes": ["a", "0"], "amps": 5}',
+        '{"kind": "resistor", "name": "R2", "nodes": "a0", "ohms": 50.0}',
+        '{"kind": "resistor", "name": "R2", "nodes": ["a", "0"], "ohms": 1e400}',
+    ],
+    ids=["amps-not-a-pair", "nodes-not-a-list", "ohms-not-finite"],
+)
+def test_malformed_netlist_exits_2(element, tmp_path, capsys):
+    p = tmp_path / "net.json"
+    p.write_text(
+        '{"f0_hz": 1e9, "ports": {"in": ["a", "0"]}, "elements": ['
+        '{"kind": "resistor", "name": "R1", "nodes": ["a", "0"], "ohms": 50.0}, '
+        + element
+        + "]}"
+    )
+    code, _, err = run(["export", str(p), "--touchstone", str(tmp_path / "x.s1p")], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["code"] == 2
+    assert json.loads(element)["name"] in payload["error"]
+
+
 def test_internal_consistency_failure_exits_3(design_path, tmp_path, capsys, monkeypatch):
     from dohertylab import cli as cli_mod
     from dohertylab.synth import DesignConsistencyError

@@ -1,15 +1,18 @@
 """MNA solver: element stamps, power accounting, failure modes."""
 
+import dataclasses
+import json
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from dohertylab.netkit import (
     Capacitor,
+    Component,
     CoupledInductors,
     CurrentSource,
-    EfficiencyUndefinedError,
     IdealTransformer,
     Inductor,
     Netlist,
@@ -17,9 +20,9 @@ from dohertylab.netkit import (
     Resistor,
     SingularSystemError,
     TransmissionLine,
-    passive_efficiency,
     solve,
 )
+from dohertylab.netkit.elements import Element
 
 
 def simple_load(r=50.0, f0=1e9):
@@ -160,13 +163,8 @@ def test_element_value_validation():
 
 
 def test_passive_efficiency_lossless_is_one(two_line_net, proto_cfg):
-    eta = passive_efficiency(
-        two_line_net,
-        proto_cfg.f0,
-        {"main": 1.0 * np.exp(1j * np.pi / 2), "aux": 1.0},
-        "load",
-    )
-    assert eta == pytest.approx(1.0, abs=1e-9)
+    r = solve(two_line_net, proto_cfg.f0, {"main": 1.0 * np.exp(1j * np.pi / 2), "aux": 1.0})
+    assert r.passive_efficiency() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_passive_efficiency_resistive_divider():
@@ -176,7 +174,7 @@ def test_passive_efficiency_resistive_divider():
     net.add_port("in", "a")
     net.add_port("load", "b")
     net.load_port = "load"
-    eta = passive_efficiency(net, 1e9, {"in": 1.0}, "load")
+    eta = solve(net, 1e9, {"in": 1.0}).passive_efficiency()
     assert eta == pytest.approx(50.0 / 55.0, rel=1e-12)
 
 
@@ -195,8 +193,8 @@ def test_passive_efficiency_higher_itr_is_lossier():
         net.load_port = "load"
         return net
 
-    eta_itr4 = passive_efficiency(lumped_quarter_wave(50.0, 100.0), 10e9, {"in": 1.0}, "load")
-    eta_itr1 = passive_efficiency(lumped_quarter_wave(50.0, 50.0), 10e9, {"in": 1.0}, "load")
+    eta_itr4 = solve(lumped_quarter_wave(50.0, 100.0), 10e9, {"in": 1.0}).passive_efficiency()
+    eta_itr1 = solve(lumped_quarter_wave(50.0, 50.0), 10e9, {"in": 1.0}).passive_efficiency()
     assert eta_itr4 < eta_itr1
 
 
@@ -204,8 +202,7 @@ def test_passive_efficiency_undefined_without_power():
     net = simple_load()
     net.add_port("load", "a")
     net.load_port = "load"
-    with pytest.raises(EfficiencyUndefinedError):
-        passive_efficiency(net, 1e9, {"in": 0.0}, "load")
+    assert math.isnan(solve(net, 1e9, {"in": 0.0}).passive_efficiency())
 
 
 def test_solver_is_pure(two_line_net, proto_cfg):
@@ -248,6 +245,55 @@ def test_netlist_json_covers_every_element_kind():
     r2 = solve(back, 2.3e9, {"in": 0.1j})
     assert r1.node_voltages == r2.node_voltages
     assert r1.power_balance_residual() < 1e-9
+
+
+# at least one instance of every element type, with every optional value
+# both at and away from its default
+DESCRIPTION_EXAMPLES = {
+    Resistor: [Resistor(75.0)],
+    Inductor: [Inductor(2e-9), Inductor(2e-9, q=18.0)],
+    Capacitor: [Capacitor(0.4e-12), Capacitor(0.4e-12, q=25.0)],
+    CoupledInductors: [
+        CoupledInductors(1e-9, n=1.2, k=0.66),
+        CoupledInductors(1e-9, n=1.2, k=0.66, q=30.0),
+    ],
+    IdealTransformer: [IdealTransformer(1.5)],
+    TransmissionLine: [
+        TransmissionLine(60.0, 45.0, 2e9),
+        TransmissionLine(60.0, 45.0, 2e9, loss_db_per_quarter=0.3),
+    ],
+    CurrentSource: [CurrentSource(0.5 - 0.25j)],
+}
+
+
+@pytest.mark.parametrize("cls", typing.get_args(Component), ids=lambda cls: cls.__name__)
+def test_element_description(cls):
+    """Every element type describes itself fully, and its JSON form, stamp
+    and readback round-trip through a solved netlist."""
+    assert isinstance(cls.kind, str)
+    kinds = [other.kind for other in typing.get_args(Component)]
+    assert kinds.count(cls.kind) == 1
+    assert sorted(cls.json_keys.values()) == sorted(f.name for f in dataclasses.fields(cls))
+    assert cls.terminals in (2, 4)
+    assert cls.aux in (0, 1, 2)
+    assert cls.stamp is not Element.stamp
+    assert cls.readback is not Element.readback
+
+    for comp in DESCRIPTION_EXAMPLES[cls]:
+        net = Netlist(f0=2e9)
+        nodes = ("a", "b") if cls.terminals == 2 else ("a", "0", "b", "0")
+        net.add("X", comp, *nodes)
+        net.add("R1", Resistor(50.0), "a", "0")
+        net.add("R2", Resistor(20.0), "b", "0")
+        net.add_port("in", "a")
+        net.add_port("load", "b")
+        net.load_port = "load"
+        back = Netlist.from_json_dict(json.loads(json.dumps(net.to_json_dict())))
+        assert back == net
+        r = solve(back, 2.3e9, {"in": 0.1j})
+        assert r.kcl_residual < 1e-12
+        assert r.power_balance_residual() < 1e-9
+        assert all(np.isfinite(i) for i in r.branch_currents["X"])
 
 
 def test_concurrent_solves_bitwise_identical(tf_net, proto_cfg):
