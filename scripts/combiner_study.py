@@ -11,8 +11,6 @@ EVM figure from the simulated AM-AM/AM-PM. CSV outputs land in --out-dir.
 import argparse
 import os
 
-import numpy as np
-
 from dohertylab import (
     DohertyConfig,
     synth_three_line,
@@ -24,6 +22,7 @@ from dohertylab.analysis import (
     bandwidth_report,
     drive_profile,
     load_modulation,
+    pa_drive_grid,
     peak_excitations,
     simulate_pa,
 )
@@ -112,7 +111,7 @@ def main():
     target = lossy.get("transformer", lossy["two_line"])
     v_dc = 1.0
     main_cell, aux_cell = ideal_doherty_cells(cfg, v_dc)
-    grid = np.sort(np.append(np.linspace(0.02, 1.0, 99), 1.0 / (1.0 + cfg.alpha)))
+    grid = pa_drive_grid(cfg.alpha, 99)
     sim = simulate_pa(main_cell, aux_cell, target, grid, v_dc)
     emit("pa_sim.csv", csv_text(SWEEP_COLUMNS, pa_sim_rows(sim)))
 

@@ -29,6 +29,7 @@ from .netkit import (
     Resistor,
     TransmissionLine,
     solve,
+    solve_columns,
 )
 from .netkit.mna import AnalysisResult
 
@@ -45,6 +46,7 @@ __all__ = [
     "passive_eff_vs_pbo",
     "compare_passive_eff",
     "bandwidth_report",
+    "pa_drive_grid",
     "simulate_pa",
     "inverter_face_impedances",
     "measured_itr",
@@ -92,12 +94,11 @@ def required_phase_offset(
     """
     f0 = f0 if f0 is not None else netlist.f0
     work = _terminated_copy(netlist, [main_port, aux_port], termination_ohms)
-    lp, lm = work.ports[load_port]
+    # column 0 drives the main port alone, column 1 the auxiliary port
+    r = solve_columns(work, f0, {main_port: np.array([1.0, 0.0]), aux_port: np.array([0.0, 1.0])})
 
     args = {}
-    for port in (main_port, aux_port):
-        r = solve(work, f0, {port: 1.0})
-        t = r.node_voltages[lp] - r.node_voltages[lm]
+    for port, t in zip((main_port, aux_port), r.port_voltages[load_port]):
         if abs(t) < 1e-15:
             raise DegenerateTransferError(
                 f"transfer from port '{port}' to '{load_port}' is degenerate (|T|={abs(t):.2e})"
@@ -126,8 +127,8 @@ def offset_delivered_power(
     work = _terminated_copy(netlist, [main_port, aux_port], termination_ohms)
     work.load_port = load_port
     i_main = cmath.exp(1j * math.radians(offset_deg))
-    result = solve(work, f0, {main_port: i_main, aux_port: 1.0})
-    return result.load_power
+    result = solve_columns(work, f0, {main_port: np.array([i_main]), aux_port: np.array([1.0])})
+    return float(result.load_power[0])
 
 
 # ----------------------------------------------------------------------
@@ -201,16 +202,6 @@ class LoadModulationSweep:
         return self.profile.pbo_db
 
 
-def _excitations(profile: DriveProfile, k: int) -> dict[str, complex]:
-    scale = profile.i_max_amps
-    exc = {
-        "main": profile.i_main[k] * scale * cmath.exp(1j * math.radians(profile.main_phase_deg))
-    }
-    if profile.i_aux[k] > 0.0:
-        exc["aux"] = profile.i_aux[k] * scale * cmath.exp(1j * math.radians(profile.aux_phase_deg))
-    return exc
-
-
 def peak_excitations(cfg: DohertyConfig, profile: DriveProfile) -> dict[str, complex]:
     """Port currents at full drive with the profile's phasing."""
     return {
@@ -232,26 +223,21 @@ def load_modulation(
     """Effective main/aux load impedances over the drive grid at ``freq``
     (defaults to center)."""
     freq = freq if freq is not None else cfg.f0
-    n = len(profile)
-    z_main = np.empty(n, dtype=complex)
-    z_aux = np.full(n, complex(np.nan, np.nan), dtype=complex)
-    y_aux = np.empty(n, dtype=complex)
-    p_del = np.empty(n)
-    eta = np.empty(n)
-    for k in range(n):
-        exc = _excitations(profile, k)
-        r = solve(netlist, freq, exc)
-        v_main = r.port_voltage(netlist, "main")
-        v_aux = r.port_voltage(netlist, "aux")
-        z_main[k] = v_main / exc["main"]
-        if "aux" in exc:
-            z_aux[k] = v_aux / exc["aux"]
-            y_aux[k] = exc["aux"] / v_aux
-        else:
-            y_aux[k] = 0j  # ideal current source off = open
-        p_del[k] = r.load_power
-        eta[k] = r.passive_efficiency()
-    return LoadModulationSweep(profile, z_main, z_aux, y_aux, p_del, eta)
+    scale = profile.i_max_amps
+    i_main = profile.i_main * scale * cmath.exp(1j * math.radians(profile.main_phase_deg))
+    aux_on = profile.i_aux > 0.0
+    i_aux = np.where(
+        aux_on, profile.i_aux * scale * cmath.exp(1j * math.radians(profile.aux_phase_deg)), 0j
+    )
+    r = solve_columns(netlist, freq, {"main": i_main, "aux": i_aux})
+    v_aux = r.port_voltages["aux"]
+    z_main = r.port_voltages["main"] / i_main
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_aux = np.where(aux_on, v_aux / i_aux, complex(np.nan, np.nan))
+        y_aux = np.where(aux_on, i_aux / v_aux, 0j)  # ideal current source off = open
+    return LoadModulationSweep(
+        profile, z_main, z_aux, y_aux, r.load_power, r.passive_efficiency()
+    )
 
 
 def passive_eff_vs_pbo(
@@ -370,6 +356,22 @@ def bandwidth_report(
 # ----------------------------------------------------------------------
 
 
+def pa_drive_grid(alpha: float, n_points: int, v_min: float = 0.02) -> np.ndarray:
+    """Normalized PA drive levels: ``n_points`` from ``v_min`` to 1, plus
+    the second efficiency peak 1/(1+alpha) when it lies inside the range.
+    The peak appears exactly once: a grid point within 1e-12 of it is
+    replaced by it, otherwise it is inserted."""
+    grid = np.linspace(v_min, 1.0, n_points)
+    peak = 1.0 / (1.0 + alpha)
+    if v_min < peak < 1.0:
+        nearest = int(np.argmin(np.abs(grid - peak)))
+        if abs(grid[nearest] - peak) <= 1e-12:
+            grid[nearest] = peak
+        else:
+            grid = np.sort(np.append(grid, peak))
+    return grid
+
+
 @dataclass
 class PASimResult:
     """Drive-level sweep of the assembled PA behavioral model."""
@@ -419,43 +421,42 @@ def simulate_pa(
     ph_main = cmath.exp(1j * math.radians(offset))
 
     n = len(v)
+    i_dc = np.empty(n)
+    if_main = np.empty(n, dtype=complex)
+    if_aux = np.empty(n, dtype=complex)
+    for k, vk in enumerate(v):
+        idc_m, if_main[k] = main_cell.currents(float(vk))
+        idc_a, if_aux[k] = aux_cell.currents(float(vk))
+        i_dc[k] = idc_m + idc_a
+    p_dc = v_dc * i_dc
+    main_on = np.abs(if_main) > 0.0
+    aux_on = np.abs(if_aux) > 0.0
+
+    # one column per level that drives either port
     p_out = np.zeros(n)
-    p_dc = np.zeros(n)
-    eta = np.zeros(n)
     v_load = np.zeros(n, dtype=complex)
     z_main = np.full(n, complex(np.nan, np.nan), dtype=complex)
     z_aux = np.full(n, complex(np.nan, np.nan), dtype=complex)
-    i_main_arr = np.zeros(n)
-    i_aux_arr = np.zeros(n)
     overdrive = np.zeros(n, dtype=bool)
-
-    lim_main = main_cell.v_dc - getattr(main_cell, "v_knee", 0.0)
-    lim_aux = aux_cell.v_dc - getattr(aux_cell, "v_knee", 0.0)
-
-    for k, vk in enumerate(v):
-        idc_m, if_m = main_cell.currents(float(vk))
-        idc_a, if_a = aux_cell.currents(float(vk))
-        i_main_arr[k] = abs(if_m)
-        i_aux_arr[k] = abs(if_a)
-        p_dc[k] = v_dc * (idc_m + idc_a)
-        if abs(if_m) == 0.0 and abs(if_a) == 0.0:
-            continue
-        exc: dict[str, complex] = {}
-        if abs(if_m) > 0.0:
-            exc["main"] = if_m * ph_main
-        if abs(if_a) > 0.0:
-            exc["aux"] = complex(if_a)
-        r = solve(netlist, freq, exc)
-        p_out[k] = r.load_power
-        v_load[k] = r.port_voltage(netlist, "load")
-        vm = r.port_voltage(netlist, "main")
-        va = r.port_voltage(netlist, "aux")
-        if "main" in exc:
-            z_main[k] = vm / exc["main"]
-        if "aux" in exc:
-            z_aux[k] = va / exc["aux"]
-        eta[k] = p_out[k] / p_dc[k] if p_dc[k] > 0 else 0.0
-        overdrive[k] = abs(vm) > lim_main * (1.0 + 1e-6) or abs(va) > lim_aux * (1.0 + 1e-6)
+    on = main_on | aux_on
+    if on.any():
+        drive_main = if_main[on] * ph_main
+        drive_aux = if_aux[on]
+        r = solve_columns(netlist, freq, {"main": drive_main, "aux": drive_aux})
+        vm, va = r.port_voltages["main"], r.port_voltages["aux"]
+        p_out[on] = r.load_power
+        v_load[on] = r.port_voltages["load"]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z_main[on] = vm / drive_main
+            z_aux[on] = va / drive_aux
+        z_main[~main_on] = z_aux[~aux_on] = complex(np.nan, np.nan)  # port not driven
+        lim_main = main_cell.v_dc - getattr(main_cell, "v_knee", 0.0)
+        lim_aux = aux_cell.v_dc - getattr(aux_cell, "v_knee", 0.0)
+        overdrive[on] = (np.abs(vm) > lim_main * (1.0 + 1e-6)) | (
+            np.abs(va) > lim_aux * (1.0 + 1e-6)
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(on & (p_dc > 0), p_out / p_dc, 0.0)
 
     p_ref = p_out.max()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -482,8 +483,8 @@ def simulate_pa(
         v_load=v_load,
         z_main=z_main,
         z_aux=z_aux,
-        i_main=i_main_arr,
-        i_aux=i_aux_arr,
+        i_main=np.abs(if_main),
+        i_aux=np.abs(if_aux),
     )
 
 

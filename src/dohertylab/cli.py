@@ -111,9 +111,15 @@ def _num(doc: dict, key: str, where: str, positive: bool = True) -> float:
     val = doc[key]
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise _fail(f"key '{key}' in {where} must be a number", key=key)
+    try:
+        val = float(val)
+    except OverflowError:  # an integer beyond float range
+        val = math.inf
+    if not math.isfinite(val):
+        raise _fail(f"key '{key}' in {where} must be finite", key=key)
     if positive and not val > 0:
         raise _fail(f"key '{key}' in {where} must be positive", key=key)
-    return float(val)
+    return val
 
 
 def load_design_file(path: str) -> dict:
@@ -419,10 +425,7 @@ def cmd_analyze(args) -> int:
             aux_cell = cells.ActiveCellModel.class_c_turn_on(
                 turn_on, args.i_max * cfg.alpha, args.v_dc
             )
-        grid = np.linspace(args.v_min, 1.0, n_points)
-        v_second_peak = 1.0 / (1.0 + cfg.alpha)
-        if args.v_min < v_second_peak < 1.0 and np.abs(grid - v_second_peak).min() > 1e-12:
-            grid = np.sort(np.append(grid, v_second_peak))
+        grid = analysis.pa_drive_grid(cfg.alpha, n_points, args.v_min)
         sim = analysis.simulate_pa(main_cell, aux_cell, netlist, grid, args.v_dc)
         path = os.path.join(args.out_dir, "pa_sim.csv")
         _write(path, report.csv_text(report.SWEEP_COLUMNS, report.pa_sim_rows(sim)))

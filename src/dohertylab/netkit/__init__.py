@@ -17,7 +17,7 @@ from .elements import (
     admittance,
     impedance,
 )
-from .mna import AnalysisResult, SingularSystemError, assemble, solve
+from .mna import AnalysisResult, ColumnsResult, SingularSystemError, assemble, solve, solve_columns
 from .netlist import Netlist, NetworkTopologyError, Placed
 from .touchstone import (
     TouchstoneData,
@@ -43,9 +43,11 @@ __all__ = [
     "Placed",
     "NetworkTopologyError",
     "AnalysisResult",
+    "ColumnsResult",
     "SingularSystemError",
     "assemble",
     "solve",
+    "solve_columns",
     "Series",
     "Shunt",
     "TwoPortMatrix",

@@ -2,6 +2,10 @@
 behavioral PA simulation, inverter-ratio oracle."""
 
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from dohertylab.analysis import (
     itr_inverter_oracle,
     load_modulation,
     offset_delivered_power,
+    pa_drive_grid,
     peak_excitations,
     required_phase_offset,
     simulate_pa,
@@ -411,3 +416,41 @@ def test_simulate_pa_rejects_bad_drive(proto_cfg, two_line_net):
     main, aux = ideal_doherty_cells(proto_cfg, 1.0)
     with pytest.raises(ValueError):
         simulate_pa(main, aux, two_line_net, [0.5, 1.4], 1.0)
+
+
+@pytest.mark.parametrize(
+    "alpha,n_points,v_min",
+    [
+        (1.0, 41, 0.02),  # the CLI default: 0.5 falls between grid points
+        (1.0, 99, 0.02),  # 0.5 is a grid point
+        (1.0, 20, 0.05),  # a grid point lies within 1e-12 of 0.5 but is not 0.5
+        (2.0, 41, 0.02),
+        (0.5, 3, 0.0),
+    ],
+)
+def test_pa_drive_grid_holds_second_peak_once(alpha, n_points, v_min):
+    grid = pa_drive_grid(alpha, n_points, v_min)
+    peak = 1.0 / (1.0 + alpha)
+    assert np.all(np.diff(grid) > 0)
+    assert np.count_nonzero(grid == peak) == 1
+    assert np.count_nonzero(np.abs(grid - peak) <= 1e-9) == 1
+    assert grid[0] == v_min and grid[-1] == 1.0
+    assert len(grid) in (n_points, n_points + 1)
+
+
+def test_pa_drive_grid_peak_outside_range():
+    grid = pa_drive_grid(1.0, 11, 0.6)
+    np.testing.assert_array_equal(grid, np.linspace(0.6, 1.0, 11))
+
+
+def test_combiner_study_reports_finite_evm(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    run = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "combiner_study.py"),
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    evms = re.findall(r"64QAM EVM at \d+ dB backoff: (\S+) % rms", run.stdout)
+    assert len(evms) == 3, run.stdout
+    assert all(math.isfinite(float(e)) for e in evms)

@@ -143,6 +143,29 @@ def test_malformed_netlist_exits_2(element, tmp_path, capsys):
     assert json.loads(element)["name"] in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "topology,key,literal",
+    [
+        ("two-line", "r_opt_ohm", "1e400"),
+        ("three-line", "r_opt_ohm", "Infinity"),
+        ("three-line", "f0_hz", "1e400"),
+        ("two-line", "r_l_ohm", "1" + "0" * 400),  # an integer beyond float range
+    ],
+    ids=["two-line-r_opt-1e400", "three-line-r_opt-Infinity", "three-line-f0-1e400",
+         "two-line-r_l-huge-int"],
+)
+def test_non_finite_design_number_exits_2(topology, key, literal, tmp_path, capsys):
+    doc = {"config": dict(PROTO_DESIGN["config"], **{key: "@"}), "topology": topology}
+    p = tmp_path / "design.json"
+    p.write_text(json.dumps(doc).replace('"@"', literal))
+    code, _, err = run(["synth", str(p), "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.count("\n") == 1  # exactly one JSON object
+    payload = json.loads(err)
+    assert payload["code"] == 2
+    assert payload["key"] == key
+
+
 def test_internal_consistency_failure_exits_3(design_path, tmp_path, capsys, monkeypatch):
     from dohertylab import cli as cli_mod
     from dohertylab.synth import DesignConsistencyError

@@ -7,7 +7,16 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dohertylab import (
+    DohertyConfig,
+    synth_three_line,
+    synth_transformer_combiner,
+    synth_two_line,
+    to_netlist,
+)
 from dohertylab.netkit import (
     Capacitor,
     Component,
@@ -20,7 +29,9 @@ from dohertylab.netkit import (
     Resistor,
     SingularSystemError,
     TransmissionLine,
+    assemble,
     solve,
+    solve_columns,
 )
 from dohertylab.netkit.elements import Element
 
@@ -401,3 +412,154 @@ def test_element_lookup():
     assert net.element("R1").component.ohms == 50.0
     with pytest.raises(KeyError):
         net.element("R9")
+
+
+# ----------------------------------------------------------------------
+# multi-column solve
+# ----------------------------------------------------------------------
+
+_PROTO = DohertyConfig(alpha=1.0, r_opt=41.3, r_l=50.0, f0=37e9)
+#: the three prototype combiners of the drive sweeps
+DRIVE_NETS = {
+    "two-line": to_netlist(synth_two_line(_PROTO)),
+    "three-line": to_netlist(
+        synth_three_line(_PROTO), q_l=20.0, q_c=20.0, implementation="lumped-pi"
+    ),
+    "transformer": to_netlist(synth_transformer_combiner(_PROTO, n1=1.0, k1=0.7, n2=1.0)),
+}
+
+_current = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda mag, deg: mag * complex(math.cos(math.radians(deg)), math.sin(math.radians(deg))),
+        st.floats(0.01, 2.0),
+        st.floats(-180.0, 180.0),
+    ),
+)
+
+
+def _close(a, b, scale=None, rel=1e-12):
+    """Agreement of two arrays within ``rel`` of ``scale``, by default of
+    the largest magnitude in ``b`` (NaN matches NaN)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    ok = ~np.isnan(b)
+    if scale is None:
+        scale = np.abs(b[ok]).max(initial=0.0)
+    assert np.abs(a[ok] - b[ok]).max(initial=0.0) <= rel * scale
+
+
+@pytest.mark.parametrize("name", list(DRIVE_NETS))
+@settings(max_examples=25, deadline=None)
+@given(columns=st.lists(st.tuples(_current, _current), min_size=1, max_size=8))
+def test_solve_columns_matches_per_point_solve(name, columns):
+    net = DRIVE_NETS[name]
+    i_main = np.array([c[0] for c in columns], dtype=complex)
+    i_aux = np.array([c[1] for c in columns], dtype=complex)
+    batch = solve_columns(net, _PROTO.f0, {"main": i_main, "aux": i_aux})
+    assert batch.x.shape == (batch.x.shape[0], len(columns))
+    assert np.all(batch.x[-1] == 0)  # the ground row
+    eta = batch.passive_efficiency()
+    for k, (im, ia) in enumerate(columns):
+        point = solve(net, _PROTO.f0, {"main": im, "aux": ia})
+        _close(
+            [batch.port_voltages[p][k] for p in net.ports],
+            [point.port_voltage(net, p) for p in net.ports],
+        )
+        # powers relative to the column's apparent drive power: the real
+        # powers of a column that drives the auxiliary port alone are roundoff
+        apparent = 0.5 * sum(
+            abs(point.port_voltage(net, p) * i) for p, i in (("main", im), ("aux", ia))
+        )
+        _close(batch.load_power[k], point.load_power, apparent)
+        _close(batch.injected_power[k], point.total_injected(), apparent)
+        if point.total_injected() > 1e-9 * apparent:  # else the ratio is roundoff
+            _close(eta[k], point.passive_efficiency(), 1.0)
+        assert batch.kcl_residual[k] <= 1e-9
+
+
+def test_solve_columns_counts_current_sources():
+    net = Netlist(f0=1e9)
+    net.add("I1", CurrentSource(0.5 + 0.1j), "a", "0")
+    net.add("R1", Resistor(20.0), "a", "b")
+    net.add("RL", Resistor(30.0), "b", "0")
+    net.add_port("in", "a")
+    net.add_port("load", "b")
+    net.load_port = "load"
+    drives = np.array([0.0, 1.0, -0.3j])
+    batch = solve_columns(net, 1e9, {"in": drives})
+    for k, i in enumerate(drives):
+        point = solve(net, 1e9, {"in": i})
+        _close(batch.load_power[k], point.load_power)
+        _close(batch.injected_power[k], point.total_injected())
+        _close(batch.passive_efficiency()[k], point.passive_efficiency(), 1.0)
+    # sources alone drive every column
+    alone = solve_columns(net, 1e9, {})
+    _close(alone.load_power[0], solve(net, 1e9).load_power)
+
+
+def _unconstrained_current_net():
+    # unity-ratio ideal transformer across one node pair (no constraint on I(X1))
+    net = Netlist(f0=1e9)
+    net.add("X1", IdealTransformer(1.0), "a", "0", "a", "0")
+    net.add("R1", Resistor(50.0), "a", "0")
+    net.add_port("in", "a")
+    return net
+
+
+def _ideal_loop_net():
+    # two ideal transformers in a loop: singular without an empty row or column
+    net = Netlist(f0=1e9)
+    net.add("X1", IdealTransformer(1.0), "a", "0", "b", "0")
+    net.add("X2", IdealTransformer(1.0), "b", "0", "a", "0")
+    net.add("R1", Resistor(50.0), "a", "0")
+    net.add_port("in", "a")
+    return net
+
+
+@pytest.mark.parametrize("make", [_unconstrained_current_net, _ideal_loop_net])
+def test_singular_error_same_through_both_entries(make):
+    net = make()
+    with pytest.raises(SingularSystemError) as single:
+        solve(net, 1e9, {"in": 1.0})
+    with pytest.raises(SingularSystemError) as batch:
+        solve_columns(net, 1e9, {"in": np.array([1.0, 2.0j])})
+    assert str(batch.value) == str(single.value)
+    assert (batch.value.node, batch.value.element) == (single.value.node, single.value.element)
+
+
+def test_solve_columns_rejects_bad_input(two_line_net, proto_cfg):
+    f0 = proto_cfg.f0
+    with pytest.raises(ValueError, match="unknown port"):
+        solve_columns(two_line_net, f0, {"main": np.ones(3), "nope": np.ones(3)})
+    with pytest.raises(ValueError, match="no excitation"):
+        solve_columns(two_line_net, f0, {})
+    with pytest.raises(ValueError):
+        solve_columns(two_line_net, f0, {"main": np.ones(3), "aux": np.ones(2)})
+    with pytest.raises(ValueError):
+        solve_columns(two_line_net, f0, {"main": np.ones((2, 2))})
+    with pytest.raises(ValueError):
+        solve_columns(two_line_net, -f0, {"main": np.ones(3)})
+
+
+def test_one_bad_column_is_rejected(two_line_net, proto_cfg, monkeypatch):
+    """The residual check is per column: a column off by far more than
+    its own drive allows is rejected although it is tiny next to the
+    largest drive of the batch, which a batch-wide check would accept."""
+    drives = {"main": np.array([1e6, 1.0, 2.0]), "aux": np.array([1e6, 0.0, 1.0])}
+    good = solve_columns(two_line_net, proto_cfg.f0, drives)
+    assert good.kcl_residual.max() <= 1e-9
+
+    exact = np.linalg.solve
+
+    def off_in_column_1(a, b):
+        x = exact(a, b)
+        x[:, 1] *= 1.0 + 1e-4
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", off_in_column_1)
+    with pytest.raises(SingularSystemError):
+        solve_columns(two_line_net, proto_cfg.f0, drives)
+    # column 1's residual is 1e-4 A, below 1e-9 of the batch's largest drive
+    matrix = assemble(two_line_net, proto_cfg.f0).matrix
+    assert np.abs(matrix @ (1e-4 * good.x[:-1, 1])).max() < 1e-9 * 1e6
