@@ -155,6 +155,15 @@ class DriveProfile:
         return len(self.i_main)
 
 
+def _grid_with(lo: float, hi: float, n_points: int, point: float) -> np.ndarray:
+    """``n_points`` from ``lo`` to ``hi``, plus ``point`` when it lies
+    inside the range and no grid point is within 1e-12 of it."""
+    grid = np.linspace(lo, hi, n_points)
+    if lo < point < hi and np.abs(grid - point).min() > 1e-12:
+        grid = np.sort(np.append(grid, point))
+    return grid
+
+
 def drive_profile(
     cfg: DohertyConfig,
     netlist: Netlist | None = None,
@@ -173,10 +182,7 @@ def drive_profile(
             raise ValueError("give either a netlist or an explicit main phase")
         main_phase_deg = aux_phase_deg + required_phase_offset(netlist, cfg.f0)
     lo = i_main_min if i_main_min is not None else cfg.i_main_max / 100.0
-    i_main = np.linspace(lo, cfg.i_main_max, n_points)
-    turn_on = cfg.i_main_turn_on
-    if lo < turn_on < cfg.i_main_max and np.abs(i_main - turn_on).min() > 1e-12:
-        i_main = np.sort(np.append(i_main, turn_on))
+    i_main = _grid_with(lo, cfg.i_main_max, n_points, cfg.i_main_turn_on)
     i_aux = np.array([current_profile(cfg.alpha, i) for i in i_main])
     pbo = np.array([pbo_level(cfg.alpha, i) for i in i_main])
     return DriveProfile(i_main, i_aux, pbo, main_phase_deg, aux_phase_deg, i_max_amps)
@@ -358,18 +364,9 @@ def bandwidth_report(
 
 def pa_drive_grid(alpha: float, n_points: int, v_min: float = 0.02) -> np.ndarray:
     """Normalized PA drive levels: ``n_points`` from ``v_min`` to 1, plus
-    the second efficiency peak 1/(1+alpha) when it lies inside the range.
-    The peak appears exactly once: a grid point within 1e-12 of it is
-    replaced by it, otherwise it is inserted."""
-    grid = np.linspace(v_min, 1.0, n_points)
-    peak = 1.0 / (1.0 + alpha)
-    if v_min < peak < 1.0:
-        nearest = int(np.argmin(np.abs(grid - peak)))
-        if abs(grid[nearest] - peak) <= 1e-12:
-            grid[nearest] = peak
-        else:
-            grid = np.sort(np.append(grid, peak))
-    return grid
+    the second efficiency peak 1/(1+alpha) when it lies inside the range
+    and no grid point is within 1e-12 of it."""
+    return _grid_with(v_min, 1.0, n_points, 1.0 / (1.0 + alpha))
 
 
 @dataclass

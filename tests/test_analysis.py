@@ -423,7 +423,7 @@ def test_simulate_pa_rejects_bad_drive(proto_cfg, two_line_net):
     [
         (1.0, 41, 0.02),  # the CLI default: 0.5 falls between grid points
         (1.0, 99, 0.02),  # 0.5 is a grid point
-        (1.0, 20, 0.05),  # a grid point lies within 1e-12 of 0.5 but is not 0.5
+        (1.0, 20, 0.05),  # a grid point lies within 1e-12 of 0.5: it is kept
         (2.0, 41, 0.02),
         (0.5, 3, 0.0),
     ],
@@ -432,10 +432,14 @@ def test_pa_drive_grid_holds_second_peak_once(alpha, n_points, v_min):
     grid = pa_drive_grid(alpha, n_points, v_min)
     peak = 1.0 / (1.0 + alpha)
     assert np.all(np.diff(grid) > 0)
-    assert np.count_nonzero(grid == peak) == 1
     assert np.count_nonzero(np.abs(grid - peak) <= 1e-9) == 1
-    assert grid[0] == v_min and grid[-1] == 1.0
-    assert len(grid) in (n_points, n_points + 1)
+    linspace = np.linspace(v_min, 1.0, n_points)
+    if np.abs(linspace - peak).min() <= 1e-12:
+        np.testing.assert_array_equal(grid, linspace)
+    else:
+        assert np.count_nonzero(grid == peak) == 1
+        assert len(grid) == n_points + 1
+        assert grid[0] == v_min and grid[-1] == 1.0
 
 
 def test_pa_drive_grid_peak_outside_range():

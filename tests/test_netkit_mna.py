@@ -30,6 +30,7 @@ from dohertylab.netkit import (
     SingularSystemError,
     TransmissionLine,
     assemble,
+    s_parameters,
     solve,
     solve_columns,
 )
@@ -563,3 +564,20 @@ def test_one_bad_column_is_rejected(two_line_net, proto_cfg, monkeypatch):
     # column 1's residual is 1e-4 A, below 1e-9 of the batch's largest drive
     matrix = assemble(two_line_net, proto_cfg.f0).matrix
     assert np.abs(matrix @ (1e-4 * good.x[:-1, 1])).max() < 1e-9 * 1e6
+
+
+def test_s_parameters_keeps_the_absolute_check_only(two_line_net, proto_cfg, monkeypatch):
+    """A solution off by 1e-8 of the drive fails the relative test of the
+    solve entries but stays within the absolute bound S-parameters use."""
+    exact = np.linalg.solve
+
+    def off_by_1e8(a, b):
+        return exact(a, b) * (1.0 + 1e-8)
+
+    monkeypatch.setattr(np.linalg, "solve", off_by_1e8)
+    with pytest.raises(SingularSystemError, match="solution rejected"):
+        solve(two_line_net, proto_cfg.f0, {"main": 1.0})
+    with pytest.raises(SingularSystemError, match="solution rejected"):
+        solve_columns(two_line_net, proto_cfg.f0, {"main": np.array([1.0, 2.0])})
+    s = s_parameters(two_line_net, ["main", "aux", "load"], [proto_cfg.f0], 50.0)
+    assert np.all(np.isfinite(s))
