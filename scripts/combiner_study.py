@@ -11,6 +11,8 @@ EVM figure from the simulated AM-AM/AM-PM. CSV outputs land in --out-dir.
 import argparse
 import os
 
+import numpy as np
+
 from dohertylab import (
     DohertyConfig,
     synth_three_line,
@@ -81,18 +83,13 @@ def main():
         )
         for name, design in designs.items()
     }
-    eff_rows = []
     profs = {
         name: drive_profile(cfg, net, 21, i_main_min=cfg.i_main_turn_on)
         for name, net in lossy.items()
     }
     sweeps = {name: load_modulation(net, cfg, profs[name]) for name, net in lossy.items()}
     any_prof = next(iter(profs.values()))
-    for k in range(len(any_prof)):
-        eff_rows.append(
-            [any_prof.pbo_db[k]]
-            + [sweeps[name].eta_passive[k] for name in lossy]
-        )
+    eff_rows = np.column_stack([any_prof.pbo_db] + [sweeps[name].eta_passive for name in lossy])
     emit(
         "pbo_efficiency.csv",
         csv_text(["pbo_db"] + [f"eta_{name}" for name in lossy], eff_rows),

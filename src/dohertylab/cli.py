@@ -373,11 +373,13 @@ def cmd_analyze(args) -> int:
             header.append("eta_passive_ref")
             columns.append(analysis.passive_eff_vs_pbo(ref, cfg, ref_prof)[1])
         path = os.path.join(args.out_dir, "pbo_eff.csv")
-        _write(path, report.csv_text(header, list(zip(*columns))))
+        _write(path, report.csv_text(header, np.column_stack(columns)))
         print(path)
         return 0
 
     if args.mode == "bandwidth":
+        if not 0.0 < args.window < 1.0:
+            raise _fail("--window must lie in (0, 1)")
         prof = analysis.drive_profile(cfg, netlist, 2)
         exc = analysis.peak_excitations(cfg, prof)
         bw = analysis.bandwidth_report(
@@ -388,11 +390,8 @@ def cmd_analyze(args) -> int:
             window=args.window,
             n_points=n_points if args.points else 201,
         )
-        rows = [
-            [bw.freqs[k], bw.values_db[k]]
-            for k in range(len(bw.freqs))
-        ]
         csv_path = os.path.join(args.out_dir, "bandwidth.csv")
+        rows = np.column_stack([bw.freqs, bw.values_db])
         _write(csv_path, report.csv_text(["freq_hz", "metric_db"], rows))
         doc = {
             "metric": bw.metric,
@@ -411,6 +410,8 @@ def cmd_analyze(args) -> int:
     if args.mode == "pa-sim":
         if args.v_dc is None:
             raise _fail("pa-sim needs --v-dc (and --i-max unless --ideal-cells)")
+        if not 0.0 <= args.v_min < 1.0:
+            raise _fail("--v-min must lie in [0, 1)")
         if args.ideal_cells:
             main_cell, aux_cell = cells.ideal_doherty_cells(cfg, args.v_dc)
         else:
@@ -451,6 +452,8 @@ def cmd_export(args) -> int:
     f_stop = args.f_stop if args.f_stop is not None else 1.4 * f0
     if not 0 < f_start < f_stop:
         raise _fail("need 0 < f-start < f-stop")
+    if args.points < 1:
+        raise _fail("--points must be at least 1")
     freqs = np.linspace(f_start, f_stop, args.points)
     s = s_parameters(netlist, ports, freqs, z_ref=args.z_ref)
     _write(args.touchstone, write_touchstone(freqs, s, z_ref=args.z_ref))

@@ -19,7 +19,6 @@ from .ideal import current_profile, itr_conv, itr_intro, pbo_level
 
 __all__ = [
     "float_digits",
-    "fmt",
     "csv_text",
     "json_text",
     "SWEEP_COLUMNS",
@@ -56,27 +55,26 @@ def float_digits() -> int:
     return digits if 1 <= digits <= 17 else 9
 
 
-def fmt(value, digits: int | None = None) -> str:
-    """Fixed-precision rendering; empty string for None/NaN cells."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    v = float(value)
-    if math.isnan(v):
-        return ""
-    if v == 0.0:
-        v = 0.0  # fold -0.0
-    d = digits if digits is not None else float_digits()
-    return f"{v:.{d}g}"
+def csv_text(header: list[str], rows) -> str:
+    """CSV text of a table: ``header``, then one line per row of ``rows``.
 
-
-def csv_text(header: list[str], rows: list[list]) -> str:
-    digits = float_digits()
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(cell, digits) for cell in row))
-    return "\n".join(lines) + "\n"
+    ``rows`` is 2-D: a float array, or rows of numbers and None with
+    strings in whole columns.  Numbers take ``%.{d}g`` with d from
+    :func:`float_digits` and -0.0 folded to 0; NaN and None give an empty
+    cell; strings are written as they are.  The whole table is formatted
+    with one template in one pass.  Text columns stay ``%s`` placeholders
+    until NaN cells are blanked, so a text cell is never touched.
+    """
+    text = np.zeros(len(header), dtype=bool)
+    if len(rows):
+        text[:] = [isinstance(v, str) for v in rows[0]]
+    table = np.asarray(rows, dtype=object if text.any() else float).reshape(-1, len(header))
+    cell = f"%.{float_digits()}g"
+    line = ",".join("%%s" if t else cell for t in text) + "\n"
+    numbers = table[:, ~text].astype(float) + 0.0
+    body = (line * len(table)) % tuple(numbers.ravel().tolist())
+    body = body.replace("nan", "") % tuple(table[:, text].ravel().tolist())
+    return ",".join(header) + "\n" + body
 
 
 def _round_floats(obj, digits: int):
@@ -97,67 +95,60 @@ def json_text(doc: dict) -> str:
     return json.dumps(_round_floats(doc, float_digits()), indent=2, sort_keys=True) + "\n"
 
 
-def _c(x: complex):
-    return (None, None) if (x != x) else (x.real, x.imag)  # NaN check works on complex
+def _re_im(z: np.ndarray) -> list[np.ndarray]:
+    """Real and imaginary parts of ``z``, both NaN wherever either one is."""
+    z = np.where(np.isnan(z), complex(np.nan, np.nan), z)
+    return [z.real, z.imag]
 
 
-def load_mod_rows(sweep: LoadModulationSweep) -> list[list]:
-    rows = []
-    for k in range(len(sweep.profile)):
-        re_za, im_za = _c(sweep.z_aux[k])
-        rows.append(
-            [
-                sweep.pbo_db[k],
-                sweep.profile.i_main[k],
-                sweep.profile.i_aux[k],
-                sweep.z_main[k].real,
-                sweep.z_main[k].imag,
-                re_za,
-                im_za,
-                sweep.eta_passive[k],
-                None,
-                None,
-                None,
-            ]
-        )
-    return rows
+def load_mod_rows(sweep: LoadModulationSweep) -> np.ndarray:
+    """One row per drive point in ``SWEEP_COLUMNS`` order; NaN is an empty cell."""
+    blank = np.full(len(sweep.profile), np.nan)
+    return np.column_stack(
+        [
+            sweep.pbo_db,
+            sweep.profile.i_main,
+            sweep.profile.i_aux,
+            *_re_im(sweep.z_main),
+            *_re_im(sweep.z_aux),
+            sweep.eta_passive,
+            blank,
+            blank,
+            blank,
+        ]
+    )
 
 
-def pa_sim_rows(sim: PASimResult) -> list[list]:
-    rows = []
-    for k in range(len(sim.v)):
-        re_zm, im_zm = _c(sim.z_main[k])
-        re_za, im_za = _c(sim.z_aux[k])
-        rows.append(
-            [
-                sim.pbo_db[k],
-                sim.i_main[k],
-                sim.i_aux[k],
-                re_zm,
-                im_zm,
-                re_za,
-                im_za,
-                None,
-                sim.eta[k],
-                sim.am_am_db[k],
-                sim.am_pm_deg[k],
-            ]
-        )
-    return rows
+def pa_sim_rows(sim: PASimResult) -> np.ndarray:
+    """One row per drive level in ``SWEEP_COLUMNS`` order; NaN is an empty cell."""
+    return np.column_stack(
+        [
+            sim.pbo_db,
+            sim.i_main,
+            sim.i_aux,
+            *_re_im(sim.z_main),
+            *_re_im(sim.z_aux),
+            np.full(len(sim.v), np.nan),
+            sim.eta,
+            sim.am_am_db,
+            sim.am_pm_deg,
+        ]
+    )
 
 
-def itr_curve_rows(alpha: float, r_opt: float, r_l: float, n_points: int = 121) -> list[list]:
+def itr_curve_rows(alpha: float, r_opt: float, r_l: float, n_points: int = 121) -> np.ndarray:
+    """One row per point in ``ITR_COLUMNS`` order, from peak drive down to
+    the auxiliary turn-on point; each cell from the scalar closed forms."""
     lo = 2.0 / (1.0 + alpha) ** 2
     hi = 2.0 / (1.0 + alpha)
-    rows = []
-    for i_main in np.linspace(lo, hi, n_points)[::-1]:
-        rows.append(
-            [
-                pbo_level(alpha, i_main),
-                i_main,
-                current_profile(alpha, i_main),
-                itr_conv(alpha, i_main),
-                itr_intro(alpha, i_main, r_opt, r_l),
-            ]
-        )
-    return rows
+    rows = [
+        [
+            pbo_level(alpha, i_main),
+            i_main,
+            current_profile(alpha, i_main),
+            itr_conv(alpha, i_main),
+            itr_intro(alpha, i_main, r_opt, r_l),
+        ]
+        for i_main in np.linspace(lo, hi, n_points)[::-1]
+    ]
+    return np.array(rows, dtype=float)

@@ -490,3 +490,45 @@ def test_itr_curves_netlist_input_exit_2(design_path, tmp_path, capsys):
         capsys,
     )
     assert code == 2
+
+
+def assert_one_json_error(code, err, flag):
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["code"] == 2 and flag in doc["error"]
+
+
+@pytest.mark.parametrize("v_min", ["2", "1", "-0.1", "nan"])
+def test_pa_sim_v_min_outside_unit_interval_exit_2(v_min, design_path, tmp_path, capsys):
+    code, _, err = run(
+        ["analyze", design_path, "--mode", "pa-sim", "--ideal-cells", "--v-dc", "1.0",
+         "--v-min", v_min, "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert_one_json_error(code, err, "--v-min")
+
+
+@pytest.mark.parametrize("window", ["1.5", "1", "-0.2", "nan"])
+def test_bandwidth_window_outside_unit_interval_exit_2(window, design_path, tmp_path, capsys):
+    code, _, err = run(
+        ["analyze", design_path, "--mode", "bandwidth", "--window", window,
+         "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert_one_json_error(code, err, "--window")
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_export_points_below_one_exit_2(points, design_path, tmp_path, capsys):
+    out_dir = str(tmp_path / "out")
+    run(["synth", design_path, "--out-dir", out_dir], capsys)
+    ts_path = tmp_path / "x.s3p"
+    code, _, err = run(
+        ["export", os.path.join(out_dir, "netlist.json"), "--touchstone", str(ts_path),
+         "--points", points],
+        capsys,
+    )
+    assert_one_json_error(code, err, "--points")
+    assert not ts_path.exists()
