@@ -324,20 +324,15 @@ def bandwidth_report(
     freqs = np.linspace((1.0 - window) * f0, (1.0 + window) * f0, n_points)
     i_center = int(np.argmin(np.abs(freqs - f0)))
 
+    sweep = solve_columns(netlist, freqs, {p: np.array([i]) for p, i in excitations.items()})
     if metric == "passive-efficiency":
-        eta = np.empty(n_points)
-        for i, f in enumerate(freqs):
-            eta[i] = solve(netlist, float(f), excitations).passive_efficiency()
+        eta = sweep.passive_efficiency()[:, 0]
         ref = eta[i_center]
         with np.errstate(divide="ignore", invalid="ignore"):
             values_db = 10.0 * np.log10(eta / ref)
         meets = values_db >= -thr
     else:
-        z = np.empty(n_points, dtype=complex)
-        drive = excitations[port]
-        for i, f in enumerate(freqs):
-            r = solve(netlist, float(f), excitations)
-            z[i] = r.port_voltage(netlist, port) / drive
+        z = sweep.port_voltages[port][:, 0] / excitations[port]
         z_ref = z_ref_ohm if z_ref_ohm is not None else z[i_center].real
         gamma = (z - z_ref) / (z + z_ref)
         with np.errstate(divide="ignore"):

@@ -92,6 +92,31 @@ def _fail(message: str, key: str | None = None, code: int = 2) -> CliError:
     return CliError(message, key, code)
 
 
+#: the values each numeric flag accepts (by argparse dest), checked
+#: before any command runs
+_FLAG_DOMAINS = {
+    **dict.fromkeys(
+        ("alpha", "r_opt", "r_l", "f0", "z_ref", "v_dc", "i_max", "f_start", "f_stop"),
+        (lambda v: 0 < v < math.inf, "be positive and finite"),
+    ),
+    **dict.fromkeys(("q_l", "q_c"), (lambda v: v > 0, "be positive (inf for lossless)")),
+    **dict.fromkeys(("threshold_db", "main_phi_deg", "aux_turn_on"), (math.isfinite, "be finite")),
+    "points": (lambda v: v >= 1, "be at least 1"),
+    "window": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "v_min": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+}
+
+
+def _check_flags(args) -> None:
+    """Reject a numeric flag outside its domain with exit code 2."""
+    for dest, val in vars(args).items():
+        if dest in _FLAG_DOMAINS and val is not None:
+            accepts, rule = _FLAG_DOMAINS[dest]
+            if not accepts(val):
+                flag = "--" + dest.replace("_", "-")
+                raise _fail(f"{flag} must {rule}, got {val}")
+
+
 # ----------------------------------------------------------------------
 # Design-file validation
 # ----------------------------------------------------------------------
@@ -378,8 +403,6 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.mode == "bandwidth":
-        if not 0.0 < args.window < 1.0:
-            raise _fail("--window must lie in (0, 1)")
         prof = analysis.drive_profile(cfg, netlist, 2)
         exc = analysis.peak_excitations(cfg, prof)
         bw = analysis.bandwidth_report(
@@ -388,7 +411,7 @@ def cmd_analyze(args) -> int:
             metric=args.metric,
             threshold_db=args.threshold_db,
             window=args.window,
-            n_points=n_points if args.points else 201,
+            n_points=args.points or 201,
         )
         csv_path = os.path.join(args.out_dir, "bandwidth.csv")
         rows = np.column_stack([bw.freqs, bw.values_db])
@@ -410,22 +433,23 @@ def cmd_analyze(args) -> int:
     if args.mode == "pa-sim":
         if args.v_dc is None:
             raise _fail("pa-sim needs --v-dc (and --i-max unless --ideal-cells)")
-        if not 0.0 <= args.v_min < 1.0:
-            raise _fail("--v-min must lie in [0, 1)")
         if args.ideal_cells:
             main_cell, aux_cell = cells.ideal_doherty_cells(cfg, args.v_dc)
         else:
             if args.i_max is None:
                 raise _fail("pa-sim with conduction-angle cells needs --i-max")
-            main_cell = cells.ActiveCellModel(
-                math.radians(args.main_phi_deg), args.i_max, args.v_dc
-            )
             turn_on = args.aux_turn_on if args.aux_turn_on is not None else cfg.i_main_turn_on * (
                 1.0 + cfg.alpha
             ) / 2.0
-            aux_cell = cells.ActiveCellModel.class_c_turn_on(
-                turn_on, args.i_max * cfg.alpha, args.v_dc
-            )
+            try:
+                main_cell = cells.ActiveCellModel(
+                    math.radians(args.main_phi_deg), args.i_max, args.v_dc
+                )
+                aux_cell = cells.ActiveCellModel.class_c_turn_on(
+                    turn_on, args.i_max * cfg.alpha, args.v_dc
+                )
+            except ValueError as exc:
+                raise _fail(str(exc))
         grid = analysis.pa_drive_grid(cfg.alpha, n_points, args.v_min)
         sim = analysis.simulate_pa(main_cell, aux_cell, netlist, grid, args.v_dc)
         path = os.path.join(args.out_dir, "pa_sim.csv")
@@ -452,8 +476,6 @@ def cmd_export(args) -> int:
     f_stop = args.f_stop if args.f_stop is not None else 1.4 * f0
     if not 0 < f_start < f_stop:
         raise _fail("need 0 < f-start < f-stop")
-    if args.points < 1:
-        raise _fail("--points must be at least 1")
     freqs = np.linspace(f_start, f_stop, args.points)
     s = s_parameters(netlist, ports, freqs, z_ref=args.z_ref)
     _write(args.touchstone, write_touchstone(freqs, s, z_ref=args.z_ref))
@@ -529,6 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except CliError as exc:
         doc = {"error": str(exc), "code": exc.code}

@@ -11,6 +11,14 @@ get the matrix slots of the terminals ``t`` and of the auxiliary unknowns
 and the solver know no element type: a new type is a new class here,
 added to ``Component``.
 
+Stamps, readbacks and value helpers take the frequency as a float or as
+an array of frequencies.  A float keeps the arithmetic in Python scalars
+(``cmath``); an array gives arrays of its shape, and a value that does
+not depend on frequency may stay a scalar.  ``stamp`` writes ``A[i, j]``
+and ``b[i]``, each a scalar or a vector over the frequencies, and puts
+into ``b`` only what does not depend on frequency, so one right-hand side
+serves a whole frequency sweep.
+
 All values are SI (ohms, henries, farads, hertz, amperes) and phasors are
 peak amplitudes, so the average power in a resistor is |V|^2 / (2R).
 Loss model: a finite-Q inductor is a series resistance R = wL/Q and a
@@ -25,6 +33,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import ClassVar
+
+import numpy as np
 
 __all__ = [
     "Element",
@@ -41,6 +51,11 @@ __all__ = [
 ]
 
 _DB_TO_NEPER = math.log(10.0) / 20.0
+
+#: a frequency in hertz, or an array of them
+Freq = float | np.ndarray
+#: a complex value at a frequency, or an array of them
+Value = complex | np.ndarray
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -69,15 +84,14 @@ class Element:
         """Node pairs the element ties together, for the ground-reach check."""
         return (nodes[:2], nodes[2:]) if self.terminals == 4 else (nodes,)
 
-    def stamp(self, A, b, t: list[int], a: range, freq: float) -> None:
+    def stamp(self, A, b, t: list[int], a: range, freq: Freq) -> None:
         """Add the element's entries to matrix ``A`` and right-hand side ``b``."""
         raise NotImplementedError
 
-    def readback(
-        self, x: list[complex], t: list[int], a: range, freq: float
-    ) -> tuple[tuple[complex, ...], float]:
-        """(branch currents, absorbed average power) from the solution ``x``;
-        currents flow into the first node of each terminal pair."""
+    def readback(self, x, t: list[int], a: range, freq: Freq) -> tuple[tuple, float | np.ndarray]:
+        """(branch currents, absorbed average power) from the solution ``x``,
+        indexed by unknown on its first axis; currents flow into the first
+        node of each terminal pair."""
         raise NotImplementedError
 
 
@@ -88,10 +102,10 @@ class _Lumped(Element):
     terminals = 2
     aux = 0
 
-    def impedance(self, freq: float) -> complex:
+    def impedance(self, freq: Freq) -> Value:
         return 1.0 / self.admittance(freq)
 
-    def admittance(self, freq: float) -> complex:
+    def admittance(self, freq: Freq) -> Value:
         return 1.0 / self.impedance(freq)
 
     def stamp(self, A, b, t, a, freq):
@@ -119,7 +133,7 @@ class Resistor(_Lumped):
     def __post_init__(self):
         _positive(self.ohms, "resistance")
 
-    def impedance(self, freq: float) -> complex:
+    def impedance(self, freq: Freq) -> Value:
         return complex(self.ohms)
 
 
@@ -135,10 +149,10 @@ class Inductor(_Lumped):
         _positive(self.henries, "inductance")
         _require(self.q > 0, f"Q must be positive or inf, got {self.q}")
 
-    def impedance(self, freq: float) -> complex:
+    def impedance(self, freq: Freq) -> Value:
         w = 2.0 * math.pi * freq
         r_series = 0.0 if math.isinf(self.q) else w * self.henries / self.q
-        return complex(r_series, w * self.henries)
+        return r_series + 1j * (w * self.henries)
 
 
 @dataclass(frozen=True)
@@ -153,11 +167,11 @@ class Capacitor(_Lumped):
         _positive(self.farads, "capacitance")
         _require(self.q > 0, f"Q must be positive or inf, got {self.q}")
 
-    def admittance(self, freq: float) -> complex:
+    def admittance(self, freq: Freq) -> Value:
         # shunt-G loss model; impedance() is its inverse
         w = 2.0 * math.pi * freq
         g_shunt = 0.0 if math.isinf(self.q) else w * self.farads / self.q
-        return complex(g_shunt, w * self.farads)
+        return g_shunt + 1j * (w * self.farads)
 
 
 @dataclass(frozen=True)
@@ -216,7 +230,7 @@ class CoupledInductors(Element):
         """Turns ratio of the ideal transformer closing the decomposition."""
         return self.n / self.k
 
-    def z_matrix(self, freq: float) -> tuple[complex, complex, complex]:
+    def z_matrix(self, freq: Freq) -> tuple[Value, Value, Value]:
         """(z11, z12, z22) of the pair at ``freq``, loss included.
 
         Built from the decomposition so that the lossless entries are the
@@ -225,8 +239,8 @@ class CoupledInductors(Element):
         """
         w = 2.0 * math.pi * freq
         r_per_l = 0.0 if math.isinf(self.q) else w / self.q
-        z_leak = complex(r_per_l * self.l_leak, w * self.l_leak)
-        z_mag = complex(r_per_l * self.l_mag, w * self.l_mag)
+        z_leak = r_per_l * self.l_leak + 1j * (w * self.l_leak)
+        z_mag = r_per_l * self.l_mag + 1j * (w * self.l_mag)
         ratio = self.ideal_ratio
         return z_leak + z_mag, ratio * z_mag, ratio * ratio * z_mag
 
@@ -322,11 +336,11 @@ class TransmissionLine(Element):
         _positive(self.f_ref, "reference frequency")
         _require(0 <= self.loss_db_per_quarter < math.inf, "line loss must be finite and >= 0")
 
-    def gamma_length(self, freq: float) -> complex:
+    def gamma_length(self, freq: Freq) -> Value:
         """Propagation constant times length, alpha*l + j*beta*l, at ``freq``."""
         theta = math.radians(self.theta_deg) * freq / self.f_ref
         alpha_l = self.loss_db_per_quarter * _DB_TO_NEPER * (theta / (math.pi / 2.0))
-        return complex(alpha_l, theta)
+        return alpha_l + 1j * theta
 
     def links(self, nodes, ground):
         return (nodes, (nodes[0], ground), (nodes[1], ground))
@@ -335,7 +349,10 @@ class TransmissionLine(Element):
         n1, n2 = t
         a1, a2 = a
         gl = self.gamma_length(freq)
-        ch, sh = cmath.cosh(gl), cmath.sinh(gl)
+        if isinstance(gl, np.ndarray):
+            ch, sh = np.cosh(gl), np.sinh(gl)
+        else:
+            ch, sh = cmath.cosh(gl), cmath.sinh(gl)
         # chain relation with i1 into port 1, i2 into port 2:
         #   V1 = ch*V2 + z0*sh*(-i2)
         #   i1 = (sh/z0)*V2 + ch*(-i2)
@@ -389,14 +406,14 @@ Component = (
 )
 
 
-def impedance(comp: Resistor | Inductor | Capacitor, freq: float) -> complex:
+def impedance(comp: Resistor | Inductor | Capacitor, freq: Freq) -> Value:
     """Series impedance of a two-terminal component at ``freq``, loss included."""
     if not isinstance(comp, _Lumped):
         raise TypeError(f"no series impedance for {type(comp).__name__}")
     return comp.impedance(freq)
 
 
-def admittance(comp: Resistor | Inductor | Capacitor, freq: float) -> complex:
+def admittance(comp: Resistor | Inductor | Capacitor, freq: Freq) -> Value:
     """Admittance of a two-terminal component at ``freq``, loss included."""
     if not isinstance(comp, _Lumped):
         raise TypeError(f"no admittance for {type(comp).__name__}")

@@ -1,9 +1,14 @@
-"""Complex-valued modified nodal analysis at a single frequency.
+"""Complex-valued modified nodal analysis at one frequency or over a sweep.
 
 Two entries share one assembly and one solution-acceptance check:
 :func:`solve` solves one operating point and reports it per node and per
 element, :func:`solve_columns` factors the matrix once for K drive
-columns and reports arrays with one entry per column.
+columns and reports arrays with one entry per column.  Given an array of
+frequencies, :func:`solve_columns` validates and numbers the netlist once,
+stamps the frequencies ``CHUNK`` at a time into a frequency-major
+(F, n, n) stack, solves each frequency's matrix for its K columns, checks
+and reads back each chunk in batched array operations and reports arrays
+with a leading frequency axis.
 
 Unknowns are the non-ground node voltages plus the auxiliary branch
 currents each element asks for.  Elements stamp and read themselves back
@@ -20,7 +25,8 @@ Phasors are peak amplitudes (P = |V|^2 / 2R).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +44,11 @@ __all__ = [
 
 #: relative KCL residual above which a solution is rejected as unreliable
 RESIDUAL_TOL = 1e-9
+
+#: frequencies stamped and checked together in a sweep: enough to spread
+#: the Python work of each stamp over many frequencies, few enough that a
+#: dense sweep holds only a chunk of matrices (256 of 9x9 are 0.3 MB)
+CHUNK = 256
 
 
 class SingularSystemError(RuntimeError):
@@ -92,16 +103,18 @@ class AnalysisResult:
 
 @dataclass
 class ColumnsResult:
-    """Solution of K drive columns at one frequency.
+    """Solution of K drive columns at one frequency or at each of F.
 
-    ``x`` holds the unknowns with the ground row (zero) last, one column
-    per drive column; every other array has one entry per column.
-    ``injected_power`` counts the driven ports and the current-source
-    elements.  Powers are time-averaged watts.
+    At one frequency ``x`` holds the unknowns with the ground row (zero)
+    last, shape (n+1, K), and every other array has one entry per column.
+    Over a sweep ``freq`` is the frequency array, every other array is
+    (F, K) and ``x`` is None: the solutions are read back a chunk at a
+    time and not kept.  ``injected_power`` counts the driven ports and the
+    current-source elements.  Powers are time-averaged watts.
     """
 
-    freq: float
-    x: np.ndarray
+    freq: float | np.ndarray
+    x: np.ndarray | None
     port_voltages: dict[str, np.ndarray]
     load_power: np.ndarray
     injected_power: np.ndarray
@@ -166,11 +179,37 @@ class MnaSystem:
             b[self.node_index[minus]] -= current
         return b[:-1]
 
+    def matrices(self, freqs: np.ndarray) -> np.ndarray:
+        """The matrices at each of ``freqs``, shape (F, size, size)."""
+        n = self.size
+        A = np.zeros((len(freqs), n + 1, n + 1), dtype=complex)
+        by_entry = A.transpose(1, 2, 0)  # by_entry[i, j] is A[:, i, j]
+        b = np.zeros(n + 1, dtype=complex)  # no stamp puts a frequency into b
+        for e, t, a in self.slots:
+            e.component.stamp(by_entry, b, t, a, freqs)
+        return A[:, :n, :n]
+
+
+def _sweep_frequencies(freqs) -> np.ndarray:
+    """``freqs`` as a float array; ValueError unless it is a non-empty 1-D
+    array of positive, finite frequencies."""
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.ndim != 1 or freqs.size == 0:
+        raise ValueError(
+            f"analysis frequencies must be a non-empty 1-D array, got shape {freqs.shape}"
+        )
+    bad = ~(np.isfinite(freqs) & (freqs > 0))
+    if bad.any():
+        raise ValueError(
+            f"analysis frequency must be positive and finite, got {freqs[bad][0]}"
+        )
+    return freqs
+
 
 def assemble(netlist: Netlist, freq: float) -> MnaSystem:
     """Build the MNA matrix of ``netlist`` at ``freq`` hertz."""
-    if freq <= 0:
-        raise ValueError(f"analysis frequency must be positive, got {freq}")
+    if not 0 < freq < math.inf:
+        raise ValueError(f"analysis frequency must be positive and finite, got {freq}")
     netlist.validate()
 
     nodes = netlist.nodes()
@@ -208,47 +247,95 @@ def _diagnose_singular(system: MnaSystem) -> SingularSystemError:
     )
 
 
-def _solve_accepted(system: MnaSystem, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve for the right-hand side ``rhs``, one column (size,) or K
-    columns (size, K) with one factorization, and reject a column whose
-    KCL residual exceeds 1e-6 of its largest drive (at least 1 A).
-
-    Returns the solution with the ground row (zero) appended, and each
-    column's residual relative to its largest drive (a 0-d array for one
-    column).
-    """
-    A = system.matrix
-    try:
-        x = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        raise _diagnose_singular(system) from None
-    residual = np.abs(A @ x - rhs).max(axis=0)
-    scale = np.abs(rhs).max(axis=0)
-    relative = residual / np.maximum(scale, 1e-300)
-    # the cheap first test passes most solutions: relative <= 1e-6 implies
-    # residual <= 1e-6 * max(scale, 1); NaN fails both tests
-    if not relative.max() <= 1e-6 and not (residual <= 1e-6 * np.maximum(scale, 1.0)).all():
-        raise _diagnose_singular(system)
-    with_ground = np.zeros((len(x) + 1,) + x.shape[1:], dtype=complex)
-    with_ground[:-1] = x
-    return with_ground, relative
-
-
-def _solve_drives(
+def _assembled(
     netlist: Netlist, freq: float, drives: dict, columns: int | None
-) -> tuple[MnaSystem, np.ndarray, np.ndarray]:
-    """Assemble, solve and reject any column whose relative KCL residual
-    exceeds ``RESIDUAL_TOL``."""
+) -> tuple[MnaSystem, np.ndarray]:
+    """The system at ``freq`` and its (size, K) right-hand side, K being
+    ``columns`` or 1 for scalar drives."""
     system = assemble(netlist, freq)
     if not drives and not any(e.component.source for e in netlist.elements):
         raise ValueError("no excitation: provide port currents or source elements")
-    x, kcl_residual = _solve_accepted(system, system.rhs(drives, columns))
-    worst = float(kcl_residual.max())
-    if worst > RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"solution rejected: KCL residual {worst:.2e} exceeds {RESIDUAL_TOL}"
-        )
-    return system, x, kcl_residual
+    rhs = system.rhs(drives, columns)
+    return system, rhs.reshape(len(rhs), -1)
+
+
+def _solve_one(
+    system: MnaSystem, rhs: np.ndarray, rel_tol: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve at ``system``'s frequency: the solution with the ground row
+    (zero) appended, (size+1, K), and the residuals of :func:`_accepted`."""
+    x = np.zeros((system.size + 1, rhs.shape[1]), dtype=complex)
+    x[:-1] = _lapack(system.matrix, rhs)
+    return x, _accepted(system, system.matrix, x[:-1], rhs, rel_tol)
+
+
+def _solved_chunks(
+    system: MnaSystem, rhs: np.ndarray, freqs: np.ndarray, rel_tol: float | None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Solve at each of ``freqs``, ``system`` being assembled at the first:
+    one ``np.linalg.solve`` per frequency, ``CHUNK`` frequencies stamped
+    and checked at a time.
+
+    Yields per chunk of f frequencies the index of its first frequency,
+    the solutions with the ground row (zero) appended, (f, size+1, K), and
+    the residuals of :func:`_accepted`, (f, K).  A sweep holds one chunk
+    of solutions at a time.
+    """
+    for start in range(0, len(freqs), CHUNK):
+        at = freqs[start : start + CHUNK]
+        A = system.matrices(at)
+        x = np.zeros((len(at), system.size + 1, rhs.shape[1]), dtype=complex)
+        for j in range(len(at)):
+            x[j, :-1] = _lapack(A[j], rhs)
+        yield start, x, _accepted(system, A, x[:, :-1], rhs, rel_tol, at)
+
+
+def _lapack(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve``, with NaN for a singular matrix, which fails
+    the acceptance test."""
+    try:
+        return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(rhs.shape, math.nan)
+
+
+def _accepted(
+    system: MnaSystem,
+    A: np.ndarray,
+    x: np.ndarray,
+    rhs: np.ndarray,
+    rel_tol: float | None,
+    freqs: np.ndarray | None = None,
+) -> np.ndarray:
+    """Each column's KCL residual relative to its largest drive: (K,) for
+    one matrix ``A``, (f, K) for a stack of matrices at ``freqs``.
+
+    A frequency is rejected when a column's residual exceeds 1e-6 of its
+    largest drive (at least 1 A), which is diagnosed as a singular system,
+    or when ``rel_tol`` is given and a relative residual exceeds it.  The
+    first rejected frequency raises, as a loop of single solves would.
+    """
+    floor = np.maximum(np.abs(rhs).max(axis=0), 1e-300)
+    residual = np.abs(A @ x - rhs).max(axis=-2)
+    relative = residual / floor
+    # relative <= 1e-6 implies residual <= 1e-6 * max(|rhs|, 1): one test
+    # passes most solutions
+    if relative.max() <= (1e-6 if rel_tol is None else min(rel_tol, 1e-6)):
+        return relative
+    columns = len(floor)
+    residual, worst = residual.reshape(-1, columns), relative.reshape(-1, columns).max(axis=1)
+    singular = ~(residual <= 1e-6 * np.maximum(floor, 1.0)).all(axis=1)  # NaN fails
+    rejected = singular if rel_tol is None else singular | (worst > rel_tol)
+    if rejected.any():
+        j = int(np.argmax(rejected))
+        if not singular[j]:
+            raise SingularSystemError(
+                f"solution rejected: KCL residual {worst[j]:.2e} exceeds {rel_tol}"
+            )
+        if freqs is not None:
+            system = replace(system, freq=float(freqs[j]), matrix=A[j])
+        raise _diagnose_singular(system)
+    return relative
 
 
 def solve(
@@ -263,13 +350,14 @@ def solve(
     as well.  Raises :class:`SingularSystemError` on degenerate systems.
     """
     excitations = dict(excitations or {})
-    system, x, kcl_residual = _solve_drives(netlist, freq, excitations, None)
-    return _package(system, excitations, x, float(kcl_residual))
+    system, rhs = _assembled(netlist, freq, excitations, None)
+    x, kcl_residual = _solve_one(system, rhs, RESIDUAL_TOL)
+    return _package(system, excitations, x[:, 0], float(kcl_residual[0]))
 
 
 def solve_columns(
     netlist: Netlist,
-    freq: float,
+    freq: float | np.ndarray,
     drives: dict[str, np.ndarray],
 ) -> ColumnsResult:
     """Solve ``netlist`` at ``freq`` for K drive columns with one
@@ -279,30 +367,61 @@ def solve_columns(
     column k of every array making one operating point; current-source
     elements contribute to every column.  Each column passes the same
     acceptance check as :func:`solve`, and agrees with it.
+
+    ``freq`` may be a 1-D array of F frequencies: the same K columns are
+    then solved at each frequency on one validated netlist layout, and the
+    result carries a leading frequency axis (see :class:`ColumnsResult`).
     """
     drives = {p: np.asarray(i, dtype=complex) for p, i in drives.items()}
     lengths = {i.shape for i in drives.values()}
     if len(lengths) > 1 or any(len(shape) != 1 or shape[0] == 0 for shape in lengths):
         raise ValueError(f"drives must be 1-D arrays of one nonzero length, got {lengths}")
     columns = lengths.pop()[0] if lengths else 1
-    system, x, kcl_residual = _solve_drives(netlist, freq, drives, columns)
+    # isinstance first: np.ndim of a float costs about 1 us a solve
+    if isinstance(freq, (int, float)) or np.ndim(freq) == 0:
+        system, rhs = _assembled(netlist, freq, drives, columns)
+        x, kcl_residual = _solve_one(system, rhs, RESIDUAL_TOL)
+        voltages, load, injected = _read_powers(system, drives, x, freq)
+        return ColumnsResult(freq, x, voltages, load, injected, kcl_residual)
 
-    index = system.node_index
+    freqs = _sweep_frequencies(freq)
+    system, rhs = _assembled(netlist, float(freqs[0]), drives, columns)
+    shape = (len(freqs), columns)
+    voltages = {port: np.empty(shape, dtype=complex) for port in netlist.ports}
+    load, injected, kcl_residual = np.empty(shape), np.empty(shape), np.empty(shape)
+    for start, x, relative in _solved_chunks(system, rhs, freqs, RESIDUAL_TOL):
+        rows = slice(start, start + len(x))
+        # unknowns first and frequencies down a column, so that element
+        # values of shape (f, 1) broadcast over the K drive columns
+        chunk = _read_powers(system, drives, x.transpose(1, 0, 2), freqs[rows, None])
+        for port, v in chunk[0].items():
+            voltages[port][rows] = v
+        load[rows], injected[rows], kcl_residual[rows] = chunk[1], chunk[2], relative
+    return ColumnsResult(freqs, None, voltages, load, injected, kcl_residual)
+
+
+def _read_powers(
+    system: MnaSystem, drives: dict[str, np.ndarray], x: np.ndarray, freq
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Port voltages, load power and injected power (driven ports and
+    current sources) of the solutions ``x``, indexed by unknown on the
+    first axis, at ``freq``, which broadcasts against ``x[i]``."""
+    netlist, index = system.netlist, system.node_index
     port_voltages = {
         port: x[index[plus]] - x[index[minus]] for port, (plus, minus) in netlist.ports.items()
     }
-    injected = np.zeros(columns)
+    injected = np.zeros(x.shape[1:])
     for port, current in drives.items():
         injected += 0.5 * (port_voltages[port] * current.conjugate()).real
     loads = {e.name for e in netlist.load_terminations()}
-    load_power = np.zeros(columns)
+    load_power = np.zeros(x.shape[1:])
     for e, t, a in system.slots:
         if e.name in loads:
             load_power += e.component.readback(x, t, a, freq)[1]
         elif e.component.source:
             (current,), _ = e.component.readback(x, t, a, freq)
             injected += 0.5 * ((x[t[0]] - x[t[1]]) * current.conjugate()).real
-    return ColumnsResult(freq, x, port_voltages, load_power, injected, kcl_residual)
+    return port_voltages, load_power, injected
 
 
 def _package(

@@ -16,12 +16,13 @@ S11 S21 S12 S22, everything else is row-major.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elements import Resistor
-from .mna import _solve_accepted, assemble
+from .mna import _solved_chunks, _sweep_frequencies, assemble
 from .netlist import Netlist
 
 __all__ = [
@@ -45,15 +46,18 @@ def s_parameters(
 
     Returns an array of shape (len(freqs), n, n).  The netlist is taken
     as-is; any termination that should not be part of the device must be
-    left out by the caller.
+    left out by the caller.  The netlist is validated once and the
+    frequencies are solved as one sweep (see :mod:`.mna`), each on the
+    absolute acceptance test alone.
     """
     if not 1 <= len(ports) <= 4:
         raise ValueError(f"supported port counts are 1..4, got {len(ports)}")
-    if z_ref <= 0:
-        raise ValueError(f"reference impedance must be positive, got {z_ref}")
+    if not 0 < z_ref < math.inf:
+        raise ValueError(f"reference impedance must be positive and finite, got {z_ref}")
     for p in ports:
         if p not in netlist.ports:
             raise ValueError(f"unknown port '{p}'")
+    freqs = _sweep_frequencies(freqs)
 
     terminated = netlist.copy()
     for p in ports:
@@ -62,19 +66,16 @@ def s_parameters(
 
     n = len(ports)
     i0 = 1.0
-    out = np.empty((len(freqs), n, n), dtype=complex)
-    for fi, f in enumerate(freqs):
-        system = assemble(terminated, float(f))
-        rhs = np.zeros((system.size, n), dtype=complex)
-        for k, p in enumerate(ports):
-            rhs[:, k] = system.rhs({p: i0})
-        x, _ = _solve_accepted(system, rhs)
-        for j, pj in enumerate(ports):
-            plus, minus = terminated.ports[pj]
-            vj = x[system.node_index[plus]] - x[system.node_index[minus]]
-            for k in range(n):
-                out[fi, j, k] = 2.0 * vj[k] / (z_ref * i0) - (1.0 if j == k else 0.0)
-    return out
+    system = assemble(terminated, float(freqs[0]))
+    # column k drives port k alone
+    drives = {p: i0 * np.eye(n)[k] for k, p in enumerate(ports)}
+    index = system.node_index
+    ends = [terminated.ports[p] for p in ports]
+    s = np.empty((len(freqs), n, n), dtype=complex)
+    for start, x, _ in _solved_chunks(system, system.rhs(drives, n), freqs, None):
+        v = np.stack([x[:, index[plus]] - x[:, index[minus]] for plus, minus in ends], axis=1)
+        s[start : start + len(x)] = 2.0 * v / (z_ref * i0) - np.eye(n)
+    return s
 
 
 def export_touchstone(

@@ -532,3 +532,53 @@ def test_export_points_below_one_exit_2(points, design_path, tmp_path, capsys):
     )
     assert_one_json_error(code, err, "--points")
     assert not ts_path.exists()
+
+
+_FLAGS = ["--alpha", "1", "--r-opt", "41.3", "--r-l", "50"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze", "NET", "--mode", "load-mod", "--alpha", "nan", "--r-opt", "41.3",
+          "--r-l", "50"], "--alpha"),
+        (["analyze", "NET", "--mode", "load-mod", "--alpha", "1", "--r-opt", "41.3",
+          "--r-l", "-5"], "--r-l"),
+        (["analyze", "NET", "--mode", "load-mod", *_FLAGS, "--f0", "nan"], "--f0"),
+        (["analyze", "--mode", "itr-curves", "--alpha", "1", "--r-opt", "inf", "--r-l", "50"],
+         "--r-opt"),
+        (["export", "NET", "--z-ref", "nan"], "--z-ref"),
+        (["export", "NET", "--f-stop", "inf"], "--f-stop"),
+        (["analyze", "DESIGN", "--mode", "bandwidth", "--threshold-db", "nan"], "--threshold-db"),
+        (["analyze", "DESIGN", "--mode", "pa-sim", "--ideal-cells", "--v-dc", "inf"], "--v-dc"),
+        (["analyze", "DESIGN", "--mode", "pa-sim", "--v-dc", "1", "--i-max", "1",
+          "--main-phi-deg", "400"], "conduction angle"),
+    ],
+    ids=["alpha-nan", "r-l-negative", "f0-nan", "r-opt-inf", "z-ref-nan", "f-stop-inf",
+         "threshold-nan", "v-dc-inf", "phi-out-of-range"],
+)
+def test_numeric_flag_outside_domain_exit_2(argv, flag, design_path, tmp_path, capsys):
+    out_dir = str(tmp_path / "s")
+    run(["synth", design_path, "--out-dir", out_dir], capsys)
+    paths = {"NET": os.path.join(out_dir, "netlist.json"), "DESIGN": design_path}
+    argv = [paths.get(a, a) for a in argv]
+    if argv[0] == "export":
+        argv += ["--touchstone", str(tmp_path / "x.s3p")]
+    else:
+        argv += ["--out-dir", str(tmp_path / "out")]
+    code, _, err = run(argv, capsys)
+    assert_one_json_error(code, err, flag)
+    assert not (tmp_path / "x.s3p").exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+@pytest.mark.parametrize("mode", ["load-mod", "pbo-eff", "bandwidth", "pa-sim", "itr-curves"])
+def test_analyze_points_below_one_exit_2(mode, points, design_path, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        ["analyze", design_path, "--mode", mode, "--q-l", "20", "--ideal-cells", "--v-dc", "1",
+         "--points", points, "--out-dir", str(out_dir)],
+        capsys,
+    )
+    assert_one_json_error(code, err, "--points")
+    assert not out_dir.exists()

@@ -35,6 +35,7 @@ from dohertylab.netkit import (
     solve_columns,
 )
 from dohertylab.netkit.elements import Element
+from dohertylab.netkit.mna import CHUNK
 
 
 def simple_load(r=50.0, f0=1e9):
@@ -134,10 +135,16 @@ def test_floating_node_rejected():
 
 
 def test_nonpositive_frequency_rejected(two_line_net):
-    with pytest.raises(ValueError):
-        solve(two_line_net, -1e9, {"main": 1.0})
-    with pytest.raises(ValueError):
-        solve(two_line_net, 0.0, {"main": 1.0})
+    for freq in (-1e9, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve(two_line_net, freq, {"main": 1.0})
+    drive = {"main": np.array([1.0])}
+    for freqs in ([1e9, math.nan], [1e9, math.inf], [1e9, -1e9], [0.0]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_columns(two_line_net, np.array(freqs), drive)
+    for freqs in ([], [[1e9, 2e9]]):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            solve_columns(two_line_net, np.array(freqs), drive)
 
 
 def test_no_excitation_rejected(two_line_net):
@@ -581,3 +588,147 @@ def test_s_parameters_keeps_the_absolute_check_only(two_line_net, proto_cfg, mon
         solve_columns(two_line_net, proto_cfg.f0, {"main": np.array([1.0, 2.0])})
     s = s_parameters(two_line_net, ["main", "aux", "load"], [proto_cfg.f0], 50.0)
     assert np.all(np.isfinite(s))
+
+
+# ----------------------------------------------------------------------
+# frequency sweeps
+# ----------------------------------------------------------------------
+
+
+def _every_kind_net(values) -> Netlist:
+    """A ladder holding every element kind: finite-Q L and C, a coupled
+    pair at finite Q, an ideal transformer, a lossy line and a current
+    source, driven at "in" and loaded at "load"."""
+    net = Netlist(f0=2e9)
+    net.add("R1", Resistor(values["r_in"]), "in", "0")
+    net.add("L1", Inductor(values["l"], q=values["q_l"]), "in", "a")
+    net.add("C1", Capacitor(values["c"], q=values["q_c"]), "a", "0")
+    net.add("I1", CurrentSource(values["amps"]), "a", "0")
+    net.add("K1", CoupledInductors(values["l_p"], values["n"], values["k"], q=values["q_l"]),
+            "a", "0", "b", "0")
+    net.add("X1", IdealTransformer(values["n_x"]), "b", "0", "c", "0")
+    net.add("T1", TransmissionLine(values["z0"], values["theta"], 2e9, values["loss"]), "c", "out")
+    net.add("RL", Resistor(values["r_l"]), "out", "0")
+    net.add_port("in", "in")
+    net.add_port("load", "out")
+    net.load_port = "load"
+    return net
+
+
+_every_kind_values = st.fixed_dictionaries(
+    {
+        "r_in": st.floats(10.0, 200.0),
+        "l": st.floats(1e-9, 1e-8),
+        "c": st.floats(1e-13, 1e-11),
+        "q_l": st.floats(5.0, 100.0),
+        "q_c": st.floats(5.0, 100.0),
+        "amps": _current,
+        "l_p": st.floats(1e-9, 1e-8),
+        "n": st.floats(0.5, 2.0),
+        "k": st.floats(0.3, 0.95),
+        "n_x": st.floats(0.5, 2.0),
+        "z0": st.floats(20.0, 100.0),
+        "theta": st.floats(10.0, 170.0),
+        "loss": st.floats(0.0, 0.5),
+        "r_l": st.floats(10.0, 200.0),
+    }
+)
+
+
+@pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+@settings(max_examples=4, deadline=None)
+@given(values=_every_kind_values, columns=st.lists(_current, min_size=1, max_size=3))
+def test_frequency_sweep_matches_per_frequency_solves(length, values, columns):
+    net = _every_kind_net(values)
+    freqs = np.linspace(1e9, 3e9, length)
+    drives = {"in": np.array(columns, dtype=complex)}
+    sweep = solve_columns(net, freqs, drives)
+    assert sweep.x is None and sweep.freq.shape == (length,)
+    assert sweep.kcl_residual.shape == (length, len(columns))
+    assert np.all(sweep.kcl_residual <= 1e-9)
+    for i, f in enumerate(freqs):
+        point = solve_columns(net, float(f), drives)
+        for port in net.ports:
+            _close(sweep.port_voltages[port][i], point.port_voltages[port])
+        # powers relative to the apparent power the port and the source deliver
+        v_in, v_a = point.port_voltages["in"], point.x[net.nodes().index("a")]
+        apparent = 0.5 * (np.abs(v_in * drives["in"]) + np.abs(v_a * values["amps"]))
+        _close(sweep.load_power[i], point.load_power, apparent.max())
+        _close(sweep.injected_power[i], point.injected_power, apparent.max())
+    # the one-column single-point entry agrees as well
+    first = solve(net, float(freqs[0]), {"in": columns[0]})
+    _close(sweep.port_voltages["load"][0, 0], first.port_voltage(net, "load"))
+
+
+def _tank_net() -> Netlist:
+    """A lossless 1 H, 1 F tank at node "a": its row and column of the
+    matrix vanish exactly at 1/(2 pi) Hz, where w = 1 rad/s."""
+    net = Netlist(f0=1.0)
+    net.add("R1", Resistor(50.0), "in", "0")
+    net.add("L1", Inductor(1.0), "a", "0")
+    net.add("C1", Capacitor(1.0), "a", "0")
+    net.add_port("in", "in")
+    return net
+
+
+def test_singular_frequency_raises_as_the_single_point_solve():
+    net = _tank_net()
+    f_res = 1.0 / (2.0 * math.pi)
+    freqs = f_res * (1.0 + 1e-3 * np.arange(-300, 100))
+    assert freqs[300] == f_res
+    with pytest.raises(SingularSystemError) as single:
+        solve(net, f_res, {"in": 1.0})
+    assert single.value.node == "a"
+    with pytest.raises(SingularSystemError) as sweep:
+        solve_columns(net, freqs, {"in": np.array([1.0, 2.0j])})
+    assert str(sweep.value) == str(single.value)
+    assert (sweep.value.node, sweep.value.element) == (single.value.node, single.value.element)
+    # every other frequency of the grid solves
+    solve_columns(net, np.delete(freqs, 300), {"in": np.array([1.0, 2.0j])})
+
+
+def test_sweep_rejects_the_first_bad_frequency(two_line_net, proto_cfg, monkeypatch):
+    """The first rejected frequency raises, as a loop of single-point
+    solves would: here one that misses the relative test, ahead of a
+    later one that misses the absolute test."""
+    exact = np.linalg.solve
+    calls = []
+
+    def off_in_second_chunk(a, b):
+        calls.append(None)
+        x = exact(a, b)
+        if len(calls) == CHUNK + 3:
+            return x * (1.0 + 1e-8)
+        return x * math.nan if len(calls) == CHUNK + 5 else x
+
+    monkeypatch.setattr(np.linalg, "solve", off_in_second_chunk)
+    freqs = proto_cfg.f0 * np.linspace(0.9, 1.1, CHUNK + 10)
+    drive = {"main": np.array([1.0])}
+    with pytest.raises(SingularSystemError, match="solution rejected") as sweep:
+        solve_columns(two_line_net, freqs, drive)
+    assert len(calls) == CHUNK + 10  # the chunk is solved, then checked
+
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: exact(a, b) * (1.0 + 1e-8))
+    with pytest.raises(SingularSystemError) as single:
+        solve_columns(two_line_net, float(freqs[CHUNK + 2]), drive)
+    assert str(sweep.value) == str(single.value)
+
+
+def test_one_lapack_call_per_frequency(tf_net, proto_cfg, monkeypatch):
+    """Each frequency of a sweep is one np.linalg.solve on that
+    frequency's (n, K) right-hand side, the unit the benchmark counts."""
+    exact = np.linalg.solve
+    shapes = []
+
+    def counting(a, b):
+        shapes.append((a.shape, b.shape))
+        return exact(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    freqs = proto_cfg.f0 * np.linspace(0.8, 1.2, CHUNK + 1)
+    n = assemble(tf_net, proto_cfg.f0).size
+    for columns in (1, 3):
+        shapes.clear()
+        drive = np.arange(1.0, columns + 1.0)
+        solve_columns(tf_net, freqs, {"main": drive, "aux": 1j * drive})
+        assert shapes == [((n, n), (n, columns))] * len(freqs)

@@ -1,5 +1,7 @@
 """Touchstone writer/parser and MNA S-parameter extraction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,16 @@ def test_unknown_port_rejected():
         s_parameters(net, ["nope"], [1e9], 50.0)
 
 
+@pytest.mark.parametrize(
+    "freqs, z_ref",
+    [([], 50.0), ([[1e9]], 50.0), ([1e9, math.inf], 50.0), ([math.nan], 50.0),
+     ([1e9], math.nan), ([1e9], math.inf), ([1e9], 0.0)],
+)
+def test_bad_sweep_input_rejected(freqs, z_ref):
+    with pytest.raises(ValueError):
+        s_parameters(through_line(), ["p1", "p2"], freqs, z_ref)
+
+
 def test_magnitude_angle_format_rejected():
     with pytest.raises(ValueError):
         read_touchstone("# GHz S MA R 50\n1.0 1.0 0.0\n")
@@ -140,3 +152,57 @@ def test_reciprocity_holds_with_loss():
 def test_empty_touchstone_rejected():
     with pytest.raises(ValueError):
         read_touchstone("# GHz S RI R 50\n")
+
+
+def _s_per_frequency(net, ports, freqs, z_ref):
+    """Reference: one assembly and one solve per frequency, the S-matrix
+    built entry by entry."""
+    from dohertylab.netkit import assemble
+
+    terminated = net.copy()
+    for p in ports:
+        terminated.add(f"__sterm_{p}", Resistor(z_ref), *terminated.ports[p])
+    n = len(ports)
+    out = np.empty((len(freqs), n, n), dtype=complex)
+    for fi, f in enumerate(freqs):
+        system = assemble(terminated, float(f))
+        rhs = np.zeros((system.size, n), dtype=complex)
+        for k, p in enumerate(ports):
+            rhs[:, k] = system.rhs({p: 1.0})
+        x = np.linalg.solve(system.matrix, rhs)
+        x = np.vstack([x, np.zeros((1, n))])
+        for j, pj in enumerate(ports):
+            plus, minus = terminated.ports[pj]
+            vj = x[system.node_index[plus]] - x[system.node_index[minus]]
+            for k in range(n):
+                out[fi, j, k] = 2.0 * vj[k] / z_ref - (1.0 if j == k else 0.0)
+    return out
+
+
+@pytest.mark.parametrize("q", [math.inf, 20.0])
+def test_sweep_s_matrix_bit_equal_to_per_frequency(tf_design, q):
+    from dohertylab import to_netlist
+    from dohertylab.netkit.mna import CHUNK
+
+    net = to_netlist(tf_design, q_l=q, q_c=q, include_load=False)
+    ports = ["main", "aux", "load"]
+    freqs = np.linspace(0.6 * net.f0, 1.4 * net.f0, CHUNK + 5)
+    s = s_parameters(net, ports, freqs, 50.0)
+    assert np.array_equal(s, _s_per_frequency(net, ports, freqs, 50.0))
+
+
+def test_one_lapack_call_per_frequency(tf_design, monkeypatch):
+    from dohertylab import to_netlist
+
+    net = to_netlist(tf_design, include_load=False)
+    exact = np.linalg.solve
+    columns = []
+
+    def counting(a, b):
+        columns.append(b.shape[1])
+        return exact(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    freqs = np.linspace(0.6 * net.f0, 1.4 * net.f0, 300)
+    s_parameters(net, ["main", "aux", "load"], freqs, 50.0)
+    assert columns == [3] * len(freqs)
