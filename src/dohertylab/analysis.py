@@ -31,7 +31,7 @@ from .netkit import (
     solve,
     solve_columns,
 )
-from .netkit.mna import AnalysisResult
+from .netkit.mna import ColumnsResult
 
 __all__ = [
     "DriveProfile",
@@ -486,20 +486,20 @@ def simulate_pa(
 
 
 def inverter_face_impedances(
-    netlist: Netlist, result: AnalysisResult
-) -> tuple[complex, complex]:
-    """Impedances at the two faces of the main-path impedance inverter.
+    netlist: Netlist, result: ColumnsResult
+) -> tuple[np.ndarray, np.ndarray]:
+    """Impedances at the two faces of the main-path impedance inverter,
+    arrays of the shape of ``result``'s port voltages.
 
     For line-based combiners the inverter is the element named ``TL1``;
     for the transformer combiner it is the C1/TF1/C3 pi section, whose
     output-face current is the TF1 secondary current net of the C3 shunt.
+    ``result`` must probe these elements (see :func:`solve_columns`).
     """
     names = {e.name for e in netlist.elements}
     if "TL1" in names:
-        placed = netlist.element("TL1")
+        v1, v2 = (result.node_voltages[nd] for nd in netlist.element("TL1").nodes)
         i1, i2 = result.branch_currents["TL1"]
-        v1 = result.node_voltages[placed.nodes[0]]
-        v2 = result.node_voltages[placed.nodes[1]]
         return v1 / i1, v2 / (-i2)
     if "TF1" in names:
         tf1 = netlist.element("TF1")
@@ -508,21 +508,18 @@ def inverter_face_impedances(
         v_main = result.node_voltages[tf1.nodes[0]]
         v_out = result.node_voltages[tf1.nodes[2]]
         i_p, i_s = result.branch_currents["TF1"]
-        (i_c1,) = result.branch_currents["C1"]
-        (i_c3,) = result.branch_currents["C3"]
-        face1 = v_main / (i_p + i_c1)
-        face2 = v_out / (-i_s - i_c3)
-        return face1, face2
+        (i_c1,), (i_c3,) = result.branch_currents["C1"], result.branch_currents["C3"]
+        return v_main / (i_p + i_c1), v_out / (-i_s - i_c3)
     raise ValueError("netlist has neither a TL1 line nor a TF1 transformer")
 
 
-def measured_itr(netlist: Netlist, result: AnalysisResult) -> float:
+def measured_itr(netlist: Netlist, result: ColumnsResult) -> np.ndarray:
     """Impedance-transformation ratio (>= 1) across the main inverter."""
     z1, z2 = inverter_face_impedances(netlist, result)
     r1, r2 = z1.real, z2.real
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError(f"non-positive face resistances {r1}, {r2}")
-    return max(r1 / r2, r2 / r1)
+    if (r1 <= 0).any() or (r2 <= 0).any():
+        raise ValueError(f"non-positive face resistances {r1.min()}, {r2.min()}")
+    return np.maximum(r1 / r2, r2 / r1)
 
 
 def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -533,11 +530,12 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
     resistance times (i_main + i_aux)/i_main with the ideal current
     split.  This probe builds exactly that situation in the solver - the
     synthesized inverter alone, terminated by that modulated resistance -
-    and reads both face impedances from branch currents.  The base node
-    resistance itself is measured, not assumed: for the two-line design
-    it is the input resistance of the synthesized output line terminated
-    in the system load; for the three-line and transformer designs the
-    inverter lands directly on the load node.
+    and reads both face impedances from branch currents, the whole grid in
+    one sweep over the terminating resistance.  The base node resistance
+    itself is measured, not assumed: for the two-line design it is the
+    input resistance of the synthesized output line terminated in the
+    system load; for the three-line and transformer designs the inverter
+    lands directly on the load node.
 
     Returns (measured, closed_form) arrays over ``i_main_grid``.
     """
@@ -547,6 +545,7 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
         raise TypeError(f"no inverter oracle for {type(design).__name__}")
     cfg = design.cfg
     f0 = cfg.f0
+    net = Netlist(f0=f0)
 
     if isinstance(design, TwoLineDesign):
         probe = Netlist(f0=f0)
@@ -554,53 +553,29 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
         probe.add("RL", Resistor(cfg.r_l), "out", probe.ground)
         probe.add_port("in", "x")
         r_base = solve(probe, f0, {"in": 1.0}).node_voltages["x"].real
-
-        def build(r_node: float) -> Netlist:
-            net = Netlist(f0=f0)
-            net.add("TL1", TransmissionLine(design.z01, 90.0, f0), "main", "x")
-            net.add("Rnode", Resistor(r_node), "x", net.ground)
-            net.add_port("main", "main")
-            return net
+        net.add("TL1", TransmissionLine(design.z01, 90.0, f0), "main", "x")
+        face = "x"
 
         def closed(i: float) -> float:
             return itr_conv(cfg.alpha, i)
 
-    elif isinstance(design, ThreeLineDesign):
+    else:
         r_base = cfg.r_l
-
-        def build(r_node: float) -> Netlist:
-            net = Netlist(f0=f0)
+        if isinstance(design, ThreeLineDesign):
             net.add("TL1", TransmissionLine(design.z01, 90.0, f0), "main", "out")
-            net.add("Rnode", Resistor(r_node), "out", net.ground)
-            net.add_port("main", "main")
-            return net
-
-        def closed(i: float) -> float:
-            return itr_intro(cfg.alpha, i, cfg.r_opt, cfg.r_l)
-
-    else:  # TransformerCombinerDesign, guaranteed by the guard above
-        r_base = cfg.r_l
-
-        def build(r_node: float) -> Netlist:
-            net = Netlist(f0=f0)
+        else:  # TransformerCombinerDesign, guaranteed by the guard above
             net.add("C1", Capacitor(design.c1), "main", net.ground)
             net.add("TF1", design.tf1(), "main", net.ground, "out", net.ground)
             net.add("C3", Capacitor(design.c3), "out", net.ground)
-            net.add("Rnode", Resistor(r_node), "out", net.ground)
-            net.add_port("main", "main")
-            return net
+        face = "out"
 
         def closed(i: float) -> float:
             return itr_intro(cfg.alpha, i, cfg.r_opt, cfg.r_l)
 
+    inverter = [e.name for e in net.elements]
+    net.add("Rnode", Resistor(r_base), face, net.ground)  # its value is swept below
+    net.add_port("main", "main")
     grid = np.asarray(i_main_grid, dtype=float)
-    measured = np.empty(len(grid))
-    formula = np.empty(len(grid))
-    for k, i in enumerate(grid):
-        a = current_profile(cfg.alpha, float(i))
-        r_node = r_base * (i + a) / i
-        net = build(r_node)
-        r = solve(net, f0, {"main": 1.0})
-        measured[k] = measured_itr(net, r)
-        formula[k] = closed(float(i))
-    return measured, formula
+    r_node = [r_base * (i + current_profile(cfg.alpha, float(i))) / i for i in grid]
+    r = solve_columns(net, f0, {"main": np.ones(1)}, {"Rnode": {"ohms": r_node}}, inverter)
+    return measured_itr(net, r)[:, 0], np.array([closed(float(i)) for i in grid])

@@ -253,6 +253,9 @@ def _components_dict(design) -> dict:
 
 
 def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, creating its directory: a command makes
+    its output directory only once its inputs have passed their checks."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -261,7 +264,6 @@ def cmd_synth(args) -> int:
     spec = load_design_file(args.design)
     design = synthesize(spec)
     cfg = spec["config"]
-    os.makedirs(args.out_dir, exist_ok=True)
 
     netlist = to_netlist(design, q_l=spec["q_l"], q_c=spec["q_c"])
     netlist_path = os.path.join(args.out_dir, "netlist.json")
@@ -339,8 +341,6 @@ def _config_from_flags(args, fallback_f0: float | None = None) -> DohertyConfig:
 
 
 def cmd_analyze(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
-
     if args.mode == "itr-curves":
         if args.input is not None:
             spec, _ = _load_input(args)

@@ -54,8 +54,8 @@ class DohertyConfig:
             ("r_l", self.r_l),
             ("f0", self.f0),
         ):
-            if not val > 0:
-                raise ValueError(f"{label} must be positive, got {val}")
+            if not 0 < val < math.inf:
+                raise ValueError(f"{label} must be positive and finite, got {val}")
 
     @property
     def i_main_max(self) -> float:

@@ -11,19 +11,21 @@ get the matrix slots of the terminals ``t`` and of the auxiliary unknowns
 and the solver know no element type: a new type is a new class here,
 added to ``Component``.
 
-Stamps, readbacks and value helpers take the frequency as a float or as
-an array of frequencies.  A float keeps the arithmetic in Python scalars
-(``cmath``); an array gives arrays of its shape, and a value that does
-not depend on frequency may stay a scalar.  ``stamp`` writes ``A[i, j]``
-and ``b[i]``, each a scalar or a vector over the frequencies, and puts
-into ``b`` only what does not depend on frequency, so one right-hand side
-serves a whole frequency sweep.
+Stamps, readbacks and value helpers take the frequency, and any real
+field (set by a sweep of :func:`~dohertylab.netkit.mna.solve_columns`),
+as a float or as an array over the points of a sweep.  Floats keep the
+arithmetic in Python scalars (``cmath``); arrays give arrays, and a
+value that depends on neither may stay a scalar.  ``stamp`` writes
+``A[i, j]`` and ``b[i]``, each a scalar or an array over the points,
+and puts into ``b`` only what no sweep changes, so one right-hand side
+serves a whole sweep.
 
 All values are SI (ohms, henries, farads, hertz, amperes) and phasors are
 peak amplitudes, so the average power in a resistor is |V|^2 / (2R).
 Loss model: a finite-Q inductor is a series resistance R = wL/Q and a
 finite-Q capacitor a shunt conductance G = wC/Q, both evaluated at the
-analysis frequency (Q is held constant over frequency).  Transmission
+analysis frequency (Q is held constant over frequency); Q = inf gives
+exactly zero loss.  Transmission
 lines take a uniform attenuation in dB per quarter wavelength.
 """
 
@@ -134,7 +136,7 @@ class Resistor(_Lumped):
         _positive(self.ohms, "resistance")
 
     def impedance(self, freq: Freq) -> Value:
-        return complex(self.ohms)
+        return self.ohms + 0j
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,7 @@ class Inductor(_Lumped):
 
     def impedance(self, freq: Freq) -> Value:
         w = 2.0 * math.pi * freq
-        r_series = 0.0 if math.isinf(self.q) else w * self.henries / self.q
-        return r_series + 1j * (w * self.henries)
+        return w * self.henries / self.q + 1j * (w * self.henries)
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,7 @@ class Capacitor(_Lumped):
     def admittance(self, freq: Freq) -> Value:
         # shunt-G loss model; impedance() is its inverse
         w = 2.0 * math.pi * freq
-        g_shunt = 0.0 if math.isinf(self.q) else w * self.farads / self.q
-        return g_shunt + 1j * (w * self.farads)
+        return w * self.farads / self.q + 1j * (w * self.farads)
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ class CoupledInductors(Element):
         and magnetizing inductors.
         """
         w = 2.0 * math.pi * freq
-        r_per_l = 0.0 if math.isinf(self.q) else w / self.q
+        r_per_l = w / self.q
         z_leak = r_per_l * self.l_leak + 1j * (w * self.l_leak)
         z_mag = r_per_l * self.l_mag + 1j * (w * self.l_mag)
         ratio = self.ideal_ratio
@@ -338,7 +338,7 @@ class TransmissionLine(Element):
 
     def gamma_length(self, freq: Freq) -> Value:
         """Propagation constant times length, alpha*l + j*beta*l, at ``freq``."""
-        theta = math.radians(self.theta_deg) * freq / self.f_ref
+        theta = self.theta_deg * (math.pi / 180.0) * freq / self.f_ref
         alpha_l = self.loss_db_per_quarter * _DB_TO_NEPER * (theta / (math.pi / 2.0))
         return alpha_l + 1j * theta
 

@@ -1,14 +1,14 @@
-"""Complex-valued modified nodal analysis at one frequency or over a sweep.
+"""Complex-valued modified nodal analysis at one operating point or over a sweep.
 
 Two entries share one assembly and one solution-acceptance check:
 :func:`solve` solves one operating point and reports it per node and per
 element, :func:`solve_columns` factors the matrix once for K drive
 columns and reports arrays with one entry per column.  Given an array of
-frequencies, :func:`solve_columns` validates and numbers the netlist once,
-stamps the frequencies ``CHUNK`` at a time into a frequency-major
-(F, n, n) stack, solves each frequency's matrix for its K columns, checks
-and reads back each chunk in batched array operations and reports arrays
-with a leading frequency axis.
+frequencies or of element values (or both, one entry per point),
+:func:`solve_columns` validates and numbers the netlist once, stamps the
+points ``CHUNK`` at a time into a point-major (V, n, n) stack, solves
+each point's matrix for its K columns, checks and reads back each chunk
+in batched array operations and reports arrays with a leading point axis.
 
 Unknowns are the non-ground node voltages plus the auxiliary branch
 currents each element asks for.  Elements stamp and read themselves back
@@ -24,9 +24,10 @@ Phasors are peak amplitudes (P = |V|^2 / 2R).
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,9 +46,9 @@ __all__ = [
 #: relative KCL residual above which a solution is rejected as unreliable
 RESIDUAL_TOL = 1e-9
 
-#: frequencies stamped and checked together in a sweep: enough to spread
-#: the Python work of each stamp over many frequencies, few enough that a
-#: dense sweep holds only a chunk of matrices (256 of 9x9 are 0.3 MB)
+#: points stamped and checked together in a sweep: enough to spread the
+#: Python work of each stamp over many points, few enough that a dense
+#: sweep holds only a chunk of matrices (256 of 9x9 are 0.3 MB)
 CHUNK = 256
 
 
@@ -103,14 +104,15 @@ class AnalysisResult:
 
 @dataclass
 class ColumnsResult:
-    """Solution of K drive columns at one frequency or at each of F.
+    """Solution of K drive columns at one operating point or at each of V.
 
-    At one frequency ``x`` holds the unknowns with the ground row (zero)
+    At one point ``x`` holds the unknowns with the ground row (zero)
     last, shape (n+1, K), and every other array has one entry per column.
-    Over a sweep ``freq`` is the frequency array, every other array is
-    (F, K) and ``x`` is None: the solutions are read back a chunk at a
-    time and not kept.  ``injected_power`` counts the driven ports and the
-    current-source elements.  Powers are time-averaged watts.
+    Over a sweep every other array is (V, K) and ``x`` is None.
+    ``injected_power`` counts the driven ports and the current-source
+    elements.  ``node_voltages`` and ``branch_currents`` (as in
+    :class:`AnalysisResult`) cover the probed elements.  Powers are
+    time-averaged watts.
     """
 
     freq: float | np.ndarray
@@ -119,6 +121,8 @@ class ColumnsResult:
     load_power: np.ndarray
     injected_power: np.ndarray
     kcl_residual: np.ndarray
+    node_voltages: dict[str, np.ndarray] = field(default_factory=dict)
+    branch_currents: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
 
     def passive_efficiency(self) -> np.ndarray:
         """Fraction of the injected power that reaches the load port's
@@ -179,15 +183,39 @@ class MnaSystem:
             b[self.node_index[minus]] -= current
         return b[:-1]
 
-    def matrices(self, freqs: np.ndarray) -> np.ndarray:
-        """The matrices at each of ``freqs``, shape (F, size, size)."""
+    def matrices(self, freq, points: int) -> np.ndarray:
+        """The (points, size, size) matrices at ``freq``, a float or one
+        frequency per point, and the element values of :attr:`slots`."""
         n = self.size
-        A = np.zeros((len(freqs), n + 1, n + 1), dtype=complex)
+        A = np.zeros((points, n + 1, n + 1), dtype=complex)
         by_entry = A.transpose(1, 2, 0)  # by_entry[i, j] is A[:, i, j]
-        b = np.zeros(n + 1, dtype=complex)  # no stamp puts a frequency into b
+        b = np.zeros(n + 1, dtype=complex)  # no stamp puts a swept value into b
         for e, t, a in self.slots:
-            e.component.stamp(by_entry, b, t, a, freqs)
+            e.component.stamp(by_entry, b, t, a, freq)
         return A[:, :n, :n]
+
+
+def _swept_values(netlist: Netlist, values: dict, points: int | None) -> tuple[dict, int]:
+    """``values`` (element name -> field -> one value per point) as float
+    arrays, and their one length, ``points`` when given; ValueError for an
+    unknown or source element, and for a value its field's rule rejects."""
+    comps = {e.name: e.component for e in netlist.elements}
+    swept = {}
+    for name, fields in values.items():
+        if name not in comps or comps[name].source:
+            raise ValueError(f"unknown or source element '{name}' cannot be swept")
+        swept[name] = {f: np.asarray(v, dtype=float) for f, v in fields.items()}
+        # every field's rule is an interval, so the extremes decide (NaN is one)
+        for pick in (np.min, np.max):
+            try:
+                replace(comps[name], **{f: float(pick(v)) for f, v in swept[name].items() if v.size})
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"element '{name}': {exc}") from None
+    shapes = {v.shape for fields in swept.values() for v in fields.values()}
+    shapes |= {(points,)} if points else set()
+    if len(shapes) != 1 or any(len(shape) != 1 or shape[0] == 0 for shape in shapes):
+        raise ValueError(f"swept values must be 1-D arrays of one nonzero length, got {shapes}")
+    return swept, shapes.pop()[0]
 
 
 def _sweep_frequencies(freqs) -> np.ndarray:
@@ -270,24 +298,39 @@ def _solve_one(
 
 
 def _solved_chunks(
-    system: MnaSystem, rhs: np.ndarray, freqs: np.ndarray, rel_tol: float | None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Solve at each of ``freqs``, ``system`` being assembled at the first:
-    one ``np.linalg.solve`` per frequency, ``CHUNK`` frequencies stamped
-    and checked at a time.
+    system: MnaSystem, rhs: np.ndarray, rel_tol: float | None, points: int, freq, values=None
+) -> Iterator[tuple[slice, MnaSystem, float | np.ndarray, np.ndarray, np.ndarray]]:
+    """Solve at ``points`` operating points on the layout of ``system``,
+    at ``freq`` (a float or one per point) with the fields in ``values``
+    swept: one ``np.linalg.solve`` per point, ``CHUNK`` points stamped
+    and checked at a time, so a sweep holds one chunk of solutions.
 
-    Yields per chunk of f frequencies the index of its first frequency,
-    the solutions with the ground row (zero) appended, (f, size+1, K), and
-    the residuals of :func:`_accepted`, (f, K).  A sweep holds one chunk
-    of solutions at a time.
+    Yields per chunk of f points its rows, ``system`` and ``freq`` there
+    (values scalar or (f,)), the solutions with the ground row (zero)
+    appended, (f, size+1, K), and the residuals of :func:`_accepted`, (f, K).
     """
-    for start in range(0, len(freqs), CHUNK):
-        at = freqs[start : start + CHUNK]
-        A = system.matrices(at)
-        x = np.zeros((len(at), system.size + 1, rhs.shape[1]), dtype=complex)
-        for j in range(len(at)):
+    for start in range(0, points, CHUNK):
+        rows = slice(start, min(start + CHUNK, points))
+        at = freq if np.ndim(freq) == 0 else freq[rows]
+        chunk = _at_points(system, values, rows) if values else system
+        A = chunk.matrices(at, rows.stop - start)
+        x = np.zeros((len(A), system.size + 1, rhs.shape[1]), dtype=complex)
+        for j in range(len(A)):
             x[j, :-1] = _lapack(A[j], rhs)
-        yield start, x, _accepted(system, A, x[:, :-1], rhs, rel_tol, at)
+        yield rows, chunk, at, x, _accepted(chunk, A, x[:, :-1], rhs, rel_tol)
+
+
+def _at_points(system: MnaSystem, values: dict, rows: slice) -> MnaSystem:
+    """``system`` with each swept field set to its values at ``rows``,
+    checked by :func:`_swept_values` and not by the element's constructor."""
+    slots = []
+    for e, t, a in system.slots:
+        if e.name in values:
+            comp = copy.copy(e.component)
+            comp.__dict__.update((f, v[rows]) for f, v in values[e.name].items())
+            e = Placed(e.name, comp, e.nodes)
+        slots.append((e, t, a))
+    return replace(system, slots=slots)
 
 
 def _lapack(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -305,15 +348,14 @@ def _accepted(
     x: np.ndarray,
     rhs: np.ndarray,
     rel_tol: float | None,
-    freqs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Each column's KCL residual relative to its largest drive: (K,) for
-    one matrix ``A``, (f, K) for a stack of matrices at ``freqs``.
+    one matrix ``A``, (f, K) for a stack of f matrices.
 
-    A frequency is rejected when a column's residual exceeds 1e-6 of its
+    A point is rejected when a column's residual exceeds 1e-6 of its
     largest drive (at least 1 A), which is diagnosed as a singular system,
     or when ``rel_tol`` is given and a relative residual exceeds it.  The
-    first rejected frequency raises, as a loop of single solves would.
+    first rejected point raises, as a loop of single solves would.
     """
     floor = np.maximum(np.abs(rhs).max(axis=0), 1e-300)
     residual = np.abs(A @ x - rhs).max(axis=-2)
@@ -332,8 +374,8 @@ def _accepted(
             raise SingularSystemError(
                 f"solution rejected: KCL residual {worst[j]:.2e} exceeds {rel_tol}"
             )
-        if freqs is not None:
-            system = replace(system, freq=float(freqs[j]), matrix=A[j])
+        if A.ndim == 3:
+            system = replace(system, matrix=A[j])
         raise _diagnose_singular(system)
     return relative
 
@@ -359,6 +401,8 @@ def solve_columns(
     netlist: Netlist,
     freq: float | np.ndarray,
     drives: dict[str, np.ndarray],
+    values: dict[str, dict[str, np.ndarray]] | None = None,
+    probes=(),
 ) -> ColumnsResult:
     """Solve ``netlist`` at ``freq`` for K drive columns with one
     factorization.
@@ -366,46 +410,63 @@ def solve_columns(
     ``drives`` maps port names to 1-D arrays of K complex peak currents,
     column k of every array making one operating point; current-source
     elements contribute to every column.  Each column passes the same
-    acceptance check as :func:`solve`, and agrees with it.
+    acceptance check as :func:`solve`, and agrees with it.  The elements
+    named in ``probes`` read back their branch currents and node voltages.
 
-    ``freq`` may be a 1-D array of F frequencies: the same K columns are
-    then solved at each frequency on one validated netlist layout, and the
-    result carries a leading frequency axis (see :class:`ColumnsResult`).
+    A sweep solves the same K columns at each of V points on one netlist
+    layout, with a leading point axis on the result: ``freq`` as a 1-D
+    array of V frequencies, or ``values`` mapping element names to fields
+    and each field to V real values (``{"Rnode": {"ohms": r}}``), or both.
+    A swept value must pass its field's rule, as in the element's
+    constructor; a source element cannot be swept.
     """
     drives = {p: np.asarray(i, dtype=complex) for p, i in drives.items()}
     lengths = {i.shape for i in drives.values()}
     if len(lengths) > 1 or any(len(shape) != 1 or shape[0] == 0 for shape in lengths):
         raise ValueError(f"drives must be 1-D arrays of one nonzero length, got {lengths}")
     columns = lengths.pop()[0] if lengths else 1
+    if probes and not set(probes) <= {e.name for e in netlist.elements}:
+        raise ValueError(f"unknown element among probes {sorted(probes)}")
     # isinstance first: np.ndim of a float costs about 1 us a solve
-    if isinstance(freq, (int, float)) or np.ndim(freq) == 0:
+    one_freq = isinstance(freq, (int, float)) or np.ndim(freq) == 0
+    if one_freq and not values:
         system, rhs = _assembled(netlist, freq, drives, columns)
         x, kcl_residual = _solve_one(system, rhs, RESIDUAL_TOL)
-        voltages, load, injected = _read_powers(system, drives, x, freq)
-        return ColumnsResult(freq, x, voltages, load, injected, kcl_residual)
+        voltages, load, injected, nodes, currents = _readback(system, drives, x, freq, probes)
+        return ColumnsResult(freq, x, voltages, load, injected, kcl_residual, nodes, currents)
 
-    freqs = _sweep_frequencies(freq)
-    system, rhs = _assembled(netlist, float(freqs[0]), drives, columns)
-    shape = (len(freqs), columns)
+    freqs = float(freq) if one_freq else _sweep_frequencies(freq)
+    system, rhs = _assembled(netlist, freqs if one_freq else float(freqs[0]), drives, columns)
+    swept, points = _swept_values(netlist, values or {}, None if one_freq else len(freqs))
+    shape = (points, columns)
     voltages = {port: np.empty(shape, dtype=complex) for port in netlist.ports}
+    nodes = {nd: np.empty(shape, dtype=complex) for p in probes for nd in netlist.element(p).nodes}
+    currents = {}
+    by_column = {port: i[:, None] for port, i in drives.items()}
     load, injected, kcl_residual = np.empty(shape), np.empty(shape), np.empty(shape)
-    for start, x, relative in _solved_chunks(system, rhs, freqs, RESIDUAL_TOL):
-        rows = slice(start, start + len(x))
-        # unknowns first and frequencies down a column, so that element
-        # values of shape (f, 1) broadcast over the K drive columns
-        chunk = _read_powers(system, drives, x.transpose(1, 0, 2), freqs[rows, None])
-        for port, v in chunk[0].items():
-            voltages[port][rows] = v
-        load[rows], injected[rows], kcl_residual[rows] = chunk[1], chunk[2], relative
-    return ColumnsResult(freqs, None, voltages, load, injected, kcl_residual)
+    chunks = _solved_chunks(system, rhs, RESIDUAL_TOL, points, freqs, swept)
+    for rows, chunk, at, x, relative in chunks:
+        # unknowns first and points last, so that values per point
+        # broadcast over the K drive columns; each result is (K, f)
+        read = _readback(chunk, by_column, x.transpose(1, 2, 0), at, probes)
+        for into, part in ((voltages, read[0]), (nodes, read[3])):
+            for key, v in part.items():
+                into[key][rows] = v.T
+        for name, part in read[4].items():
+            into = currents.setdefault(name, tuple(np.empty(shape, dtype=complex) for _ in part))
+            for whole, v in zip(into, part):
+                whole[rows] = np.transpose(v)
+        load[rows], injected[rows], kcl_residual[rows] = read[1].T, read[2].T, relative
+    return ColumnsResult(freqs, None, voltages, load, injected, kcl_residual, nodes, currents)
 
 
-def _read_powers(
-    system: MnaSystem, drives: dict[str, np.ndarray], x: np.ndarray, freq
-) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """Port voltages, load power and injected power (driven ports and
-    current sources) of the solutions ``x``, indexed by unknown on the
-    first axis, at ``freq``, which broadcasts against ``x[i]``."""
+def _readback(
+    system: MnaSystem, drives: dict[str, np.ndarray], x: np.ndarray, freq, probes=()
+) -> tuple[dict, np.ndarray, np.ndarray, dict, dict]:
+    """Port voltages, load and injected power (driven ports and current
+    sources), and the ``probes``' node voltages and branch currents, of
+    the solutions ``x``, indexed by unknown on the first axis; ``freq``
+    and the element values broadcast against ``x[i]``."""
     netlist, index = system.netlist, system.node_index
     port_voltages = {
         port: x[index[plus]] - x[index[minus]] for port, (plus, minus) in netlist.ports.items()
@@ -415,13 +476,17 @@ def _read_powers(
         injected += 0.5 * (port_voltages[port] * current.conjugate()).real
     loads = {e.name for e in netlist.load_terminations()}
     load_power = np.zeros(x.shape[1:])
+    nodes, currents = {}, {}
     for e, t, a in system.slots:
+        if e.name in probes:
+            currents[e.name] = e.component.readback(x, t, a, freq)[0]
+            nodes.update((nd, x[index[nd]]) for nd in e.nodes)
         if e.name in loads:
             load_power += e.component.readback(x, t, a, freq)[1]
         elif e.component.source:
             (current,), _ = e.component.readback(x, t, a, freq)
             injected += 0.5 * ((x[t[0]] - x[t[1]]) * current.conjugate()).real
-    return port_voltages, load_power, injected
+    return port_voltages, load_power, injected, nodes, currents
 
 
 def _package(

@@ -72,9 +72,9 @@ def s_parameters(
     index = system.node_index
     ends = [terminated.ports[p] for p in ports]
     s = np.empty((len(freqs), n, n), dtype=complex)
-    for start, x, _ in _solved_chunks(system, system.rhs(drives, n), freqs, None):
+    for rows, _, _, x, _ in _solved_chunks(system, system.rhs(drives, n), None, len(freqs), freqs):
         v = np.stack([x[:, index[plus]] - x[:, index[minus]] for plus, minus in ends], axis=1)
-        s[start : start + len(x)] = 2.0 * v / (z_ref * i0) - np.eye(n)
+        s[rows] = 2.0 * v / (z_ref * i0) - np.eye(n)
     return s
 
 

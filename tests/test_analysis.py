@@ -1,6 +1,7 @@
 """Analysis harness: phasing, load modulation, efficiency, bandwidth,
 behavioral PA simulation, inverter-ratio oracle."""
 
+import dataclasses
 import math
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from dohertylab import (
     DohertyConfig,
+    current_profile,
     ideal_efficiency,
     itr_conv,
     itr_intro,
@@ -25,8 +27,10 @@ from dohertylab.analysis import (
     bandwidth_report,
     compare_passive_eff,
     drive_profile,
+    inverter_face_impedances,
     itr_inverter_oracle,
     load_modulation,
+    measured_itr,
     offset_delivered_power,
     pa_drive_grid,
     peak_excitations,
@@ -34,7 +38,8 @@ from dohertylab.analysis import (
     simulate_pa,
 )
 from dohertylab.cells import ActiveCellModel, ideal_doherty_cells
-from dohertylab.netkit import Netlist, Resistor, TransmissionLine, solve
+from dohertylab.netkit import Capacitor, Netlist, Resistor, TransmissionLine, solve, solve_columns
+from dohertylab.synth import TransformerCombinerDesign, TwoLineDesign
 
 
 def symmetric_two_path(f0=1e9):
@@ -344,6 +349,85 @@ def test_itr_oracle_three_line_and_transformer(proto_cfg):
             )
 
 
+def _oracle_by_point(design, grid) -> np.ndarray:
+    """The inverter oracle as a loop of single-point solves, one netlist
+    per grid point: the reference for the one-sweep oracle."""
+    cfg, f0 = design.cfg, design.cfg.f0
+    if isinstance(design, TwoLineDesign):
+        probe = Netlist(f0=f0)
+        probe.add("TL2", TransmissionLine(design.z02, 90.0, f0), "x", "out")
+        probe.add("RL", Resistor(cfg.r_l), "out", "0")
+        probe.add_port("in", "x")
+        r_base, face = solve(probe, f0, {"in": 1.0}).node_voltages["x"].real, "x"
+    else:
+        r_base, face = cfg.r_l, "out"
+    measured = []
+    for i in grid:
+        net = Netlist(f0=f0)
+        if isinstance(design, TransformerCombinerDesign):
+            net.add("C1", Capacitor(design.c1), "main", "0")
+            net.add("TF1", design.tf1(), "main", "0", "out", "0")
+            net.add("C3", Capacitor(design.c3), "out", "0")
+        else:
+            net.add("TL1", TransmissionLine(design.z01, 90.0, f0), "main", face)
+        net.add("Rnode", Resistor(r_base * (i + current_profile(cfg.alpha, i)) / i), face, "0")
+        net.add_port("main", "main")
+        r = solve(net, f0, {"main": 1.0})
+        v1, v2 = r.node_voltages["main"], r.node_voltages[face]
+        if isinstance(design, TransformerCombinerDesign):
+            (i_c1,), (i_c3,) = r.branch_currents["C1"], r.branch_currents["C3"]
+            i_p, i_s = r.branch_currents["TF1"]
+            z1, z2 = v1 / (i_p + i_c1), v2 / (-i_s - i_c3)
+        else:
+            i1, i2 = r.branch_currents["TL1"]
+            z1, z2 = v1 / i1, v2 / (-i2)
+        measured.append(max(z1.real / z2.real, z2.real / z1.real))
+    return np.array(measured)
+
+
+# the transformer combiner is synthesized for alpha = 1 only, so its
+# cases vary the free parameters instead
+_ORACLE_CASES = [(synth, alpha, {}) for synth in (synth_two_line, synth_three_line)
+                 for alpha in (0.5, 1.0, 2.0)] + [
+    (synth_transformer_combiner, 1.0, free)
+    for free in ({}, {"n1": 0.6, "k1": 0.3, "n2": 1.8}, {"n1": 1.9, "k1": 0.9, "n2": 0.7})
+]
+
+
+@pytest.mark.parametrize("synth, alpha, free", _ORACLE_CASES)
+def test_itr_oracle_sweep_matches_per_point_loop(synth, alpha, free):
+    design = synth(DohertyConfig(alpha=alpha, r_opt=41.3, r_l=50.0, f0=37e9), **free)
+    grid = np.linspace(design.cfg.i_main_turn_on, design.cfg.i_main_max, 21)
+    measured, _ = itr_inverter_oracle(design, grid)
+    want = _oracle_by_point(design, grid)
+    assert np.abs(measured - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_face_probe_reads_arrays(tf_design, proto_cfg):
+    """measured_itr on a value sweep has a leading point axis and equals
+    its value at each point solved alone."""
+    net = Netlist(f0=proto_cfg.f0)
+    net.add("C1", Capacitor(tf_design.c1), "main", "0")
+    net.add("TF1", tf_design.tf1(), "main", "0", "out", "0")
+    net.add("C3", Capacitor(tf_design.c3), "out", "0")
+    net.add("Rnode", Resistor(50.0), "out", "0")
+    net.add_port("main", "main")
+    ohms = np.array([50.0, 70.0, 100.0])
+    drive = {"main": np.array([1.0, 2.0j])}
+    probes = ["C1", "TF1", "C3"]
+    sweep = solve_columns(net, proto_cfg.f0, drive, {"Rnode": {"ohms": ohms}}, probes)
+    swept = measured_itr(net, sweep)
+    assert swept.shape == (3, 2)
+    for j, r in enumerate(ohms):
+        net.elements[-1] = dataclasses.replace(net.elements[-1], component=Resistor(r))
+        point = solve_columns(net, proto_cfg.f0, drive, probes=probes)
+        alone = measured_itr(net, point)
+        assert alone.shape == (2,)
+        assert np.abs(swept[j] - alone).max() <= 1e-12 * alone.max()
+        z1, z2 = inverter_face_impedances(net, point)
+        assert np.abs(z2 - r).max() <= 1e-12 * r  # the face sees the termination
+
+
 @pytest.mark.parametrize("alpha", [0.5, 2.0])
 def test_asymmetric_doherty_matches_closed_form(alpha):
     # the two-segment closed-form efficiency curve agrees with the
@@ -398,10 +482,8 @@ def test_bandwidth_unknown_metric(two_line_net):
 
 def test_face_probe_needs_an_inverter():
     net = symmetric_two_path()
-    r = solve(net, 1e9, {"main": 1.0, "aux": 1.0})
+    r = solve_columns(net, 1e9, {"main": np.ones(1), "aux": np.ones(1)})
     with pytest.raises(ValueError):
-        from dohertylab.analysis import inverter_face_impedances
-
         inverter_face_impedances(net, r)
 
 

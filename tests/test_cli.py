@@ -582,3 +582,21 @@ def test_analyze_points_below_one_exit_2(mode, points, design_path, tmp_path, ca
     )
     assert_one_json_error(code, err, "--points")
     assert not out_dir.exists()
+
+
+def test_analyze_input_error_leaves_no_output_dir(design_path, tmp_path, capsys):
+    out_dir = tmp_path / "new"
+    code, _, err = run(
+        ["analyze", design_path, "--mode", "pa-sim", "--v-dc", "1", "--i-max", "1",
+         "--main-phi-deg", "400", "--out-dir", str(out_dir)],
+        capsys,
+    )
+    assert_one_json_error(code, err, "conduction angle")
+    assert not out_dir.exists()
+
+
+def test_commands_create_nested_output_dir(design_path, tmp_path, capsys):
+    out_dir = tmp_path / "a" / "b"
+    code, _, _ = run(["analyze", design_path, "--mode", "itr-curves", "--out-dir", str(out_dir)],
+                     capsys)
+    assert code == 0 and (out_dir / "itr_curves.csv").exists()

@@ -32,6 +32,15 @@ def test_config_validation_and_targets():
         DohertyConfig(alpha=0.0, r_opt=40.0, r_l=50.0, f0=1e9)
 
 
+@pytest.mark.parametrize("field", ["alpha", "r_opt", "r_l", "f0"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+def test_config_rejects_non_finite_and_non_positive(field, bad):
+    values = {"alpha": 1.0, "r_opt": 50.0, "r_l": 50.0, "f0": 37e9, field: bad}
+    # r_opt = inf used to construct and give an all-inf itr_intro column
+    with pytest.raises(ValueError, match=field):
+        DohertyConfig(**values)
+
+
 def test_current_profile_anchors():
     assert current_profile(1.0, 1.0) == pytest.approx(1.0)
     assert current_profile(1.0, 0.25) == 0.0

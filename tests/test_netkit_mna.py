@@ -35,6 +35,7 @@ from dohertylab.netkit import (
     solve_columns,
 )
 from dohertylab.netkit.elements import Element
+from dohertylab.netkit import mna
 from dohertylab.netkit.mna import CHUNK
 
 
@@ -732,3 +733,157 @@ def test_one_lapack_call_per_frequency(tf_net, proto_cfg, monkeypatch):
         drive = np.arange(1.0, columns + 1.0)
         solve_columns(tf_net, freqs, {"main": drive, "aux": 1j * drive})
         assert shapes == [((n, n), (n, columns))] * len(freqs)
+
+
+# ----------------------------------------------------------------------
+# element-value sweeps
+# ----------------------------------------------------------------------
+
+
+def _rebuilt(net: Netlist, values: dict, j: int) -> Netlist:
+    """``net`` with each swept field set to its j-th value, through the
+    element constructors."""
+    out = net.copy()
+    out.elements = [
+        dataclasses.replace(
+            e,
+            component=dataclasses.replace(
+                e.component, **{f: float(v[j]) for f, v in values[e.name].items()}
+            ),
+        )
+        if e.name in values
+        else e
+        for e in net.elements
+    ]
+    return out
+
+
+def _assert_sweep_matches_per_point_solves(net, freq, drives, values):
+    """A value sweep (at one frequency, or at one frequency per point)
+    agrees within 1e-12 with ``solve`` on the netlist rebuilt at each
+    point, probes included."""
+    names = [e.name for e in net.elements]
+    sweep = solve_columns(net, freq, {p: np.array([i]) for p, i in drives.items()}, values,
+                          probes=names)
+    points = len(sweep.load_power)
+    assert sweep.x is None and np.all(sweep.kcl_residual <= 1e-9)
+    for j in range(points):
+        f = freq if np.ndim(freq) == 0 else float(freq[j])
+        point = solve(_rebuilt(net, values, j), f, drives)
+        _close([sweep.port_voltages[p][j, 0] for p in net.ports],
+               [point.port_voltage(net, p) for p in net.ports])
+        nodes = sorted(sweep.node_voltages)
+        _close([sweep.node_voltages[nd][j, 0] for nd in nodes],
+               [point.node_voltages[nd] for nd in nodes])
+        for name in names:
+            _close([i[j, 0] for i in sweep.branch_currents[name]], point.branch_currents[name])
+        apparent = 0.5 * sum(abs(point.port_voltage(net, p) * i) for p, i in drives.items())
+        _close(sweep.load_power[j, 0], point.load_power, apparent)
+        _close(sweep.injected_power[j, 0], point.total_injected(), apparent)
+
+
+@pytest.mark.parametrize("axes", ["values", "values and frequencies"])
+def test_transformer_tolerance_monte_carlo(tf_design, proto_cfg, axes, monkeypatch):
+    """50 seeded draws of every L, C and k of the synthesized transformer
+    combiner (Q = 20) within a few percent, solved as one value sweep,
+    against a per-draw solve of the rebuilt netlist."""
+    monkeypatch.setattr(mna, "CHUNK", 16)  # several chunks of swept values
+    net = to_netlist(tf_design, q_l=20.0, q_c=20.0)
+    rng = np.random.default_rng(2018)
+    draws = 50
+    values = {}
+    for e in net.elements:
+        comp = e.component
+        if isinstance(comp, Capacitor):
+            values[e.name] = {"farads": comp.farads * rng.normal(1.0, 0.05, draws)}
+        elif isinstance(comp, CoupledInductors):
+            values[e.name] = {
+                "l_p": comp.l_p * rng.normal(1.0, 0.05, draws),
+                "k": comp.k * rng.uniform(0.97, 1.03, draws),
+            }
+    assert {"C1", "C3", "TF1", "TF2"} <= set(values)
+    assert all(v["k"].max() < 1.0 for v in values.values() if "k" in v)
+    freq = proto_cfg.f0
+    if axes == "values and frequencies":
+        freq = freq * rng.uniform(0.8, 1.2, draws)
+    _assert_sweep_matches_per_point_solves(net, freq, {"main": 1.0, "aux": 0.8j}, values)
+
+
+def test_every_real_field_can_be_swept():
+    base = {"r_in": 50.0, "l": 3e-9, "c": 2e-12, "q_l": 20.0, "q_c": 30.0, "amps": 0.2 + 0.1j,
+            "l_p": 4e-9, "n": 1.3, "k": 0.7, "n_x": 0.8, "z0": 45.0, "theta": 70.0,
+            "loss": 0.2, "r_l": 60.0}
+    net = _every_kind_net(base)
+    rng = np.random.default_rng(7)
+    values = {
+        e.name: {
+            f.name: getattr(e.component, f.name) * rng.uniform(0.9, 1.1, 5)
+            for f in dataclasses.fields(e.component)
+            if f.name != "f_ref"
+        }
+        for e in net.elements
+        if not e.component.source
+    }
+    assert values["T1"]["theta_deg"].std() > 0 and values["L1"]["q"].std() > 0
+    _assert_sweep_matches_per_point_solves(net, 2e9, {"in": 0.5}, values)
+
+
+def test_lossless_values_sweep_with_inf_q():
+    net = Netlist(f0=1e9)
+    net.add("L1", Inductor(1e-9), "a", "b")
+    net.add("RL", Resistor(50.0), "b", "0")
+    net.add_port("in", "a")
+    values = {"L1": {"q": [math.inf, 10.0]}, "RL": {"ohms": [25.0, 100.0]}}
+    _assert_sweep_matches_per_point_solves(net, 1e9, {"in": 1.0}, values)
+
+
+@pytest.mark.parametrize(
+    "values, match",
+    [
+        ({"R1": {"ohms": [50.0, math.nan]}}, "resistance"),
+        ({"R1": {"ohms": [math.inf]}}, "resistance"),
+        ({"R1": {"ohms": [10.0, 0.0]}}, "resistance"),
+        ({"R1": {"ohms": [-5.0]}}, "resistance"),
+        ({"K1": {"k": [0.5, 1.0]}}, "coupling"),
+        ({"L1": {"q": [0.0]}}, "Q"),
+        ({"nope": {"ohms": [50.0]}}, "unknown or source element 'nope'"),
+        ({"R1": {"farads": [1e-12]}}, "farads"),
+        ({"I1": {"amps": [1.0]}}, "unknown or source element 'I1'"),
+        ({"R1": {"ohms": []}}, "nonzero length"),
+        ({"R1": {"ohms": [[50.0]]}}, "1-D"),
+        ({"R1": {"ohms": [50.0, 60.0]}, "L1": {"henries": [1e-9]}}, "one nonzero length"),
+        ({"R1": {}}, "one nonzero length"),
+    ],
+)
+def test_bad_swept_values_rejected(values, match):
+    net = Netlist(f0=1e9)
+    net.add("R1", Resistor(50.0), "a", "0")
+    net.add("L1", Inductor(1e-9, q=20.0), "a", "b")
+    net.add("K1", CoupledInductors(1e-9, 1.0, 0.5), "b", "0", "c", "0")
+    net.add("I1", CurrentSource(0.1), "c", "0")
+    net.add_port("in", "a")
+    with pytest.raises(ValueError, match=match):
+        solve_columns(net, 1e9, {"in": np.ones(1)}, values)
+
+
+def test_value_and_frequency_sweeps_need_one_length(two_line_net, proto_cfg):
+    freqs = proto_cfg.f0 * np.linspace(0.9, 1.1, 3)
+    with pytest.raises(ValueError, match="one nonzero length"):
+        solve_columns(two_line_net, freqs, {"main": np.ones(1)}, {"RL": {"ohms": [40.0, 50.0]}})
+    with pytest.raises(ValueError, match="probes"):
+        solve_columns(two_line_net, proto_cfg.f0, {"main": np.ones(1)}, probes=["nope"])
+
+
+def test_one_lapack_call_per_swept_value(tf_net, proto_cfg, monkeypatch):
+    exact = np.linalg.solve
+    shapes = []
+
+    def counting(a, b):
+        shapes.append((a.shape, b.shape))
+        return exact(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    n = assemble(tf_net, proto_cfg.f0).size
+    solve_columns(tf_net, proto_cfg.f0, {"main": np.ones(2)},
+                  {"C1": {"farads": tf_net.element("C1").component.farads * np.ones(7)}})
+    assert shapes == [((n, n), (n, 2))] * 7
