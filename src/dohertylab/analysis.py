@@ -160,7 +160,8 @@ def _grid_with(lo: float, hi: float, n_points: int, point: float) -> np.ndarray:
     inside the range and no grid point is within 1e-12 of it."""
     grid = np.linspace(lo, hi, n_points)
     if lo < point < hi and np.abs(grid - point).min() > 1e-12:
-        grid = np.sort(np.append(grid, point))
+        grid = np.concatenate((grid, [point]))
+        grid.sort()
     return grid
 
 
@@ -183,8 +184,7 @@ def drive_profile(
         main_phase_deg = aux_phase_deg + required_phase_offset(netlist, cfg.f0)
     lo = i_main_min if i_main_min is not None else cfg.i_main_max / 100.0
     i_main = _grid_with(lo, cfg.i_main_max, n_points, cfg.i_main_turn_on)
-    i_aux = np.array([current_profile(cfg.alpha, i) for i in i_main])
-    pbo = np.array([pbo_level(cfg.alpha, i) for i in i_main])
+    i_aux, pbo = current_profile(cfg.alpha, i_main), pbo_level(cfg.alpha, i_main)
     return DriveProfile(i_main, i_aux, pbo, main_phase_deg, aux_phase_deg, i_max_amps)
 
 
@@ -398,9 +398,10 @@ def simulate_pa(
 ) -> PASimResult:
     """Sweep the two-cell PA over normalized drive levels.
 
-    Cells provide ``currents(v) -> (I_dc, I_fund)``; fundamentals are
+    Cells provide ``currents(v) -> (I_dc, I_fund)`` for a float or an
+    array ``v`` and get the whole drive array in one call; fundamentals are
     injected with the combiner's required phase offset (measured unless
-    ``offset_deg`` is given) and the network is solved per level.  Drain
+    ``offset_deg`` is given) and all levels are solved in one pass.  Drain
     efficiency is P_load / (v_dc * (I_dc sum)).  Port voltages beyond
     each cell's saturation limit set the per-point overdrive flag (the
     current-source model does not clip).
@@ -412,19 +413,14 @@ def simulate_pa(
     offset = offset_deg if offset_deg is not None else required_phase_offset(netlist, freq)
     ph_main = cmath.exp(1j * math.radians(offset))
 
-    n = len(v)
-    i_dc = np.empty(n)
-    if_main = np.empty(n, dtype=complex)
-    if_aux = np.empty(n, dtype=complex)
-    for k, vk in enumerate(v):
-        idc_m, if_main[k] = main_cell.currents(float(vk))
-        idc_a, if_aux[k] = aux_cell.currents(float(vk))
-        i_dc[k] = idc_m + idc_a
-    p_dc = v_dc * i_dc
+    idc_main, if_main = main_cell.currents(v)
+    idc_aux, if_aux = aux_cell.currents(v)
+    p_dc = v_dc * (idc_main + idc_aux)
     main_on = np.abs(if_main) > 0.0
     aux_on = np.abs(if_aux) > 0.0
 
     # one column per level that drives either port
+    n = len(v)
     p_out = np.zeros(n)
     v_load = np.zeros(n, dtype=complex)
     z_main = np.full(n, complex(np.nan, np.nan), dtype=complex)
@@ -576,6 +572,6 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
     net.add("Rnode", Resistor(r_base), face, net.ground)  # its value is swept below
     net.add_port("main", "main")
     grid = np.asarray(i_main_grid, dtype=float)
-    r_node = [r_base * (i + current_profile(cfg.alpha, float(i))) / i for i in grid]
+    r_node = r_base * (grid + current_profile(cfg.alpha, grid)) / grid
     r = solve_columns(net, f0, {"main": np.ones(1)}, {"Rnode": {"ohms": r_node}}, inverter)
     return measured_itr(net, r)[:, 0], np.array([closed(float(i)) for i in grid])

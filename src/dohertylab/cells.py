@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ideal import DohertyConfig, current_profile
 
 __all__ = ["ActiveCellModel", "IdealMainCell", "IdealAuxCell", "ideal_doherty_cells"]
@@ -61,23 +63,26 @@ class ActiveCellModel:
         i_q, i_p1 = self._iq_ip
         return max(0.0, -i_q / i_p1)
 
-    def currents(self, v: float) -> tuple[float, complex]:
-        """(I_dc, fundamental phasor) at normalized drive ``v`` in [0, 1]."""
-        if not 0.0 <= v <= 1.0 + 1e-12:
-            raise ValueError(f"drive must lie in [0, 1], got {v}")
+    def currents(self, v: float | np.ndarray) -> tuple:
+        """(I_dc, fundamental phasor) at normalized drive ``v`` in [0, 1],
+        a float or an array; both results have the shape of ``v``."""
+        v = np.asarray(v, dtype=float)
+        ok = (0.0 <= v) & (v <= 1.0 + 1e-12)
+        if not ok.all():
+            raise ValueError(f"drive must lie in [0, 1], got {v[~ok][0]}")
         i_q, i_p1 = self._iq_ip
         i_p = v * i_p1
-        if i_p <= 0.0:
-            return (max(i_q, 0.0), 0j)
-        ratio = -i_q / i_p
-        if ratio >= 1.0:  # never conducts at this drive
-            return (0.0, 0j)
-        if ratio <= -1.0:  # conducts the whole cycle, no clipping
-            return (i_q, complex(i_p))
-        t = math.acos(ratio)
-        i_dc = (i_q * t + i_p * math.sin(t)) / math.pi
-        i_fund = (2.0 * i_q * math.sin(t) + i_p * (t + math.sin(t) * math.cos(t))) / math.pi
-        return (i_dc, complex(i_fund))
+        driven = i_p > 0.0
+        with np.errstate(over="ignore"):  # a subnormal drive gives ratio inf
+            ratio = -i_q / np.where(driven, i_p, 1.0)
+        t = np.arccos(np.clip(ratio, -1.0, 1.0))
+        sin_t = np.sin(t)
+        i_dc = (i_q * t + i_p * sin_t) / math.pi
+        i_fund = (2.0 * i_q * sin_t + i_p * (t + sin_t * np.cos(t))) / math.pi
+        law = [~driven, ratio >= 1.0, ratio <= -1.0]  # undriven, dead, unclipped
+        i_dc = np.select(law, [max(i_q, 0.0), 0.0, i_q], i_dc)
+        i_fund = np.select(law, [0.0, 0.0, i_p], i_fund)
+        return i_dc[()], i_fund.astype(complex)[()]
 
     @classmethod
     def class_b(cls, i_max: float, v_dc: float, v_knee: float = 0.0) -> "ActiveCellModel":
@@ -106,9 +111,9 @@ class IdealMainCell:
     v_dc: float
     v_knee: float = 0.0
 
-    def currents(self, v: float) -> tuple[float, complex]:
-        i = v * 2.0 / (1.0 + self.alpha) * self.i_scale
-        return (2.0 / math.pi) * i, complex(i)
+    def currents(self, v: float | np.ndarray) -> tuple:
+        i = np.asarray(v, dtype=float) * 2.0 / (1.0 + self.alpha) * self.i_scale
+        return (2.0 / math.pi) * i, i.astype(complex)[()]
 
 
 @dataclass(frozen=True)
@@ -121,10 +126,10 @@ class IdealAuxCell:
     v_dc: float
     v_knee: float = 0.0
 
-    def currents(self, v: float) -> tuple[float, complex]:
-        i_main_norm = v * 2.0 / (1.0 + self.alpha)
+    def currents(self, v: float | np.ndarray) -> tuple:
+        i_main_norm = np.asarray(v, dtype=float) * 2.0 / (1.0 + self.alpha)
         i = current_profile(self.alpha, i_main_norm) * self.i_scale
-        return (2.0 / math.pi) * i, complex(i)
+        return (2.0 / math.pi) * i, np.asarray(i, dtype=complex)[()]
 
 
 def ideal_doherty_cells(cfg: DohertyConfig, v_dc: float) -> tuple[IdealMainCell, IdealAuxCell]:

@@ -8,7 +8,8 @@ analyze  design/netlist -> CSV sweeps (load-mod, pbo-eff, bandwidth,
 export   netlist.json -> Touchstone over a frequency grid
 
 Exit codes: 0 success, 2 input/validation failure, 3 internal-consistency
-failure.  Errors are emitted as one JSON object on stderr.
+failure (a synthesized design that fails its identities or that the
+solver rejects).  Errors are emitted as one JSON object on stderr.
 
 Design file schema (all units in the key names)::
 
@@ -68,7 +69,7 @@ import numpy as np
 
 from . import analysis, cells, report
 from .ideal import DohertyConfig
-from .netkit import Netlist, s_parameters, write_touchstone
+from .netkit import Netlist, SingularSystemError, s_parameters, write_touchstone
 from .synth import (
     IDENTITY_TOL,
     DesignConsistencyError,
@@ -266,13 +267,13 @@ def cmd_synth(args) -> int:
     cfg = spec["config"]
 
     netlist = to_netlist(design, q_l=spec["q_l"], q_c=spec["q_c"])
-    netlist_path = os.path.join(args.out_dir, "netlist.json")
-    _write(netlist_path, report.json_text(netlist.to_json_dict()))
-
-    ts_path = os.path.join(args.out_dir, "combiner.s3p")
     export_net = to_netlist(design, include_load=False)
     freqs = np.linspace(0.6 * cfg.f0, 1.4 * cfg.f0, 201)
+    # solved before any file is written: a solver error leaves no output
     s = s_parameters(export_net, ["main", "aux", "load"], freqs, z_ref=args.z_ref)
+    netlist_path = os.path.join(args.out_dir, "netlist.json")
+    _write(netlist_path, report.json_text(netlist.to_json_dict()))
+    ts_path = os.path.join(args.out_dir, "combiner.s3p")
     _write(ts_path, write_touchstone(freqs, s, z_ref=args.z_ref))
 
     identities = [
@@ -559,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
             doc["key"] = exc.key
         print(json.dumps(doc), file=sys.stderr)
         return exc.code
-    except DesignConsistencyError as exc:
+    except (DesignConsistencyError, SingularSystemError, analysis.DegenerateTransferError) as exc:
         print(json.dumps({"error": str(exc), "code": 3}), file=sys.stderr)
         return 3
 

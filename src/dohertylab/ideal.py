@@ -99,8 +99,9 @@ class EfficiencyCurve:
         return float(np.interp(pbo, self.pbo_db, self.eta))
 
 
-def current_profile(alpha: float, i_main: float) -> float:
-    """Auxiliary current demanded by ideal load modulation at ``i_main``.
+def current_profile(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
+    """Auxiliary current demanded by ideal load modulation at ``i_main``
+    (a float or an array; the result has its shape).
 
     Zero below the turn-on point 2/(1+alpha)^2, then the linear ramp
     (1+alpha)*i_main - 2/(1+alpha); continuous at the junction.
@@ -108,20 +109,24 @@ def current_profile(alpha: float, i_main: float) -> float:
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     top = 2.0 / (1.0 + alpha)
-    if i_main < -1e-15 or i_main > top * (1.0 + 1e-12):
-        raise ValueError(f"i_main {i_main} outside [0, {top}]")
-    if i_main < 2.0 / (1.0 + alpha) ** 2:
-        return 0.0
-    return (1.0 + alpha) * i_main - 2.0 / (1.0 + alpha)
+    i_main = np.asarray(i_main, dtype=float)
+    lo = np.fmin.reduce(i_main, None, initial=np.inf)  # NaN passes
+    hi = np.fmax.reduce(i_main, None, initial=-np.inf)
+    if lo < -1e-15 or hi > top * (1.0 + 1e-12):
+        raise ValueError(f"i_main {lo if lo < 0 else hi} outside [0, {top}]")
+    ramp = (1.0 + alpha) * i_main - 2.0 / (1.0 + alpha)
+    return np.where(i_main < 2.0 / (1.0 + alpha) ** 2, 0.0, ramp)[()]
 
 
-def pbo_level(alpha: float, i_main: float) -> float:
-    """Output back-off in dB at ``i_main``: 20*log10(2/((1+alpha)*i_main))."""
+def pbo_level(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
+    """Output back-off in dB at ``i_main``, a float or an array: 20*log10(2/((1+alpha)*i_main))."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if i_main <= 0:
-        raise ValueError(f"i_main must be positive, got {i_main}")
-    return 20.0 * math.log10(2.0 / ((1.0 + alpha) * i_main))
+    i_main = np.asarray(i_main, dtype=float)
+    lo = np.fmin.reduce(i_main, None, initial=np.inf)  # NaN passes
+    if lo <= 0:
+        raise ValueError(f"i_main must be positive, got {lo}")
+    return 20.0 * np.log10(2.0 / ((1.0 + alpha) * i_main))
 
 
 def i_main_from_pbo(alpha: float, pbo_db: float) -> float:

@@ -109,27 +109,28 @@ def write_touchstone(
     s: np.ndarray,
     z_ref: float = 50.0,
 ) -> str:
-    """Render S-parameter data as Touchstone v1 text (GHz / RI)."""
+    """Render S-parameter data as Touchstone v1 text (GHz / RI).
+
+    One record template covers a frequency; the whole table is formatted
+    in one ``%`` pass.  Records of 3-4 ports wrap at 4 complex pairs per
+    line, the standard layout.
+    """
     s = np.asarray(s, dtype=complex)
     n = s.shape[-1]
     if not 1 <= n <= 4:
         raise ValueError(f"supported port counts are 1..4, got {n}")
-    lines = [f"! {n}-port S-parameter data", f"# GHz S RI R {z_ref:.9g}"]
-    order = _record_order(n)
-    per_line = 4  # complex pairs per physical line, standard wrapping
-    for f, mat in zip(freqs_hz, s):
-        vals: list[str] = []
-        for i, j in order:
-            vals.append(f"{mat[i, j].real:.12e}")
-            vals.append(f"{mat[i, j].imag:.12e}")
-        head = f"{f / 1e9:.12e}"
-        if n <= 2:
-            lines.append(" ".join([head] + vals))
-        else:
-            for row_start in range(0, len(vals), 2 * per_line):
-                chunk = " ".join(vals[row_start : row_start + 2 * per_line])
-                lines.append(f"{head} {chunk}" if row_start == 0 else f"    {chunk}")
-    return "\n".join(lines) + "\n"
+    freqs = np.asarray(freqs_hz, dtype=float)
+    if s.ndim != 3 or len(freqs) != len(s):
+        raise ValueError(f"{len(freqs)} frequencies for {len(s)} S-matrices")
+    rows, cols = zip(*_record_order(n))
+    pairs = np.stack([s.real[:, rows, cols], s.imag[:, rows, cols]], axis=-1)
+    table = np.column_stack([freqs / 1e9, pairs.reshape(len(freqs), 2 * n * n)])
+    vals = ["%.12e"] * (2 * n * n)
+    width = len(vals) if n <= 2 else 8  # 4 complex pairs per physical line
+    lines = [" ".join(vals[k : k + width]) for k in range(0, len(vals), width)]
+    record = "\n    ".join(["%.12e " + lines[0]] + lines[1:])
+    head = [f"! {n}-port S-parameter data", f"# GHz S RI R {z_ref:.9g}"]
+    return "\n".join(head + [record] * len(freqs)) % tuple(table.ravel().tolist()) + "\n"
 
 
 def read_touchstone(text: str) -> TouchstoneData:
@@ -141,7 +142,7 @@ def read_touchstone(text: str) -> TouchstoneData:
     unit_scale = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
     scale = 1e9
     z_ref = 50.0
-    tokens: list[float] = []
+    tokens: list[str] = []
     saw_options = False
     for raw in text.splitlines():
         line = raw.split("!", 1)[0].strip()
@@ -157,41 +158,32 @@ def read_touchstone(text: str) -> TouchstoneData:
                 elif p == "r" and i + 1 < len(parts):
                     z_ref = float(parts[i + 1])
                     i += 1
-                elif p == "s":
-                    pass
-                elif p == "ri":
+                elif p in ("s", "ri"):
                     pass
                 elif p in ("ma", "db"):
                     raise ValueError(f"unsupported touchstone format '{p}'")
                 i += 1
             saw_options = True
             continue
-        tokens.extend(float(t) for t in line.split())
+        tokens.extend(line.split())
     if not saw_options:
         raise ValueError("missing touchstone option line")
 
     if not tokens:
         raise ValueError("touchstone file holds no data records")
+    values = np.array(tokens, dtype=float)
     # Infer the port count from the record length: 1 + 2*n^2 floats each.
     for n in (1, 2, 3, 4):
         rec = 1 + 2 * n * n
-        if len(tokens) % rec == 0 and _freqs_monotone(tokens, rec):
+        freqs = values[0::rec]
+        if len(values) % rec == 0 and np.all(freqs[1:] > freqs[:-1]):
             break
     else:
         raise ValueError("cannot infer port count from token stream")
 
-    order = _record_order(n)
-    n_rec = len(tokens) // rec
-    freqs = np.empty(n_rec)
-    s = np.empty((n_rec, n, n), dtype=complex)
-    for r in range(n_rec):
-        chunk = tokens[r * rec : (r + 1) * rec]
-        freqs[r] = chunk[0] * scale
-        for pos, (i, j) in enumerate(order):
-            s[r, i, j] = complex(chunk[1 + 2 * pos], chunk[2 + 2 * pos])
-    return TouchstoneData(freqs_hz=freqs, s=s, z_ref=z_ref)
-
-
-def _freqs_monotone(tokens: list[float], rec: int) -> bool:
-    freqs = tokens[0::rec]
-    return all(b > a for a, b in zip(freqs, freqs[1:])) if len(freqs) > 1 else True
+    data = values.reshape(-1, rec)
+    s = np.empty((len(data), n, n), dtype=complex)
+    for pos, (i, j) in enumerate(_record_order(n)):
+        s.real[:, i, j] = data[:, 1 + 2 * pos]
+        s.imag[:, i, j] = data[:, 2 + 2 * pos]
+    return TouchstoneData(freqs_hz=data[:, 0] * scale, s=s, z_ref=z_ref)

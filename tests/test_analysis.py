@@ -17,6 +17,7 @@ from dohertylab import (
     ideal_efficiency,
     itr_conv,
     itr_intro,
+    pbo_level,
     synth_three_line,
     synth_transformer_combiner,
     synth_two_line,
@@ -298,6 +299,45 @@ def test_power_bookkeeping_in_sim(proto_cfg):
     exc = {k: v * main.i_scale / prof.i_max_amps for k, v in exc.items()}
     r = solve(net, proto_cfg.f0, exc)
     assert r.power_balance_residual() < 1e-9
+
+
+class PerPointCell:
+    """Reference adapter: evaluates the wrapped cell one drive level at a
+    time, the way simulate_pa did before cells took drive arrays."""
+
+    def __init__(self, cell):
+        self.cell, self.v_dc, self.v_knee = cell, cell.v_dc, cell.v_knee
+
+    def currents(self, v):
+        points = [self.cell.currents(float(x)) for x in v]
+        return np.array([p[0] for p in points]), np.array([p[1] for p in points], dtype=complex)
+
+
+@pytest.mark.parametrize("cells", ["ideal", "conduction-angle"])
+def test_simulate_pa_matches_per_point_cell_loop(cells, proto_cfg, two_line_net):
+    if cells == "ideal":
+        main, aux = ideal_doherty_cells(proto_cfg, v_dc=1.0)
+    else:
+        i_max = 2.0 / proto_cfg.r_opt
+        main = ActiveCellModel.class_b(i_max=i_max, v_dc=1.0)
+        aux = ActiveCellModel.class_c_turn_on(0.5, i_max=i_max, v_dc=1.0)
+    grid = np.concatenate(([0.0], pa_drive_grid(proto_cfg.alpha, 41)))  # 0, turn-on 0.5 and 1
+    sim = simulate_pa(main, aux, two_line_net, grid, v_dc=1.0)
+    ref = simulate_pa(PerPointCell(main), PerPointCell(aux), two_line_net, grid, v_dc=1.0)
+    for field in dataclasses.fields(sim):
+        got, want = getattr(sim, field.name), getattr(ref, field.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 2.3])
+def test_drive_profile_matches_per_point_closed_forms(alpha):
+    cfg = DohertyConfig(alpha=alpha, r_opt=41.3, r_l=50.0, f0=37e9)
+    for n_points in (5, 201):
+        prof = drive_profile(cfg, n_points=n_points, main_phase_deg=0.0)
+        want_aux = [current_profile(alpha, float(i)) for i in prof.i_main]
+        want_pbo = [pbo_level(alpha, float(i)) for i in prof.i_main]
+        assert prof.i_aux.tobytes() == np.array(want_aux).tobytes()
+        assert prof.pbo_db.tobytes() == np.array(want_pbo).tobytes()
 
 
 def test_overdrive_flagged():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dohertylab.cells import ActiveCellModel, IdealAuxCell, IdealMainCell, ideal_doherty_cells
 from dohertylab.ideal import DohertyConfig, current_profile
@@ -103,3 +105,64 @@ def test_class_c_fundamental_steeper_than_linear():
     cell = ActiveCellModel.class_c_turn_on(0.5, i_max=1.0, v_dc=1.0)
     ratios = [cell.currents(v)[1].real / v for v in (0.55, 0.7, 0.85, 1.0)]
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+
+drive_lists = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12)
+i_maxes = st.floats(min_value=0.01, max_value=10.0)
+
+
+def assert_array_form_is_per_point(cell, drives):
+    """``currents`` on an array equals the per-point scalar calls bit for bit."""
+    v = np.asarray(drives, dtype=float)
+    i_dc, i_fund = cell.currents(v)
+    points = [cell.currents(float(x)) for x in v]
+    assert i_dc.shape == i_fund.shape == v.shape
+    assert i_fund.dtype == complex
+    assert i_dc.tobytes() == np.array([p[0] for p in points], dtype=float).tobytes()
+    assert i_fund.tobytes() == np.array([p[1] for p in points], dtype=complex).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    phi=st.one_of(
+        st.just(math.pi),  # class-B
+        st.floats(min_value=math.pi, max_value=2.0 * math.pi, exclude_min=True),  # class-AB
+        st.floats(min_value=0.05, max_value=math.pi, exclude_max=True),  # class-C
+    ),
+    i_max=i_maxes,
+    drives=drive_lists,
+)
+def test_active_cell_array_matches_scalar_calls(phi, i_max, drives):
+    cell = ActiveCellModel(phi, i_max, 1.0)
+    # the turn-on boundary and both ends of the drive range
+    assert_array_form_is_per_point(cell, drives + [0.0, cell.turn_on_drive, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(turn_on=st.floats(min_value=0.01, max_value=0.99), i_max=i_maxes, drives=drive_lists)
+def test_class_c_turn_on_array_matches_scalar_calls(turn_on, i_max, drives):
+    cell = ActiveCellModel.class_c_turn_on(turn_on, i_max, 1.0)
+    assert_array_form_is_per_point(cell, drives + [0.0, turn_on, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(min_value=0.1, max_value=4.0), drives=drive_lists)
+def test_ideal_cells_array_matches_scalar_calls(alpha, drives):
+    cfg = DohertyConfig(alpha=alpha, r_opt=41.3, r_l=50.0, f0=37e9)
+    for cell in ideal_doherty_cells(cfg, v_dc=1.0):
+        assert_array_form_is_per_point(cell, drives + [0.0, 1.0 / (1.0 + alpha), 1.0])
+
+
+def test_scalar_drive_gives_scalars():
+    cfg = DohertyConfig(alpha=1.0, r_opt=41.3, r_l=50.0, f0=37e9)
+    for cell in (ActiveCellModel.class_b(1.0, 1.0), *ideal_doherty_cells(cfg, v_dc=1.0)):
+        i_dc, i_fund = cell.currents(0.7)
+        assert np.ndim(i_dc) == np.ndim(i_fund) == 0
+        assert isinstance(i_dc, float) and isinstance(i_fund, complex)
+
+
+@pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
+def test_out_of_range_array_element_rejected(bad):
+    cell = ActiveCellModel.class_c_turn_on(0.5, 1.0, 1.0)
+    with pytest.raises(ValueError, match="drive must lie in"):
+        cell.currents(np.array([0.2, bad, 0.9]))

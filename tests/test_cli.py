@@ -179,6 +179,50 @@ def test_internal_consistency_failure_exits_3(design_path, tmp_path, capsys, mon
     assert json.loads(err)["code"] == 3
 
 
+def assert_one_json_error_exit_3(code, err):
+    assert code == 3
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] == 3
+
+
+#: a near-unity coupling makes the transformer combiner's system singular
+SINGULAR_DESIGN = {**PROTO_DESIGN, "free_params": {"n1": 1.0, "k1": 0.999999999, "n2": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth"],
+        ["analyze", "--mode", "load-mod"],
+        ["analyze", "--mode", "pa-sim", "--ideal-cells", "--v-dc", "1"],
+    ],
+)
+def test_solver_rejected_design_exits_3_without_output(argv, tmp_path, capsys):
+    p = tmp_path / "singular.json"
+    p.write_text(json.dumps(SINGULAR_DESIGN))
+    out_dir = tmp_path / "out"
+    code, _, err = run([argv[0], str(p), *argv[1:], "--out-dir", str(out_dir)], capsys)
+    assert_one_json_error_exit_3(code, err)
+    assert "singular" in err
+    assert not out_dir.exists()
+
+
+def test_degenerate_transfer_exits_3(design_path, tmp_path, capsys, monkeypatch):
+    from dohertylab import analysis
+
+    def degenerate(*args, **kwargs):
+        raise analysis.DegenerateTransferError("transfer from port 'main' to 'load' is degenerate")
+
+    monkeypatch.setattr(analysis, "required_phase_offset", degenerate)
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        ["analyze", design_path, "--mode", "load-mod", "--out-dir", str(out_dir)], capsys
+    )
+    assert_one_json_error_exit_3(code, err)
+    assert not out_dir.exists()
+
+
 def test_itr_curves_contains_prototype_anchor_rows(tmp_path, capsys):
     out_dir = str(tmp_path)
     code, _, _ = run(

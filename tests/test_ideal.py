@@ -41,6 +41,42 @@ def test_config_rejects_non_finite_and_non_positive(field, bad):
         DohertyConfig(**values)
 
 
+def _ulps(a, b) -> np.ndarray:
+    bits = [np.asarray(x, dtype=float).view(np.int64) for x in (a, b)]
+    return np.abs(bits[0] - bits[1])
+
+
+# normal floats only: below about 1e-308 the back-off 2/((1+alpha)*i_main)
+# overflows to inf, which numpy reports as a RuntimeWarning
+fractions = st.lists(
+    st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=alphas, fractions=fractions)
+def test_closed_forms_on_arrays_match_scalar_calls(alpha, fractions):
+    top = 2.0 / (1.0 + alpha)
+    # include the auxiliary turn-on point, the junction of the two branches
+    i_main = np.array([f * top for f in fractions] + [2.0 / (1.0 + alpha) ** 2, top])
+    aux = current_profile(alpha, i_main)
+    assert aux.shape == i_main.shape
+    assert aux.tobytes() == np.array([current_profile(alpha, float(i)) for i in i_main]).tobytes()
+    positive = i_main[i_main > 0]
+    pbo = pbo_level(alpha, positive)
+    assert pbo.shape == positive.shape
+    assert _ulps(pbo, [pbo_level(alpha, float(i)) for i in positive]).max() <= 1
+
+
+def test_closed_forms_reject_out_of_range_array_element():
+    with pytest.raises(ValueError, match="outside"):
+        current_profile(1.0, np.array([0.2, 1.5, 0.9]))
+    with pytest.raises(ValueError, match="outside"):
+        current_profile(1.0, np.array([0.2, -0.1]))
+    with pytest.raises(ValueError, match="positive"):
+        pbo_level(1.0, np.array([0.5, 0.0, 1.0]))
+
+
 def test_current_profile_anchors():
     assert current_profile(1.0, 1.0) == pytest.approx(1.0)
     assert current_profile(1.0, 0.25) == 0.0

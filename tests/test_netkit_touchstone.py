@@ -84,6 +84,36 @@ def test_two_port_record_order_is_standard():
     assert vals == [0.1, 0.2, 0.5, 0.6, 0.3, 0.4, 0.7, 0.8]
 
 
+def test_write_rejects_frequency_count_mismatch():
+    s = np.zeros((3, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="frequencies"):
+        write_touchstone([1e9, 2e9], s, 50.0)  # used to write a truncated file
+    with pytest.raises(ValueError, match="frequencies"):
+        write_touchstone([1e9, 2e9, 3e9, 4e9], s, 50.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_round_trip_extreme_values(n):
+    # signed zero, subnormals and exponents near both ends of the range
+    extremes = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300,
+                -3.5e299, 1.7976931348623e308, 1.0, -123.456]
+    rng = np.random.default_rng(n)
+    freqs = np.array([1e3, 2.5e9, 3.7e10, 1e12, 9.99e14])
+    parts = rng.choice(extremes, size=(len(freqs), n, n, 2))
+    s = np.empty((len(freqs), n, n), dtype=complex)
+    s.real, s.imag = parts[..., 0], parts[..., 1]  # keeps the sign of zeros
+    text = write_touchstone(freqs, s, 50.0)
+    per_line = 1 if n <= 2 else n * n // 4 + (n * n % 4 > 0)
+    assert len(text.splitlines()) == 2 + per_line * len(freqs)
+    back = read_touchstone(text)
+    # every value comes back as the Python parse of its 13-digit token
+    tokens = np.vectorize(lambda x: float(f"{x:.12e}"))
+    assert back.s.real.tobytes() == tokens(s.real).tobytes()
+    assert back.s.imag.tobytes() == tokens(s.imag).tobytes()
+    assert back.freqs_hz.tobytes() == (tokens(freqs / 1e9) * 1e9).tobytes()
+    assert write_touchstone(back.freqs_hz, back.s, 50.0) == text
+
+
 def test_case_insensitive_option_line():
     text = "# ghz s ri r 75\n1.0 0.0 0.0\n"
     data = read_touchstone(text)
