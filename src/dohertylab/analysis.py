@@ -542,6 +542,7 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
     cfg = design.cfg
     f0 = cfg.f0
     net = Netlist(f0=f0)
+    grid = np.asarray(i_main_grid, dtype=float)
 
     if isinstance(design, TwoLineDesign):
         probe = Netlist(f0=f0)
@@ -551,10 +552,7 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
         r_base = solve(probe, f0, {"in": 1.0}).node_voltages["x"].real
         net.add("TL1", TransmissionLine(design.z01, 90.0, f0), "main", "x")
         face = "x"
-
-        def closed(i: float) -> float:
-            return itr_conv(cfg.alpha, i)
-
+        closed = itr_conv(cfg.alpha, grid)
     else:
         r_base = cfg.r_l
         if isinstance(design, ThreeLineDesign):
@@ -564,14 +562,11 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
             net.add("TF1", design.tf1(), "main", net.ground, "out", net.ground)
             net.add("C3", Capacitor(design.c3), "out", net.ground)
         face = "out"
-
-        def closed(i: float) -> float:
-            return itr_intro(cfg.alpha, i, cfg.r_opt, cfg.r_l)
+        closed = itr_intro(cfg.alpha, grid, cfg.r_opt, cfg.r_l)
 
     inverter = [e.name for e in net.elements]
     net.add("Rnode", Resistor(r_base), face, net.ground)  # its value is swept below
     net.add_port("main", "main")
-    grid = np.asarray(i_main_grid, dtype=float)
     r_node = r_base * (grid + current_profile(cfg.alpha, grid)) / grid
     r = solve_columns(net, f0, {"main": np.ones(1)}, {"Rnode": {"ohms": r_node}}, inverter)
-    return measured_itr(net, r)[:, 0], np.array([closed(float(i)) for i in grid])
+    return measured_itr(net, r)[:, 0], closed

@@ -131,6 +131,16 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
             raise _fail(f"unknown key '{key}' in {where}", key=key)
 
 
+def _section(doc: dict, name: str, allowed: set[str]) -> dict:
+    """The design's ``name`` section, empty when absent; it must be a JSON
+    object of ``allowed`` keys."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise _fail(f"key '{name}' in design must be an object", key=name)
+    _check_keys(section, allowed, name)
+    return section
+
+
 def _num(doc: dict, key: str, where: str, positive: bool = True) -> float:
     if key not in doc:
         raise _fail(f"missing key '{key}' in {where}", key=key)
@@ -162,8 +172,7 @@ def load_design_file(path: str) -> dict:
 
     if "config" not in doc:
         raise _fail("missing key 'config' in design", key="config")
-    cfg_doc = doc["config"]
-    _check_keys(cfg_doc, {"alpha", "r_opt_ohm", "r_l_ohm", "f0_hz"}, "config")
+    cfg_doc = _section(doc, "config", {"alpha", "r_opt_ohm", "r_l_ohm", "f0_hz"})
     config = DohertyConfig(
         alpha=_num(cfg_doc, "alpha", "config"),
         r_opt=_num(cfg_doc, "r_opt_ohm", "config"),
@@ -177,20 +186,17 @@ def load_design_file(path: str) -> dict:
             f"topology must be one of {_TOPOLOGIES}, got {topology!r}", key="topology"
         )
 
-    free = doc.get("free_params", {})
     allowed_free = {"z02_ohm"} if topology == "three-line" else {"n1", "k1", "n2"}
     if topology == "two-line":
         allowed_free = set()
-    _check_keys(free, allowed_free, "free_params")
+    free = _section(doc, "free_params", allowed_free)
     free_vals = {k: _num(free, k, "free_params") for k in free}
 
-    q_doc = doc.get("q_budget", {})
-    _check_keys(q_doc, {"q_l", "q_c"}, "q_budget")
+    q_doc = _section(doc, "q_budget", {"q_l", "q_c"})
     q_l = _num(q_doc, "q_l", "q_budget") if "q_l" in q_doc else math.inf
     q_c = _num(q_doc, "q_c", "q_budget") if "q_c" in q_doc else math.inf
 
-    par_doc = doc.get("parasitics", {})
-    _check_keys(par_doc, {"c_pad_f"}, "parasitics")
+    par_doc = _section(doc, "parasitics", {"c_pad_f"})
     c_pad = _num(par_doc, "c_pad_f", "parasitics") if "c_pad_f" in par_doc else 0.0
 
     return {

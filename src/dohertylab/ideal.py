@@ -134,17 +134,23 @@ def i_main_from_pbo(alpha: float, pbo_db: float) -> float:
     return 2.0 / ((1.0 + alpha) * 10.0 ** (pbo_db / 20.0))
 
 
-def _check_aux_on(alpha: float, i_main: float) -> None:
+def _check_aux_on(alpha: float, i_main: float | np.ndarray) -> np.ndarray:
+    """``i_main`` as a float array; ValueError naming an element outside
+    the auxiliary-on region, NaN among them."""
+    i_main = np.asarray(i_main, dtype=float)
     lo = 2.0 / (1.0 + alpha) ** 2
     hi = 2.0 / (1.0 + alpha)
-    if not (lo * (1.0 - 1e-12) <= i_main <= hi * (1.0 + 1e-12)):
-        raise ValueError(
-            f"i_main {i_main} outside the auxiliary-on region [{lo}, {hi}]"
-        )
+    least = np.min(i_main, initial=np.inf)  # NaN propagates and fails
+    most = np.max(i_main, initial=-np.inf)
+    if not (lo * (1.0 - 1e-12) <= least and most <= hi * (1.0 + 1e-12)):
+        bad = most if lo * (1.0 - 1e-12) <= least else least
+        raise ValueError(f"i_main {bad} outside the auxiliary-on region [{lo}, {hi}]")
+    return i_main
 
 
-def itr_conv(alpha: float, i_main: float) -> float:
-    """Inverter impedance-transformation ratio, conventional combiner.
+def itr_conv(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
+    """Inverter impedance-transformation ratio, conventional combiner, at
+    ``i_main`` (a float or an array; the result has its shape).
 
     [(1+alpha) / ((2+alpha) - 2/((1+alpha)*i_main))]^2: unity at peak
     drive, monotone increasing during back-off, (1+alpha)^2 once the
@@ -152,13 +158,16 @@ def itr_conv(alpha: float, i_main: float) -> float:
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    _check_aux_on(alpha, i_main)
+    i_main = _check_aux_on(alpha, i_main)
     denom = (2.0 + alpha) - 2.0 / ((1.0 + alpha) * i_main)
-    return ((1.0 + alpha) / denom) ** 2
+    return np.square((1.0 + alpha) / denom)
 
 
-def itr_intro(alpha: float, i_main: float, r_opt: float, r_l: float) -> float:
-    """Inverter ITR of the output-side-transforming combiner.
+def itr_intro(
+    alpha: float, i_main: float | np.ndarray, r_opt: float, r_l: float
+) -> float | np.ndarray:
+    """Inverter ITR of the output-side-transforming combiner, at ``i_main``
+    (a float or an array; the result has its shape).
 
     beta = R_opt/(2*R_L) * itr_conv; the reported ratio is max(beta,
     1/beta) so it is always >= 1.  The R_opt/(2*R_L) factor breaks the
@@ -168,7 +177,7 @@ def itr_intro(alpha: float, i_main: float, r_opt: float, r_l: float) -> float:
     if r_opt <= 0 or r_l <= 0:
         raise ValueError("r_opt and r_l must be positive")
     beta = r_opt / (2.0 * r_l) * itr_conv(alpha, i_main)
-    return max(beta, 1.0 / beta)
+    return np.maximum(beta, 1.0 / beta)
 
 
 class ZeroItrResult(NamedTuple):

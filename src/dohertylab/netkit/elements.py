@@ -90,10 +90,10 @@ class Element:
         """Add the element's entries to matrix ``A`` and right-hand side ``b``."""
         raise NotImplementedError
 
-    def readback(self, x, t: list[int], a: range, freq: Freq) -> tuple[tuple, float | np.ndarray]:
-        """(branch currents, absorbed average power) from the solution ``x``,
-        indexed by unknown on its first axis; currents flow into the first
-        node of each terminal pair."""
+    def readback(self, x, t: list[int], a: range, freq: Freq) -> tuple[tuple, np.ndarray]:
+        """(branch currents, absorbed average power) from the solutions
+        ``x``, indexed by unknown on the first axis, each of the shape of
+        ``x[i]``; currents flow into the first node of each terminal pair."""
         raise NotImplementedError
 
 
@@ -299,7 +299,7 @@ class IdealTransformer(Element):
 
     def readback(self, x, t, a, freq):
         j = x[a[0]]
-        return (self.n * j, -j), 0.0  # lossless by construction
+        return (self.n * j, -j), np.zeros(j.shape)  # lossless by construction
 
 
 @dataclass(frozen=True)
@@ -392,7 +392,7 @@ class CurrentSource(Element):
 
     def readback(self, x, t, a, freq):
         # a source delivers power; the solver books it with the ports
-        return (self.amps,), 0.0
+        return (np.full(x.shape[1:], self.amps),), np.zeros(x.shape[1:])
 
 
 Component = (

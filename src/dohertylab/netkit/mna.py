@@ -1,9 +1,9 @@
 """Complex-valued modified nodal analysis at one operating point or over a sweep.
 
-Two entries share one assembly and one solution-acceptance check:
-:func:`solve` solves one operating point and reports it per node and per
-element, :func:`solve_columns` factors the matrix once for K drive
-columns and reports arrays with one entry per column.  Given an array of
+:func:`solve_columns` factors the matrix once for K drive columns and
+reports arrays with one entry per column; :func:`solve` is its
+one-column case with every element probed, reported per node and per
+element in Python numbers.  One readback serves both.  Given an array of
 frequencies or of element values (or both, one entry per point),
 :func:`solve_columns` validates and numbers the netlist once, stamps the
 points ``CHUNK`` at a time into a point-major (V, n, n) stack, solves
@@ -63,11 +63,13 @@ class SingularSystemError(RuntimeError):
 
 @dataclass
 class AnalysisResult:
-    """Solution of one AC operating point.
+    """Solution of one AC operating point, per node and per element: the
+    one column of ``columns`` (see :func:`solve`) as Python numbers.
 
     ``branch_currents`` maps element name to per-winding/per-port currents
     flowing *into* the element at its first node of each terminal pair.
-    Powers are time-averaged watts.
+    ``element_power`` covers every element but the load termination, whose
+    power is ``load_power``.  Powers are time-averaged watts.
     """
 
     freq: float
@@ -77,6 +79,7 @@ class AnalysisResult:
     port_injected_power: dict[str, float]
     load_power: float
     kcl_residual: float
+    columns: ColumnsResult = field(repr=False, compare=False)
 
     def port_voltage(self, netlist: Netlist, port: str) -> complex:
         plus, minus = netlist.ports[port]
@@ -86,10 +89,8 @@ class AnalysisResult:
         return sum(self.port_injected_power.values())
 
     def passive_efficiency(self) -> float:
-        """Fraction of the injected power that reaches the load port's
-        termination; NaN when no power is injected."""
-        injected = self.total_injected()
-        return self.load_power / injected if injected > 0 else math.nan
+        """:meth:`ColumnsResult.passive_efficiency` of the one column."""
+        return self.columns.passive_efficiency().item()
 
     def total_dissipated(self) -> float:
         return sum(self.element_power.values())
@@ -109,9 +110,11 @@ class ColumnsResult:
     At one point ``x`` holds the unknowns with the ground row (zero)
     last, shape (n+1, K), and every other array has one entry per column.
     Over a sweep every other array is (V, K) and ``x`` is None.
-    ``injected_power`` counts the driven ports and the current-source
-    elements.  ``node_voltages`` and ``branch_currents`` (as in
-    :class:`AnalysisResult`) cover the probed elements.  Powers are
+    ``injected_power`` totals ``port_injected_power``: the driven ports'
+    and, as ``source:<name>``, the current sources'.  ``node_voltages``,
+    ``branch_currents`` (as in :class:`AnalysisResult`) and
+    ``element_power`` cover the probed elements, the last leaving out the
+    load termination, whose power is ``load_power``.  Powers are
     time-averaged watts.
     """
 
@@ -123,6 +126,8 @@ class ColumnsResult:
     kcl_residual: np.ndarray
     node_voltages: dict[str, np.ndarray] = field(default_factory=dict)
     branch_currents: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
+    element_power: dict[str, np.ndarray] = field(default_factory=dict)
+    port_injected_power: dict[str, np.ndarray] = field(default_factory=dict)
 
     def passive_efficiency(self) -> np.ndarray:
         """Fraction of the injected power that reaches the load port's
@@ -171,17 +176,14 @@ class MnaSystem:
         currents, the shape is (size, ``columns``) and the sources are in
         every column.
         """
-        if columns is None:
-            b = self.source_rhs.copy()
-        else:
-            b = np.repeat(self.source_rhs[:, None], columns, axis=1)
+        b = np.repeat(self.source_rhs[:, None], columns or 1, axis=1)
         for port, current in drives.items():
             if port not in self.netlist.ports:
                 raise ValueError(f"unknown port '{port}'")
             plus, minus = self.netlist.ports[port]
             b[self.node_index[plus]] += current
             b[self.node_index[minus]] -= current
-        return b[:-1]
+        return b[:-1] if columns else b[:-1, 0]
 
     def matrices(self, freq, points: int) -> np.ndarray:
         """The (points, size, size) matrices at ``freq``, a float or one
@@ -275,26 +277,12 @@ def _diagnose_singular(system: MnaSystem) -> SingularSystemError:
     )
 
 
-def _assembled(
-    netlist: Netlist, freq: float, drives: dict, columns: int | None
-) -> tuple[MnaSystem, np.ndarray]:
-    """The system at ``freq`` and its (size, K) right-hand side, K being
-    ``columns`` or 1 for scalar drives."""
-    system = assemble(netlist, freq)
-    if not drives and not any(e.component.source for e in netlist.elements):
-        raise ValueError("no excitation: provide port currents or source elements")
-    rhs = system.rhs(drives, columns)
-    return system, rhs.reshape(len(rhs), -1)
-
-
-def _solve_one(
-    system: MnaSystem, rhs: np.ndarray, rel_tol: float | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve_one(system: MnaSystem, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve at ``system``'s frequency: the solution with the ground row
     (zero) appended, (size+1, K), and the residuals of :func:`_accepted`."""
     x = np.zeros((system.size + 1, rhs.shape[1]), dtype=complex)
     x[:-1] = _lapack(system.matrix, rhs)
-    return x, _accepted(system, system.matrix, x[:-1], rhs, rel_tol)
+    return x, _accepted(system, system.matrix, x[:-1], rhs, RESIDUAL_TOL)
 
 
 def _solved_chunks(
@@ -389,12 +377,24 @@ def solve(
 
     ``excitations`` maps port names to complex peak currents injected into
     the port plus node.  Current-source elements in the netlist contribute
-    as well.  Raises :class:`SingularSystemError` on degenerate systems.
+    as well.  This is :func:`solve_columns` for one column with every
+    element probed, read per node and per element.  Raises
+    :class:`SingularSystemError` on degenerate systems.
     """
-    excitations = dict(excitations or {})
-    system, rhs = _assembled(netlist, freq, excitations, None)
-    x, kcl_residual = _solve_one(system, rhs, RESIDUAL_TOL)
-    return _package(system, excitations, x[:, 0], float(kcl_residual[0]))
+    drives = {port: [current] for port, current in (excitations or {}).items()}
+    res = solve_columns(netlist, freq, drives, probes={e.name for e in netlist.elements})
+    node_voltages = {nd: v.item() for nd, v in res.node_voltages.items()}
+    node_voltages.setdefault(netlist.ground, 0j)  # reached only through a line
+    return AnalysisResult(
+        res.freq,
+        node_voltages,
+        {e: tuple(c.item() for c in i) for e, i in res.branch_currents.items()},
+        {e: p.item() for e, p in res.element_power.items()},
+        {key: p.item() for key, p in res.port_injected_power.items()},
+        res.load_power.item(),
+        res.kcl_residual.item(),
+        res,
+    )
 
 
 def solve_columns(
@@ -409,9 +409,9 @@ def solve_columns(
 
     ``drives`` maps port names to 1-D arrays of K complex peak currents,
     column k of every array making one operating point; current-source
-    elements contribute to every column.  Each column passes the same
-    acceptance check as :func:`solve`, and agrees with it.  The elements
-    named in ``probes`` read back their branch currents and node voltages.
+    elements contribute to every column.  Each column is accepted on its
+    own KCL residual.  The elements named in ``probes`` read back their
+    node voltages, branch currents and absorbed power.
 
     A sweep solves the same K columns at each of V points on one netlist
     layout, with a leading point axis on the result: ``freq`` as a 1-D
@@ -429,105 +429,77 @@ def solve_columns(
         raise ValueError(f"unknown element among probes {sorted(probes)}")
     # isinstance first: np.ndim of a float costs about 1 us a solve
     one_freq = isinstance(freq, (int, float)) or np.ndim(freq) == 0
-    if one_freq and not values:
-        system, rhs = _assembled(netlist, freq, drives, columns)
-        x, kcl_residual = _solve_one(system, rhs, RESIDUAL_TOL)
-        voltages, load, injected, nodes, currents = _readback(system, drives, x, freq, probes)
-        return ColumnsResult(freq, x, voltages, load, injected, kcl_residual, nodes, currents)
-
     freqs = float(freq) if one_freq else _sweep_frequencies(freq)
-    system, rhs = _assembled(netlist, freqs if one_freq else float(freqs[0]), drives, columns)
+    system = assemble(netlist, freq if one_freq else float(freqs[0]))
+    if not drives and not any(e.component.source for e in netlist.elements):
+        raise ValueError("no excitation: provide port currents or source elements")
+    rhs = system.rhs(drives, columns)
+    if one_freq and not values:
+        x, kcl_residual = _solve_one(system, rhs)
+        read = _readback(system, drives, x, freq, probes)
+        return ColumnsResult(freq, x, kcl_residual=kcl_residual, **read)
+
     swept, points = _swept_values(netlist, values or {}, None if one_freq else len(freqs))
-    shape = (points, columns)
-    voltages = {port: np.empty(shape, dtype=complex) for port in netlist.ports}
-    nodes = {nd: np.empty(shape, dtype=complex) for p in probes for nd in netlist.element(p).nodes}
-    currents = {}
     by_column = {port: i[:, None] for port, i in drives.items()}
-    load, injected, kcl_residual = np.empty(shape), np.empty(shape), np.empty(shape)
+    whole = None
     chunks = _solved_chunks(system, rhs, RESIDUAL_TOL, points, freqs, swept)
     for rows, chunk, at, x, relative in chunks:
         # unknowns first and points last, so that values per point
         # broadcast over the K drive columns; each result is (K, f)
         read = _readback(chunk, by_column, x.transpose(1, 2, 0), at, probes)
-        for into, part in ((voltages, read[0]), (nodes, read[3])):
-            for key, v in part.items():
-                into[key][rows] = v.T
-        for name, part in read[4].items():
-            into = currents.setdefault(name, tuple(np.empty(shape, dtype=complex) for _ in part))
-            for whole, v in zip(into, part):
-                whole[rows] = np.transpose(v)
-        load[rows], injected[rows], kcl_residual[rows] = read[1].T, read[2].T, relative
-    return ColumnsResult(freqs, None, voltages, load, injected, kcl_residual, nodes, currents)
+        read["kcl_residual"] = relative.T
+        whole = _gathered(whole, read, rows, (points, columns))
+    return ColumnsResult(freqs, None, **whole)
+
+
+def _gathered(whole, part, rows: slice, shape: tuple[int, int]):
+    """``whole`` (None before the first chunk) with a chunk's readback
+    ``part`` written to ``rows`` of its (V, K) arrays; ``part`` holds
+    (K, f) arrays in dicts and tuples as ``whole`` does."""
+    if isinstance(part, dict):
+        return {k: _gathered(whole and whole[k], v, rows, shape) for k, v in part.items()}
+    if isinstance(part, tuple):
+        return tuple(_gathered(whole and whole[j], v, rows, shape) for j, v in enumerate(part))
+    if whole is None:
+        whole = np.empty(shape, dtype=part.dtype)
+    whole[rows] = part.T
+    return whole
 
 
 def _readback(
     system: MnaSystem, drives: dict[str, np.ndarray], x: np.ndarray, freq, probes=()
-) -> tuple[dict, np.ndarray, np.ndarray, dict, dict]:
-    """Port voltages, load and injected power (driven ports and current
-    sources), and the ``probes``' node voltages and branch currents, of
-    the solutions ``x``, indexed by unknown on the first axis; ``freq``
-    and the element values broadcast against ``x[i]``."""
+) -> dict:
+    """The :class:`ColumnsResult` fields of the solutions ``x``, indexed by
+    unknown on the first axis, other than ``freq``, ``x`` and
+    ``kcl_residual``: port voltages, the power each driven port and
+    current source injects and their total, load power, and the
+    ``probes``' node voltages, branch currents and absorbed power (the
+    load termination's is the load power).  ``freq`` and the element
+    values broadcast against ``x[i]``."""
     netlist, index = system.netlist, system.node_index
     port_voltages = {
         port: x[index[plus]] - x[index[minus]] for port, (plus, minus) in netlist.ports.items()
     }
-    injected = np.zeros(x.shape[1:])
-    for port, current in drives.items():
-        injected += 0.5 * (port_voltages[port] * current.conjugate()).real
+    injected = {p: 0.5 * (port_voltages[p] * i.conjugate()).real for p, i in drives.items()}
     loads = {e.name for e in netlist.load_terminations()}
     load_power = np.zeros(x.shape[1:])
-    nodes, currents = {}, {}
+    nodes, currents, powers = {}, {}, {}
     for e, t, a in system.slots:
-        if e.name in probes:
-            currents[e.name] = e.component.readback(x, t, a, freq)[0]
+        probed = e.name in probes
+        if not (probed or e.name in loads or e.component.source):
+            continue
+        branch, p = e.component.readback(x, t, a, freq)
+        if probed:
+            currents[e.name] = branch
             nodes.update((nd, x[index[nd]]) for nd in e.nodes)
         if e.name in loads:
-            load_power += e.component.readback(x, t, a, freq)[1]
-        elif e.component.source:
-            (current,), _ = e.component.readback(x, t, a, freq)
-            injected += 0.5 * ((x[t[0]] - x[t[1]]) * current.conjugate()).real
-    return port_voltages, load_power, injected, nodes, currents
-
-
-def _package(
-    system: MnaSystem,
-    excitations: dict[str, complex],
-    x: np.ndarray,
-    kcl_residual: float,
-) -> AnalysisResult:
-    netlist, index = system.netlist, system.node_index
-    v = x.tolist()
-    node_voltages = {n: v[i] for n, i in index.items()}
-
-    branch_currents: dict[str, tuple[complex, ...]] = {}
-    element_power: dict[str, float] = {}
-    loads = {e.name for e in netlist.load_terminations()}
-    load_power = 0.0
-    sources: dict[str, float] = {}
-    for e, t, a in system.slots:
-        currents, p = e.component.readback(v, t, a, system.freq)
-        branch_currents[e.name] = currents
-        if e.name in loads:
             load_power += p
-        else:
-            element_power[e.name] = p
+        elif probed:
+            powers[e.name] = p
         if e.component.source:
-            dv = v[t[0]] - v[t[1]]
-            sources[f"source:{e.name}"] = 0.5 * (dv * currents[0].conjugate()).real
-
-    port_injected: dict[str, float] = {}
-    for port, current in excitations.items():
-        plus, minus = netlist.ports[port]
-        vp = v[index[plus]] - v[index[minus]]
-        port_injected[port] = 0.5 * (vp * current.conjugate()).real
-    port_injected.update(sources)
-
-    return AnalysisResult(
-        freq=system.freq,
-        node_voltages=node_voltages,
-        branch_currents=branch_currents,
-        element_power=element_power,
-        port_injected_power=port_injected,
-        load_power=load_power,
-        kcl_residual=kcl_residual,
-    )
+            dv = x[t[0]] - x[t[1]]
+            injected[f"source:{e.name}"] = 0.5 * (dv * branch[0].conjugate()).real
+    total = sum(injected.values(), np.zeros(x.shape[1:]))
+    return dict(port_voltages=port_voltages, load_power=load_power, injected_power=total,
+                node_voltages=nodes, branch_currents=currents, element_power=powers,
+                port_injected_power=injected)

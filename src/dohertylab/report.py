@@ -138,10 +138,9 @@ def pa_sim_rows(sim: PASimResult) -> np.ndarray:
 
 def itr_curve_rows(alpha: float, r_opt: float, r_l: float, n_points: int = 121) -> np.ndarray:
     """One row per point in ``ITR_COLUMNS`` order, from peak drive down to
-    the auxiliary turn-on point; each cell from the scalar closed forms."""
-    lo = 2.0 / (1.0 + alpha) ** 2
-    hi = 2.0 / (1.0 + alpha)
-    rows = [
+    the auxiliary turn-on point; one call per closed form."""
+    i_main = np.linspace(2.0 / (1.0 + alpha) ** 2, 2.0 / (1.0 + alpha), n_points)[::-1]
+    return np.column_stack(
         [
             pbo_level(alpha, i_main),
             i_main,
@@ -149,6 +148,4 @@ def itr_curve_rows(alpha: float, r_opt: float, r_l: float, n_points: int = 121) 
             itr_conv(alpha, i_main),
             itr_intro(alpha, i_main, r_opt, r_l),
         ]
-        for i_main in np.linspace(lo, hi, n_points)[::-1]
-    ]
-    return np.array(rows, dtype=float)
+    )

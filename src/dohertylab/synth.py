@@ -236,7 +236,18 @@ def synth_transformer_combiner(
         raise ValueError(f"k1 must lie in (0, 1), got {k1}")
     if c_pad < 0:
         raise ValueError(f"c_pad must be >= 0, got {c_pad}")
+    try:
+        return _transformer_combiner(cfg, n1, k1, n2, c_pad)
+    except OverflowError:
+        # a ratio of two free parameters squared left float range; the
+        # parameter farthest from 1 made it
+        name, val = max((("n1", n1), ("k1", k1), ("n2", n2)), key=lambda p: abs(math.log(p[1])))
+        raise ValueError(f"{name} = {val} overflows the closed-form synthesis") from None
 
+
+def _transformer_combiner(
+    cfg: DohertyConfig, n1: float, k1: float, n2: float, c_pad: float
+) -> TransformerCombinerDesign:
     w = 2.0 * math.pi * cfg.f0
     r_opt, r_l = cfg.r_opt, cfg.r_l
     root_2rr = math.sqrt(2.0 * r_opt * r_l)

@@ -644,3 +644,31 @@ def test_commands_create_nested_output_dir(design_path, tmp_path, capsys):
     code, _, _ = run(["analyze", design_path, "--mode", "itr-curves", "--out-dir", str(out_dir)],
                      capsys)
     assert code == 0 and (out_dir / "itr_curves.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["synth"], ["analyze", "--mode", "load-mod"]])
+@pytest.mark.parametrize(
+    "section,value",
+    [("config", 5), ("config", None), ("free_params", 5), ("q_budget", None), ("parasitics", [1])],
+    ids=["config-5", "config-null", "free_params-5", "q_budget-null", "parasitics-list"],
+)
+def test_non_object_design_section_exits_2(section, value, argv, tmp_path, capsys):
+    p = tmp_path / "design.json"
+    p.write_text(json.dumps({**PROTO_DESIGN, section: value}))
+    out_dir = tmp_path / "out"
+    code, _, err = run([argv[0], str(p), *argv[1:], "--out-dir", str(out_dir)], capsys)
+    assert_one_json_error(code, err, f"key '{section}' in design must be an object")
+    assert json.loads(err)["key"] == section
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [["synth"], ["analyze", "--mode", "load-mod"]])
+@pytest.mark.parametrize("key,value", [("n1", 1e-300), ("n1", 1e300), ("k1", 1e-200)])
+def test_overflowing_transformer_parameter_exits_2(key, value, argv, tmp_path, capsys):
+    doc = {**PROTO_DESIGN, "free_params": {**PROTO_DESIGN["free_params"], key: value}}
+    p = tmp_path / "design.json"
+    p.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, _, err = run([argv[0], str(p), *argv[1:], "--out-dir", str(out_dir)], capsys)
+    assert_one_json_error(code, err, f"{key} = {value} overflows")
+    assert not out_dir.exists()

@@ -77,6 +77,41 @@ def test_closed_forms_reject_out_of_range_array_element():
         pbo_level(1.0, np.array([0.5, 0.0, 1.0]))
 
 
+def _aux_on_grid(alpha, fractions) -> list[float]:
+    lo, hi = 2.0 / (1.0 + alpha) ** 2, 2.0 / (1.0 + alpha)
+    return [lo + f * (hi - lo) for f in fractions] + [lo, hi]
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=alphas, fractions=fractions, r_opt=st.floats(min_value=10.0, max_value=200.0))
+def test_itr_closed_forms_on_arrays_match_scalar_calls(alpha, fractions, r_opt):
+    i_main = np.array(_aux_on_grid(alpha, fractions))
+    conv = itr_conv(alpha, i_main)
+    intro = itr_intro(alpha, i_main, r_opt, 50.0)
+    assert conv.shape == intro.shape == i_main.shape
+    assert conv.tobytes() == np.array([itr_conv(alpha, float(i)) for i in i_main]).tobytes()
+    scalar = [itr_intro(alpha, float(i), r_opt, 50.0) for i in i_main]
+    assert intro.tobytes() == np.array(scalar).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=alphas,
+    fractions=fractions,
+    where=st.integers(min_value=0, max_value=20),
+    bad=st.sampled_from(["below", "above", "nan"]),
+)
+def test_itr_closed_forms_reject_out_of_range_array_element(alpha, fractions, where, bad):
+    i_main = _aux_on_grid(alpha, fractions)
+    lo, hi = i_main[-2:]
+    value = {"below": lo * (1.0 - 1e-9), "above": hi * (1.0 + 1e-9), "nan": math.nan}[bad]
+    i_main.insert(where % (len(i_main) + 1), value)
+    with pytest.raises(ValueError, match=f"i_main {value} outside"):
+        itr_conv(alpha, np.array(i_main))
+    with pytest.raises(ValueError, match=f"i_main {value} outside"):
+        itr_intro(alpha, np.array(i_main), 41.3, 50.0)
+
+
 def test_current_profile_anchors():
     assert current_profile(1.0, 1.0) == pytest.approx(1.0)
     assert current_profile(1.0, 0.25) == 0.0

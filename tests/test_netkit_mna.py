@@ -887,3 +887,46 @@ def test_one_lapack_call_per_swept_value(tf_net, proto_cfg, monkeypatch):
     solve_columns(tf_net, proto_cfg.f0, {"main": np.ones(2)},
                   {"C1": {"farads": tf_net.element("C1").component.farads * np.ones(7)}})
     assert shapes == [((n, n), (n, 2))] * 7
+
+
+def every_kind_net() -> Netlist:
+    """One element of every kind, a current source and a terminated load port."""
+    net = Netlist(f0=1e9)
+    net.add("L1", Inductor(2e-9, q=30.0), "a", "b")
+    net.add("C1", Capacitor(1e-12, q=50.0), "b", "0")
+    net.add("I1", CurrentSource(0.05 + 0.2j), "b", "0")
+    net.add("X1", IdealTransformer(1.5), "b", "0", "c", "0")
+    net.add("R1", Resistor(200.0), "c", "0")
+    net.add("K1", CoupledInductors(3e-9, n=1.2, k=0.8, q=40.0), "c", "0", "d", "0")
+    net.add("TL1", TransmissionLine(50.0, 60.0, 1e9, loss_db_per_quarter=0.1), "d", "out")
+    net.add("RL", Resistor(50.0), "out", "0")
+    net.add_port("in", "a")
+    net.add_port("load", "out")
+    net.load_port = "load"
+    return net
+
+
+def test_solve_reads_every_element_kind():
+    net = every_kind_net()
+    r = solve(net, 1.1e9, {"in": 0.5 + 0.2j})
+    assert r.power_balance_residual() <= 1e-12
+    assert set(r.node_voltages) == {"a", "b", "c", "d", "out", "0"}
+    assert set(r.branch_currents) == {"L1", "C1", "I1", "X1", "R1", "K1", "TL1", "RL"}
+    assert set(r.element_power) == {"L1", "C1", "I1", "X1", "R1", "K1", "TL1"}
+    assert set(r.port_injected_power) == {"in", "source:I1"}
+    columns = solve_columns(net, 1.1e9, {"in": [0.5 + 0.2j]})
+    assert r.passive_efficiency() == columns.passive_efficiency()[0]
+    assert 0 < r.passive_efficiency() < 1
+    values = [*r.node_voltages.values(), *r.element_power.values(), r.load_power]
+    values += [i for currents in r.branch_currents.values() for i in currents]
+    assert {type(v) for v in values} <= {float, complex}
+
+
+def test_solve_keeps_ground_reached_only_through_a_line():
+    net = Netlist(f0=1e9)
+    net.add("TL1", TransmissionLine(50.0, 30.0, 1e9), "a", "b")
+    net.add("R1", Resistor(75.0), "a", "b")
+    net.add_port("in", "a")
+    r = solve(net, 1e9, {"in": 1.0})
+    assert set(r.node_voltages) == {"a", "b", "0"} and r.node_voltages["0"] == 0j
+    assert r.power_balance_residual() <= 1e-12

@@ -98,6 +98,16 @@ def test_transformer_requires_symmetric_split():
         synth_transformer_combiner(cfg)
 
 
+@pytest.mark.parametrize(
+    "free,name", [({"n1": 1e-300}, "n1"), ({"n1": 1e300}, "n1"), ({"k1": 1e-200}, "k1")]
+)
+def test_transformer_overflowing_parameter_rejected(free, name):
+    # a squared ratio of these parameters leaves float range
+    cfg = DohertyConfig(alpha=1.0, r_opt=41.3, r_l=50.0, f0=37e9)
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        synth_transformer_combiner(cfg, **free)
+
+
 def test_transformer_k2_in_unit_interval_randomized():
     rng = np.random.default_rng(7)
     for _ in range(2000):
