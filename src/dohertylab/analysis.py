@@ -1,10 +1,12 @@
 """Verification and analysis harness.
 
-Everything here drives the MNA engine against a combiner netlist: input
-phase alignment, load-modulation sweeps, passive efficiency versus
-back-off and frequency, bandwidth extraction, behavioral PA simulation
-with current cells, and the inverter-face impedance probe used to
-cross-check the closed-form transformation ratios.
+Everything here drives the MNA engine against a combiner netlist with
+the ports ``main``, ``aux`` and ``load`` that ``to_netlist`` gives it,
+the aux drive being the phase reference: input phase alignment,
+load-modulation sweeps, passive efficiency versus back-off and
+frequency, bandwidth extraction, behavioral PA simulation with current
+cells, and the inverter-face impedance probe used to cross-check the
+closed-form transformation ratios.
 """
 
 from __future__ import annotations
@@ -59,14 +61,14 @@ class DegenerateTransferError(RuntimeError):
     """Transfer from a source port to the load is numerically zero."""
 
 
-def _terminated_copy(netlist: Netlist, ports: list[str], ohms: float | None) -> Netlist:
-    """Copy with a resistor across each of ``ports``: ``ohms``, or by
-    default the load termination's value (50 ohm without one)."""
+def _terminated_copy(netlist: Netlist, ohms: float | None) -> Netlist:
+    """Copy with a resistor across the ``main`` and ``aux`` ports: ``ohms``,
+    or by default the load termination's value (50 ohm without one)."""
     if ohms is None:
         loads = netlist.load_terminations()
         ohms = loads[0].component.ohms if loads else 50.0
     work = netlist.copy()
-    for p in ports:
+    for p in ("main", "aux"):
         plus, minus = work.ports[p]
         work.add(f"__offs_term_{p}", Resistor(ohms), plus, minus)
     return work
@@ -75,36 +77,33 @@ def _terminated_copy(netlist: Netlist, ports: list[str], ohms: float | None) -> 
 def required_phase_offset(
     netlist: Netlist,
     f0: float | None = None,
-    main_port: str = "main",
-    aux_port: str = "aux",
-    load_port: str = "load",
     termination_ohms: float | None = None,
 ) -> float:
     """Main-minus-aux input phase (degrees) for in-phase combining.
 
-    Computed as arg(T_aux) - arg(T_main) from the transimpedances of each
-    source port to the load at ``f0``.  The transfer is measured with the
-    non-driven source ports resistively terminated: an ideal current
-    source at the other port would leave it open, and a quarter-wave
-    inverter maps that open into a short at the load, collapsing the raw
-    transimpedance to zero.  At center frequency the measured phase does
-    not depend on the termination value.  Raises
+    Computed as arg(T_aux) - arg(T_main) from the transimpedances of the
+    ``main`` and ``aux`` ports to the ``load`` port at ``f0``.  The
+    transfer is measured with the non-driven source ports resistively
+    terminated: an ideal current source at the other port would leave it
+    open, and a quarter-wave inverter maps that open into a short at the
+    load, collapsing the raw transimpedance to zero.  At center frequency
+    the measured phase does not depend on the termination value.  Raises
     :class:`DegenerateTransferError` when a transfer is below 1e-15 of
     the drive level.
     """
     f0 = f0 if f0 is not None else netlist.f0
-    work = _terminated_copy(netlist, [main_port, aux_port], termination_ohms)
+    work = _terminated_copy(netlist, termination_ohms)
     # column 0 drives the main port alone, column 1 the auxiliary port
-    r = solve_columns(work, f0, {main_port: np.array([1.0, 0.0]), aux_port: np.array([0.0, 1.0])})
+    r = solve_columns(work, f0, {"main": np.array([1.0, 0.0]), "aux": np.array([0.0, 1.0])})
 
     args = {}
-    for port, t in zip((main_port, aux_port), r.port_voltages[load_port]):
+    for port, t in zip(("main", "aux"), r.port_voltages["load"]):
         if abs(t) < 1e-15:
             raise DegenerateTransferError(
-                f"transfer from port '{port}' to '{load_port}' is degenerate (|T|={abs(t):.2e})"
+                f"transfer from port '{port}' to 'load' is degenerate (|T|={abs(t):.2e})"
             )
         args[port] = cmath.phase(t)
-    offset = math.degrees(args[aux_port] - args[main_port])
+    offset = math.degrees(args["aux"] - args["main"])
     return (offset + 180.0) % 360.0 - 180.0
 
 
@@ -112,9 +111,6 @@ def offset_delivered_power(
     netlist: Netlist,
     offset_deg: float,
     f0: float | None = None,
-    main_port: str = "main",
-    aux_port: str = "aux",
-    load_port: str = "load",
     termination_ohms: float | None = None,
 ) -> float:
     """Load power for unit drives at the given main-minus-aux phase.
@@ -124,10 +120,10 @@ def offset_delivered_power(
     the +-1 degree perturbation checks run against this function.
     """
     f0 = f0 if f0 is not None else netlist.f0
-    work = _terminated_copy(netlist, [main_port, aux_port], termination_ohms)
-    work.load_port = load_port
+    work = _terminated_copy(netlist, termination_ohms)
+    work.load_port = "load"
     i_main = cmath.exp(1j * math.radians(offset_deg))
-    result = solve_columns(work, f0, {main_port: np.array([i_main]), aux_port: np.array([1.0])})
+    result = solve_columns(work, f0, {"main": np.array([i_main]), "aux": np.array([1.0])})
     return float(result.load_power[0])
 
 
@@ -138,18 +134,17 @@ def offset_delivered_power(
 
 @dataclass(frozen=True)
 class DriveProfile:
-    """Grid of normalized drive currents plus the port phasing.
+    """Grid of normalized drive currents plus the main port's phase.
 
-    Port currents are i * i_max_amps * exp(j*phase); the grid is ordered
-    by rising i_main.
+    The aux drive is the phase reference: port currents are
+    i_main * exp(j*main_phase) and i_aux, in units of the peak current;
+    the grid is ordered by rising i_main.
     """
 
     i_main: np.ndarray
     i_aux: np.ndarray
     pbo_db: np.ndarray
     main_phase_deg: float
-    aux_phase_deg: float
-    i_max_amps: float = 1.0
 
     def __len__(self) -> int:
         return len(self.i_main)
@@ -171,26 +166,24 @@ def drive_profile(
     n_points: int = 21,
     i_main_min: float | None = None,
     main_phase_deg: float | None = None,
-    aux_phase_deg: float = 0.0,
-    i_max_amps: float = 1.0,
 ) -> DriveProfile:
-    """Ideal-split drive grid; phases default to the netlist's required
-    offset (main) and zero (aux).  The auxiliary turn-on level is always
-    part of the grid when it falls inside the range, so sweeps land
-    exactly on the second efficiency peak."""
+    """Ideal-split drive grid; the main phase defaults to the netlist's
+    required offset from the aux drive.  The auxiliary turn-on level is
+    always part of the grid when it falls inside the range, so sweeps
+    land exactly on the second efficiency peak."""
     if main_phase_deg is None:
         if netlist is None:
             raise ValueError("give either a netlist or an explicit main phase")
-        main_phase_deg = aux_phase_deg + required_phase_offset(netlist, cfg.f0)
+        main_phase_deg = required_phase_offset(netlist, cfg.f0)
     lo = i_main_min if i_main_min is not None else cfg.i_main_max / 100.0
     i_main = _grid_with(lo, cfg.i_main_max, n_points, cfg.i_main_turn_on)
     i_aux, pbo = current_profile(cfg.alpha, i_main), pbo_level(cfg.alpha, i_main)
-    return DriveProfile(i_main, i_aux, pbo, main_phase_deg, aux_phase_deg, i_max_amps)
+    return DriveProfile(i_main, i_aux, pbo, main_phase_deg)
 
 
 @dataclass
 class LoadModulationSweep:
-    """Per-point effective load impedances and power bookkeeping.
+    """Per-point effective load impedances and passive efficiency.
 
     ``z_aux`` is NaN where the auxiliary is off; ``y_aux`` is always
     defined (0 at an ideal open) and is the honest report in that region.
@@ -200,7 +193,6 @@ class LoadModulationSweep:
     z_main: np.ndarray
     z_aux: np.ndarray
     y_aux: np.ndarray
-    p_delivered: np.ndarray
     eta_passive: np.ndarray
 
     @property
@@ -209,14 +201,10 @@ class LoadModulationSweep:
 
 
 def peak_excitations(cfg: DohertyConfig, profile: DriveProfile) -> dict[str, complex]:
-    """Port currents at full drive with the profile's phasing."""
+    """Port currents at full drive with the profile's main phase."""
     return {
-        "main": cfg.i_main_max
-        * profile.i_max_amps
-        * cmath.exp(1j * math.radians(profile.main_phase_deg)),
-        "aux": cfg.i_aux_max
-        * profile.i_max_amps
-        * cmath.exp(1j * math.radians(profile.aux_phase_deg)),
+        "main": cfg.i_main_max * cmath.exp(1j * math.radians(profile.main_phase_deg)),
+        "aux": complex(cfg.i_aux_max),
     }
 
 
@@ -226,24 +214,19 @@ def load_modulation(
     profile: DriveProfile,
     freq: float | None = None,
 ) -> LoadModulationSweep:
-    """Effective main/aux load impedances over the drive grid at ``freq``
-    (defaults to center)."""
+    """Effective impedances at the ``main`` and ``aux`` ports over the
+    drive grid at ``freq`` (defaults to center)."""
     freq = freq if freq is not None else cfg.f0
-    scale = profile.i_max_amps
-    i_main = profile.i_main * scale * cmath.exp(1j * math.radians(profile.main_phase_deg))
+    i_main = profile.i_main * cmath.exp(1j * math.radians(profile.main_phase_deg))
     aux_on = profile.i_aux > 0.0
-    i_aux = np.where(
-        aux_on, profile.i_aux * scale * cmath.exp(1j * math.radians(profile.aux_phase_deg)), 0j
-    )
+    i_aux = np.where(aux_on, profile.i_aux, 0j)
     r = solve_columns(netlist, freq, {"main": i_main, "aux": i_aux})
     v_aux = r.port_voltages["aux"]
     z_main = r.port_voltages["main"] / i_main
     with np.errstate(divide="ignore", invalid="ignore"):
         z_aux = np.where(aux_on, v_aux / i_aux, complex(np.nan, np.nan))
         y_aux = np.where(aux_on, i_aux / v_aux, 0j)  # ideal current source off = open
-    return LoadModulationSweep(
-        profile, z_main, z_aux, y_aux, r.load_power, r.passive_efficiency()
-    )
+    return LoadModulationSweep(profile, z_main, z_aux, y_aux, r.passive_efficiency())
 
 
 def passive_eff_vs_pbo(
@@ -299,8 +282,6 @@ def bandwidth_report(
     threshold_db: float | None = None,
     window: float = 0.4,
     n_points: int = 201,
-    port: str = "main",
-    load_port: str = "load",
     f0: float | None = None,
     z_ref_ohm: float | None = None,
 ) -> BandwidthReport:
@@ -308,8 +289,8 @@ def bandwidth_report(
 
     metric "passive-efficiency": band where the efficiency stays within
     ``threshold_db`` (default 1) of its center value.  metric
-    "load-match": band where the reflection at ``port`` stays below
-    ``-threshold_db`` (default 10) return loss; the reference is
+    "load-match": band where the reflection at the ``main`` port stays
+    below ``-threshold_db`` (default 10) return loss; the reference is
     ``z_ref_ohm`` when given, else the port's own center-frequency input
     resistance.  A criterion never met at center yields a zero-width
     report, not an error.
@@ -332,7 +313,7 @@ def bandwidth_report(
             values_db = 10.0 * np.log10(eta / ref)
         meets = values_db >= -thr
     else:
-        z = sweep.port_voltages[port][:, 0] / excitations[port]
+        z = sweep.port_voltages["main"][:, 0] / excitations["main"]
         z_ref = z_ref_ohm if z_ref_ohm is not None else z[i_center].real
         gamma = (z - z_ref) / (z + z_ref)
         with np.errstate(divide="ignore"):

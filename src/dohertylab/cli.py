@@ -70,6 +70,7 @@ import numpy as np
 from . import analysis, cells, report
 from .ideal import DohertyConfig
 from .netkit import Netlist, SingularSystemError, s_parameters, write_touchstone
+from .netkit.netlist import _number
 from .synth import (
     IDENTITY_TOL,
     DesignConsistencyError,
@@ -141,31 +142,37 @@ def _section(doc: dict, name: str, allowed: set[str]) -> dict:
     return section
 
 
-def _num(doc: dict, key: str, where: str, positive: bool = True) -> float:
+def _num(doc: dict, key: str, where: str) -> float:
+    """``doc[key]`` as a positive, finite float, else exit code 2."""
     if key not in doc:
         raise _fail(f"missing key '{key}' in {where}", key=key)
-    val = doc[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
+    val = _number(doc[key])
+    if val is None:
         raise _fail(f"key '{key}' in {where} must be a number", key=key)
-    try:
-        val = float(val)
-    except OverflowError:  # an integer beyond float range
-        val = math.inf
     if not math.isfinite(val):
         raise _fail(f"key '{key}' in {where} must be finite", key=key)
-    if positive and not val > 0:
+    if not val > 0:
         raise _fail(f"key '{key}' in {where} must be positive", key=key)
     return val
 
 
-def load_design_file(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON document in the ``what`` file at ``path``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise _fail(f"design file not found: {path}")
+        raise _fail(f"{what} file not found: {path}")
     except json.JSONDecodeError as exc:
         raise _fail(f"malformed JSON in {path}: {exc}")
+
+
+def load_design_file(path: str) -> dict:
+    return design_spec(_read_json(path, "design"))
+
+
+def design_spec(doc) -> dict:
+    """The checked design spec of a parsed design file."""
     if not isinstance(doc, dict):
         raise _fail("design file must hold a JSON object")
     _check_keys(doc, {"config", "topology", "free_params", "q_budget", "parasitics"}, "design")
@@ -316,15 +323,9 @@ def cmd_synth(args) -> int:
 
 def _load_input(args) -> tuple[dict | None, Netlist | None]:
     """(design spec, netlist) from the input path; exactly one is set."""
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise _fail(f"input file not found: {args.input}")
-    except json.JSONDecodeError as exc:
-        raise _fail(f"malformed JSON in {args.input}: {exc}")
+    doc = _read_json(args.input, "input")
     if isinstance(doc, dict) and "topology" in doc:
-        return load_design_file(args.input), None
+        return design_spec(doc), None
     if isinstance(doc, dict) and "elements" in doc:
         try:
             return None, Netlist.from_json_dict(doc)

@@ -80,10 +80,6 @@ class DohertyConfig:
         """Auxiliary-device load-pull target at peak output."""
         return (1.0 + self.alpha) * self.r_opt / (2.0 * self.alpha)
 
-    @property
-    def second_peak_pbo_db(self) -> float:
-        return 20.0 * math.log10(1.0 + self.alpha)
-
 
 @dataclass(frozen=True)
 class EfficiencyCurve:

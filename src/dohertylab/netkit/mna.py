@@ -166,24 +166,18 @@ class MnaSystem:
                 names[i] = f"I({e.name})" if len(a) == 1 else f"I({e.name}:{k})"
         return names
 
-    def rhs(
-        self, drives: dict[str, complex | np.ndarray], columns: int | None = None
-    ) -> np.ndarray:
-        """Right-hand side: the current sources plus each port's drive.
-
-        With ``columns`` None every drive is a scalar and the shape is
-        (size,); otherwise every drive is a 1-D array of ``columns``
-        currents, the shape is (size, ``columns``) and the sources are in
-        every column.
-        """
-        b = np.repeat(self.source_rhs[:, None], columns or 1, axis=1)
+    def rhs(self, drives: dict[str, np.ndarray], columns: int) -> np.ndarray:
+        """Right-hand side, (size, ``columns``): the current sources in
+        every column plus each port's drive, a 1-D array of ``columns``
+        currents."""
+        b = np.repeat(self.source_rhs[:, None], columns, axis=1)
         for port, current in drives.items():
             if port not in self.netlist.ports:
                 raise ValueError(f"unknown port '{port}'")
             plus, minus = self.netlist.ports[port]
             b[self.node_index[plus]] += current
             b[self.node_index[minus]] -= current
-        return b[:-1] if columns else b[:-1, 0]
+        return b[:-1]
 
     def matrices(self, freq, points: int) -> np.ndarray:
         """The (points, size, size) matrices at ``freq``, a float or one

@@ -261,7 +261,9 @@ def _transformer_combiner(
     c5 = 1.0 / (w * z0_hp_aux)
 
     s = math.sqrt(r_opt / (2.0 * r_l))
-    k2 = (math.sqrt(n2 * n2 * s * s + 4.0) - n2 * s) / 2.0
+    # the root of k2^2 + n2 s k2 = 1 in (0, 1), in the form that does not
+    # cancel for a large n2 s
+    k2 = 2.0 / (math.sqrt(n2 * n2 * s * s + 4.0) + n2 * s)
     if not 0.0 < k2 < 1.0:
         raise DesignConsistencyError(
             f"solved coupling k2 = {k2} fell outside (0, 1); inputs "
@@ -390,52 +392,18 @@ def to_netlist(
     q_c: float = math.inf,
     include_load: bool = True,
     implementation: str = "line",
-    line_loss_db_per_quarter: float = 0.0,
 ) -> Netlist:
     """Executable netlist with ports ``main``, ``aux`` and ``load``.
 
-    Line-based designs come either as ideal/lossy transmission lines
+    Line-based designs come either as ideal transmission lines
     (``implementation="line"``) or as their lumped pi realization
-    (``"lumped-pi"``) carrying the given element Q budget.  The
+    (``"lumped-pi"``) carrying the given element Q budget; a lossy line
+    is built through :class:`TransmissionLine` or netlist JSON.  The
     transformer design is inherently lumped; ``q_l`` applies to its
     windings and ``q_c`` to C1..C5.
     """
     net = Netlist(f0=design.f0)
     g = net.ground
-
-    if isinstance(design, TwoLineDesign):
-        if implementation == "line":
-            net.add("TL1", TransmissionLine(design.z01, 90.0, design.f0,
-                                            line_loss_db_per_quarter), "main", "aux_node")
-            net.add("TL2", TransmissionLine(design.z02, 90.0, design.f0,
-                                            line_loss_db_per_quarter), "aux_node", "out")
-        elif implementation == "lumped-pi":
-            _add_pi(net, "TL1", pi_approx(design.z01, design.f0, "low-pass"),
-                    "main", "aux_node", q_l, q_c)
-            _add_pi(net, "TL2", pi_approx(design.z02, design.f0, "low-pass"),
-                    "aux_node", "out", q_l, q_c)
-        else:
-            raise ValueError(f"unknown implementation '{implementation}'")
-        return _finish(net, design.cfg.r_l, include_load, aux_node="aux_node")
-
-    if isinstance(design, ThreeLineDesign):
-        if implementation == "line":
-            net.add("TL1", TransmissionLine(design.z01, 90.0, design.f0,
-                                            line_loss_db_per_quarter), "main", "out")
-            net.add("TL2", TransmissionLine(design.z02, 90.0, design.f0,
-                                            line_loss_db_per_quarter), "aux", "mid")
-            net.add("TL3", TransmissionLine(design.z03, 90.0, design.f0,
-                                            line_loss_db_per_quarter), "mid", "out")
-        elif implementation == "lumped-pi":
-            _add_pi(net, "TL1", pi_approx(design.z01, design.f0, "low-pass"),
-                    "main", "out", q_l, q_c)
-            _add_pi(net, "TL2", pi_approx(design.z02, design.f0, "low-pass"),
-                    "aux", "mid", q_l, q_c)
-            _add_pi(net, "TL3", pi_approx(design.z03, design.f0, "high-pass"),
-                    "mid", "out", q_l, q_c)
-        else:
-            raise ValueError(f"unknown implementation '{implementation}'")
-        return _finish(net, design.cfg.r_l, include_load)
 
     if isinstance(design, TransformerCombinerDesign):
         net.add("C1", Capacitor(design.c1, q=q_c), "main", g)
@@ -447,7 +415,26 @@ def to_netlist(
         net.add("C5", Capacitor(design.c5, q=q_c), "tf2s", "out")
         return _finish(net, design.cfg.r_l, include_load)
 
-    raise TypeError(f"cannot emit a netlist for {type(design).__name__}")
+    # one (name, z0, input node, output node, pi kind) row per line
+    if isinstance(design, TwoLineDesign):
+        aux_node = "aux_node"
+        rows = [("TL1", design.z01, "main", aux_node, "low-pass"),
+                ("TL2", design.z02, aux_node, "out", "low-pass")]
+    elif isinstance(design, ThreeLineDesign):
+        aux_node = "aux"
+        rows = [("TL1", design.z01, "main", "out", "low-pass"),
+                ("TL2", design.z02, "aux", "mid", "low-pass"),
+                ("TL3", design.z03, "mid", "out", "high-pass")]
+    else:
+        raise TypeError(f"cannot emit a netlist for {type(design).__name__}")
+    if implementation not in ("line", "lumped-pi"):
+        raise ValueError(f"unknown implementation '{implementation}'")
+    for name, z0, n_in, n_out, kind in rows:
+        if implementation == "line":
+            net.add(name, TransmissionLine(z0, 90.0, design.f0), n_in, n_out)
+        else:
+            _add_pi(net, name, pi_approx(z0, design.f0, kind), n_in, n_out, q_l, q_c)
+    return _finish(net, design.cfg.r_l, include_load, aux_node)
 
 
 def transformer_combiner_explicit_netlist(

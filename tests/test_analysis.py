@@ -296,7 +296,7 @@ def test_power_bookkeeping_in_sim(proto_cfg):
     main, aux = ideal_doherty_cells(proto_cfg, v_dc=1.0)
     prof = drive_profile(proto_cfg, net, n_points=1, i_main_min=1.0)
     exc = peak_excitations(proto_cfg, prof)
-    exc = {k: v * main.i_scale / prof.i_max_amps for k, v in exc.items()}
+    exc = {k: v * main.i_scale for k, v in exc.items()}
     r = solve(net, proto_cfg.f0, exc)
     assert r.power_balance_residual() < 1e-9
 

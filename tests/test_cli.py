@@ -166,6 +166,40 @@ def test_non_finite_design_number_exits_2(topology, key, literal, tmp_path, caps
     assert payload["key"] == key
 
 
+def test_boolean_design_number_exits_2(tmp_path, capsys):
+    doc = {"config": dict(PROTO_DESIGN["config"], alpha=True), "topology": "two-line"}
+    p = tmp_path / "design.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(["synth", str(p), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["key"] == "alpha"
+    assert payload["error"] == "key 'alpha' in config must be a number"
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_parses_design_file_once(design_path, tmp_path, capsys, monkeypatch):
+    parsed = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: parsed.append(fh.name) or load(fh))
+    code, _, _ = run(["analyze", design_path, "--mode", "load-mod", "--points", "3",
+                      "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert parsed == [design_path]
+
+
+def test_transformer_with_large_n2_synthesizes(tmp_path, capsys):
+    # k2 ~ 1/(n2 s) is solved without cancellation, so the identities hold
+    doc = dict(PROTO_DESIGN, free_params={"n1": 1.0, "k1": 0.7, "n2": 1e6})
+    p = tmp_path / "design.json"
+    p.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, _, _ = run(["synth", str(p), "--out-dir", str(out_dir)], capsys)
+    assert code == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert all(i["pass"] for i in report["identities"])
+
+
 def test_internal_consistency_failure_exits_3(design_path, tmp_path, capsys, monkeypatch):
     from dohertylab import cli as cli_mod
     from dohertylab.synth import DesignConsistencyError

@@ -196,9 +196,7 @@ def _s_per_frequency(net, ports, freqs, z_ref):
     out = np.empty((len(freqs), n, n), dtype=complex)
     for fi, f in enumerate(freqs):
         system = assemble(terminated, float(f))
-        rhs = np.zeros((system.size, n), dtype=complex)
-        for k, p in enumerate(ports):
-            rhs[:, k] = system.rhs({p: 1.0})
+        rhs = system.rhs({p: np.eye(n)[k] for k, p in enumerate(ports)}, n)
         x = np.linalg.solve(system.matrix, rhs)
         x = np.vstack([x, np.zeros((1, n))])
         for j, pj in enumerate(ports):

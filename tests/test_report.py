@@ -85,9 +85,9 @@ def assert_pairs_blank_together(text, prefix):
 
 def test_load_mod_rows_blank_a_pair_with_one_nan_part():
     n = 3
-    prof = DriveProfile(np.linspace(0.5, 1.0, n), np.zeros(n), np.zeros(n), 0.0, 0.0)
+    prof = DriveProfile(np.linspace(0.5, 1.0, n), np.zeros(n), np.zeros(n), 0.0)
     z = one_nan_part()
-    sweep = LoadModulationSweep(prof, z, z, np.zeros(n, complex), np.ones(n), np.ones(n))
+    sweep = LoadModulationSweep(prof, z, z, np.zeros(n, complex), np.ones(n))
     rows = load_mod_rows(sweep)
     assert rows.shape == (n, len(SWEEP_COLUMNS)) and rows.dtype == float
     text = csv_text(SWEEP_COLUMNS, rows)

@@ -5,7 +5,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+REFERENCE_DIR = os.path.join(ROOT, "tests", "reference")
 
 
 def test_itr_study_writes_parseable_csvs(tmp_path):
@@ -37,3 +40,21 @@ def test_itr_study_writes_parseable_csvs(tmp_path):
     with open(tmp_path / "zero_itr_asymmetry.csv", newline="") as fh:
         last = list(csv.reader(fh))[-1]
     assert last[0] == "2" and last[1:] == ["", "", ""]
+
+
+@pytest.mark.parametrize("script", ["combiner_study", "itr_study"])
+def test_study_outputs_match_reference(script, tmp_path):
+    # tests/reference/<script>/ holds the script's output at its defaults and
+    # default precision; every file must come back byte for byte
+    env = dict(os.environ)
+    env.pop("DOHERTYLAB_PRECISION", None)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", f"{script}.py"), "--out-dir", str(tmp_path)],
+        check=True, capture_output=True, env=env, timeout=120,
+    )
+    reference = os.path.join(REFERENCE_DIR, script)
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(reference))
+    for name in os.listdir(reference):
+        with open(os.path.join(reference, name), "rb") as want:
+            assert (tmp_path / name).read_bytes() == want.read(), name

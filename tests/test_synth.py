@@ -92,6 +92,16 @@ def test_transformer_k2_special_case():
     assert d.k2 == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n2", [1e3, 1e6, 1e8, 1e9])
+def test_transformer_k2_root_holds_for_large_n2(proto_cfg, n2):
+    # the closed-form root of k2^2 + n2 s k2 = 1 must not cancel when n2 s is large
+    d = synth_transformer_combiner(proto_cfg, n2=n2)
+    s = math.sqrt(proto_cfg.r_opt / (2.0 * proto_cfg.r_l))
+    assert 0.0 < d.k2 < 1.0
+    assert d.k2 * d.k2 + n2 * s * d.k2 == pytest.approx(1.0, abs=1e-12)
+    assert max(d.identity_residuals.values()) < 1e-9
+
+
 def test_transformer_requires_symmetric_split():
     cfg = DohertyConfig(alpha=1.5, r_opt=40.0, r_l=50.0, f0=10e9)
     with pytest.raises(ValueError):
@@ -157,6 +167,29 @@ def test_netlist_ports_and_load(tf_net):
     assert tf_net.load_port == "load"
     names = {e.name for e in tf_net.elements}
     assert {"C1", "C2", "C3", "C4", "C5", "TF1", "TF2", "RL"} <= names
+
+
+@pytest.mark.parametrize(
+    "synth,implementation,aux,layout",
+    [
+        (synth_two_line, "line", "aux_node", [("TL1", "main", "aux_node"), ("TL2", "aux_node", "out")]),
+        (synth_two_line, "lumped-pi", "aux_node",
+         [("TL1_cin", "main", "0"), ("TL1_l", "main", "aux_node"), ("TL1_cout", "aux_node", "0"),
+          ("TL2_cin", "aux_node", "0"), ("TL2_l", "aux_node", "out"), ("TL2_cout", "out", "0")]),
+        (synth_three_line, "line", "aux",
+         [("TL1", "main", "out"), ("TL2", "aux", "mid"), ("TL3", "mid", "out")]),
+        (synth_three_line, "lumped-pi", "aux",
+         [("TL1_cin", "main", "0"), ("TL1_l", "main", "out"), ("TL1_cout", "out", "0"),
+          ("TL2_cin", "aux", "0"), ("TL2_l", "aux", "mid"), ("TL2_cout", "mid", "0"),
+          ("TL3_lin", "mid", "0"), ("TL3_c", "mid", "out"), ("TL3_lout", "out", "0")]),
+    ],
+)
+def test_line_design_netlist_layout(proto_cfg, synth, implementation, aux, layout):
+    net = to_netlist(synth(proto_cfg), implementation=implementation)
+    assert [(e.name, *e.nodes) for e in net.elements] == layout + [("RL", "out", "0")]
+    assert net.ports == {"main": ("main", "0"), "aux": (aux, "0"), "load": ("out", "0")}
+    with pytest.raises(ValueError, match="unknown implementation 'coax'"):
+        to_netlist(synth(proto_cfg), implementation="coax")
 
 
 def test_two_line_netlist_maps_load_to_half_r_opt(proto_cfg):
