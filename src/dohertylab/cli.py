@@ -7,9 +7,10 @@ analyze  design/netlist -> CSV sweeps (load-mod, pbo-eff, bandwidth,
          pa-sim, itr-curves)
 export   netlist.json -> Touchstone over a frequency grid
 
-Exit codes: 0 success, 2 input/validation failure, 3 internal-consistency
-failure (a synthesized design that fails its identities or that the
-solver rejects).  Errors are emitted as one JSON object on stderr.
+Exit codes, mapped from errors in :func:`main` alone: 0 success; 2 any
+``ValueError`` (bad input); 3 internal-consistency failure (a synthesized
+design that fails its identities, a network the solver rejects, or a
+degenerate transfer).  Errors are emitted as one JSON object on stderr.
 
 Design file schema (all units in the key names)::
 
@@ -83,15 +84,12 @@ from .synth import (
 __all__ = ["main"]
 
 
-class CliError(Exception):
-    def __init__(self, message: str, key: str | None = None, code: int = 2):
+class CliError(ValueError):
+    """Bad input to a command; ``key`` names the design-file key at fault."""
+
+    def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key
-        self.code = code
-
-
-def _fail(message: str, key: str | None = None, code: int = 2) -> CliError:
-    return CliError(message, key, code)
 
 
 #: the values each numeric flag accepts (by argparse dest), checked
@@ -116,7 +114,7 @@ def _check_flags(args) -> None:
             accepts, rule = _FLAG_DOMAINS[dest]
             if not accepts(val):
                 flag = "--" + dest.replace("_", "-")
-                raise _fail(f"{flag} must {rule}, got {val}")
+                raise CliError(f"{flag} must {rule}, got {val}")
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +127,7 @@ _TOPOLOGIES = ("two-line", "three-line", "transformer")
 def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
     for key in doc:
         if key not in allowed:
-            raise _fail(f"unknown key '{key}' in {where}", key=key)
+            raise CliError(f"unknown key '{key}' in {where}", key=key)
 
 
 def _section(doc: dict, name: str, allowed: set[str]) -> dict:
@@ -137,7 +135,7 @@ def _section(doc: dict, name: str, allowed: set[str]) -> dict:
     object of ``allowed`` keys."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
-        raise _fail(f"key '{name}' in design must be an object", key=name)
+        raise CliError(f"key '{name}' in design must be an object", key=name)
     _check_keys(section, allowed, name)
     return section
 
@@ -145,14 +143,14 @@ def _section(doc: dict, name: str, allowed: set[str]) -> dict:
 def _num(doc: dict, key: str, where: str) -> float:
     """``doc[key]`` as a positive, finite float, else exit code 2."""
     if key not in doc:
-        raise _fail(f"missing key '{key}' in {where}", key=key)
+        raise CliError(f"missing key '{key}' in {where}", key=key)
     val = _number(doc[key])
     if val is None:
-        raise _fail(f"key '{key}' in {where} must be a number", key=key)
+        raise CliError(f"key '{key}' in {where} must be a number", key=key)
     if not math.isfinite(val):
-        raise _fail(f"key '{key}' in {where} must be finite", key=key)
+        raise CliError(f"key '{key}' in {where} must be finite", key=key)
     if not val > 0:
-        raise _fail(f"key '{key}' in {where} must be positive", key=key)
+        raise CliError(f"key '{key}' in {where} must be positive", key=key)
     return val
 
 
@@ -162,9 +160,9 @@ def _read_json(path: str, what: str):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise _fail(f"{what} file not found: {path}")
+        raise CliError(f"{what} file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise _fail(f"malformed JSON in {path}: {exc}")
+        raise CliError(f"malformed JSON in {path}: {exc}")
 
 
 def load_design_file(path: str) -> dict:
@@ -174,11 +172,11 @@ def load_design_file(path: str) -> dict:
 def design_spec(doc) -> dict:
     """The checked design spec of a parsed design file."""
     if not isinstance(doc, dict):
-        raise _fail("design file must hold a JSON object")
+        raise CliError("design file must hold a JSON object")
     _check_keys(doc, {"config", "topology", "free_params", "q_budget", "parasitics"}, "design")
 
     if "config" not in doc:
-        raise _fail("missing key 'config' in design", key="config")
+        raise CliError("missing key 'config' in design", key="config")
     cfg_doc = _section(doc, "config", {"alpha", "r_opt_ohm", "r_l_ohm", "f0_hz"})
     config = DohertyConfig(
         alpha=_num(cfg_doc, "alpha", "config"),
@@ -189,7 +187,7 @@ def design_spec(doc) -> dict:
 
     topology = doc.get("topology")
     if topology not in _TOPOLOGIES:
-        raise _fail(
+        raise CliError(
             f"topology must be one of {_TOPOLOGIES}, got {topology!r}", key="topology"
         )
 
@@ -220,20 +218,17 @@ def synthesize(spec: dict):
     cfg = spec["config"]
     topo = spec["topology"]
     free = spec["free_params"]
-    try:
-        if topo == "two-line":
-            return synth_two_line(cfg)
-        if topo == "three-line":
-            return synth_three_line(cfg, z02=free.get("z02_ohm"))
-        return synth_transformer_combiner(
-            cfg,
-            n1=free.get("n1", 1.0),
-            k1=free.get("k1", 0.7),
-            n2=free.get("n2", 1.0),
-            c_pad=spec["c_pad"],
-        )
-    except ValueError as exc:
-        raise _fail(str(exc))
+    if topo == "two-line":
+        return synth_two_line(cfg)
+    if topo == "three-line":
+        return synth_three_line(cfg, z02=free.get("z02_ohm"))
+    return synth_transformer_combiner(
+        cfg,
+        n1=free.get("n1", 1.0),
+        k1=free.get("k1", 0.7),
+        n2=free.get("n2", 1.0),
+        c_pad=spec["c_pad"],
+    )
 
 
 def _components_dict(design) -> dict:
@@ -327,11 +322,8 @@ def _load_input(args) -> tuple[dict | None, Netlist | None]:
     if isinstance(doc, dict) and "topology" in doc:
         return design_spec(doc), None
     if isinstance(doc, dict) and "elements" in doc:
-        try:
-            return None, Netlist.from_json_dict(doc)
-        except (KeyError, ValueError) as exc:
-            raise _fail(f"invalid netlist JSON: {exc}")
-    raise _fail("input is neither a design file (topology) nor a netlist (elements)")
+        return None, Netlist.from_json_dict(doc)
+    raise CliError("input is neither a design file (topology) nor a netlist (elements)")
 
 
 def _config_from_flags(args, fallback_f0: float | None = None) -> DohertyConfig:
@@ -341,10 +333,10 @@ def _config_from_flags(args, fallback_f0: float | None = None) -> DohertyConfig:
         if val is None
     ]
     if missing:
-        raise _fail(f"netlist input needs {', '.join(missing)}")
+        raise CliError(f"netlist input needs {', '.join(missing)}")
     f0 = args.f0 if args.f0 is not None else fallback_f0
     if f0 is None:
-        raise _fail("missing --f0")
+        raise CliError("missing --f0")
     return DohertyConfig(alpha=args.alpha, r_opt=args.r_opt, r_l=args.r_l, f0=f0)
 
 
@@ -353,7 +345,7 @@ def cmd_analyze(args) -> int:
         if args.input is not None:
             spec, _ = _load_input(args)
             if spec is None:
-                raise _fail("itr-curves needs a design file or --alpha/--r-opt/--r-l flags")
+                raise CliError("itr-curves needs a design file or --alpha/--r-opt/--r-l flags")
             cfg = spec["config"]
         else:
             cfg = _config_from_flags(args, fallback_f0=1e9)
@@ -364,7 +356,7 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.input is None:
-        raise _fail("this mode needs a design or netlist input path")
+        raise CliError("this mode needs a design or netlist input path")
     spec, netlist = _load_input(args)
     if spec is not None:
         cfg = spec["config"]
@@ -376,6 +368,9 @@ def cmd_analyze(args) -> int:
         impl = args.implementation or ("lumped-pi" if lossy else "line")
         netlist = to_netlist(design, q_l=q_l, q_c=q_c, implementation=impl)
     else:
+        missing = [p for p in ("main", "aux", "load") if p not in netlist.ports]
+        if missing:
+            raise CliError(f"netlist input needs ports main, aux and load; missing {missing}")
         cfg = _config_from_flags(args, fallback_f0=netlist.f0)
         q_l = args.q_l
         q_c = args.q_c
@@ -392,9 +387,9 @@ def cmd_analyze(args) -> int:
 
     if args.mode == "pbo-eff":
         if args.q_l is None and spec is not None and math.isinf(spec["q_l"]):
-            raise _fail("pbo-eff needs a finite Q: pass --q-l/--q-c or a q_budget")
+            raise CliError("pbo-eff needs a finite Q: pass --q-l/--q-c or a q_budget")
         if args.compare == "two-line" and spec is None:
-            raise _fail("--compare two-line needs a design-file input")
+            raise CliError("--compare two-line needs a design-file input")
         header = ["pbo_db", "i_main", "i_aux", "eta_passive"]
         prof = analysis.drive_profile(cfg, netlist, n_points, cfg.i_main_turn_on)
         pbo, eta = analysis.passive_eff_vs_pbo(netlist, cfg, prof)
@@ -440,24 +435,20 @@ def cmd_analyze(args) -> int:
 
     if args.mode == "pa-sim":
         if args.v_dc is None:
-            raise _fail("pa-sim needs --v-dc (and --i-max unless --ideal-cells)")
+            raise CliError("pa-sim needs --v-dc (and --i-max unless --ideal-cells)")
         if args.ideal_cells:
             main_cell, aux_cell = cells.ideal_doherty_cells(cfg, args.v_dc)
         else:
             if args.i_max is None:
-                raise _fail("pa-sim with conduction-angle cells needs --i-max")
+                raise CliError("pa-sim with conduction-angle cells needs --i-max")
             turn_on = args.aux_turn_on if args.aux_turn_on is not None else cfg.i_main_turn_on * (
                 1.0 + cfg.alpha
             ) / 2.0
-            try:
-                main_cell = cells.ActiveCellModel(
-                    math.radians(args.main_phi_deg), args.i_max, args.v_dc
-                )
-                aux_cell = cells.ActiveCellModel.class_c_turn_on(
-                    turn_on, args.i_max * cfg.alpha, args.v_dc
-                )
-            except ValueError as exc:
-                raise _fail(str(exc))
+            phi = math.radians(args.main_phi_deg)
+            main_cell = cells.ActiveCellModel(phi, args.i_max, args.v_dc)
+            aux_cell = cells.ActiveCellModel.class_c_turn_on(
+                turn_on, args.i_max * cfg.alpha, args.v_dc
+            )
         grid = analysis.pa_drive_grid(cfg.alpha, n_points, args.v_min)
         sim = analysis.simulate_pa(main_cell, aux_cell, netlist, grid, args.v_dc)
         path = os.path.join(args.out_dir, "pa_sim.csv")
@@ -465,25 +456,25 @@ def cmd_analyze(args) -> int:
         print(path)
         return 0
 
-    raise _fail(f"unknown mode '{args.mode}'")
+    raise CliError(f"unknown mode '{args.mode}'")
 
 
 def cmd_export(args) -> int:
     _, netlist = _load_input(args)
     if netlist is None:
-        raise _fail("export needs a netlist JSON input")
+        raise CliError("export needs a netlist JSON input")
     ports = args.ports.split(",") if args.ports else list(netlist.ports)
     ports = [p for p in ports if p]
     if not 1 <= len(ports) <= 4:
-        raise _fail(f"supported port counts are 1..4, got {len(ports)}")
+        raise CliError(f"supported port counts are 1..4, got {len(ports)}")
     for p in ports:
         if p not in netlist.ports:
-            raise _fail(f"unknown port '{p}'")
+            raise CliError(f"unknown port '{p}'")
     f0 = netlist.f0
     f_start = args.f_start if args.f_start is not None else 0.6 * f0
     f_stop = args.f_stop if args.f_stop is not None else 1.4 * f0
     if not 0 < f_start < f_stop:
-        raise _fail("need 0 < f-start < f-stop")
+        raise CliError("need 0 < f-start < f-stop")
     freqs = np.linspace(f_start, f_stop, args.points)
     s = s_parameters(netlist, ports, freqs, z_ref=args.z_ref)
     _write(args.touchstone, write_touchstone(freqs, s, z_ref=args.z_ref))
@@ -496,8 +487,15 @@ def cmd_export(args) -> int:
 # ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a :class:`CliError` instead of exiting."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="dohertylab",
         description="Doherty power-combiner synthesis and verification",
     )
@@ -556,20 +554,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_flags(args)
         return args.func(args)
-    except CliError as exc:
-        doc = {"error": str(exc), "code": exc.code}
-        if exc.key is not None:
+    except ValueError as exc:  # CliError and NetworkTopologyError among them
+        doc = {"error": str(exc), "code": 2}
+        if getattr(exc, "key", None) is not None:
             doc["key"] = exc.key
-        print(json.dumps(doc), file=sys.stderr)
-        return exc.code
     except (DesignConsistencyError, SingularSystemError, analysis.DegenerateTransferError) as exc:
-        print(json.dumps({"error": str(exc), "code": 3}), file=sys.stderr)
-        return 3
+        doc = {"error": str(exc), "code": 3}
+    print(json.dumps(doc), file=sys.stderr)
+    return doc["code"]
 
 
 if __name__ == "__main__":

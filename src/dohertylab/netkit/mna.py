@@ -43,8 +43,8 @@ __all__ = [
     "MnaSystem",
 ]
 
-#: relative KCL residual above which a solution is rejected as unreliable
-RESIDUAL_TOL = 1e-9
+#: normwise backward error above which :func:`_accepted` rejects a solution
+BACKWARD_ERROR_TOL = 1e-12
 
 #: points stamped and checked together in a sweep: enough to spread the
 #: Python work of each stamp over many points, few enough that a dense
@@ -70,6 +70,7 @@ class AnalysisResult:
     flowing *into* the element at its first node of each terminal pair.
     ``element_power`` covers every element but the load termination, whose
     power is ``load_power``.  Powers are time-averaged watts.
+    ``kcl_residual`` is the backward error of :func:`_accepted`.
     """
 
     freq: float
@@ -115,7 +116,7 @@ class ColumnsResult:
     ``branch_currents`` (as in :class:`AnalysisResult`) and
     ``element_power`` cover the probed elements, the last leaving out the
     load termination, whose power is ``load_power``.  Powers are
-    time-averaged watts.
+    time-averaged watts.  ``kcl_residual`` is :func:`_accepted`'s.
     """
 
     freq: float | np.ndarray
@@ -253,7 +254,10 @@ def assemble(netlist: Netlist, freq: float) -> MnaSystem:
     return MnaSystem(netlist, freq, np.ascontiguousarray(A[:n, :n]), b, node_index, slots)
 
 
-def _diagnose_singular(system: MnaSystem) -> SingularSystemError:
+def _diagnose_singular(system: MnaSystem, x: np.ndarray, eta: float) -> SingularSystemError:
+    """The error for a rejected solution ``x`` of ``system``, of worst
+    backward error ``eta``: an unconstrained unknown by name, else a
+    singular matrix if ``x`` is not finite, else ``eta``."""
     A = system.matrix
     for i in range(system.size):
         if not np.any(A[i, :]) or not np.any(A[:, i]):
@@ -265,22 +269,26 @@ def _diagnose_singular(system: MnaSystem) -> SingularSystemError:
                 node=node,
                 element=element,
             )
+    if not np.isfinite(x).all():
+        return SingularSystemError(
+            "singular system: the network contains a degenerate (all-ideal) loop "
+            "or an unconstrained node"
+        )
     return SingularSystemError(
-        "singular system: the network contains a degenerate (all-ideal) loop "
-        "or an unconstrained node"
+        f"solution rejected: backward error {eta:.2e} exceeds {BACKWARD_ERROR_TOL:g}"
     )
 
 
 def _solve_one(system: MnaSystem, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve at ``system``'s frequency: the solution with the ground row
-    (zero) appended, (size+1, K), and the residuals of :func:`_accepted`."""
+    (zero) appended, (size+1, K), and the result of :func:`_accepted`."""
     x = np.zeros((system.size + 1, rhs.shape[1]), dtype=complex)
     x[:-1] = _lapack(system.matrix, rhs)
-    return x, _accepted(system, system.matrix, x[:-1], rhs, RESIDUAL_TOL)
+    return x, _accepted(system, system.matrix, x[:-1], rhs)
 
 
 def _solved_chunks(
-    system: MnaSystem, rhs: np.ndarray, rel_tol: float | None, points: int, freq, values=None
+    system: MnaSystem, rhs: np.ndarray, points: int, freq, values=None
 ) -> Iterator[tuple[slice, MnaSystem, float | np.ndarray, np.ndarray, np.ndarray]]:
     """Solve at ``points`` operating points on the layout of ``system``,
     at ``freq`` (a float or one per point) with the fields in ``values``
@@ -289,7 +297,7 @@ def _solved_chunks(
 
     Yields per chunk of f points its rows, ``system`` and ``freq`` there
     (values scalar or (f,)), the solutions with the ground row (zero)
-    appended, (f, size+1, K), and the residuals of :func:`_accepted`, (f, K).
+    appended, (f, size+1, K), and the result of :func:`_accepted`, (f, K).
     """
     for start in range(0, points, CHUNK):
         rows = slice(start, min(start + CHUNK, points))
@@ -299,7 +307,7 @@ def _solved_chunks(
         x = np.zeros((len(A), system.size + 1, rhs.shape[1]), dtype=complex)
         for j in range(len(A)):
             x[j, :-1] = _lapack(A[j], rhs)
-        yield rows, chunk, at, x, _accepted(chunk, A, x[:, :-1], rhs, rel_tol)
+        yield rows, chunk, at, x, _accepted(chunk, A, x[:, :-1], rhs)
 
 
 def _at_points(system: MnaSystem, values: dict, rows: slice) -> MnaSystem:
@@ -324,42 +332,33 @@ def _lapack(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.full(rhs.shape, math.nan)
 
 
-def _accepted(
-    system: MnaSystem,
-    A: np.ndarray,
-    x: np.ndarray,
-    rhs: np.ndarray,
-    rel_tol: float | None,
-) -> np.ndarray:
-    """Each column's KCL residual relative to its largest drive: (K,) for
-    one matrix ``A``, (f, K) for a stack of f matrices.
+def _accepted(system: MnaSystem, A: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Each column's normwise backward error: (K,) for one matrix ``A``,
+    (f, K) for a stack of f matrices.
 
-    A point is rejected when a column's residual exceeds 1e-6 of its
-    largest drive (at least 1 A), which is diagnosed as a singular system,
-    or when ``rel_tol`` is given and a relative residual exceeds it.  The
-    first rejected point raises, as a loop of single solves would.
+    With D = diag(1 / sum_j |A_ij|), which scales each row of ``A`` to
+    unit 1-norm, the backward error of a column x is
+    ||D(Ax - b)|| / (||x|| + ||Db||) in the infinity norm: the smallest
+    relative change to DA and Db that makes x exact (Rigal and Gaches,
+    1967; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 7), whatever the units of the rows.  A point is rejected when a
+    column's exceeds :data:`BACKWARD_ERROR_TOL` or is NaN; the first
+    rejected point raises, as a loop of single solves would.
     """
-    floor = np.maximum(np.abs(rhs).max(axis=0), 1e-300)
-    residual = np.abs(A @ x - rhs).max(axis=-2)
-    relative = residual / floor
-    # relative <= 1e-6 implies residual <= 1e-6 * max(|rhs|, 1): one test
-    # passes most solutions
-    if relative.max() <= (1e-6 if rel_tol is None else min(rel_tol, 1e-6)):
-        return relative
-    columns = len(floor)
-    residual, worst = residual.reshape(-1, columns), relative.reshape(-1, columns).max(axis=1)
-    singular = ~(residual <= 1e-6 * np.maximum(floor, 1.0)).all(axis=1)  # NaN fails
-    rejected = singular if rel_tol is None else singular | (worst > rel_tol)
-    if rejected.any():
-        j = int(np.argmax(rejected))
-        if not singular[j]:
-            raise SingularSystemError(
-                f"solution rejected: KCL residual {worst[j]:.2e} exceeds {rel_tol}"
-            )
+    # an empty row divides by zero, an infinite x makes inf/inf: NaN
+    # rejects both (a row sum by matrix product is the fastest on small rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = (np.abs(A) @ np.ones(A.shape[-1]))[..., None]
+        residual = (np.abs(A @ x - rhs) / rows).max(axis=-2)
+        scale = np.abs(x).max(axis=-2) + (np.abs(rhs) / rows).max(axis=-2)
+        eta = residual / np.maximum(scale, 1e-300)  # a zero column has no residual
+    accepted = eta <= BACKWARD_ERROR_TOL  # NaN fails
+    if not accepted.all():
+        j = int(np.argmin(accepted.reshape(-1, eta.shape[-1]).all(axis=1)))
         if A.ndim == 3:
-            system = replace(system, matrix=A[j])
-        raise _diagnose_singular(system)
-    return relative
+            system, x, eta = replace(system, matrix=A[j]), x[j], eta[j]
+        raise _diagnose_singular(system, x, eta.max())
+    return eta
 
 
 def solve(
@@ -404,8 +403,9 @@ def solve_columns(
     ``drives`` maps port names to 1-D arrays of K complex peak currents,
     column k of every array making one operating point; current-source
     elements contribute to every column.  Each column is accepted on its
-    own KCL residual.  The elements named in ``probes`` read back their
-    node voltages, branch currents and absorbed power.
+    own backward error (:func:`_accepted`).  The elements named in
+    ``probes`` read back their node voltages, branch currents and
+    absorbed power.
 
     A sweep solves the same K columns at each of V points on one netlist
     layout, with a leading point axis on the result: ``freq`` as a 1-D
@@ -436,12 +436,12 @@ def solve_columns(
     swept, points = _swept_values(netlist, values or {}, None if one_freq else len(freqs))
     by_column = {port: i[:, None] for port, i in drives.items()}
     whole = None
-    chunks = _solved_chunks(system, rhs, RESIDUAL_TOL, points, freqs, swept)
-    for rows, chunk, at, x, relative in chunks:
+    chunks = _solved_chunks(system, rhs, points, freqs, swept)
+    for rows, chunk, at, x, eta in chunks:
         # unknowns first and points last, so that values per point
         # broadcast over the K drive columns; each result is (K, f)
         read = _readback(chunk, by_column, x.transpose(1, 2, 0), at, probes)
-        read["kcl_residual"] = relative.T
+        read["kcl_residual"] = eta.T
         whole = _gathered(whole, read, rows, (points, columns))
     return ColumnsResult(freqs, None, **whole)
 

@@ -47,8 +47,8 @@ def s_parameters(
     Returns an array of shape (len(freqs), n, n).  The netlist is taken
     as-is; any termination that should not be part of the device must be
     left out by the caller.  The netlist is validated once and the
-    frequencies are solved as one sweep (see :mod:`.mna`), each on the
-    absolute acceptance test alone.
+    frequencies are solved as one sweep (see :mod:`.mna`), each accepted
+    on its backward error as every solve is.
     """
     if not 1 <= len(ports) <= 4:
         raise ValueError(f"supported port counts are 1..4, got {len(ports)}")
@@ -72,7 +72,7 @@ def s_parameters(
     index = system.node_index
     ends = [terminated.ports[p] for p in ports]
     s = np.empty((len(freqs), n, n), dtype=complex)
-    for rows, _, _, x, _ in _solved_chunks(system, system.rhs(drives, n), None, len(freqs), freqs):
+    for rows, _, _, x, _ in _solved_chunks(system, system.rhs(drives, n), len(freqs), freqs):
         v = np.stack([x[:, index[plus]] - x[:, index[minus]] for plus, minus in ends], axis=1)
         s[rows] = 2.0 * v / (z_ref * i0) - np.eye(n)
     return s
@@ -129,7 +129,7 @@ def write_touchstone(
     width = len(vals) if n <= 2 else 8  # 4 complex pairs per physical line
     lines = [" ".join(vals[k : k + width]) for k in range(0, len(vals), width)]
     record = "\n    ".join(["%.12e " + lines[0]] + lines[1:])
-    head = [f"! {n}-port S-parameter data", f"# GHz S RI R {z_ref:.9g}"]
+    head = [f"! {n}-port S-parameter data", f"# GHz S RI R {z_ref:.12g}"]
     return "\n".join(head + [record] * len(freqs)) % tuple(table.ravel().tolist()) + "\n"
 
 

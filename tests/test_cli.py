@@ -189,15 +189,17 @@ def test_analyze_parses_design_file_once(design_path, tmp_path, capsys, monkeypa
 
 
 def test_transformer_with_large_n2_synthesizes(tmp_path, capsys):
-    # k2 ~ 1/(n2 s) is solved without cancellation, so the identities hold
-    doc = dict(PROTO_DESIGN, free_params={"n1": 1.0, "k1": 0.7, "n2": 1e6})
-    p = tmp_path / "design.json"
-    p.write_text(json.dumps(doc))
-    out_dir = tmp_path / "out"
-    code, _, _ = run(["synth", str(p), "--out-dir", str(out_dir)], capsys)
-    assert code == 0
-    report = json.loads((out_dir / "report.json").read_text())
-    assert all(i["pass"] for i in report["identities"])
+    # k2 ~ 1/(n2 s) is solved without cancellation, so the identities hold;
+    # the matrix spans many decades, which the backward error does not judge
+    for n2 in (1e6, 1e7, 1e8, 1e9):
+        doc = dict(PROTO_DESIGN, free_params={"n1": 1.0, "k1": 0.7, "n2": n2})
+        p = tmp_path / "design.json"
+        p.write_text(json.dumps(doc))
+        out_dir = tmp_path / f"out{n2:g}"
+        code, _, _ = run(["synth", str(p), "--out-dir", str(out_dir)], capsys)
+        assert code == 0, n2
+        report = json.loads((out_dir / "report.json").read_text())
+        assert all(i["pass"] for i in report["identities"]), n2
 
 
 def test_internal_consistency_failure_exits_3(design_path, tmp_path, capsys, monkeypatch):
@@ -220,7 +222,8 @@ def assert_one_json_error_exit_3(code, err):
     assert json.loads(lines[0])["code"] == 3
 
 
-#: a near-unity coupling makes the transformer combiner's system singular
+#: a near-unity coupling leaves the transformer combiner's system too
+#: ill-conditioned to solve to a backward error of 1e-12
 SINGULAR_DESIGN = {**PROTO_DESIGN, "free_params": {"n1": 1.0, "k1": 0.999999999, "n2": 1.0}}
 
 
@@ -238,7 +241,7 @@ def test_solver_rejected_design_exits_3_without_output(argv, tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, _, err = run([argv[0], str(p), *argv[1:], "--out-dir", str(out_dir)], capsys)
     assert_one_json_error_exit_3(code, err)
-    assert "singular" in err
+    assert json.loads(err)["error"].startswith("solution rejected: backward error ")
     assert not out_dir.exists()
 
 

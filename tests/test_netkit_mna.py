@@ -574,21 +574,25 @@ def test_one_bad_column_is_rejected(two_line_net, proto_cfg, monkeypatch):
     assert np.abs(matrix @ (1e-4 * good.x[:-1, 1])).max() < 1e-9 * 1e6
 
 
-def test_s_parameters_keeps_the_absolute_check_only(two_line_net, proto_cfg, monkeypatch):
-    """A solution off by 1e-8 of the drive fails the relative test of the
-    solve entries but stays within the absolute bound S-parameters use."""
+def test_every_entry_rejects_the_same_perturbed_solution(two_line_net, proto_cfg, monkeypatch):
+    """A solution scaled by 1 + 1e-8 has a backward error of about 1e-9,
+    far above 1e-12: solve, solve_columns and s_parameters share one
+    acceptance test and all reject it."""
     exact = np.linalg.solve
 
     def off_by_1e8(a, b):
         return exact(a, b) * (1.0 + 1e-8)
 
     monkeypatch.setattr(np.linalg, "solve", off_by_1e8)
-    with pytest.raises(SingularSystemError, match="solution rejected"):
+    rejected = "solution rejected: backward error .* exceeds 1e-12"
+    with pytest.raises(SingularSystemError, match=rejected):
         solve(two_line_net, proto_cfg.f0, {"main": 1.0})
-    with pytest.raises(SingularSystemError, match="solution rejected"):
+    with pytest.raises(SingularSystemError, match=rejected):
         solve_columns(two_line_net, proto_cfg.f0, {"main": np.array([1.0, 2.0])})
-    s = s_parameters(two_line_net, ["main", "aux", "load"], [proto_cfg.f0], 50.0)
-    assert np.all(np.isfinite(s))
+    with pytest.raises(SingularSystemError, match=rejected):
+        solve_columns(two_line_net, proto_cfg.f0 * np.array([0.9, 1.1]), {"main": np.ones(1)})
+    with pytest.raises(SingularSystemError, match=rejected):
+        s_parameters(two_line_net, ["main", "aux", "load"], [proto_cfg.f0], 50.0)
 
 
 # ----------------------------------------------------------------------
