@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .ideal import (
     DohertyConfig,
     current_profile,
@@ -173,7 +174,7 @@ def drive_profile(
     land exactly on the second efficiency peak."""
     if main_phase_deg is None:
         if netlist is None:
-            raise ValueError("give either a netlist or an explicit main phase")
+            raise InputError("give either a netlist or an explicit main phase")
         main_phase_deg = required_phase_offset(netlist, cfg.f0)
     lo = i_main_min if i_main_min is not None else cfg.i_main_max / 100.0
     i_main = _grid_with(lo, cfg.i_main_max, n_points, cfg.i_main_turn_on)
@@ -301,7 +302,7 @@ def bandwidth_report(
     elif metric == "load-match":
         thr = threshold_db if threshold_db is not None else 10.0
     else:
-        raise ValueError(f"unknown metric '{metric}'")
+        raise InputError(f"unknown metric '{metric}'")
     freqs = np.linspace((1.0 - window) * f0, (1.0 + window) * f0, n_points)
     i_center = int(np.argmin(np.abs(freqs - f0)))
 
@@ -390,7 +391,7 @@ def simulate_pa(
     freq = freq if freq is not None else netlist.f0
     v = np.asarray(drive, dtype=float)
     if np.any(v < 0) or np.any(v > 1.0 + 1e-12):
-        raise ValueError("drive levels must lie in [0, 1]")
+        raise InputError("drive levels must lie in [0, 1]")
     offset = offset_deg if offset_deg is not None else required_phase_offset(netlist, freq)
     ph_main = cmath.exp(1j * math.radians(offset))
 
@@ -481,13 +482,13 @@ def inverter_face_impedances(
     if "TF1" in names:
         tf1 = netlist.element("TF1")
         if not isinstance(tf1.component, CoupledInductors):
-            raise ValueError("element TF1 is not a coupled pair")
+            raise InputError("element TF1 is not a coupled pair")
         v_main = result.node_voltages[tf1.nodes[0]]
         v_out = result.node_voltages[tf1.nodes[2]]
         i_p, i_s = result.branch_currents["TF1"]
         (i_c1,), (i_c3,) = result.branch_currents["C1"], result.branch_currents["C3"]
         return v_main / (i_p + i_c1), v_out / (-i_s - i_c3)
-    raise ValueError("netlist has neither a TL1 line nor a TF1 transformer")
+    raise InputError("netlist has neither a TL1 line nor a TF1 transformer")
 
 
 def measured_itr(netlist: Netlist, result: ColumnsResult) -> np.ndarray:
@@ -495,7 +496,7 @@ def measured_itr(netlist: Netlist, result: ColumnsResult) -> np.ndarray:
     z1, z2 = inverter_face_impedances(netlist, result)
     r1, r2 = z1.real, z2.real
     if (r1 <= 0).any() or (r2 <= 0).any():
-        raise ValueError(f"non-positive face resistances {r1.min()}, {r2.min()}")
+        raise InputError(f"non-positive face resistances {r1.min()}, {r2.min()}")
     return np.maximum(r1 / r2, r2 / r1)
 
 

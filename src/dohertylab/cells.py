@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .ideal import DohertyConfig, current_profile
 
 __all__ = ["ActiveCellModel", "IdealMainCell", "IdealAuxCell", "ideal_doherty_cells"]
@@ -38,11 +39,11 @@ class ActiveCellModel:
 
     def __post_init__(self):
         if not 0.0 < self.phi_rad <= 2.0 * math.pi:
-            raise ValueError(f"conduction angle must lie in (0, 2*pi], got {self.phi_rad}")
+            raise InputError(f"conduction angle must lie in (0, 2*pi], got {self.phi_rad}")
         if self.i_max <= 0 or self.v_dc <= 0:
-            raise ValueError("i_max and v_dc must be positive")
+            raise InputError("i_max and v_dc must be positive")
         if not 0.0 <= self.v_knee < self.v_dc:
-            raise ValueError("knee voltage must lie in [0, v_dc)")
+            raise InputError("knee voltage must lie in [0, v_dc)")
 
     @property
     def bias_class(self) -> str:
@@ -69,7 +70,7 @@ class ActiveCellModel:
         v = np.asarray(v, dtype=float)
         ok = (0.0 <= v) & (v <= 1.0 + 1e-12)
         if not ok.all():
-            raise ValueError(f"drive must lie in [0, 1], got {v[~ok][0]}")
+            raise InputError(f"drive must lie in [0, 1], got {v[~ok][0]}")
         i_q, i_p1 = self._iq_ip
         i_p = v * i_p1
         driven = i_p > 0.0
@@ -97,7 +98,7 @@ class ActiveCellModel:
         The full-drive conduction angle follows from cos(phi/2) = turn_on.
         """
         if not 0.0 < turn_on < 1.0:
-            raise ValueError(f"turn-on drive must lie in (0, 1), got {turn_on}")
+            raise InputError(f"turn-on drive must lie in (0, 1), got {turn_on}")
         return cls(2.0 * math.acos(turn_on), i_max, v_dc, v_knee)
 
 

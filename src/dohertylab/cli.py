@@ -7,10 +7,15 @@ analyze  design/netlist -> CSV sweeps (load-mod, pbo-eff, bandwidth,
          pa-sim, itr-curves)
 export   netlist.json -> Touchstone over a frequency grid
 
-Exit codes, mapped from errors in :func:`main` alone: 0 success; 2 any
-``ValueError`` (bad input); 3 internal-consistency failure (a synthesized
-design that fails its identities, a network the solver rejects, or a
-degenerate transfer).  Errors are emitted as one JSON object on stderr.
+Exit codes, mapped from errors in :func:`main` alone: 0 success; 2 bad
+input (:class:`~dohertylab.errors.InputError`); 3 internal-consistency
+failure (a synthesized design that fails its identities, a network the
+solver rejects, or a degenerate transfer).  Errors are emitted as one
+JSON object on stderr; any other error is a fault of the program and
+keeps its traceback.  ``synth`` and ``analyze`` first judge the network
+at its design frequency for every drive
+(:func:`~dohertylab.netkit.check_network`), so a network that double
+precision cannot hold exits 3 whatever the mode.
 
 Design file schema (all units in the key names)::
 
@@ -69,8 +74,9 @@ import sys
 import numpy as np
 
 from . import analysis, cells, report
+from .errors import InputError
 from .ideal import DohertyConfig
-from .netkit import Netlist, SingularSystemError, s_parameters, write_touchstone
+from .netkit import Netlist, SingularSystemError, check_network, s_parameters, write_touchstone
 from .netkit.netlist import _number
 from .synth import (
     IDENTITY_TOL,
@@ -84,7 +90,7 @@ from .synth import (
 __all__ = ["main"]
 
 
-class CliError(ValueError):
+class CliError(InputError):
     """Bad input to a command; ``key`` names the design-file key at fault."""
 
     def __init__(self, message: str, key: str | None = None):
@@ -101,7 +107,7 @@ _FLAG_DOMAINS = {
     ),
     **dict.fromkeys(("q_l", "q_c"), (lambda v: v > 0, "be positive (inf for lossless)")),
     **dict.fromkeys(("threshold_db", "main_phi_deg", "aux_turn_on"), (math.isfinite, "be finite")),
-    "points": (lambda v: v >= 1, "be at least 1"),
+    "points": (lambda v: 1 <= v <= 10**6, "lie in [1, 1000000]"),
     "window": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     "v_min": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
 }
@@ -278,6 +284,7 @@ def cmd_synth(args) -> int:
     export_net = to_netlist(design, include_load=False)
     freqs = np.linspace(0.6 * cfg.f0, 1.4 * cfg.f0, 201)
     # solved before any file is written: a solver error leaves no output
+    check_network(netlist, cfg.f0)
     s = s_parameters(export_net, ["main", "aux", "load"], freqs, z_ref=args.z_ref)
     netlist_path = os.path.join(args.out_dir, "netlist.json")
     _write(netlist_path, report.json_text(netlist.to_json_dict()))
@@ -374,6 +381,7 @@ def cmd_analyze(args) -> int:
         cfg = _config_from_flags(args, fallback_f0=netlist.f0)
         q_l = args.q_l
         q_c = args.q_c
+    check_network(netlist, cfg.f0)
 
     n_points = args.points or 41
 
@@ -558,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _check_flags(args)
         return args.func(args)
-    except ValueError as exc:  # CliError and NetworkTopologyError among them
+    except InputError as exc:  # CliError and NetworkTopologyError among them
         doc = {"error": str(exc), "code": 2}
         if getattr(exc, "key", None) is not None:
             doc["key"] = exc.key

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = ["qam64_symbols", "apply_memoryless", "evm_64qam"]
 
 
@@ -25,12 +27,12 @@ def qam64_symbols() -> np.ndarray:
 
 def _interp_checked(x: np.ndarray, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
     if levels.ndim != 1 or levels.shape != values.shape or len(levels) < 2:
-        raise ValueError("level map needs two equal-length 1-d arrays")
+        raise InputError("level map needs two equal-length 1-d arrays")
     if np.any(np.diff(levels) <= 0):
-        raise ValueError("level map drive axis must be strictly increasing")
+        raise InputError("level map drive axis must be strictly increasing")
     lo, hi = levels[0], levels[-1]
     if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
-        raise ValueError(
+        raise InputError(
             f"symbol drive range [{x.min():.4g}, {x.max():.4g}] leaves the "
             f"characterized level range [{lo:.4g}, {hi:.4g}]"
         )
@@ -65,7 +67,7 @@ def evm_64qam(
     Raises when any symbol lands outside the characterized range.
     """
     if backoff_db < 0:
-        raise ValueError(f"backoff must be >= 0 dB, got {backoff_db}")
+        raise InputError(f"backoff must be >= 0 dB, got {backoff_db}")
     s = qam64_symbols()
     v_top = float(np.asarray(am_am[0], dtype=float).max())
     drive = np.abs(s) / np.abs(s).max() * v_top * 10.0 ** (-backoff_db / 20.0)

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = [
     "DohertyConfig",
     "EfficiencyCurve",
@@ -55,7 +57,7 @@ class DohertyConfig:
             ("f0", self.f0),
         ):
             if not 0 < val < math.inf:
-                raise ValueError(f"{label} must be positive and finite, got {val}")
+                raise InputError(f"{label} must be positive and finite, got {val}")
 
     @property
     def i_main_max(self) -> float:
@@ -91,7 +93,7 @@ class EfficiencyCurve:
 
     def interp(self, pbo: float) -> float:
         if pbo < self.pbo_db.min() - 1e-12 or pbo > self.pbo_db.max() + 1e-12:
-            raise ValueError(f"back-off {pbo} dB outside curve support")
+            raise InputError(f"back-off {pbo} dB outside curve support")
         return float(np.interp(pbo, self.pbo_db, self.eta))
 
 
@@ -103,13 +105,13 @@ def current_profile(alpha: float, i_main: float | np.ndarray) -> float | np.ndar
     (1+alpha)*i_main - 2/(1+alpha); continuous at the junction.
     """
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise InputError(f"alpha must be positive, got {alpha}")
     top = 2.0 / (1.0 + alpha)
     i_main = np.asarray(i_main, dtype=float)
     lo = np.fmin.reduce(i_main, None, initial=np.inf)  # NaN passes
     hi = np.fmax.reduce(i_main, None, initial=-np.inf)
     if lo < -1e-15 or hi > top * (1.0 + 1e-12):
-        raise ValueError(f"i_main {lo if lo < 0 else hi} outside [0, {top}]")
+        raise InputError(f"i_main {lo if lo < 0 else hi} outside [0, {top}]")
     ramp = (1.0 + alpha) * i_main - 2.0 / (1.0 + alpha)
     return np.where(i_main < 2.0 / (1.0 + alpha) ** 2, 0.0, ramp)[()]
 
@@ -117,11 +119,11 @@ def current_profile(alpha: float, i_main: float | np.ndarray) -> float | np.ndar
 def pbo_level(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
     """Output back-off in dB at ``i_main``, a float or an array: 20*log10(2/((1+alpha)*i_main))."""
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise InputError(f"alpha must be positive, got {alpha}")
     i_main = np.asarray(i_main, dtype=float)
     lo = np.fmin.reduce(i_main, None, initial=np.inf)  # NaN passes
     if lo <= 0:
-        raise ValueError(f"i_main must be positive, got {lo}")
+        raise InputError(f"i_main must be positive, got {lo}")
     return 20.0 * np.log10(2.0 / ((1.0 + alpha) * i_main))
 
 
@@ -140,7 +142,7 @@ def _check_aux_on(alpha: float, i_main: float | np.ndarray) -> np.ndarray:
     most = np.max(i_main, initial=-np.inf)
     if not (lo * (1.0 - 1e-12) <= least and most <= hi * (1.0 + 1e-12)):
         bad = most if lo * (1.0 - 1e-12) <= least else least
-        raise ValueError(f"i_main {bad} outside the auxiliary-on region [{lo}, {hi}]")
+        raise InputError(f"i_main {bad} outside the auxiliary-on region [{lo}, {hi}]")
     return i_main
 
 
@@ -153,7 +155,7 @@ def itr_conv(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
     auxiliary branch shuts off.  Independent of the load values.
     """
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise InputError(f"alpha must be positive, got {alpha}")
     i_main = _check_aux_on(alpha, i_main)
     denom = (2.0 + alpha) - 2.0 / ((1.0 + alpha) * i_main)
     return np.square((1.0 + alpha) / denom)
@@ -171,7 +173,7 @@ def itr_intro(
     output power.
     """
     if r_opt <= 0 or r_l <= 0:
-        raise ValueError("r_opt and r_l must be positive")
+        raise InputError("r_opt and r_l must be positive")
     beta = r_opt / (2.0 * r_l) * itr_conv(alpha, i_main)
     return np.maximum(beta, 1.0 / beta)
 
@@ -189,7 +191,7 @@ def zero_itr_alpha(r_opt: float, r_l: float) -> ZeroItrResult | None:
     r_opt < r_l/2.
     """
     if r_opt <= 0 or r_l <= 0:
-        raise ValueError("r_opt and r_l must be positive")
+        raise InputError("r_opt and r_l must be positive")
     alpha = math.sqrt(2.0 * r_l / r_opt) - 1.0
     if alpha <= 0:
         return None
@@ -206,7 +208,7 @@ def ideal_efficiency(tag: str, pbo_db: float, alpha: float | None = None) -> flo
     peaks at pi/4 at 0 dB and at 20*log10(1+alpha) dB.
     """
     if pbo_db < 0:
-        raise ValueError(f"back-off must be >= 0 dB, got {pbo_db}")
+        raise InputError(f"back-off must be >= 0 dB, got {pbo_db}")
     x = 10.0 ** (-pbo_db / 20.0)  # normalized output voltage
     if tag == "class-a":
         return 0.5 * x * x
@@ -214,12 +216,12 @@ def ideal_efficiency(tag: str, pbo_db: float, alpha: float | None = None) -> flo
         return PEAK_CLASS_B * x
     if tag == "doherty":
         if alpha is None or alpha <= 0:
-            raise ValueError("doherty efficiency needs a positive alpha")
+            raise InputError("doherty efficiency needs a positive alpha")
         x_t = 1.0 / (1.0 + alpha)
         if x >= x_t:
             return PEAK_CLASS_B * x * x * (1.0 + alpha) / ((2.0 + alpha) * x - 1.0)
         return PEAK_CLASS_B * x * (1.0 + alpha)
-    raise ValueError(f"unknown class tag '{tag}'")
+    raise InputError(f"unknown class tag '{tag}'")
 
 
 def efficiency_curve(
@@ -248,15 +250,15 @@ def average_efficiency(
     pbo = np.asarray(pdf_pbo_db, dtype=float)
     mass = np.asarray(pdf_mass, dtype=float)
     if pbo.shape != mass.shape or pbo.ndim != 1 or pbo.size == 0:
-        raise ValueError("pdf must be two equal-length 1-d arrays")
+        raise InputError("pdf must be two equal-length 1-d arrays")
     if np.any(mass < 0):
-        raise ValueError("pdf masses must be non-negative")
+        raise InputError("pdf masses must be non-negative")
     total = float(mass.sum())
     if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"pdf mass sums to {total}, expected 1 within 1e-6")
+        raise InputError(f"pdf mass sums to {total}, expected 1 within 1e-6")
     p_out = 10.0 ** (-pbo / 10.0)
     eta = np.array([curve.interp(p) for p in pbo])  # raises off-support
     if np.any(eta <= 0):
-        raise ValueError("pdf puts mass where the curve has zero efficiency")
+        raise InputError("pdf puts mass where the curve has zero efficiency")
     p_dc = p_out / eta
     return float((mass * p_out).sum() / (mass * p_dc).sum())

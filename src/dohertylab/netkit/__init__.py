@@ -17,7 +17,15 @@ from .elements import (
     admittance,
     impedance,
 )
-from .mna import AnalysisResult, ColumnsResult, SingularSystemError, assemble, solve, solve_columns
+from .mna import (
+    AnalysisResult,
+    ColumnsResult,
+    SingularSystemError,
+    assemble,
+    check_network,
+    solve,
+    solve_columns,
+)
 from .netlist import Netlist, NetworkTopologyError, Placed
 from .touchstone import (
     TouchstoneData,
@@ -46,6 +54,7 @@ __all__ = [
     "ColumnsResult",
     "SingularSystemError",
     "assemble",
+    "check_network",
     "solve",
     "solve_columns",
     "Series",

@@ -38,6 +38,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from ..errors import InputError
+
 __all__ = [
     "Element",
     "Resistor",
@@ -62,12 +64,12 @@ Value = complex | np.ndarray
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise ValueError(msg)
+        raise InputError(msg)
 
 
 def _positive(val: float, what: str) -> None:
     if not 0 < val < math.inf:
-        raise ValueError(f"{what} must be positive and finite, got {val}")
+        raise InputError(f"{what} must be positive and finite, got {val}")
 
 
 class Element:
@@ -349,7 +351,11 @@ class TransmissionLine(Element):
         n1, n2 = t
         a1, a2 = a
         gl = self.gamma_length(freq)
-        if isinstance(gl, np.ndarray):
+        vector = isinstance(gl, np.ndarray)
+        # cosh and sinh leave float range at 710 Np
+        if (gl.real.max() if vector else gl.real) > 700.0:
+            raise InputError(f"line loss above 700 Np (6080 dB) at {np.max(freq):g} Hz")
+        if vector:
             ch, sh = np.cosh(gl), np.sinh(gl)
         else:
             ch, sh = cmath.cosh(gl), cmath.sinh(gl)

@@ -9,6 +9,8 @@ frequencies or of element values (or both, one entry per point),
 points ``CHUNK`` at a time into a point-major (V, n, n) stack, solves
 each point's matrix for its K columns, checks and reads back each chunk
 in batched array operations and reports arrays with a leading point axis.
+:func:`check_network` judges a network at one frequency for every drive
+at once and for the error that rounding its matrix may cause.
 
 Unknowns are the non-ground node voltages plus the auxiliary branch
 currents each element asks for.  Elements stamp and read themselves back
@@ -31,12 +33,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..errors import InputError
 from .netlist import Netlist, Placed
 
 __all__ = [
     "AnalysisResult",
     "ColumnsResult",
     "SingularSystemError",
+    "check_network",
     "solve",
     "solve_columns",
     "assemble",
@@ -45,6 +49,12 @@ __all__ = [
 
 #: normwise backward error above which :func:`_accepted` rejects a solution
 BACKWARD_ERROR_TOL = 1e-12
+
+#: relative error that rounding a matrix to double precision may cause in
+#: its solutions, above which :func:`check_network` rejects the network: a
+#: fifth of the 0.5% to which the acceptance criteria hold a synthesized
+#: combiner's network to its closed forms
+ROUNDING_ERROR_TOL = 1e-3
 
 #: points stamped and checked together in a sweep: enough to spread the
 #: Python work of each stamp over many points, few enough that a dense
@@ -70,7 +80,7 @@ class AnalysisResult:
     flowing *into* the element at its first node of each terminal pair.
     ``element_power`` covers every element but the load termination, whose
     power is ``load_power``.  Powers are time-averaged watts.
-    ``kcl_residual`` is the backward error of :func:`_accepted`.
+    ``backward_error`` is :func:`_accepted`'s.
     """
 
     freq: float
@@ -79,7 +89,7 @@ class AnalysisResult:
     element_power: dict[str, float]
     port_injected_power: dict[str, float]
     load_power: float
-    kcl_residual: float
+    backward_error: float
     columns: ColumnsResult = field(repr=False, compare=False)
 
     def port_voltage(self, netlist: Netlist, port: str) -> complex:
@@ -116,7 +126,7 @@ class ColumnsResult:
     ``branch_currents`` (as in :class:`AnalysisResult`) and
     ``element_power`` cover the probed elements, the last leaving out the
     load termination, whose power is ``load_power``.  Powers are
-    time-averaged watts.  ``kcl_residual`` is :func:`_accepted`'s.
+    time-averaged watts.  ``backward_error`` is :func:`_accepted`'s.
     """
 
     freq: float | np.ndarray
@@ -124,7 +134,7 @@ class ColumnsResult:
     port_voltages: dict[str, np.ndarray]
     load_power: np.ndarray
     injected_power: np.ndarray
-    kcl_residual: np.ndarray
+    backward_error: np.ndarray
     node_voltages: dict[str, np.ndarray] = field(default_factory=dict)
     branch_currents: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
     element_power: dict[str, np.ndarray] = field(default_factory=dict)
@@ -174,7 +184,7 @@ class MnaSystem:
         b = np.repeat(self.source_rhs[:, None], columns, axis=1)
         for port, current in drives.items():
             if port not in self.netlist.ports:
-                raise ValueError(f"unknown port '{port}'")
+                raise InputError(f"unknown port '{port}'")
             plus, minus = self.netlist.ports[port]
             b[self.node_index[plus]] += current
             b[self.node_index[minus]] -= current
@@ -200,18 +210,18 @@ def _swept_values(netlist: Netlist, values: dict, points: int | None) -> tuple[d
     swept = {}
     for name, fields in values.items():
         if name not in comps or comps[name].source:
-            raise ValueError(f"unknown or source element '{name}' cannot be swept")
+            raise InputError(f"unknown or source element '{name}' cannot be swept")
         swept[name] = {f: np.asarray(v, dtype=float) for f, v in fields.items()}
         # every field's rule is an interval, so the extremes decide (NaN is one)
         for pick in (np.min, np.max):
             try:
                 replace(comps[name], **{f: float(pick(v)) for f, v in swept[name].items() if v.size})
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"element '{name}': {exc}") from None
+                raise InputError(f"element '{name}': {exc}") from None
     shapes = {v.shape for fields in swept.values() for v in fields.values()}
     shapes |= {(points,)} if points else set()
     if len(shapes) != 1 or any(len(shape) != 1 or shape[0] == 0 for shape in shapes):
-        raise ValueError(f"swept values must be 1-D arrays of one nonzero length, got {shapes}")
+        raise InputError(f"swept values must be 1-D arrays of one nonzero length, got {shapes}")
     return swept, shapes.pop()[0]
 
 
@@ -220,12 +230,12 @@ def _sweep_frequencies(freqs) -> np.ndarray:
     array of positive, finite frequencies."""
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or freqs.size == 0:
-        raise ValueError(
+        raise InputError(
             f"analysis frequencies must be a non-empty 1-D array, got shape {freqs.shape}"
         )
     bad = ~(np.isfinite(freqs) & (freqs > 0))
     if bad.any():
-        raise ValueError(
+        raise InputError(
             f"analysis frequency must be positive and finite, got {freqs[bad][0]}"
         )
     return freqs
@@ -234,7 +244,7 @@ def _sweep_frequencies(freqs) -> np.ndarray:
 def assemble(netlist: Netlist, freq: float) -> MnaSystem:
     """Build the MNA matrix of ``netlist`` at ``freq`` hertz."""
     if not 0 < freq < math.inf:
-        raise ValueError(f"analysis frequency must be positive and finite, got {freq}")
+        raise InputError(f"analysis frequency must be positive and finite, got {freq}")
     netlist.validate()
 
     nodes = netlist.nodes()
@@ -361,6 +371,32 @@ def _accepted(system: MnaSystem, A: np.ndarray, x: np.ndarray, rhs: np.ndarray) 
     return eta
 
 
+def check_network(netlist: Netlist, freq: float) -> float:
+    """Judge ``netlist`` at ``freq`` for every drive at once; return the
+    condition number of its row-equilibrated matrix, kappa =
+    ||DA|| ||(DA)^-1|| in the infinity norm (D as in :func:`_accepted`).
+
+    The columns of A^-1 solve a unit drive into each row, on the factors
+    every solve of A uses, so :func:`_accepted` on them rejects a network
+    that some drive would be rejected on.  Rounding A's entries to double
+    precision (relative error u) may move a solution by about kappa * u,
+    which no backward error can see; the network is rejected when that
+    exceeds :data:`ROUNDING_ERROR_TOL`.  Raises :class:`SingularSystemError`.
+    """
+    system = assemble(netlist, freq)
+    A, unit = system.matrix, np.eye(system.size)
+    inv = _lapack(A, unit)
+    _accepted(system, A, inv, unit)
+    kappa = (np.abs(inv) @ np.abs(A).sum(axis=1)).max()  # ||A^-1 D^-1||, ||DA|| = 1
+    error = kappa * np.finfo(float).eps / 2
+    if not error <= ROUNDING_ERROR_TOL:
+        raise SingularSystemError(
+            f"ill-conditioned network at {freq:.6g} Hz: condition number {kappa:.2e} "
+            f"allows a relative error of {error:.1e}, above {ROUNDING_ERROR_TOL:g}"
+        )
+    return kappa
+
+
 def solve(
     netlist: Netlist,
     freq: float,
@@ -385,7 +421,7 @@ def solve(
         {e: p.item() for e, p in res.element_power.items()},
         {key: p.item() for key, p in res.port_injected_power.items()},
         res.load_power.item(),
-        res.kcl_residual.item(),
+        res.backward_error.item(),
         res,
     )
 
@@ -417,21 +453,21 @@ def solve_columns(
     drives = {p: np.asarray(i, dtype=complex) for p, i in drives.items()}
     lengths = {i.shape for i in drives.values()}
     if len(lengths) > 1 or any(len(shape) != 1 or shape[0] == 0 for shape in lengths):
-        raise ValueError(f"drives must be 1-D arrays of one nonzero length, got {lengths}")
+        raise InputError(f"drives must be 1-D arrays of one nonzero length, got {lengths}")
     columns = lengths.pop()[0] if lengths else 1
     if probes and not set(probes) <= {e.name for e in netlist.elements}:
-        raise ValueError(f"unknown element among probes {sorted(probes)}")
+        raise InputError(f"unknown element among probes {sorted(probes)}")
     # isinstance first: np.ndim of a float costs about 1 us a solve
     one_freq = isinstance(freq, (int, float)) or np.ndim(freq) == 0
     freqs = float(freq) if one_freq else _sweep_frequencies(freq)
     system = assemble(netlist, freq if one_freq else float(freqs[0]))
     if not drives and not any(e.component.source for e in netlist.elements):
-        raise ValueError("no excitation: provide port currents or source elements")
+        raise InputError("no excitation: provide port currents or source elements")
     rhs = system.rhs(drives, columns)
     if one_freq and not values:
-        x, kcl_residual = _solve_one(system, rhs)
+        x, eta = _solve_one(system, rhs)
         read = _readback(system, drives, x, freq, probes)
-        return ColumnsResult(freq, x, kcl_residual=kcl_residual, **read)
+        return ColumnsResult(freq, x, backward_error=eta, **read)
 
     swept, points = _swept_values(netlist, values or {}, None if one_freq else len(freqs))
     by_column = {port: i[:, None] for port, i in drives.items()}
@@ -441,7 +477,7 @@ def solve_columns(
         # unknowns first and points last, so that values per point
         # broadcast over the K drive columns; each result is (K, f)
         read = _readback(chunk, by_column, x.transpose(1, 2, 0), at, probes)
-        read["kcl_residual"] = eta.T
+        read["backward_error"] = eta.T
         whole = _gathered(whole, read, rows, (points, columns))
     return ColumnsResult(freqs, None, **whole)
 
@@ -465,7 +501,7 @@ def _readback(
 ) -> dict:
     """The :class:`ColumnsResult` fields of the solutions ``x``, indexed by
     unknown on the first axis, other than ``freq``, ``x`` and
-    ``kcl_residual``: port voltages, the power each driven port and
+    ``backward_error``: port voltages, the power each driven port and
     current source injects and their total, load power, and the
     ``probes``' node voltages, branch currents and absorbed power (the
     load termination's is the load power).  ``freq`` and the element

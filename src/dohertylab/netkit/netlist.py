@@ -6,12 +6,13 @@ import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
+from ..errors import InputError
 from .elements import Component
 
 __all__ = ["Placed", "Netlist", "NetworkTopologyError"]
 
 
-class NetworkTopologyError(ValueError):
+class NetworkTopologyError(InputError):
     """Raised when a netlist is structurally unsound (floating nodes,
     missing port nodes, duplicate element names) or its JSON is malformed."""
 

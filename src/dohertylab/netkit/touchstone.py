@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InputError
 from .elements import Resistor
 from .mna import _solved_chunks, _sweep_frequencies, assemble
 from .netlist import Netlist
@@ -51,12 +52,12 @@ def s_parameters(
     on its backward error as every solve is.
     """
     if not 1 <= len(ports) <= 4:
-        raise ValueError(f"supported port counts are 1..4, got {len(ports)}")
+        raise InputError(f"supported port counts are 1..4, got {len(ports)}")
     if not 0 < z_ref < math.inf:
-        raise ValueError(f"reference impedance must be positive and finite, got {z_ref}")
+        raise InputError(f"reference impedance must be positive and finite, got {z_ref}")
     for p in ports:
         if p not in netlist.ports:
-            raise ValueError(f"unknown port '{p}'")
+            raise InputError(f"unknown port '{p}'")
     freqs = _sweep_frequencies(freqs)
 
     terminated = netlist.copy()
@@ -87,7 +88,7 @@ def export_touchstone(
     """Touchstone v1 text of the netlist's S-parameters over ``freq_grid``."""
     freqs = np.asarray(freq_grid, dtype=float)
     if len(freqs) > 1 and not np.all(np.diff(freqs) > 0):
-        raise ValueError("frequency grid must be strictly increasing")
+        raise InputError("frequency grid must be strictly increasing")
     return write_touchstone(freqs, s_parameters(netlist, ports, freqs, z_ref), z_ref)
 
 
@@ -118,10 +119,10 @@ def write_touchstone(
     s = np.asarray(s, dtype=complex)
     n = s.shape[-1]
     if not 1 <= n <= 4:
-        raise ValueError(f"supported port counts are 1..4, got {n}")
+        raise InputError(f"supported port counts are 1..4, got {n}")
     freqs = np.asarray(freqs_hz, dtype=float)
     if s.ndim != 3 or len(freqs) != len(s):
-        raise ValueError(f"{len(freqs)} frequencies for {len(s)} S-matrices")
+        raise InputError(f"{len(freqs)} frequencies for {len(s)} S-matrices")
     rows, cols = zip(*_record_order(n))
     pairs = np.stack([s.real[:, rows, cols], s.imag[:, rows, cols]], axis=-1)
     table = np.column_stack([freqs / 1e9, pairs.reshape(len(freqs), 2 * n * n)])
@@ -161,16 +162,16 @@ def read_touchstone(text: str) -> TouchstoneData:
                 elif p in ("s", "ri"):
                     pass
                 elif p in ("ma", "db"):
-                    raise ValueError(f"unsupported touchstone format '{p}'")
+                    raise InputError(f"unsupported touchstone format '{p}'")
                 i += 1
             saw_options = True
             continue
         tokens.extend(line.split())
     if not saw_options:
-        raise ValueError("missing touchstone option line")
+        raise InputError("missing touchstone option line")
 
     if not tokens:
-        raise ValueError("touchstone file holds no data records")
+        raise InputError("touchstone file holds no data records")
     values = np.array(tokens, dtype=float)
     # Infer the port count from the record length: 1 + 2*n^2 floats each.
     for n in (1, 2, 3, 4):
@@ -179,7 +180,7 @@ def read_touchstone(text: str) -> TouchstoneData:
         if len(values) % rec == 0 and np.all(freqs[1:] > freqs[:-1]):
             break
     else:
-        raise ValueError("cannot infer port count from token stream")
+        raise InputError("cannot infer port count from token stream")
 
     data = values.reshape(-1, rec)
     s = np.empty((len(data), n, n), dtype=complex)

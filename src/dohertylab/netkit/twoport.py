@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InputError
 from .elements import (
     Capacitor,
     CoupledInductors,
@@ -48,9 +49,9 @@ class TwoPortMatrix:
     def __post_init__(self):
         object.__setattr__(self, "m", np.asarray(self.m, dtype=complex).reshape(2, 2))
         if self.representation not in ("abcd", "s", "z"):
-            raise ValueError(f"unknown representation '{self.representation}'")
+            raise InputError(f"unknown representation '{self.representation}'")
         if self.representation == "s" and (self.z_ref is None or self.z_ref <= 0):
-            raise ValueError("S representation needs a positive reference impedance")
+            raise InputError("S representation needs a positive reference impedance")
 
     def to_abcd(self) -> "TwoPortMatrix":
         if self.representation == "abcd":
@@ -58,7 +59,7 @@ class TwoPortMatrix:
         if self.representation == "z":
             z11, z12, z21, z22 = self.m.ravel()
             if z21 == 0:
-                raise ValueError("Z matrix with z21 = 0 has no chain representation")
+                raise InputError("Z matrix with z21 = 0 has no chain representation")
             det = z11 * z22 - z12 * z21
             m = [[z11 / z21, det / z21], [1.0 / z21, z22 / z21]]
             return TwoPortMatrix("abcd", np.array(m), warnings=self.warnings)
@@ -70,7 +71,7 @@ class TwoPortMatrix:
         if self.representation == "abcd":
             a, b, c, d = self.m.ravel()
             if c == 0:
-                raise ValueError("chain matrix with C = 0 has no Z representation")
+                raise InputError("chain matrix with C = 0 has no Z representation")
             m = [[a / c, (a * d - b * c) / c], [1.0 / c, d / c]]
             return TwoPortMatrix("z", np.array(m), warnings=self.warnings)
         # S -> Z
@@ -85,7 +86,7 @@ class TwoPortMatrix:
             return self
         z0 = z_ref if z_ref is not None else (self.z_ref or 50.0)
         if z0 <= 0:
-            raise ValueError(f"reference impedance must be positive, got {z0}")
+            raise InputError(f"reference impedance must be positive, got {z0}")
         z = self.to_z().m
         eye = np.eye(2)
         m = np.linalg.inv(z + z0 * eye) @ (z - z0 * eye)
@@ -125,7 +126,7 @@ def two_port_matrix(
     An empty chain yields the identity, flagged in ``warnings``.
     """
     if freq <= 0:
-        raise ValueError(f"frequency must be positive, got {freq}")
+        raise InputError(f"frequency must be positive, got {freq}")
     warnings: tuple[str, ...] = ()
     m = np.eye(2, dtype=complex)
     if not chain:
@@ -139,7 +140,7 @@ def two_port_matrix(
         return out.to_z()
     if representation == "s":
         return out.to_s(z_ref)
-    raise ValueError(f"unknown representation '{representation}'")
+    raise InputError(f"unknown representation '{representation}'")
 
 
 def input_impedance(abcd: TwoPortMatrix, z_load: complex) -> complex:

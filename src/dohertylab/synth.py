@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import InputError
 from .ideal import DohertyConfig
 from .netkit import (
     Capacitor,
@@ -185,7 +186,7 @@ def synth_three_line(cfg: DohertyConfig, z02: float | None = None) -> ThreeLineD
     if z02 is None:
         z02 = z01
     if z02 <= 0:
-        raise ValueError(f"z02 must be positive, got {z02}")
+        raise InputError(f"z02 must be positive, got {z02}")
     z03 = z02 * ratio
     residuals = {
         "inverter_z0_from_loads": _rel_residual(z01, (1.0 + cfg.alpha) * math.sqrt(cfg.r_opt * cfg.r_l / 2.0)),
@@ -202,13 +203,13 @@ def pi_approx(z0: float, f0: float, kind: str) -> PiNetwork:
     high-pass: series C = 1/(w0*z0), shunt L = z0/w0 both sides.
     """
     if z0 <= 0 or f0 <= 0:
-        raise ValueError("z0 and f0 must be positive")
+        raise InputError("z0 and f0 must be positive")
     w0 = 2.0 * math.pi * f0
     if kind == "low-pass":
         return PiNetwork(kind, z0, series_value=z0 / w0, shunt_value=1.0 / (w0 * z0), f0=f0)
     if kind == "high-pass":
         return PiNetwork(kind, z0, series_value=1.0 / (w0 * z0), shunt_value=z0 / w0, f0=f0)
-    raise ValueError(f"unknown pi kind '{kind}'")
+    raise InputError(f"unknown pi kind '{kind}'")
 
 
 def synth_transformer_combiner(
@@ -226,23 +227,23 @@ def synth_transformer_combiner(
     for the symmetric current split, so alpha must be 1.
     """
     if abs(cfg.alpha - 1.0) > 1e-12:
-        raise ValueError(
+        raise InputError(
             "transformer-combiner synthesis is defined for the symmetric "
             f"split (alpha = 1); got alpha = {cfg.alpha}"
         )
     if not n1 > 0 or not n2 > 0:
-        raise ValueError("turn ratios must be positive")
+        raise InputError("turn ratios must be positive")
     if not 0.0 < k1 < 1.0:
-        raise ValueError(f"k1 must lie in (0, 1), got {k1}")
+        raise InputError(f"k1 must lie in (0, 1), got {k1}")
     if c_pad < 0:
-        raise ValueError(f"c_pad must be >= 0, got {c_pad}")
+        raise InputError(f"c_pad must be >= 0, got {c_pad}")
     try:
         return _transformer_combiner(cfg, n1, k1, n2, c_pad)
     except OverflowError:
         # a ratio of two free parameters squared left float range; the
         # parameter farthest from 1 made it
         name, val = max((("n1", n1), ("k1", k1), ("n2", n2)), key=lambda p: abs(math.log(p[1])))
-        raise ValueError(f"{name} = {val} overflows the closed-form synthesis") from None
+        raise InputError(f"{name} = {val} overflows the closed-form synthesis") from None
 
 
 def _transformer_combiner(
@@ -277,7 +278,7 @@ def _transformer_combiner(
     l_m2 = k2 * k2 * l_p2
 
     if c_pad > c3:
-        raise ValueError(
+        raise InputError(
             f"output parasitic {c_pad:.4g} F exceeds the synthesized C3 {c3:.4g} F"
         )
     c3_external = c3 - c_pad
@@ -428,7 +429,7 @@ def to_netlist(
     else:
         raise TypeError(f"cannot emit a netlist for {type(design).__name__}")
     if implementation not in ("line", "lumped-pi"):
-        raise ValueError(f"unknown implementation '{implementation}'")
+        raise InputError(f"unknown implementation '{implementation}'")
     for name, z0, n_in, n_out, kind in rows:
         if implementation == "line":
             net.add(name, TransmissionLine(z0, 90.0, design.f0), n_in, n_out)

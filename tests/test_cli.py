@@ -189,17 +189,33 @@ def test_analyze_parses_design_file_once(design_path, tmp_path, capsys, monkeypa
 
 
 def test_transformer_with_large_n2_synthesizes(tmp_path, capsys):
-    # k2 ~ 1/(n2 s) is solved without cancellation, so the identities hold;
-    # the matrix spans many decades, which the backward error does not judge
-    for n2 in (1e6, 1e7, 1e8, 1e9):
-        doc = dict(PROTO_DESIGN, free_params={"n1": 1.0, "k1": 0.7, "n2": n2})
-        p = tmp_path / "design.json"
-        p.write_text(json.dumps(doc))
-        out_dir = tmp_path / f"out{n2:g}"
-        code, _, _ = run(["synth", str(p), "--out-dir", str(out_dir)], capsys)
-        assert code == 0, n2
-        report = json.loads((out_dir / "report.json").read_text())
-        assert all(i["pass"] for i in report["identities"]), n2
+    # k2 ~ 1/(n2 s) is solved without cancellation, so the identities hold
+    doc = dict(PROTO_DESIGN, free_params={"n1": 1.0, "k1": 0.7, "n2": 1e6})
+    p = tmp_path / "design.json"
+    p.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, _, _ = run(["synth", str(p), "--out-dir", str(out_dir)], capsys)
+    assert code == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert all(i["pass"] for i in report["identities"])
+
+
+@pytest.mark.parametrize("n2", [1e7, 1e8, 1e9])
+@pytest.mark.parametrize(
+    "argv", [["synth"], ["analyze", "--mode", "pa-sim", "--ideal-cells", "--v-dc", "1"]]
+)
+def test_transformer_too_wide_for_double_precision_exits_3(n2, argv, tmp_path, capsys):
+    # TF2's primary is l_p1/n2^2: the network's matrix loses the other
+    # elements at that node, and at n2 = 1e9 pa-sim would read a 2.7 kOhm
+    # reactance in z_main where the design has none
+    doc = dict(PROTO_DESIGN, free_params={"n1": 1.0, "k1": 0.7, "n2": n2})
+    p = tmp_path / "design.json"
+    p.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, _, err = run([argv[0], str(p), *argv[1:], "--out-dir", str(out_dir)], capsys)
+    assert_one_json_error_exit_3(code, err)
+    assert json.loads(err)["error"].startswith("ill-conditioned network at 3.7e+10 Hz")
+    assert not out_dir.exists()
 
 
 def test_internal_consistency_failure_exits_3(design_path, tmp_path, capsys, monkeypatch):
@@ -223,7 +239,7 @@ def assert_one_json_error_exit_3(code, err):
 
 
 #: a near-unity coupling leaves the transformer combiner's system too
-#: ill-conditioned to solve to a backward error of 1e-12
+#: ill-conditioned to solve to a backward error of 1e-12 for every drive
 SINGULAR_DESIGN = {**PROTO_DESIGN, "free_params": {"n1": 1.0, "k1": 0.999999999, "n2": 1.0}}
 
 
@@ -233,6 +249,8 @@ SINGULAR_DESIGN = {**PROTO_DESIGN, "free_params": {"n1": 1.0, "k1": 0.999999999,
         ["synth"],
         ["analyze", "--mode", "load-mod"],
         ["analyze", "--mode", "pa-sim", "--ideal-cells", "--v-dc", "1"],
+        ["analyze", "--mode", "bandwidth"],
+        ["analyze", "--mode", "pbo-eff", "--q-l", "20"],
     ],
 )
 def test_solver_rejected_design_exits_3_without_output(argv, tmp_path, capsys):
@@ -601,7 +619,9 @@ def test_bandwidth_window_outside_unit_interval_exit_2(window, design_path, tmp_
     assert_one_json_error(code, err, "--window")
 
 
-@pytest.mark.parametrize("points", ["0", "-3"])
+@pytest.mark.parametrize(
+    "points", ["0", "-3", "1000001", pytest.param("1" + "0" * 400, id="10**400")]
+)
 def test_export_points_below_one_exit_2(points, design_path, tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     run(["synth", design_path, "--out-dir", out_dir], capsys)
@@ -612,6 +632,25 @@ def test_export_points_below_one_exit_2(points, design_path, tmp_path, capsys):
         capsys,
     )
     assert_one_json_error(code, err, "--points")
+    assert not ts_path.exists()
+
+
+@pytest.mark.parametrize("loss_db", [1e300, 5000.0])
+def test_line_too_lossy_for_double_precision_exits_2(loss_db, tmp_path, capsys):
+    # 5000 dB a quarter wave is 288 Np at 0.5 GHz and 1151 Np at 2 GHz,
+    # past the 710 at which cosh leaves float range: the sweep stamps it
+    p = tmp_path / "net.json"
+    p.write_text(json.dumps({
+        "f0_hz": 1e9, "ports": {"in": ["a", "0"]}, "elements": [
+            {"kind": "tline", "name": "T1", "nodes": ["a", "b"], "z0_ohm": 50.0,
+             "theta_deg": 90.0, "f_ref_hz": 1e9, "loss_db_per_quarter": loss_db},
+            {"kind": "resistor", "name": "R1", "nodes": ["b", "0"], "ohms": 50.0},
+        ],
+    }))
+    ts_path = tmp_path / "x.s1p"
+    code, _, err = run(["export", str(p), "--touchstone", str(ts_path), "--f-start", "0.5e9",
+                        "--f-stop", "2e9", "--points", "4"], capsys)
+    assert_one_json_error(code, err, "line loss above 700 Np")
     assert not ts_path.exists()
 
 

@@ -1,7 +1,9 @@
 """The CLI contract on fuzzed input: every command exits 0, 2 or 3; a
 failure prints exactly one JSON object on stderr, whose ``code`` is the
 exit code, and writes no file; a successful export's Touchstone reads
-back within 1e-9.
+back within 1e-9.  Only the package's ``InputError`` exits 2: any other
+exception, a numpy ``ValueError`` among them, leaves ``main`` and fails
+the test.
 
 Inputs start from plausible designs, netlists and flags and break up to
 two of their values: an extreme or non-finite number, a value of the

@@ -30,6 +30,7 @@ from dohertylab.netkit import (
     SingularSystemError,
     TransmissionLine,
     assemble,
+    check_network,
     s_parameters,
     solve,
     solve_columns,
@@ -50,7 +51,7 @@ def test_ohms_law():
     net = simple_load()
     r = solve(net, 1e9, {"in": 1.0})
     assert r.node_voltages["a"] == pytest.approx(50.0)
-    assert r.kcl_residual < 1e-12
+    assert r.backward_error <= 1e-15
 
 
 def test_quarter_wave_inversion_input_impedance():
@@ -311,7 +312,7 @@ def test_element_description(cls):
         back = Netlist.from_json_dict(json.loads(json.dumps(net.to_json_dict())))
         assert back == net
         r = solve(back, 2.3e9, {"in": 0.1j})
-        assert r.kcl_residual < 1e-12
+        assert r.backward_error <= 1e-15
         assert r.power_balance_residual() < 1e-9
         assert all(np.isfinite(i) for i in r.branch_currents["X"])
 
@@ -484,7 +485,7 @@ def test_solve_columns_matches_per_point_solve(name, columns):
         _close(batch.injected_power[k], point.total_injected(), apparent)
         if point.total_injected() > 1e-9 * apparent:  # else the ratio is roundoff
             _close(eta[k], point.passive_efficiency(), 1.0)
-        assert batch.kcl_residual[k] <= 1e-9
+        assert batch.backward_error[k] <= 1e-15
 
 
 def test_solve_columns_counts_current_sources():
@@ -557,7 +558,7 @@ def test_one_bad_column_is_rejected(two_line_net, proto_cfg, monkeypatch):
     largest drive of the batch, which a batch-wide check would accept."""
     drives = {"main": np.array([1e6, 1.0, 2.0]), "aux": np.array([1e6, 0.0, 1.0])}
     good = solve_columns(two_line_net, proto_cfg.f0, drives)
-    assert good.kcl_residual.max() <= 1e-9
+    assert good.backward_error.max() <= 1e-15
 
     exact = np.linalg.solve
 
@@ -593,6 +594,32 @@ def test_every_entry_rejects_the_same_perturbed_solution(two_line_net, proto_cfg
         solve_columns(two_line_net, proto_cfg.f0 * np.array([0.9, 1.1]), {"main": np.ones(1)})
     with pytest.raises(SingularSystemError, match=rejected):
         s_parameters(two_line_net, ["main", "aux", "load"], [proto_cfg.f0], 50.0)
+
+
+def test_check_network_judges_every_drive_and_the_rounding(tf_design, proto_cfg):
+    """check_network returns the row-equilibrated condition number, and
+    rejects what a solve for one drive may not show: a coupling so near 1
+    that a unit drive into some row has a backward error above 1e-12, and
+    a turn ratio so large that rounding the matrix may move a solution
+    by more than 1e-3 (the condition number times 2^-53)."""
+    net = to_netlist(tf_design)
+    A = assemble(net, proto_cfg.f0).matrix
+    scaled = A / np.abs(A).sum(axis=1)[:, None]
+    kappa = check_network(net, proto_cfg.f0)
+    assert kappa == pytest.approx(np.linalg.cond(scaled, np.inf), rel=1e-9)
+    assert kappa < 1e4
+
+    near_unity = to_netlist(synth_transformer_combiner(proto_cfg, k1=0.999999999))
+    peak = solve(near_unity, proto_cfg.f0, {"main": 1.0, "aux": -1j})
+    assert peak.backward_error <= 1e-15  # this drive alone passes
+    with pytest.raises(SingularSystemError, match="solution rejected: backward error"):
+        check_network(near_unity, proto_cfg.f0)
+
+    wide_but_held = to_netlist(synth_transformer_combiner(proto_cfg, n2=1e6))
+    assert check_network(wide_but_held, proto_cfg.f0) < 9e12
+    wide = to_netlist(synth_transformer_combiner(proto_cfg, n2=1e7))
+    with pytest.raises(SingularSystemError, match="ill-conditioned network at 3.7e"):
+        check_network(wide, proto_cfg.f0)
 
 
 # ----------------------------------------------------------------------
@@ -649,8 +676,8 @@ def test_frequency_sweep_matches_per_frequency_solves(length, values, columns):
     drives = {"in": np.array(columns, dtype=complex)}
     sweep = solve_columns(net, freqs, drives)
     assert sweep.x is None and sweep.freq.shape == (length,)
-    assert sweep.kcl_residual.shape == (length, len(columns))
-    assert np.all(sweep.kcl_residual <= 1e-9)
+    assert sweep.backward_error.shape == (length, len(columns))
+    assert np.all(sweep.backward_error <= 1e-14)  # 1.6e-15 at worst in 300 draws
     for i, f in enumerate(freqs):
         point = solve_columns(net, float(f), drives)
         for port in net.ports:
@@ -770,7 +797,7 @@ def _assert_sweep_matches_per_point_solves(net, freq, drives, values):
     sweep = solve_columns(net, freq, {p: np.array([i]) for p, i in drives.items()}, values,
                           probes=names)
     points = len(sweep.load_power)
-    assert sweep.x is None and np.all(sweep.kcl_residual <= 1e-9)
+    assert sweep.x is None and np.all(sweep.backward_error <= 1e-15)
     for j in range(points):
         f = freq if np.ndim(freq) == 0 else float(freq[j])
         point = solve(_rebuilt(net, values, j), f, drives)
