@@ -26,15 +26,14 @@ from .ideal import (
     pbo_level,
 )
 from .netkit import (
-    Capacitor,
     CoupledInductors,
     Netlist,
     Resistor,
-    TransmissionLine,
     solve,
     solve_columns,
 )
 from .netkit.mna import ColumnsResult
+from .synth import CombinerDesign
 
 __all__ = [
     "DriveProfile",
@@ -509,42 +508,36 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
     split.  This probe builds exactly that situation in the solver - the
     synthesized inverter alone, terminated by that modulated resistance -
     and reads both face impedances from branch currents, the whole grid in
-    one sweep over the terminating resistance.  The base node resistance
-    itself is measured, not assumed: for the two-line design it is the
-    input resistance of the synthesized output line terminated in the
-    system load; for the three-line and transformer designs the inverter
-    lands directly on the load node.
+    one sweep over the terminating resistance.  The inverter is the
+    design's leading ``inverter_rows``.  Where it lands on the load node
+    (three-line, transformer) the base node resistance is the system
+    load; where it lands on an output line (two-line) it is measured, not
+    assumed: the input resistance of the remaining rows terminated in the
+    system load.
 
     Returns (measured, closed_form) arrays over ``i_main_grid``.
     """
-    from .synth import ThreeLineDesign, TransformerCombinerDesign, TwoLineDesign
-
-    if not isinstance(design, (TwoLineDesign, ThreeLineDesign, TransformerCombinerDesign)):
+    if not isinstance(design, CombinerDesign):
         raise TypeError(f"no inverter oracle for {type(design).__name__}")
-    cfg = design.cfg
-    f0 = cfg.f0
-    net = Netlist(f0=f0)
+    cfg, f0 = design.cfg, design.f0
     grid = np.asarray(i_main_grid, dtype=float)
+    rows = design.rows(math.inf, math.inf, "line")
+    net = Netlist(f0=f0)
+    for name, component, *nodes in rows[: design.inverter_rows]:
+        net.add(name, component, *nodes)
+    (face,) = {nd for e in net.elements for nd in e.nodes} - {"main", net.ground}
 
-    if isinstance(design, TwoLineDesign):
-        probe = Netlist(f0=f0)
-        probe.add("TL2", TransmissionLine(design.z02, 90.0, f0), "x", "out")
-        probe.add("RL", Resistor(cfg.r_l), "out", probe.ground)
-        probe.add_port("in", "x")
-        r_base = solve(probe, f0, {"in": 1.0}).node_voltages["x"].real
-        net.add("TL1", TransmissionLine(design.z01, 90.0, f0), "main", "x")
-        face = "x"
-        closed = itr_conv(cfg.alpha, grid)
-    else:
+    if face == "out":  # the inverter lands on the load node
         r_base = cfg.r_l
-        if isinstance(design, ThreeLineDesign):
-            net.add("TL1", TransmissionLine(design.z01, 90.0, f0), "main", "out")
-        else:  # TransformerCombinerDesign, guaranteed by the guard above
-            net.add("C1", Capacitor(design.c1), "main", net.ground)
-            net.add("TF1", design.tf1(), "main", net.ground, "out", net.ground)
-            net.add("C3", Capacitor(design.c3), "out", net.ground)
-        face = "out"
         closed = itr_intro(cfg.alpha, grid, cfg.r_opt, cfg.r_l)
+    else:  # on the input of an output line: the conventional combiner
+        probe = Netlist(f0=f0)
+        for name, component, *nodes in rows[design.inverter_rows:]:
+            probe.add(name, component, *nodes)
+        probe.add("RL", Resistor(cfg.r_l), "out", probe.ground)
+        probe.add_port("in", face)
+        r_base = solve(probe, f0, {"in": 1.0}).node_voltages[face].real
+        closed = itr_conv(cfg.alpha, grid)
 
     inverter = [e.name for e in net.elements]
     net.add("Rnode", Resistor(r_base), face, net.ground)  # its value is swept below

@@ -23,12 +23,23 @@ Design file schema (all units in the key names)::
       "config": {"alpha": 1.0, "r_opt_ohm": 41.3, "r_l_ohm": 50.0,
                  "f0_hz": 37.0e9},
       "topology": "two-line" | "three-line" | "transformer",
-      "free_params": {"n1": 1.0, "k1": 0.7, "n2": 1.0} | {"z02_ohm": 60.0},
+      "free_params": {"n1": 1.0, "k1": 0.7, "n2": 1.0},
       "q_budget": {"q_l": 20.0, "q_c": 20.0},
       "parasitics": {"c_pad_f": 10.0e-15}
     }
 
-Unknown keys are rejected.
+The topology's design class (``dohertylab.synth.TOPOLOGIES``) names the
+``free_params`` and ``parasitics`` keys it accepts; the defaults are those
+of its synthesis function:
+
+* ``two-line``: none;
+* ``three-line``: ``z02_ohm`` (default z01; z03 follows);
+* ``transformer``: ``n1`` (1), ``k1`` (0.7, inside (0, 1)), ``n2`` (1)
+  and ``c_pad_f`` (0, at most C3); ``alpha`` must be 1.
+
+Other keys are rejected, and an exit-2 error about a design-file value
+names its key, also where a closed form leaves float range (``r_opt_ohm``
+and ``r_l_ohm`` of 1e-300, say): it names the input farthest from 1.
 
 Netlist JSON schema (produced by ``Netlist.to_json_dict``)::
 
@@ -70,6 +81,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Container
 
 import numpy as np
 
@@ -78,8 +90,9 @@ from .errors import InputError
 from .ideal import DohertyConfig
 from .netkit import Netlist, SingularSystemError, check_network, s_parameters, write_touchstone
 from .netkit.netlist import _number
-from .synth import (
+from .synth import (  # all three synthesis functions stay importable from here
     IDENTITY_TOL,
+    TOPOLOGIES,
     DesignConsistencyError,
     synth_three_line,
     synth_transformer_combiner,
@@ -88,15 +101,6 @@ from .synth import (
 )
 
 __all__ = ["main"]
-
-
-class CliError(InputError):
-    """Bad input to a command; ``key`` names the design-file key at fault."""
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key
-
 
 #: the values each numeric flag accepts (by argparse dest), checked
 #: before any command runs
@@ -120,28 +124,25 @@ def _check_flags(args) -> None:
             accepts, rule = _FLAG_DOMAINS[dest]
             if not accepts(val):
                 flag = "--" + dest.replace("_", "-")
-                raise CliError(f"{flag} must {rule}, got {val}")
+                raise InputError(f"{flag} must {rule}, got {val}")
 
 
 # ----------------------------------------------------------------------
 # Design-file validation
 # ----------------------------------------------------------------------
 
-_TOPOLOGIES = ("two-line", "three-line", "transformer")
-
-
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
+def _check_keys(doc: dict, allowed: Container[str], where: str) -> None:
     for key in doc:
         if key not in allowed:
-            raise CliError(f"unknown key '{key}' in {where}", key=key)
+            raise InputError(f"unknown key '{key}' in {where}", key=key)
 
 
-def _section(doc: dict, name: str, allowed: set[str]) -> dict:
+def _section(doc: dict, name: str, allowed: Container[str]) -> dict:
     """The design's ``name`` section, empty when absent; it must be a JSON
     object of ``allowed`` keys."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
-        raise CliError(f"key '{name}' in design must be an object", key=name)
+        raise InputError(f"key '{name}' in design must be an object", key=name)
     _check_keys(section, allowed, name)
     return section
 
@@ -149,14 +150,14 @@ def _section(doc: dict, name: str, allowed: set[str]) -> dict:
 def _num(doc: dict, key: str, where: str) -> float:
     """``doc[key]`` as a positive, finite float, else exit code 2."""
     if key not in doc:
-        raise CliError(f"missing key '{key}' in {where}", key=key)
+        raise InputError(f"missing key '{key}' in {where}", key=key)
     val = _number(doc[key])
     if val is None:
-        raise CliError(f"key '{key}' in {where} must be a number", key=key)
+        raise InputError(f"key '{key}' in {where} must be a number", key=key)
     if not math.isfinite(val):
-        raise CliError(f"key '{key}' in {where} must be finite", key=key)
+        raise InputError(f"key '{key}' in {where} must be finite", key=key)
     if not val > 0:
-        raise CliError(f"key '{key}' in {where} must be positive", key=key)
+        raise InputError(f"key '{key}' in {where} must be positive", key=key)
     return val
 
 
@@ -166,105 +167,46 @@ def _read_json(path: str, what: str):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise CliError(f"{what} file not found: {path}")
+        raise InputError(f"{what} file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {path}: {exc}")
-
-
-def load_design_file(path: str) -> dict:
-    return design_spec(_read_json(path, "design"))
+        raise InputError(f"malformed JSON in {path}: {exc}")
 
 
 def design_spec(doc) -> dict:
-    """The checked design spec of a parsed design file."""
+    """The checked design spec of a parsed design file: its config, its
+    topology's design class, the synthesis keywords it sets and its Q
+    budget."""
     if not isinstance(doc, dict):
-        raise CliError("design file must hold a JSON object")
+        raise InputError("design file must hold a JSON object")
     _check_keys(doc, {"config", "topology", "free_params", "q_budget", "parasitics"}, "design")
 
     if "config" not in doc:
-        raise CliError("missing key 'config' in design", key="config")
-    cfg_doc = _section(doc, "config", {"alpha", "r_opt_ohm", "r_l_ohm", "f0_hz"})
+        raise InputError("missing key 'config' in design", key="config")
+    cfg_doc = _section(doc, "config", DohertyConfig.keys)
     config = DohertyConfig(
-        alpha=_num(cfg_doc, "alpha", "config"),
-        r_opt=_num(cfg_doc, "r_opt_ohm", "config"),
-        r_l=_num(cfg_doc, "r_l_ohm", "config"),
-        f0=_num(cfg_doc, "f0_hz", "config"),
+        **{name: _num(cfg_doc, key, "config") for key, name in DohertyConfig.keys.items()}
     )
 
     topology = doc.get("topology")
-    if topology not in _TOPOLOGIES:
-        raise CliError(
-            f"topology must be one of {_TOPOLOGIES}, got {topology!r}", key="topology"
+    design = TOPOLOGIES.get(topology) if isinstance(topology, str) else None
+    if design is None:
+        raise InputError(
+            f"topology must be one of {tuple(TOPOLOGIES)}, got {topology!r}", key="topology"
         )
-
-    allowed_free = {"z02_ohm"} if topology == "three-line" else {"n1", "k1", "n2"}
-    if topology == "two-line":
-        allowed_free = set()
-    free = _section(doc, "free_params", allowed_free)
-    free_vals = {k: _num(free, k, "free_params") for k in free}
+    params = {}
+    for name in ("free_params", "parasitics"):
+        keys = design.keys.get(name, {})
+        section = _section(doc, name, keys)
+        params.update((keys[key], _num(section, key, name)) for key in section)
 
     q_doc = _section(doc, "q_budget", {"q_l", "q_c"})
     q_l = _num(q_doc, "q_l", "q_budget") if "q_l" in q_doc else math.inf
     q_c = _num(q_doc, "q_c", "q_budget") if "q_c" in q_doc else math.inf
-
-    par_doc = _section(doc, "parasitics", {"c_pad_f"})
-    c_pad = _num(par_doc, "c_pad_f", "parasitics") if "c_pad_f" in par_doc else 0.0
-
-    return {
-        "config": config,
-        "topology": topology,
-        "free_params": free_vals,
-        "q_l": q_l,
-        "q_c": q_c,
-        "c_pad": c_pad,
-    }
+    return {"config": config, "design": design, "params": params, "q_l": q_l, "q_c": q_c}
 
 
 def synthesize(spec: dict):
-    cfg = spec["config"]
-    topo = spec["topology"]
-    free = spec["free_params"]
-    if topo == "two-line":
-        return synth_two_line(cfg)
-    if topo == "three-line":
-        return synth_three_line(cfg, z02=free.get("z02_ohm"))
-    return synth_transformer_combiner(
-        cfg,
-        n1=free.get("n1", 1.0),
-        k1=free.get("k1", 0.7),
-        n2=free.get("n2", 1.0),
-        c_pad=spec["c_pad"],
-    )
-
-
-def _components_dict(design) -> dict:
-    from .synth import ThreeLineDesign, TransformerCombinerDesign, TwoLineDesign
-
-    if isinstance(design, TwoLineDesign):
-        return {"z01_ohm": design.z01, "z02_ohm": design.z02}
-    if isinstance(design, ThreeLineDesign):
-        return {"z01_ohm": design.z01, "z02_ohm": design.z02, "z03_ohm": design.z03}
-    if isinstance(design, TransformerCombinerDesign):
-        return {
-            "l_p1_h": design.l_p1,
-            "n1": design.n1,
-            "k1": design.k1,
-            "l_p2_h": design.l_p2,
-            "n2": design.n2,
-            "k2": design.k2,
-            "l_m1_h": design.l_m1,
-            "l_m2_h": design.l_m2,
-            "c1_f": design.c1,
-            "c2_f": design.c2,
-            "c3_f": design.c3,
-            "c3_external_f": design.c3_external,
-            "c4_f": design.c4,
-            "c5_f": design.c5,
-            "z0_lp_main_ohm": design.z0_lp_main,
-            "z0_lp_aux_ohm": design.z0_lp_aux,
-            "z0_hp_aux_ohm": design.z0_hp_aux,
-        }
-    raise TypeError(type(design).__name__)
+    return spec["design"].synthesize(spec["config"], **spec["params"])
 
 
 def _write(path: str, text: str) -> None:
@@ -276,7 +218,7 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_synth(args) -> int:
-    spec = load_design_file(args.design)
+    spec = design_spec(_read_json(args.design, "design"))
     design = synthesize(spec)
     cfg = spec["config"]
 
@@ -296,14 +238,9 @@ def cmd_synth(args) -> int:
         for name, res in sorted(design.identity_residuals.items())
     ]
     doc = {
-        "config": {
-            "alpha": cfg.alpha,
-            "r_opt_ohm": cfg.r_opt,
-            "r_l_ohm": cfg.r_l,
-            "f0_hz": cfg.f0,
-        },
-        "topology": spec["topology"],
-        "components": _components_dict(design),
+        "config": cfg.inputs,
+        "topology": design.topology,
+        "components": design.components(),
         "identities": identities,
         "warnings": list(design.warnings),
         # names are relative to the report's own directory
@@ -330,7 +267,7 @@ def _load_input(args) -> tuple[dict | None, Netlist | None]:
         return design_spec(doc), None
     if isinstance(doc, dict) and "elements" in doc:
         return None, Netlist.from_json_dict(doc)
-    raise CliError("input is neither a design file (topology) nor a netlist (elements)")
+    raise InputError("input is neither a design file (topology) nor a netlist (elements)")
 
 
 def _config_from_flags(args, fallback_f0: float | None = None) -> DohertyConfig:
@@ -340,10 +277,10 @@ def _config_from_flags(args, fallback_f0: float | None = None) -> DohertyConfig:
         if val is None
     ]
     if missing:
-        raise CliError(f"netlist input needs {', '.join(missing)}")
+        raise InputError(f"netlist input needs {', '.join(missing)}")
     f0 = args.f0 if args.f0 is not None else fallback_f0
     if f0 is None:
-        raise CliError("missing --f0")
+        raise InputError("missing --f0")
     return DohertyConfig(alpha=args.alpha, r_opt=args.r_opt, r_l=args.r_l, f0=f0)
 
 
@@ -352,7 +289,7 @@ def cmd_analyze(args) -> int:
         if args.input is not None:
             spec, _ = _load_input(args)
             if spec is None:
-                raise CliError("itr-curves needs a design file or --alpha/--r-opt/--r-l flags")
+                raise InputError("itr-curves needs a design file or --alpha/--r-opt/--r-l flags")
             cfg = spec["config"]
         else:
             cfg = _config_from_flags(args, fallback_f0=1e9)
@@ -363,7 +300,7 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.input is None:
-        raise CliError("this mode needs a design or netlist input path")
+        raise InputError("this mode needs a design or netlist input path")
     spec, netlist = _load_input(args)
     if spec is not None:
         cfg = spec["config"]
@@ -377,7 +314,7 @@ def cmd_analyze(args) -> int:
     else:
         missing = [p for p in ("main", "aux", "load") if p not in netlist.ports]
         if missing:
-            raise CliError(f"netlist input needs ports main, aux and load; missing {missing}")
+            raise InputError(f"netlist input needs ports main, aux and load; missing {missing}")
         cfg = _config_from_flags(args, fallback_f0=netlist.f0)
         q_l = args.q_l
         q_c = args.q_c
@@ -395,9 +332,9 @@ def cmd_analyze(args) -> int:
 
     if args.mode == "pbo-eff":
         if args.q_l is None and spec is not None and math.isinf(spec["q_l"]):
-            raise CliError("pbo-eff needs a finite Q: pass --q-l/--q-c or a q_budget")
+            raise InputError("pbo-eff needs a finite Q: pass --q-l/--q-c or a q_budget")
         if args.compare == "two-line" and spec is None:
-            raise CliError("--compare two-line needs a design-file input")
+            raise InputError("--compare two-line needs a design-file input")
         header = ["pbo_db", "i_main", "i_aux", "eta_passive"]
         prof = analysis.drive_profile(cfg, netlist, n_points, cfg.i_main_turn_on)
         pbo, eta = analysis.passive_eff_vs_pbo(netlist, cfg, prof)
@@ -443,12 +380,12 @@ def cmd_analyze(args) -> int:
 
     if args.mode == "pa-sim":
         if args.v_dc is None:
-            raise CliError("pa-sim needs --v-dc (and --i-max unless --ideal-cells)")
+            raise InputError("pa-sim needs --v-dc (and --i-max unless --ideal-cells)")
         if args.ideal_cells:
             main_cell, aux_cell = cells.ideal_doherty_cells(cfg, args.v_dc)
         else:
             if args.i_max is None:
-                raise CliError("pa-sim with conduction-angle cells needs --i-max")
+                raise InputError("pa-sim with conduction-angle cells needs --i-max")
             turn_on = args.aux_turn_on if args.aux_turn_on is not None else cfg.i_main_turn_on * (
                 1.0 + cfg.alpha
             ) / 2.0
@@ -464,25 +401,25 @@ def cmd_analyze(args) -> int:
         print(path)
         return 0
 
-    raise CliError(f"unknown mode '{args.mode}'")
+    raise InputError(f"unknown mode '{args.mode}'")
 
 
 def cmd_export(args) -> int:
     _, netlist = _load_input(args)
     if netlist is None:
-        raise CliError("export needs a netlist JSON input")
+        raise InputError("export needs a netlist JSON input")
     ports = args.ports.split(",") if args.ports else list(netlist.ports)
     ports = [p for p in ports if p]
     if not 1 <= len(ports) <= 4:
-        raise CliError(f"supported port counts are 1..4, got {len(ports)}")
+        raise InputError(f"supported port counts are 1..4, got {len(ports)}")
     for p in ports:
         if p not in netlist.ports:
-            raise CliError(f"unknown port '{p}'")
+            raise InputError(f"unknown port '{p}'")
     f0 = netlist.f0
     f_start = args.f_start if args.f_start is not None else 0.6 * f0
     f_stop = args.f_stop if args.f_stop is not None else 1.4 * f0
     if not 0 < f_start < f_stop:
-        raise CliError("need 0 < f-start < f-stop")
+        raise InputError("need 0 < f-start < f-stop")
     freqs = np.linspace(f_start, f_stop, args.points)
     s = s_parameters(netlist, ports, freqs, z_ref=args.z_ref)
     _write(args.touchstone, write_touchstone(freqs, s, z_ref=args.z_ref))
@@ -496,10 +433,10 @@ def cmd_export(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as a :class:`CliError` instead of exiting."""
+    """Raises a usage error as an :class:`InputError` instead of exiting."""
 
     def error(self, message: str):
-        raise CliError(message)
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,9 +503,9 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _check_flags(args)
         return args.func(args)
-    except InputError as exc:  # CliError and NetworkTopologyError among them
+    except InputError as exc:  # NetworkTopologyError among them
         doc = {"error": str(exc), "code": 2}
-        if getattr(exc, "key", None) is not None:
+        if exc.key is not None:
             doc["key"] = exc.key
     except (DesignConsistencyError, SingularSystemError, analysis.DegenerateTransferError) as exc:
         doc = {"error": str(exc), "code": 3}

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ClosedForm, InputError
 
 __all__ = [
     "DohertyConfig",
@@ -49,15 +49,19 @@ class DohertyConfig:
     r_l: float
     f0: float
 
+    #: design-file key -> field
+    keys: ClassVar[dict] = {"alpha": "alpha", "r_opt_ohm": "r_opt", "r_l_ohm": "r_l", "f0_hz": "f0"}
+
     def __post_init__(self):
-        for label, val in (
-            ("alpha", self.alpha),
-            ("r_opt", self.r_opt),
-            ("r_l", self.r_l),
-            ("f0", self.f0),
-        ):
-            if not 0 < val < math.inf:
-                raise InputError(f"{label} must be positive and finite, got {val}")
+        with ClosedForm(self.inputs) as check:
+            check(i_main_max=self.i_main_max, i_main_turn_on=self.i_main_turn_on,
+                  i_aux_max=self.i_aux_max, z_main_peak=self.z_main_peak,
+                  z_aux_peak=self.z_aux_peak)
+
+    @property
+    def inputs(self) -> dict[str, float]:
+        """The values by design-file key."""
+        return {key: getattr(self, name) for key, name in self.keys.items()}
 
     @property
     def i_main_max(self) -> float:

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
-from .errors import InputError
+from .errors import ClosedForm, InputError
 from .ideal import DohertyConfig
 from .netkit import (
     Capacitor,
@@ -36,6 +37,8 @@ from .netkit import (
 )
 
 __all__ = [
+    "CombinerDesign",
+    "TOPOLOGIES",
     "TwoLineDesign",
     "ThreeLineDesign",
     "PiNetwork",
@@ -75,13 +78,20 @@ def _window_warnings(values: dict[str, float], window: tuple[float, float], unit
     )
 
 
-@dataclass(frozen=True)
-class TwoLineDesign:
-    z01: float  # impedance inverter at the main output
-    z02: float  # output transformer line
-    cfg: DohertyConfig
-    identity_residuals: dict[str, float] = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
+class CombinerDesign:
+    """A synthesized combiner.  Each family states here, once, what the
+    CLI, :func:`to_netlist` and the ITR oracle know of it: its design-file
+    ``topology`` name; its design-file ``keys`` by section, mapped to the
+    keywords of ``synthesize(cfg, **keywords)``, whose signature holds the
+    defaults; its ``components()`` report; and its netlist ``rows(q_l,
+    q_c, implementation)``, ``(name, component, *nodes)`` each, of which
+    the first ``inverter_rows`` form the main-path impedance inverter and
+    one node of which, ``aux_node``, is the ``aux`` port.
+    """
+
+    keys: ClassVar[dict[str, dict[str, str]]] = {}
+    inverter_rows: ClassVar[int] = 1
+    aux_node: ClassVar[str] = "aux"
 
     @property
     def f0(self) -> float:
@@ -89,7 +99,28 @@ class TwoLineDesign:
 
 
 @dataclass(frozen=True)
-class ThreeLineDesign:
+class TwoLineDesign(CombinerDesign):
+    z01: float  # impedance inverter at the main output
+    z02: float  # output transformer line
+    cfg: DohertyConfig
+    identity_residuals: dict[str, float] = field(default_factory=dict)
+    warnings: tuple[str, ...] = ()
+
+    topology = "two-line"
+    aux_node = "aux_node"
+    synthesize = staticmethod(lambda cfg: synth_two_line(cfg))  # looked up when called
+
+    def components(self) -> dict[str, float]:
+        return {"z01_ohm": self.z01, "z02_ohm": self.z02}
+
+    def rows(self, q_l: float, q_c: float, implementation: str) -> list[tuple]:
+        return _line_rows(self.f0, [("TL1", self.z01, "main", "aux_node", "low-pass"),
+                                    ("TL2", self.z02, "aux_node", "out", "low-pass")],
+                          q_l, q_c, implementation)
+
+
+@dataclass(frozen=True)
+class ThreeLineDesign(CombinerDesign):
     z01: float
     z02: float
     z03: float
@@ -97,9 +128,18 @@ class ThreeLineDesign:
     identity_residuals: dict[str, float] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
-    @property
-    def f0(self) -> float:
-        return self.cfg.f0
+    topology = "three-line"
+    keys = {"free_params": {"z02_ohm": "z02"}}
+    synthesize = staticmethod(lambda cfg, **params: synth_three_line(cfg, **params))
+
+    def components(self) -> dict[str, float]:
+        return {"z01_ohm": self.z01, "z02_ohm": self.z02, "z03_ohm": self.z03}
+
+    def rows(self, q_l: float, q_c: float, implementation: str) -> list[tuple]:
+        return _line_rows(self.f0, [("TL1", self.z01, "main", "out", "low-pass"),
+                                    ("TL2", self.z02, "aux", "mid", "low-pass"),
+                                    ("TL3", self.z03, "mid", "out", "high-pass")],
+                          q_l, q_c, implementation)
 
 
 @dataclass(frozen=True)
@@ -119,7 +159,7 @@ class PiNetwork:
 
 
 @dataclass(frozen=True)
-class TransformerCombinerDesign:
+class TransformerCombinerDesign(CombinerDesign):
     """Two-transformer combiner: coupled pairs TF1/TF2 plus C1..C5.
 
     ``c3_external`` is the part of C3 left to implement after absorbing a
@@ -148,9 +188,11 @@ class TransformerCombinerDesign:
     identity_residuals: dict[str, float] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
-    @property
-    def f0(self) -> float:
-        return self.cfg.f0
+    topology = "transformer"
+    keys = {"free_params": {"n1": "n1", "k1": "k1", "n2": "n2"},
+            "parasitics": {"c_pad_f": "c_pad"}}
+    synthesize = staticmethod(lambda cfg, **params: synth_transformer_combiner(cfg, **params))
+    inverter_rows = 3  # the C1/TF1/C3 pi section
 
     def tf1(self, q: float = math.inf) -> CoupledInductors:
         return CoupledInductors(self.l_p1, self.n1, self.k1, q=q)
@@ -158,12 +200,41 @@ class TransformerCombinerDesign:
     def tf2(self, q: float = math.inf) -> CoupledInductors:
         return CoupledInductors(self.l_p2, self.n2, self.k2, q=q)
 
+    def components(self) -> dict[str, float]:
+        return {
+            "l_p1_h": self.l_p1, "n1": self.n1, "k1": self.k1,
+            "l_p2_h": self.l_p2, "n2": self.n2, "k2": self.k2,
+            "l_m1_h": self.l_m1, "l_m2_h": self.l_m2,
+            "c1_f": self.c1, "c2_f": self.c2, "c3_f": self.c3,
+            "c3_external_f": self.c3_external, "c4_f": self.c4, "c5_f": self.c5,
+            "z0_lp_main_ohm": self.z0_lp_main, "z0_lp_aux_ohm": self.z0_lp_aux,
+            "z0_hp_aux_ohm": self.z0_hp_aux,
+        }
+
+    def rows(self, q_l: float, q_c: float, implementation: str) -> list[tuple]:
+        """Inherently lumped: ``implementation`` changes nothing."""
+        return [
+            ("C1", Capacitor(self.c1, q=q_c), "main", _G),
+            ("TF1", self.tf1(q=q_l), "main", _G, "out", _G),
+            ("C3", Capacitor(self.c3, q=q_c), "out", _G),
+            ("C2", Capacitor(self.c2, q=q_c), "aux", _G),
+            ("TF2", self.tf2(q=q_l), "aux", _G, "tf2s", _G),
+            ("C4", Capacitor(self.c4, q=q_c), "tf2s", _G),
+            ("C5", Capacitor(self.c5, q=q_c), "tf2s", "out"),
+        ]
+
+
+#: topology name -> design class: the topologies a design file may name
+TOPOLOGIES = {d.topology: d for d in (TwoLineDesign, ThreeLineDesign, TransformerCombinerDesign)}
+
 
 def synth_two_line(cfg: DohertyConfig) -> TwoLineDesign:
     """Two-line combiner values: the output line maps the system load to
     R_opt/2 at every drive, the inverter sits at the main-device target."""
-    z01 = (1.0 + cfg.alpha) * cfg.r_opt / 2.0
-    z02 = math.sqrt(cfg.r_opt * cfg.r_l / 2.0)
+    with ClosedForm(cfg.inputs) as check:
+        z01 = (1.0 + cfg.alpha) * cfg.r_opt / 2.0
+        z02 = math.sqrt(cfg.r_opt * cfg.r_l / 2.0)
+        check(z01=z01, z02=z02)
     residuals = {
         "inverter_z0_matches_main_target": _rel_residual(z01, cfg.z_main_peak),
         "output_line_squares_to_half_load_product": _rel_residual(
@@ -181,13 +252,13 @@ def synth_three_line(cfg: DohertyConfig, z02: float | None = None) -> ThreeLineD
     chosen freely as long as z03/z02 = sqrt(2*R_L/R_opt).  The default
     picks z02 = z01, which lands z03 at (1+alpha)*R_L.
     """
-    z01 = (1.0 + cfg.alpha) * math.sqrt(cfg.r_opt * cfg.r_l / 2.0)
-    ratio = math.sqrt(2.0 * cfg.r_l / cfg.r_opt)
-    if z02 is None:
-        z02 = z01
-    if z02 <= 0:
-        raise InputError(f"z02 must be positive, got {z02}")
-    z03 = z02 * ratio
+    with ClosedForm(cfg.inputs if z02 is None else {**cfg.inputs, "z02_ohm": z02}) as check:
+        z01 = (1.0 + cfg.alpha) * math.sqrt(cfg.r_opt * cfg.r_l / 2.0)
+        ratio = math.sqrt(2.0 * cfg.r_l / cfg.r_opt)
+        if z02 is None:
+            z02 = z01
+        z03 = z02 * ratio
+        check(z01=z01, aux_line_ratio=ratio, z03=z03)
     residuals = {
         "inverter_z0_from_loads": _rel_residual(z01, (1.0 + cfg.alpha) * math.sqrt(cfg.r_opt * cfg.r_l / 2.0)),
         "aux_line_ratio": _rel_residual(z03 / z02, ratio),
@@ -202,14 +273,15 @@ def pi_approx(z0: float, f0: float, kind: str) -> PiNetwork:
     low-pass: series L = z0/w0, shunt C = 1/(w0*z0) both sides;
     high-pass: series C = 1/(w0*z0), shunt L = z0/w0 both sides.
     """
-    if z0 <= 0 or f0 <= 0:
-        raise InputError("z0 and f0 must be positive")
-    w0 = 2.0 * math.pi * f0
+    if kind not in ("low-pass", "high-pass"):
+        raise InputError(f"unknown pi kind '{kind}'")
+    with ClosedForm({"z0_ohm": z0, "f0_hz": f0}) as check:
+        w0 = 2.0 * math.pi * f0
+        henries, farads = z0 / w0, 1.0 / (w0 * z0)
+        check(henries=henries, farads=farads)
     if kind == "low-pass":
-        return PiNetwork(kind, z0, series_value=z0 / w0, shunt_value=1.0 / (w0 * z0), f0=f0)
-    if kind == "high-pass":
-        return PiNetwork(kind, z0, series_value=1.0 / (w0 * z0), shunt_value=z0 / w0, f0=f0)
-    raise InputError(f"unknown pi kind '{kind}'")
+        return PiNetwork(kind, z0, series_value=henries, shunt_value=farads, f0=f0)
+    return PiNetwork(kind, z0, series_value=farads, shunt_value=henries, f0=f0)
 
 
 def synth_transformer_combiner(
@@ -229,100 +301,75 @@ def synth_transformer_combiner(
     if abs(cfg.alpha - 1.0) > 1e-12:
         raise InputError(
             "transformer-combiner synthesis is defined for the symmetric "
-            f"split (alpha = 1); got alpha = {cfg.alpha}"
+            f"split (alpha = 1); got alpha = {cfg.alpha}",
+            key="alpha",
         )
-    if not n1 > 0 or not n2 > 0:
-        raise InputError("turn ratios must be positive")
     if not 0.0 < k1 < 1.0:
-        raise InputError(f"k1 must lie in (0, 1), got {k1}")
-    if c_pad < 0:
-        raise InputError(f"c_pad must be >= 0, got {c_pad}")
-    try:
-        return _transformer_combiner(cfg, n1, k1, n2, c_pad)
-    except OverflowError:
-        # a ratio of two free parameters squared left float range; the
-        # parameter farthest from 1 made it
-        name, val = max((("n1", n1), ("k1", k1), ("n2", n2)), key=lambda p: abs(math.log(p[1])))
-        raise InputError(f"{name} = {val} overflows the closed-form synthesis") from None
-
-
-def _transformer_combiner(
-    cfg: DohertyConfig, n1: float, k1: float, n2: float, c_pad: float
-) -> TransformerCombinerDesign:
-    w = 2.0 * math.pi * cfg.f0
+        raise InputError(f"k1 must lie in (0, 1), got {k1}", key="k1")
+    if not c_pad >= 0:
+        raise InputError(f"c_pad must be >= 0, got {c_pad}", key="c_pad_f")
     r_opt, r_l = cfg.r_opt, cfg.r_l
-    root_2rr = math.sqrt(2.0 * r_opt * r_l)
 
-    z0_lp_main = (k1 / n1) * root_2rr
-    l_p1 = z0_lp_main / (w * (1.0 - k1 * k1))
-    c1 = 1.0 / (w * z0_lp_main)
-    c3 = (k1 / n1) ** 2 * c1
-    z0_hp_aux = n1 * n1 / (1.0 - k1 * k1) * z0_lp_main
-    l_p2 = l_p1 * (n1 / n2) ** 2
-    c5 = 1.0 / (w * z0_hp_aux)
+    with ClosedForm({**cfg.inputs, "n1": n1, "k1": k1, "n2": n2}) as check:
+        w = 2.0 * math.pi * cfg.f0
+        root_2rr = math.sqrt(2.0 * r_opt * r_l)
 
-    s = math.sqrt(r_opt / (2.0 * r_l))
-    # the root of k2^2 + n2 s k2 = 1 in (0, 1), in the form that does not
-    # cancel for a large n2 s
-    k2 = 2.0 / (math.sqrt(n2 * n2 * s * s + 4.0) + n2 * s)
-    if not 0.0 < k2 < 1.0:
-        raise DesignConsistencyError(
-            f"solved coupling k2 = {k2} fell outside (0, 1); inputs "
-            f"n2 = {n2}, r_opt/r_l = {r_opt / r_l}"
-        )
+        z0_lp_main = (k1 / n1) * root_2rr
+        l_p1 = z0_lp_main / (w * (1.0 - k1 * k1))
+        c1 = 1.0 / (w * z0_lp_main)
+        c3 = (k1 / n1) ** 2 * c1
+        z0_hp_aux = n1 * n1 / (1.0 - k1 * k1) * z0_lp_main
+        l_p2 = l_p1 * (n1 / n2) ** 2
+        c5 = 1.0 / (w * z0_hp_aux)
 
-    z0_lp_aux = (1.0 - k2 * k2) / (n2 * n2) * z0_hp_aux
-    c2 = 1.0 / (w * z0_lp_aux)
-    c4 = (k2 / n2) ** 2 * c2
-    l_m1 = k1 * k1 * l_p1
-    l_m2 = k2 * k2 * l_p2
+        s = math.sqrt(r_opt / (2.0 * r_l))
+        # the root of k2^2 + n2 s k2 = 1 in (0, 1), in the form that does
+        # not cancel for a large n2 s
+        k2 = 2.0 / (math.sqrt(n2 * n2 * s * s + 4.0) + n2 * s)
+
+        z0_lp_aux = (1.0 - k2 * k2) / (n2 * n2) * z0_hp_aux
+        c2 = 1.0 / (w * z0_lp_aux)
+        c4 = (k2 / n2) ** 2 * c2
+        l_m1 = k1 * k1 * l_p1
+        l_m2 = k2 * k2 * l_p2
+        # k2 < 1 holds while z0_lp_aux is positive; the identities below
+        # divide by these values
+        check(w=w, root_2rr=root_2rr, s=s, l_p1=l_p1, l_p2=l_p2, k2=k2, c1=c1, c2=c2, c3=c3,
+              c4=c4, c5=c5, z0_lp_main=z0_lp_main, z0_lp_aux=z0_lp_aux, z0_hp_aux=z0_hp_aux,
+              l_m1=l_m1, l_m2=l_m2)
+
+        residuals = {
+            "lp_main_z0_from_loads": _rel_residual(z0_lp_main, (k1 / n1) * root_2rr),
+            "tf1_primary_from_lp_z0": _rel_residual(
+                l_p1, (k1 / (w * n1 * (1.0 - k1 * k1))) * root_2rr),
+            "c1_inverts_lp_main_z0": _rel_residual(c1, n1 / (w * k1 * root_2rr)),
+            "c3_is_c1_reflected_through_tf1": _rel_residual(c3, (k1 / n1) ** 2 * c1),
+            "tf1_magnetizing_two_forms": _rel_residual(
+                k1 * k1 * z0_lp_main / (w * (1.0 - k1 * k1)), z0_hp_aux / (w * (n1 / k1) ** 2)),
+            "tf2_magnetizing_two_forms": _rel_residual(
+                k2 * k2 * z0_lp_aux / (w * (1.0 - k2 * k2)), z0_hp_aux / (w * (n2 / k2) ** 2)),
+            "hp_aux_z0_from_tf1": _rel_residual(z0_hp_aux, n1 * k1 / (1.0 - k1 * k1) * root_2rr),
+            "tf2_primary_two_forms": _rel_residual(
+                z0_hp_aux / (w * (n2 / k2) ** 2 * k2 * k2),
+                n1 * k1 / (w * n2 * n2 * (1.0 - k1 * k1)) * root_2rr),
+            "tf2_primary_matches_stored": _rel_residual(l_p2, z0_hp_aux / (w * n2 * n2)),
+            "c5_inverts_hp_aux_z0": _rel_residual(
+                c5, (1.0 - k1 * k1) / (w * n1 * k1 * root_2rr)),
+            "aux_ratio_line_form": _rel_residual(
+                z0_hp_aux / z0_lp_aux, (n2 / k2) * math.sqrt(2.0 * r_l / r_opt)),
+            "aux_ratio_coupling_form": _rel_residual(
+                z0_hp_aux / z0_lp_aux, n2 * n2 / (1.0 - k2 * k2)),
+            "c2_two_forms": _rel_residual(
+                c2, n2 * n2 * (1.0 - k1 * k1) / (w * n1 * k1 * (1.0 - k2 * k2) * root_2rr)),
+            "c4_is_c2_reflected_through_tf2": _rel_residual(c4, (k2 / n2) ** 2 * c2),
+            "k2_quadratic_root": _rel_residual(k2 * k2 + n2 * s * k2, 1.0),
+        }
 
     if c_pad > c3:
         raise InputError(
-            f"output parasitic {c_pad:.4g} F exceeds the synthesized C3 {c3:.4g} F"
+            f"output parasitic {c_pad:.4g} F exceeds the synthesized C3 {c3:.4g} F",
+            key="c_pad_f",
         )
-    c3_external = c3 - c_pad
-
-    residuals = {
-        "lp_main_z0_from_loads": _rel_residual(z0_lp_main, (k1 / n1) * root_2rr),
-        "tf1_primary_from_lp_z0": _rel_residual(
-            l_p1, (k1 / (w * n1 * (1.0 - k1 * k1))) * root_2rr
-        ),
-        "c1_inverts_lp_main_z0": _rel_residual(c1, n1 / (w * k1 * root_2rr)),
-        "c3_is_c1_reflected_through_tf1": _rel_residual(c3, (k1 / n1) ** 2 * c1),
-        "tf1_magnetizing_two_forms": _rel_residual(
-            k1 * k1 * z0_lp_main / (w * (1.0 - k1 * k1)),
-            z0_hp_aux / (w * (n1 / k1) ** 2),
-        ),
-        "tf2_magnetizing_two_forms": _rel_residual(
-            k2 * k2 * z0_lp_aux / (w * (1.0 - k2 * k2)),
-            z0_hp_aux / (w * (n2 / k2) ** 2),
-        ),
-        "hp_aux_z0_from_tf1": _rel_residual(
-            z0_hp_aux, n1 * k1 / (1.0 - k1 * k1) * root_2rr
-        ),
-        "tf2_primary_two_forms": _rel_residual(
-            z0_hp_aux / (w * (n2 / k2) ** 2 * k2 * k2),
-            n1 * k1 / (w * n2 * n2 * (1.0 - k1 * k1)) * root_2rr,
-        ),
-        "tf2_primary_matches_stored": _rel_residual(l_p2, z0_hp_aux / (w * n2 * n2)),
-        "c5_inverts_hp_aux_z0": _rel_residual(
-            c5, (1.0 - k1 * k1) / (w * n1 * k1 * root_2rr)
-        ),
-        "aux_ratio_line_form": _rel_residual(
-            z0_hp_aux / z0_lp_aux, (n2 / k2) * math.sqrt(2.0 * r_l / r_opt)
-        ),
-        "aux_ratio_coupling_form": _rel_residual(
-            z0_hp_aux / z0_lp_aux, n2 * n2 / (1.0 - k2 * k2)
-        ),
-        "c2_two_forms": _rel_residual(
-            c2,
-            n2 * n2 * (1.0 - k1 * k1)
-            / (w * n1 * k1 * (1.0 - k2 * k2) * root_2rr),
-        ),
-        "c4_is_c2_reflected_through_tf2": _rel_residual(c4, (k2 / n2) ** 2 * c2),
-        "k2_quadratic_root": _rel_residual(k2 * k2 + n2 * s * k2, 1.0),
-    }
     bad = {name: r for name, r in residuals.items() if r > IDENTITY_TOL}
     if bad:
         raise DesignConsistencyError(f"identity residuals above {IDENTITY_TOL}: {bad}")
@@ -332,28 +379,10 @@ def _transformer_combiner(
     ) + _window_warnings(
         {"c1": c1, "c2": c2, "c3": c3, "c4": c4, "c5": c5}, C_WINDOW, "F"
     )
-
     return TransformerCombinerDesign(
-        l_p1=l_p1,
-        n1=n1,
-        k1=k1,
-        l_p2=l_p2,
-        n2=n2,
-        k2=k2,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        c4=c4,
-        c5=c5,
-        z0_lp_main=z0_lp_main,
-        z0_lp_aux=z0_lp_aux,
-        z0_hp_aux=z0_hp_aux,
-        l_m1=l_m1,
-        l_m2=l_m2,
-        c_pad=c_pad,
-        c3_external=c3_external,
-        cfg=cfg,
-        identity_residuals=residuals,
+        l_p1=l_p1, n1=n1, k1=k1, l_p2=l_p2, n2=n2, k2=k2, c1=c1, c2=c2, c3=c3, c4=c4, c5=c5,
+        z0_lp_main=z0_lp_main, z0_lp_aux=z0_lp_aux, z0_hp_aux=z0_hp_aux, l_m1=l_m1, l_m2=l_m2,
+        c_pad=c_pad, c3_external=c3 - c_pad, cfg=cfg, identity_residuals=residuals,
         warnings=warnings,
     )
 
@@ -362,21 +391,33 @@ def _transformer_combiner(
 # Netlist emission
 # ----------------------------------------------------------------------
 
-
-def _add_pi(net: Netlist, tag: str, pi: PiNetwork, n_in: str, n_out: str,
-            q_l: float, q_c: float) -> None:
-    g = net.ground
-    if pi.kind == "low-pass":
-        net.add(f"{tag}_cin", Capacitor(pi.shunt_value, q=q_c), n_in, g)
-        net.add(f"{tag}_l", Inductor(pi.series_value, q=q_l), n_in, n_out)
-        net.add(f"{tag}_cout", Capacitor(pi.shunt_value, q=q_c), n_out, g)
-    else:
-        net.add(f"{tag}_lin", Inductor(pi.shunt_value, q=q_l), n_in, g)
-        net.add(f"{tag}_c", Capacitor(pi.series_value, q=q_c), n_in, n_out)
-        net.add(f"{tag}_lout", Inductor(pi.shunt_value, q=q_l), n_out, g)
+_G = Netlist.ground
 
 
-def _finish(net: Netlist, r_l: float, include_load: bool, aux_node: str = "aux") -> Netlist:
+def _line_rows(f0: float, lines: list[tuple], q_l: float, q_c: float, implementation: str):
+    """Netlist rows of quarter-wave ``lines``, each (name, z0, input node,
+    output node, pi kind): ideal lines, or their lumped pi sections
+    carrying the given element Q."""
+    if implementation == "line":
+        return [(name, TransmissionLine(z0, 90.0, f0), n_in, n_out)
+                for name, z0, n_in, n_out, _ in lines]
+    if implementation != "lumped-pi":
+        raise InputError(f"unknown implementation '{implementation}'")
+    rows = []
+    for tag, z0, n_in, n_out, kind in lines:
+        pi = pi_approx(z0, f0, kind)
+        if kind == "low-pass":
+            rows += [(f"{tag}_cin", Capacitor(pi.shunt_value, q=q_c), n_in, _G),
+                     (f"{tag}_l", Inductor(pi.series_value, q=q_l), n_in, n_out),
+                     (f"{tag}_cout", Capacitor(pi.shunt_value, q=q_c), n_out, _G)]
+        else:
+            rows += [(f"{tag}_lin", Inductor(pi.shunt_value, q=q_l), n_in, _G),
+                     (f"{tag}_c", Capacitor(pi.series_value, q=q_c), n_in, n_out),
+                     (f"{tag}_lout", Inductor(pi.shunt_value, q=q_l), n_out, _G)]
+    return rows
+
+
+def _finish(net: Netlist, r_l: float, include_load: bool, aux_node: str) -> Netlist:
     if include_load:
         net.add("RL", Resistor(r_l), "out", net.ground)
     net.add_port("main", "main")
@@ -388,7 +429,7 @@ def _finish(net: Netlist, r_l: float, include_load: bool, aux_node: str = "aux")
 
 
 def to_netlist(
-    design: TwoLineDesign | ThreeLineDesign | TransformerCombinerDesign,
+    design: CombinerDesign,
     q_l: float = math.inf,
     q_c: float = math.inf,
     include_load: bool = True,
@@ -403,39 +444,12 @@ def to_netlist(
     transformer design is inherently lumped; ``q_l`` applies to its
     windings and ``q_c`` to C1..C5.
     """
-    net = Netlist(f0=design.f0)
-    g = net.ground
-
-    if isinstance(design, TransformerCombinerDesign):
-        net.add("C1", Capacitor(design.c1, q=q_c), "main", g)
-        net.add("TF1", design.tf1(q=q_l), "main", g, "out", g)
-        net.add("C3", Capacitor(design.c3, q=q_c), "out", g)
-        net.add("C2", Capacitor(design.c2, q=q_c), "aux", g)
-        net.add("TF2", design.tf2(q=q_l), "aux", g, "tf2s", g)
-        net.add("C4", Capacitor(design.c4, q=q_c), "tf2s", g)
-        net.add("C5", Capacitor(design.c5, q=q_c), "tf2s", "out")
-        return _finish(net, design.cfg.r_l, include_load)
-
-    # one (name, z0, input node, output node, pi kind) row per line
-    if isinstance(design, TwoLineDesign):
-        aux_node = "aux_node"
-        rows = [("TL1", design.z01, "main", aux_node, "low-pass"),
-                ("TL2", design.z02, aux_node, "out", "low-pass")]
-    elif isinstance(design, ThreeLineDesign):
-        aux_node = "aux"
-        rows = [("TL1", design.z01, "main", "out", "low-pass"),
-                ("TL2", design.z02, "aux", "mid", "low-pass"),
-                ("TL3", design.z03, "mid", "out", "high-pass")]
-    else:
+    if not isinstance(design, CombinerDesign):
         raise TypeError(f"cannot emit a netlist for {type(design).__name__}")
-    if implementation not in ("line", "lumped-pi"):
-        raise InputError(f"unknown implementation '{implementation}'")
-    for name, z0, n_in, n_out, kind in rows:
-        if implementation == "line":
-            net.add(name, TransmissionLine(z0, 90.0, design.f0), n_in, n_out)
-        else:
-            _add_pi(net, name, pi_approx(z0, design.f0, kind), n_in, n_out, q_l, q_c)
-    return _finish(net, design.cfg.r_l, include_load, aux_node)
+    net = Netlist(f0=design.f0)
+    for name, component, *nodes in design.rows(q_l, q_c, implementation):
+        net.add(name, component, *nodes)
+    return _finish(net, design.cfg.r_l, include_load, design.aux_node)
 
 
 def transformer_combiner_explicit_netlist(
@@ -450,19 +464,13 @@ def transformer_combiner_explicit_netlist(
     same design; used to validate the synthesis derivation end to end.
     """
     net = Netlist(f0=design.f0)
-    g = net.ground
-    tf1, tf2 = design.tf1(), design.tf2()
-
-    net.add("C1", Capacitor(design.c1, q=q_c), "main", g)
-    net.add("TF1_leak", Inductor(tf1.l_leak, q=q_l), "main", "m1")
-    net.add("TF1_mag", Inductor(tf1.l_mag, q=q_l), "m1", g)
-    net.add("TF1_ideal", IdealTransformer(tf1.ideal_ratio), "m1", g, "out", g)
-    net.add("C3", Capacitor(design.c3, q=q_c), "out", g)
-
-    net.add("C2", Capacitor(design.c2, q=q_c), "aux", g)
-    net.add("TF2_leak", Inductor(tf2.l_leak, q=q_l), "aux", "a1")
-    net.add("TF2_mag", Inductor(tf2.l_mag, q=q_l), "a1", g)
-    net.add("TF2_ideal", IdealTransformer(tf2.ideal_ratio), "a1", g, "tf2s", g)
-    net.add("C4", Capacitor(design.c4, q=q_c), "tf2s", g)
-    net.add("C5", Capacitor(design.c5, q=q_c), "tf2s", "out")
-    return _finish(net, design.cfg.r_l, include_load)
+    for name, part, *nodes in design.rows(q_l, q_c, "line"):
+        if isinstance(part, CoupledInductors):
+            plus, minus, out, _ = nodes
+            mid = f"{name}_m"
+            net.add(f"{name}_leak", Inductor(part.l_leak, q=q_l), plus, mid)
+            net.add(f"{name}_mag", Inductor(part.l_mag, q=q_l), mid, minus)
+            net.add(f"{name}_ideal", IdealTransformer(part.ideal_ratio), mid, minus, out, minus)
+        else:
+            net.add(name, part, *nodes)
+    return _finish(net, design.cfg.r_l, include_load, design.aux_node)

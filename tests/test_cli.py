@@ -7,6 +7,12 @@ import os
 import numpy as np
 import pytest
 
+from dohertylab import (
+    DohertyConfig,
+    synth_three_line,
+    synth_transformer_combiner,
+    synth_two_line,
+)
 from dohertylab.cli import main
 from dohertylab.netkit import Netlist, read_touchstone, s_parameters
 
@@ -66,6 +72,48 @@ def test_synth_two_line_report_values(tmp_path, capsys):
     assert report["components"]["z02_ohm"] == pytest.approx(32.13, abs=0.005)
 
 
+#: report key -> design field, per topology
+_COMPONENTS = {
+    "two-line": {"z01_ohm": "z01", "z02_ohm": "z02"},
+    "three-line": {"z01_ohm": "z01", "z02_ohm": "z02", "z03_ohm": "z03"},
+    "transformer": {
+        "l_p1_h": "l_p1", "n1": "n1", "k1": "k1", "l_p2_h": "l_p2", "n2": "n2", "k2": "k2",
+        "l_m1_h": "l_m1", "l_m2_h": "l_m2", "c1_f": "c1", "c2_f": "c2", "c3_f": "c3",
+        "c3_external_f": "c3_external", "c4_f": "c4", "c5_f": "c5",
+        "z0_lp_main_ohm": "z0_lp_main", "z0_lp_aux_ohm": "z0_lp_aux",
+        "z0_hp_aux_ohm": "z0_hp_aux",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "topology,free,synth",
+    [
+        ("two-line", {}, synth_two_line),
+        ("three-line", {"z02_ohm": 60.0}, lambda cfg: synth_three_line(cfg, z02=60.0)),
+        ("transformer", {"n1": 1.2, "k1": 0.6, "n2": 0.8},
+         lambda cfg: synth_transformer_combiner(cfg, n1=1.2, k1=0.6, n2=0.8, c_pad=1e-14)),
+    ],
+    ids=["two-line", "three-line", "transformer"],
+)
+def test_synth_reports_the_topology_components(topology, free, synth, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setenv("DOHERTYLAB_PRECISION", "17")  # the report then reads back exactly
+    doc = {"config": PROTO_DESIGN["config"], "topology": topology, "free_params": free}
+    if topology == "transformer":
+        doc["parasitics"] = {"c_pad_f": 1e-14}
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(doc))
+    code, _, _ = run(["synth", str(p), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 0
+    components = json.loads((tmp_path / "out" / "report.json").read_text())["components"]
+    c = PROTO_DESIGN["config"]
+    design = synth(DohertyConfig(c["alpha"], c["r_opt_ohm"], c["r_l_ohm"], c["f0_hz"]))
+    assert components == {key: getattr(design, f) for key, f in _COMPONENTS[topology].items()}
+    if topology == "three-line":  # the free choice, not the default z02 = z01
+        assert components["z02_ohm"] == 60.0 != design.z01
+
+
 def test_synth_deterministic_bytes(design_path, tmp_path, capsys):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert run(["synth", design_path, "--out-dir", out_a], capsys)[0] == 0
@@ -77,28 +125,37 @@ def test_synth_deterministic_bytes(design_path, tmp_path, capsys):
             assert fa.read() == fb.read(), name
 
 
+#: each mutation of the prototype design returns the key its error names
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda d: d.update({"topology": "ring"}),
-        lambda d: d.update({"surprise": 1}),
-        lambda d: d["config"].pop("r_opt_ohm"),
-        lambda d: d["config"].update({"alpha": -1.0}),
-        lambda d: d["config"].update({"f0_hz": "fast"}),
-        lambda d: d.update({"free_params": {"k1": 2.0}}),
-        lambda d: d.update({"parasitics": {"c_pad_f": 1.0e-9}}),
+        lambda d: d.update({"topology": "ring"}) or "topology",
+        lambda d: d.update({"surprise": 1}) or "surprise",
+        lambda d: d["config"].pop("r_opt_ohm") and "r_opt_ohm",
+        lambda d: d["config"].update({"alpha": -1.0}) or "alpha",
+        lambda d: d["config"].update({"f0_hz": "fast"}) or "f0_hz",
+        lambda d: d.update({"free_params": {"k1": 2.0}}) or "k1",
+        lambda d: d.update({"parasitics": {"c_pad_f": 1.0e-9}}) or "c_pad_f",
+        # a closed form underflows to zero and divides by it
+        lambda d: d["config"].update({"r_opt_ohm": 1e-300, "r_l_ohm": 1e-300}) or "r_opt_ohm",
+        lambda d: d["free_params"].update({"n1": 1e-300, "k1": 1e-300}) or "n1",
+        # a line topology has no pad capacitance to absorb it
+        lambda d: d.update({"topology": "two-line", "free_params": {},
+                            "parasitics": {"c_pad_f": 5e-12}}) or "c_pad_f",
     ],
 )
 def test_malformed_design_corpus_exits_2(mutate, tmp_path, capsys):
     doc = json.loads(json.dumps(PROTO_DESIGN))
-    mutate(doc)
+    key = mutate(doc)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
     code, _, err = run(["synth", str(p), "--out-dir", str(tmp_path)], capsys)
     assert code == 2
+    assert err.count("\n") == 1  # exactly one JSON object
     payload = json.loads(err)
     assert payload["code"] == 2
     assert payload["error"]
+    assert payload["key"] == key
 
 
 def test_unparseable_json_exits_2_naming_problem(tmp_path, capsys):
@@ -673,9 +730,12 @@ _FLAGS = ["--alpha", "1", "--r-opt", "41.3", "--r-l", "50"]
         (["analyze", "DESIGN", "--mode", "pa-sim", "--ideal-cells", "--v-dc", "inf"], "--v-dc"),
         (["analyze", "DESIGN", "--mode", "pa-sim", "--v-dc", "1", "--i-max", "1",
           "--main-phi-deg", "400"], "conduction angle"),
+        # (1 + alpha)^2 leaves float range
+        (["analyze", "--mode", "itr-curves", "--alpha", "1e300", "--r-opt", "41.3",
+          "--r-l", "50"], "alpha = 1e+300 overflows"),
     ],
     ids=["alpha-nan", "r-l-negative", "f0-nan", "r-opt-inf", "z-ref-nan", "f-stop-inf",
-         "threshold-nan", "v-dc-inf", "phi-out-of-range"],
+         "threshold-nan", "v-dc-inf", "phi-out-of-range", "alpha-1e300-itr-curves"],
 )
 def test_numeric_flag_outside_domain_exit_2(argv, flag, design_path, tmp_path, capsys):
     out_dir = str(tmp_path / "s")
