@@ -5,8 +5,8 @@ the ports ``main``, ``aux`` and ``load`` that ``to_netlist`` gives it,
 the aux drive being the phase reference: input phase alignment,
 load-modulation sweeps, passive efficiency versus back-off and
 frequency, bandwidth extraction, behavioral PA simulation with current
-cells, and the inverter-face impedance probe used to cross-check the
-closed-form transformation ratios.
+cells, and the inverter-ratio oracle that cross-checks the closed-form
+transformation ratios.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ from .ideal import (
     itr_intro,
     pbo_level,
 )
-from .netkit import (
-    CoupledInductors,
-    Netlist,
-    Resistor,
-    solve,
-    solve_columns,
-)
-from .netkit.mna import ColumnsResult
+from .netkit import Netlist, Resistor, solve, solve_columns
 from .synth import CombinerDesign
 
 __all__ = [
@@ -50,8 +43,6 @@ __all__ = [
     "bandwidth_report",
     "pa_drive_grid",
     "simulate_pa",
-    "inverter_face_impedances",
-    "measured_itr",
     "itr_inverter_oracle",
     "peak_excitations",
 ]
@@ -61,12 +52,11 @@ class DegenerateTransferError(RuntimeError):
     """Transfer from a source port to the load is numerically zero."""
 
 
-def _terminated_copy(netlist: Netlist, ohms: float | None) -> Netlist:
-    """Copy with a resistor across the ``main`` and ``aux`` ports: ``ohms``,
-    or by default the load termination's value (50 ohm without one)."""
-    if ohms is None:
-        loads = netlist.load_terminations()
-        ohms = loads[0].component.ohms if loads else 50.0
+def _terminated_copy(netlist: Netlist) -> Netlist:
+    """Copy with a resistor across the ``main`` and ``aux`` ports of the
+    load termination's value (50 ohm without one)."""
+    loads = netlist.load_terminations()
+    ohms = loads[0].component.ohms if loads else 50.0
     work = netlist.copy()
     for p in ("main", "aux"):
         plus, minus = work.ports[p]
@@ -77,7 +67,6 @@ def _terminated_copy(netlist: Netlist, ohms: float | None) -> Netlist:
 def required_phase_offset(
     netlist: Netlist,
     f0: float | None = None,
-    termination_ohms: float | None = None,
 ) -> float:
     """Main-minus-aux input phase (degrees) for in-phase combining.
 
@@ -92,7 +81,7 @@ def required_phase_offset(
     the drive level.
     """
     f0 = f0 if f0 is not None else netlist.f0
-    work = _terminated_copy(netlist, termination_ohms)
+    work = _terminated_copy(netlist)
     # column 0 drives the main port alone, column 1 the auxiliary port
     r = solve_columns(work, f0, {"main": np.array([1.0, 0.0]), "aux": np.array([0.0, 1.0])})
 
@@ -111,7 +100,6 @@ def offset_delivered_power(
     netlist: Netlist,
     offset_deg: float,
     f0: float | None = None,
-    termination_ohms: float | None = None,
 ) -> float:
     """Load power for unit drives at the given main-minus-aux phase.
 
@@ -120,7 +108,7 @@ def offset_delivered_power(
     the +-1 degree perturbation checks run against this function.
     """
     f0 = f0 if f0 is not None else netlist.f0
-    work = _terminated_copy(netlist, termination_ohms)
+    work = _terminated_copy(netlist)
     work.load_port = "load"
     i_main = cmath.exp(1j * math.radians(offset_deg))
     result = solve_columns(work, f0, {"main": np.array([i_main]), "aux": np.array([1.0])})
@@ -282,10 +270,10 @@ def bandwidth_report(
     threshold_db: float | None = None,
     window: float = 0.4,
     n_points: int = 201,
-    f0: float | None = None,
     z_ref_ohm: float | None = None,
 ) -> BandwidthReport:
-    """Widest contiguous band around center meeting the criterion.
+    """Widest contiguous band around the netlist's center frequency
+    meeting the criterion.
 
     metric "passive-efficiency": band where the efficiency stays within
     ``threshold_db`` (default 1) of its center value.  metric
@@ -295,7 +283,7 @@ def bandwidth_report(
     resistance.  A criterion never met at center yields a zero-width
     report, not an error.
     """
-    f0 = f0 if f0 is not None else netlist.f0
+    f0 = netlist.f0
     if metric == "passive-efficiency":
         thr = threshold_db if threshold_db is not None else 1.0
     elif metric == "load-match":
@@ -397,35 +385,20 @@ def simulate_pa(
     idc_main, if_main = main_cell.currents(v)
     idc_aux, if_aux = aux_cell.currents(v)
     p_dc = v_dc * (idc_main + idc_aux)
-    main_on = np.abs(if_main) > 0.0
-    aux_on = np.abs(if_aux) > 0.0
 
-    # one column per level that drives either port
-    n = len(v)
-    p_out = np.zeros(n)
-    v_load = np.zeros(n, dtype=complex)
-    z_main = np.full(n, complex(np.nan, np.nan), dtype=complex)
-    z_aux = np.full(n, complex(np.nan, np.nan), dtype=complex)
-    overdrive = np.zeros(n, dtype=bool)
-    on = main_on | aux_on
-    if on.any():
-        drive_main = if_main[on] * ph_main
-        drive_aux = if_aux[on]
-        r = solve_columns(netlist, freq, {"main": drive_main, "aux": drive_aux})
-        vm, va = r.port_voltages["main"], r.port_voltages["aux"]
-        p_out[on] = r.load_power
-        v_load[on] = r.port_voltages["load"]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z_main[on] = vm / drive_main
-            z_aux[on] = va / drive_aux
-        z_main[~main_on] = z_aux[~aux_on] = complex(np.nan, np.nan)  # port not driven
-        lim_main = main_cell.v_dc - getattr(main_cell, "v_knee", 0.0)
-        lim_aux = aux_cell.v_dc - getattr(aux_cell, "v_knee", 0.0)
-        overdrive[on] = (np.abs(vm) > lim_main * (1.0 + 1e-6)) | (
-            np.abs(va) > lim_aux * (1.0 + 1e-6)
-        )
+    # one column per level; a level that drives neither port solves to zero
+    drive_main = if_main * ph_main
+    r = solve_columns(netlist, freq, {"main": drive_main, "aux": if_aux})
+    vm, va = r.port_voltages["main"], r.port_voltages["aux"]
+    p_out, v_load = r.load_power, r.port_voltages["load"]
     with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(on & (p_dc > 0), p_out / p_dc, 0.0)
+        # NaN where the port is not driven
+        z_main = np.where(if_main != 0, vm / drive_main, complex(np.nan, np.nan))
+        z_aux = np.where(if_aux != 0, va / if_aux, complex(np.nan, np.nan))
+        eta = np.where(p_dc > 0, p_out / p_dc, 0.0)
+    lim_main = main_cell.v_dc - getattr(main_cell, "v_knee", 0.0)
+    lim_aux = aux_cell.v_dc - getattr(aux_cell, "v_knee", 0.0)
+    overdrive = (np.abs(vm) > lim_main * (1.0 + 1e-6)) | (np.abs(va) > lim_aux * (1.0 + 1e-6))
 
     p_ref = p_out.max()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -458,45 +431,8 @@ def simulate_pa(
 
 
 # ----------------------------------------------------------------------
-# Inverter-face probe
+# Inverter-ratio oracle
 # ----------------------------------------------------------------------
-
-
-def inverter_face_impedances(
-    netlist: Netlist, result: ColumnsResult
-) -> tuple[np.ndarray, np.ndarray]:
-    """Impedances at the two faces of the main-path impedance inverter,
-    arrays of the shape of ``result``'s port voltages.
-
-    For line-based combiners the inverter is the element named ``TL1``;
-    for the transformer combiner it is the C1/TF1/C3 pi section, whose
-    output-face current is the TF1 secondary current net of the C3 shunt.
-    ``result`` must probe these elements (see :func:`solve_columns`).
-    """
-    names = {e.name for e in netlist.elements}
-    if "TL1" in names:
-        v1, v2 = (result.node_voltages[nd] for nd in netlist.element("TL1").nodes)
-        i1, i2 = result.branch_currents["TL1"]
-        return v1 / i1, v2 / (-i2)
-    if "TF1" in names:
-        tf1 = netlist.element("TF1")
-        if not isinstance(tf1.component, CoupledInductors):
-            raise InputError("element TF1 is not a coupled pair")
-        v_main = result.node_voltages[tf1.nodes[0]]
-        v_out = result.node_voltages[tf1.nodes[2]]
-        i_p, i_s = result.branch_currents["TF1"]
-        (i_c1,), (i_c3,) = result.branch_currents["C1"], result.branch_currents["C3"]
-        return v_main / (i_p + i_c1), v_out / (-i_s - i_c3)
-    raise InputError("netlist has neither a TL1 line nor a TF1 transformer")
-
-
-def measured_itr(netlist: Netlist, result: ColumnsResult) -> np.ndarray:
-    """Impedance-transformation ratio (>= 1) across the main inverter."""
-    z1, z2 = inverter_face_impedances(netlist, result)
-    r1, r2 = z1.real, z2.real
-    if (r1 <= 0).any() or (r2 <= 0).any():
-        raise InputError(f"non-positive face resistances {r1.min()}, {r2.min()}")
-    return np.maximum(r1 / r2, r2 / r1)
 
 
 def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -507,9 +443,11 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
     resistance times (i_main + i_aux)/i_main with the ideal current
     split.  This probe builds exactly that situation in the solver - the
     synthesized inverter alone, terminated by that modulated resistance -
-    and reads both face impedances from branch currents, the whole grid in
-    one sweep over the terminating resistance.  The inverter is the
-    design's leading ``inverter_rows``.  Where it lands on the load node
+    and reads both face impedances at its ports, the whole grid in one
+    sweep over the terminating resistance.  Driven with 1 A, the input
+    face's impedance is the ``main`` port voltage; the output face sees
+    the terminating resistance itself.  The inverter is the design's
+    leading ``inverter_rows``.  Where it lands on the load node
     (three-line, transformer) the base node resistance is the system
     load; where it lands on an output line (two-line) it is measured, not
     assumed: the input resistance of the remaining rows terminated in the
@@ -539,9 +477,9 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
         r_base = solve(probe, f0, {"in": 1.0}).node_voltages[face].real
         closed = itr_conv(cfg.alpha, grid)
 
-    inverter = [e.name for e in net.elements]
     net.add("Rnode", Resistor(r_base), face, net.ground)  # its value is swept below
     net.add_port("main", "main")
     r_node = r_base * (grid + current_profile(cfg.alpha, grid)) / grid
-    r = solve_columns(net, f0, {"main": np.ones(1)}, {"Rnode": {"ohms": r_node}}, inverter)
-    return measured_itr(net, r)[:, 0], closed
+    r = solve_columns(net, f0, {"main": np.ones(1)}, {"Rnode": {"ohms": r_node}})
+    r_main = r.port_voltages["main"][:, 0].real
+    return np.maximum(r_main / r_node, r_node / r_main), closed

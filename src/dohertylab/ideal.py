@@ -161,7 +161,9 @@ def itr_conv(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
     if alpha <= 0:
         raise InputError(f"alpha must be positive, got {alpha}")
     i_main = _check_aux_on(alpha, i_main)
-    denom = (2.0 + alpha) - 2.0 / ((1.0 + alpha) * i_main)
+    # the denominator written without cancellation at the turn-on point
+    i_on = 2.0 / (1.0 + alpha) ** 2
+    denom = 1.0 + (1.0 + alpha) * (i_main - i_on) / i_main
     return np.square((1.0 + alpha) / denom)
 
 

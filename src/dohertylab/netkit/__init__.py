@@ -14,8 +14,6 @@ from .elements import (
     Inductor,
     Resistor,
     TransmissionLine,
-    admittance,
-    impedance,
 )
 from .mna import (
     AnalysisResult,
@@ -45,8 +43,6 @@ __all__ = [
     "TransmissionLine",
     "CurrentSource",
     "Component",
-    "impedance",
-    "admittance",
     "Netlist",
     "Placed",
     "NetworkTopologyError",

@@ -50,8 +50,6 @@ __all__ = [
     "TransmissionLine",
     "CurrentSource",
     "Component",
-    "impedance",
-    "admittance",
 ]
 
 _DB_TO_NEPER = math.log(10.0) / 20.0
@@ -208,14 +206,6 @@ class CoupledInductors(Element):
         _positive(self.n, "turn ratio")
         _require(0.0 < self.k < 1.0, f"coupling must lie in (0, 1), got {self.k}")
         _require(self.q > 0, f"Q must be positive or inf, got {self.q}")
-
-    @property
-    def l_s(self) -> float:
-        return self.n * self.n * self.l_p
-
-    @property
-    def l_mutual(self) -> float:
-        return self.k * self.n * self.l_p
 
     @property
     def l_leak(self) -> float:
@@ -411,16 +401,3 @@ Component = (
     | CurrentSource
 )
 
-
-def impedance(comp: Resistor | Inductor | Capacitor, freq: Freq) -> Value:
-    """Series impedance of a two-terminal component at ``freq``, loss included."""
-    if not isinstance(comp, _Lumped):
-        raise TypeError(f"no series impedance for {type(comp).__name__}")
-    return comp.impedance(freq)
-
-
-def admittance(comp: Resistor | Inductor | Capacitor, freq: Freq) -> Value:
-    """Admittance of a two-terminal component at ``freq``, loss included."""
-    if not isinstance(comp, _Lumped):
-        raise TypeError(f"no admittance for {type(comp).__name__}")
-    return comp.admittance(freq)

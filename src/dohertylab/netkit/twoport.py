@@ -15,8 +15,6 @@ from .elements import (
     Inductor,
     Resistor,
     TransmissionLine,
-    admittance,
-    impedance,
 )
 
 __all__ = ["Series", "Shunt", "TwoPortMatrix", "two_port_matrix", "input_impedance"]
@@ -99,9 +97,9 @@ class TwoPortMatrix:
 
 def _abcd_of(item: ChainItem, freq: float) -> np.ndarray:
     if isinstance(item, Series):
-        return np.array([[1.0, impedance(item.component, freq)], [0.0, 1.0]], dtype=complex)
+        return np.array([[1.0, item.component.impedance(freq)], [0.0, 1.0]], dtype=complex)
     if isinstance(item, Shunt):
-        return np.array([[1.0, 0.0], [admittance(item.component, freq), 1.0]], dtype=complex)
+        return np.array([[1.0, 0.0], [item.component.admittance(freq), 1.0]], dtype=complex)
     if isinstance(item, TransmissionLine):
         gl = item.gamma_length(freq)
         ch, sh = cmath.cosh(gl), cmath.sinh(gl)

@@ -369,6 +369,20 @@ def test_itr_curves_contains_prototype_anchor_rows(tmp_path, capsys):
     assert lookup(6.02)[1] == pytest.approx(4.0, abs=0.01)
 
 
+@pytest.mark.parametrize("alpha", ["1", "2", "1e150"])
+def test_itr_curves_end_at_the_turn_on_ratio(alpha, tmp_path, capsys):
+    """The conventional ratio reaches (1+alpha)^2 at the auxiliary turn-on
+    point, also where (1+alpha)^2 is near the top of float range."""
+    code, _, err = run(
+        ["analyze", "--mode", "itr-curves", "--alpha", alpha, "--r-opt", "41.3", "--r-l", "50",
+         "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    last = (tmp_path / "itr_curves.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[3]) == pytest.approx((1.0 + float(alpha)) ** 2, rel=1e-8)
+
+
 def test_load_mod_csv_schema_and_anchor(design_path, tmp_path, capsys):
     doc = json.loads(json.dumps(PROTO_DESIGN))
     doc["topology"] = "two-line"
