@@ -96,22 +96,18 @@ def required_phase_offset(
     return (offset + 180.0) % 360.0 - 180.0
 
 
-def offset_delivered_power(
-    netlist: Netlist,
-    offset_deg: float,
-    f0: float | None = None,
-) -> float:
-    """Load power for unit drives at the given main-minus-aux phase.
+def offset_delivered_power(netlist: Netlist, offset_deg: float) -> float:
+    """Load power for unit drives at the given main-minus-aux phase, at
+    the netlist's center frequency.
 
     Uses the same source-terminated network as
     :func:`required_phase_offset`, where the optimum is a strict maximum;
     the +-1 degree perturbation checks run against this function.
     """
-    f0 = f0 if f0 is not None else netlist.f0
     work = _terminated_copy(netlist)
     work.load_port = "load"
     i_main = cmath.exp(1j * math.radians(offset_deg))
-    result = solve_columns(work, f0, {"main": np.array([i_main]), "aux": np.array([1.0])})
+    result = solve_columns(work, netlist.f0, {"main": np.array([i_main]), "aux": np.array([1.0])})
     return float(result.load_power[0])
 
 
@@ -362,10 +358,10 @@ def simulate_pa(
     netlist: Netlist,
     drive: np.ndarray | list[float],
     v_dc: float,
-    freq: float | None = None,
     offset_deg: float | None = None,
 ) -> PASimResult:
-    """Sweep the two-cell PA over normalized drive levels.
+    """Sweep the two-cell PA over normalized drive levels at the
+    netlist's center frequency.
 
     Cells provide ``currents(v) -> (I_dc, I_fund)`` for a float or an
     array ``v`` and get the whole drive array in one call; fundamentals are
@@ -375,11 +371,10 @@ def simulate_pa(
     each cell's saturation limit set the per-point overdrive flag (the
     current-source model does not clip).
     """
-    freq = freq if freq is not None else netlist.f0
     v = np.asarray(drive, dtype=float)
     if np.any(v < 0) or np.any(v > 1.0 + 1e-12):
         raise InputError("drive levels must lie in [0, 1]")
-    offset = offset_deg if offset_deg is not None else required_phase_offset(netlist, freq)
+    offset = offset_deg if offset_deg is not None else required_phase_offset(netlist)
     ph_main = cmath.exp(1j * math.radians(offset))
 
     idc_main, if_main = main_cell.currents(v)
@@ -388,7 +383,7 @@ def simulate_pa(
 
     # one column per level; a level that drives neither port solves to zero
     drive_main = if_main * ph_main
-    r = solve_columns(netlist, freq, {"main": drive_main, "aux": if_aux})
+    r = solve_columns(netlist, netlist.f0, {"main": drive_main, "aux": if_aux})
     vm, va = r.port_voltages["main"], r.port_voltages["aux"]
     p_out, v_load = r.load_power, r.port_voltages["load"]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -442,16 +437,16 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
     combining-node impedance of the current-division picture: base node
     resistance times (i_main + i_aux)/i_main with the ideal current
     split.  This probe builds exactly that situation in the solver - the
-    synthesized inverter alone, terminated by that modulated resistance -
-    and reads both face impedances at its ports, the whole grid in one
-    sweep over the terminating resistance.  Driven with 1 A, the input
-    face's impedance is the ``main`` port voltage; the output face sees
-    the terminating resistance itself.  The inverter is the design's
-    leading ``inverter_rows``.  Where it lands on the load node
-    (three-line, transformer) the base node resistance is the system
-    load; where it lands on an output line (two-line) it is measured, not
-    assumed: the input resistance of the remaining rows terminated in the
-    system load.
+    synthesized inverter alone, terminated by that modulated resistance
+    r_node.  One solve at f0, a unit drive into ``main`` and one into the
+    output face, gives the inverter's open-circuit two-port matrix
+    [[z11, z12], [z21, z22]]; terminated in r_node its input face reads
+    z11 - z12 z21 / (z22 + r_node) over the whole grid, and the output
+    face sees r_node itself.  The inverter is the design's leading
+    ``inverter_rows``.  Where it lands on the load node (three-line,
+    transformer) the base node resistance is the system load; where it
+    lands on an output line (two-line) it is measured, not assumed: the
+    input resistance of the remaining rows terminated in the system load.
 
     Returns (measured, closed_form) arrays over ``i_main_grid``.
     """
@@ -477,9 +472,11 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
         r_base = solve(probe, f0, {"in": 1.0}).node_voltages[face].real
         closed = itr_conv(cfg.alpha, grid)
 
-    net.add("Rnode", Resistor(r_base), face, net.ground)  # its value is swept below
     net.add_port("main", "main")
+    net.add_port("face", face)
+    # column 0 drives main alone, column 1 the face: [z11, z12] and [z21, z22]
+    z = solve_columns(net, f0, {"main": np.array([1.0, 0.0]), "face": np.array([0.0, 1.0])})
+    (z11, z12), (z21, z22) = z.port_voltages["main"], z.port_voltages["face"]
     r_node = r_base * (grid + current_profile(cfg.alpha, grid)) / grid
-    r = solve_columns(net, f0, {"main": np.ones(1)}, {"Rnode": {"ohms": r_node}})
-    r_main = r.port_voltages["main"][:, 0].real
+    r_main = (z11 - z12 * z21 / (z22 + r_node)).real
     return np.maximum(r_main / r_node, r_node / r_main), closed

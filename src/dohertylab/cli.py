@@ -332,7 +332,7 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.mode == "pbo-eff":
-        if args.q_l is None and spec is not None and math.isinf(spec["q_l"]):
+        if spec is not None and math.isinf(q_l) and math.isinf(q_c):
             raise InputError("pbo-eff needs a finite Q: pass --q-l/--q-c or a q_budget")
         if args.compare == "two-line" and spec is None:
             raise InputError("--compare two-line needs a design-file input")

@@ -19,8 +19,9 @@ class ClosedForm:
     """A ``with`` block that evaluates a closed form of ``inputs`` (by
     design-file key), each of which must be positive and finite, and hands
     its derived values, by name, to the ``check`` it gets.  A derived value
-    that is not finite and positive, or an overflow or a division by zero
-    on the way, means the inputs left float range: the :class:`InputError`
+    that is not finite and positive, or on the way an overflow, a division
+    by zero or the failure of a closed form inside it that names none of
+    ``inputs``, means the inputs left float range: the :class:`InputError`
     names the input farthest from 1 in log scale."""
 
     def __init__(self, inputs: dict[str, float]):
@@ -33,7 +34,8 @@ class ClosedForm:
         return self.check
 
     def __exit__(self, kind, exc, tb):
-        if kind is not None and issubclass(kind, ArithmeticError):  # overflow, 1/0
+        inner = isinstance(exc, InputError) and exc.key not in self.inputs
+        if isinstance(exc, ArithmeticError) or inner:
             raise self._fail("an intermediate") from None
 
     def check(self, **derived: float) -> None:

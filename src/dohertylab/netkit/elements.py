@@ -11,14 +11,13 @@ get the matrix slots of the terminals ``t`` and of the auxiliary unknowns
 and the solver know no element type: a new type is a new class here,
 added to ``Component``.
 
-Stamps, readbacks and value helpers take the frequency, and any real
-field (set by a sweep of :func:`~dohertylab.netkit.mna.solve_columns`),
-as a float or as an array over the points of a sweep.  Floats keep the
+Stamps, readbacks and value helpers take the frequency as a float or
+as an array over the points of a frequency sweep.  Floats keep the
 arithmetic in Python scalars (``cmath``); arrays give arrays, and a
-value that depends on neither may stay a scalar.  ``stamp`` writes
-``A[i, j]`` and ``b[i]``, each a scalar or an array over the points,
-and puts into ``b`` only what no sweep changes, so one right-hand side
-serves a whole sweep.
+value that does not depend on frequency may stay a scalar.  ``stamp``
+writes ``A[i, j]`` and ``b[i]``, each a scalar or an array over the
+points, and puts into ``b`` nothing that depends on frequency, so one
+right-hand side serves a whole sweep.
 
 All values are SI (ohms, henries, farads, hertz, amperes) and phasors are
 peak amplitudes, so the average power in a resistor is |V|^2 / (2R).

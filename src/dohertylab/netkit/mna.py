@@ -4,11 +4,11 @@
 reports arrays with one entry per column; :func:`solve` is its
 one-column case with every element probed, reported per node and per
 element in Python numbers.  One readback serves both.  Given an array of
-frequencies or of element values (or both, one entry per point),
-:func:`solve_columns` validates and numbers the netlist once, stamps the
-points ``CHUNK`` at a time into a point-major (V, n, n) stack, solves
-each point's matrix for its K columns, checks and reads back each chunk
-in batched array operations and reports arrays with a leading point axis.
+frequencies, :func:`solve_columns` validates and numbers the netlist
+once, stamps the frequencies ``CHUNK`` at a time into a point-major
+(V, n, n) stack, solves each point's matrix for its K columns, checks
+and reads back each chunk in batched array operations and reports arrays
+with a leading point axis.
 :func:`check_network` judges a network at one frequency for every drive
 at once and for the error that rounding its matrix may cause.
 
@@ -26,7 +26,6 @@ Phasors are peak amplitudes (P = |V|^2 / 2R).
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -190,39 +189,16 @@ class MnaSystem:
             b[self.node_index[minus]] -= current
         return b[:-1]
 
-    def matrices(self, freq, points: int) -> np.ndarray:
-        """The (points, size, size) matrices at ``freq``, a float or one
-        frequency per point, and the element values of :attr:`slots`."""
+    def matrices(self, freq: np.ndarray) -> np.ndarray:
+        """The (points, size, size) matrices at ``freq``, one frequency
+        per point."""
         n = self.size
-        A = np.zeros((points, n + 1, n + 1), dtype=complex)
+        A = np.zeros((len(freq), n + 1, n + 1), dtype=complex)
         by_entry = A.transpose(1, 2, 0)  # by_entry[i, j] is A[:, i, j]
-        b = np.zeros(n + 1, dtype=complex)  # no stamp puts a swept value into b
+        b = np.zeros(n + 1, dtype=complex)  # no stamp puts a frequency into b
         for e, t, a in self.slots:
             e.component.stamp(by_entry, b, t, a, freq)
         return A[:, :n, :n]
-
-
-def _swept_values(netlist: Netlist, values: dict, points: int | None) -> tuple[dict, int]:
-    """``values`` (element name -> field -> one value per point) as float
-    arrays, and their one length, ``points`` when given; ValueError for an
-    unknown or source element, and for a value its field's rule rejects."""
-    comps = {e.name: e.component for e in netlist.elements}
-    swept = {}
-    for name, fields in values.items():
-        if name not in comps or comps[name].source:
-            raise InputError(f"unknown or source element '{name}' cannot be swept")
-        swept[name] = {f: np.asarray(v, dtype=float) for f, v in fields.items()}
-        # every field's rule is an interval, so the extremes decide (NaN is one)
-        for pick in (np.min, np.max):
-            try:
-                replace(comps[name], **{f: float(pick(v)) for f, v in swept[name].items() if v.size})
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"element '{name}': {exc}") from None
-    shapes = {v.shape for fields in swept.values() for v in fields.values()}
-    shapes |= {(points,)} if points else set()
-    if len(shapes) != 1 or any(len(shape) != 1 or shape[0] == 0 for shape in shapes):
-        raise InputError(f"swept values must be 1-D arrays of one nonzero length, got {shapes}")
-    return swept, shapes.pop()[0]
 
 
 def _sweep_frequencies(freqs) -> np.ndarray:
@@ -298,39 +274,24 @@ def _solve_one(system: MnaSystem, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _solved_chunks(
-    system: MnaSystem, rhs: np.ndarray, points: int, freq, values=None
-) -> Iterator[tuple[slice, MnaSystem, float | np.ndarray, np.ndarray, np.ndarray]]:
-    """Solve at ``points`` operating points on the layout of ``system``,
-    at ``freq`` (a float or one per point) with the fields in ``values``
-    swept: one ``np.linalg.solve`` per point, ``CHUNK`` points stamped
-    and checked at a time, so a sweep holds one chunk of solutions.
+    system: MnaSystem, rhs: np.ndarray, freqs: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Solve on the layout of ``system`` at each of ``freqs``: one
+    ``np.linalg.solve`` per frequency, ``CHUNK`` frequencies stamped and
+    checked at a time, so a sweep holds one chunk of solutions.
 
-    Yields per chunk of f points its rows, ``system`` and ``freq`` there
-    (values scalar or (f,)), the solutions with the ground row (zero)
-    appended, (f, size+1, K), and the result of :func:`_accepted`, (f, K).
+    Yields per chunk of f frequencies its rows, the frequencies there,
+    the solutions with the ground row (zero) appended, (f, size+1, K),
+    and the result of :func:`_accepted`, (f, K).
     """
-    for start in range(0, points, CHUNK):
-        rows = slice(start, min(start + CHUNK, points))
-        at = freq if np.ndim(freq) == 0 else freq[rows]
-        chunk = _at_points(system, values, rows) if values else system
-        A = chunk.matrices(at, rows.stop - start)
+    for start in range(0, len(freqs), CHUNK):
+        rows = slice(start, min(start + CHUNK, len(freqs)))
+        at = freqs[rows]
+        A = system.matrices(at)
         x = np.zeros((len(A), system.size + 1, rhs.shape[1]), dtype=complex)
         for j in range(len(A)):
             x[j, :-1] = _lapack(A[j], rhs)
-        yield rows, chunk, at, x, _accepted(chunk, A, x[:, :-1], rhs)
-
-
-def _at_points(system: MnaSystem, values: dict, rows: slice) -> MnaSystem:
-    """``system`` with each swept field set to its values at ``rows``,
-    checked by :func:`_swept_values` and not by the element's constructor."""
-    slots = []
-    for e, t, a in system.slots:
-        if e.name in values:
-            comp = copy.copy(e.component)
-            comp.__dict__.update((f, v[rows]) for f, v in values[e.name].items())
-            e = Placed(e.name, comp, e.nodes)
-        slots.append((e, t, a))
-    return replace(system, slots=slots)
+        yield rows, at, x, _accepted(system, A, x[:, :-1], rhs)
 
 
 def _lapack(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -430,7 +391,6 @@ def solve_columns(
     netlist: Netlist,
     freq: float | np.ndarray,
     drives: dict[str, np.ndarray],
-    values: dict[str, dict[str, np.ndarray]] | None = None,
     probes=(),
 ) -> ColumnsResult:
     """Solve ``netlist`` at ``freq`` for K drive columns with one
@@ -443,12 +403,9 @@ def solve_columns(
     ``probes`` read back their node voltages, branch currents and
     absorbed power.
 
-    A sweep solves the same K columns at each of V points on one netlist
-    layout, with a leading point axis on the result: ``freq`` as a 1-D
-    array of V frequencies, or ``values`` mapping element names to fields
-    and each field to V real values (``{"Rnode": {"ohms": r}}``), or both.
-    A swept value must pass its field's rule, as in the element's
-    constructor; a source element cannot be swept.
+    With ``freq`` a 1-D array of V frequencies, a sweep solves the same
+    K columns at each of them on one netlist layout, with a leading point
+    axis on the result.
     """
     drives = {p: np.asarray(i, dtype=complex) for p, i in drives.items()}
     lengths = {i.shape for i in drives.values()}
@@ -464,21 +421,19 @@ def solve_columns(
     if not drives and not any(e.component.source for e in netlist.elements):
         raise InputError("no excitation: provide port currents or source elements")
     rhs = system.rhs(drives, columns)
-    if one_freq and not values:
+    if one_freq:
         x, eta = _solve_one(system, rhs)
         read = _readback(system, drives, x, freq, probes)
         return ColumnsResult(freq, x, backward_error=eta, **read)
 
-    swept, points = _swept_values(netlist, values or {}, None if one_freq else len(freqs))
     by_column = {port: i[:, None] for port, i in drives.items()}
     whole = None
-    chunks = _solved_chunks(system, rhs, points, freqs, swept)
-    for rows, chunk, at, x, eta in chunks:
-        # unknowns first and points last, so that values per point
+    for rows, at, x, eta in _solved_chunks(system, rhs, freqs):
+        # unknowns first and points last, so that values per frequency
         # broadcast over the K drive columns; each result is (K, f)
-        read = _readback(chunk, by_column, x.transpose(1, 2, 0), at, probes)
+        read = _readback(system, by_column, x.transpose(1, 2, 0), at, probes)
         read["backward_error"] = eta.T
-        whole = _gathered(whole, read, rows, (points, columns))
+        whole = _gathered(whole, read, rows, (len(freqs), columns))
     return ColumnsResult(freqs, None, **whole)
 
 
@@ -504,8 +459,8 @@ def _readback(
     ``backward_error``: port voltages, the power each driven port and
     current source injects and their total, load power, and the
     ``probes``' node voltages, branch currents and absorbed power (the
-    load termination's is the load power).  ``freq`` and the element
-    values broadcast against ``x[i]``."""
+    load termination's is the load power).  ``freq`` broadcasts against
+    ``x[i]``."""
     netlist, index = system.netlist, system.node_index
     port_voltages = {
         port: x[index[plus]] - x[index[minus]] for port, (plus, minus) in netlist.ports.items()

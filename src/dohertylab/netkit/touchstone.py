@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import InputError
 from .elements import Resistor
-from .mna import _solved_chunks, _sweep_frequencies, assemble
+from .mna import assemble, solve_columns  # assemble stays: perfbench/tracing.py patches it here
 from .netlist import Netlist
 
 __all__ = [
@@ -47,9 +47,9 @@ def s_parameters(
 
     Returns an array of shape (len(freqs), n, n).  The netlist is taken
     as-is; any termination that should not be part of the device must be
-    left out by the caller.  The netlist is validated once and the
-    frequencies are solved as one sweep (see :mod:`.mna`), each accepted
-    on its backward error as every solve is.
+    left out by the caller.  The frequencies are solved as one sweep of
+    :func:`~.mna.solve_columns`, each accepted on its backward error as
+    every solve is.
     """
     if not 1 <= len(ports) <= 4:
         raise InputError(f"supported port counts are 1..4, got {len(ports)}")
@@ -58,7 +58,6 @@ def s_parameters(
     for p in ports:
         if p not in netlist.ports:
             raise InputError(f"unknown port '{p}'")
-    freqs = _sweep_frequencies(freqs)
 
     terminated = netlist.copy()
     for p in ports:
@@ -67,16 +66,11 @@ def s_parameters(
 
     n = len(ports)
     i0 = 1.0
-    system = assemble(terminated, float(freqs[0]))
     # column k drives port k alone
     drives = {p: i0 * np.eye(n)[k] for k, p in enumerate(ports)}
-    index = system.node_index
-    ends = [terminated.ports[p] for p in ports]
-    s = np.empty((len(freqs), n, n), dtype=complex)
-    for rows, _, _, x, _ in _solved_chunks(system, system.rhs(drives, n), len(freqs), freqs):
-        v = np.stack([x[:, index[plus]] - x[:, index[minus]] for plus, minus in ends], axis=1)
-        s[rows] = 2.0 * v / (z_ref * i0) - np.eye(n)
-    return s
+    sweep = solve_columns(terminated, np.atleast_1d(freqs), drives).port_voltages
+    v = np.stack([sweep[p] for p in ports], axis=1)  # (freqs, port j, column k)
+    return 2.0 * v / (z_ref * i0) - np.eye(n)
 
 
 def export_touchstone(

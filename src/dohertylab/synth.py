@@ -114,8 +114,8 @@ class TwoLineDesign(CombinerDesign):
         return {"z01_ohm": self.z01, "z02_ohm": self.z02}
 
     def rows(self, q_l: float, q_c: float, implementation: str) -> list[tuple]:
-        return _line_rows(self.f0, [("TL1", self.z01, "main", "aux_node", "low-pass"),
-                                    ("TL2", self.z02, "aux_node", "out", "low-pass")],
+        return _line_rows(self, [("TL1", self.z01, "main", "aux_node", "low-pass"),
+                                 ("TL2", self.z02, "aux_node", "out", "low-pass")],
                           q_l, q_c, implementation)
 
 
@@ -136,9 +136,9 @@ class ThreeLineDesign(CombinerDesign):
         return {"z01_ohm": self.z01, "z02_ohm": self.z02, "z03_ohm": self.z03}
 
     def rows(self, q_l: float, q_c: float, implementation: str) -> list[tuple]:
-        return _line_rows(self.f0, [("TL1", self.z01, "main", "out", "low-pass"),
-                                    ("TL2", self.z02, "aux", "mid", "low-pass"),
-                                    ("TL3", self.z03, "mid", "out", "high-pass")],
+        return _line_rows(self, [("TL1", self.z01, "main", "out", "low-pass"),
+                                 ("TL2", self.z02, "aux", "mid", "low-pass"),
+                                 ("TL3", self.z03, "mid", "out", "high-pass")],
                           q_l, q_c, implementation)
 
 
@@ -394,18 +394,22 @@ def synth_transformer_combiner(
 _G = Netlist.ground
 
 
-def _line_rows(f0: float, lines: list[tuple], q_l: float, q_c: float, implementation: str):
-    """Netlist rows of quarter-wave ``lines``, each (name, z0, input node,
-    output node, pi kind): ideal lines, or their lumped pi sections
-    carrying the given element Q."""
+def _line_rows(design: CombinerDesign, lines: list[tuple], q_l: float, q_c: float,
+               implementation: str):
+    """Netlist rows of ``design``'s quarter-wave ``lines``, each (name, z0,
+    input node, output node, pi kind): ideal lines, or their lumped pi
+    sections carrying the given element Q."""
+    f0 = design.f0
     if implementation == "line":
         return [(name, TransmissionLine(z0, 90.0, f0), n_in, n_out)
                 for name, z0, n_in, n_out, _ in lines]
     if implementation != "lumped-pi":
         raise InputError(f"unknown implementation '{implementation}'")
+    free = {key: getattr(design, f) for key, f in design.keys.get("free_params", {}).items()}
+    with ClosedForm({**design.cfg.inputs, **free}):  # names a design-file key
+        pis = [pi_approx(z0, f0, kind) for _, z0, _, _, kind in lines]
     rows = []
-    for tag, z0, n_in, n_out, kind in lines:
-        pi = pi_approx(z0, f0, kind)
+    for (tag, z0, n_in, n_out, kind), pi in zip(lines, pis):
         if kind == "low-pass":
             rows += [(f"{tag}_cin", Capacitor(pi.shunt_value, q=q_c), n_in, _G),
                      (f"{tag}_l", Inductor(pi.series_value, q=q_l), n_in, n_out),

@@ -142,6 +142,11 @@ def test_synth_deterministic_bytes(design_path, tmp_path, capsys):
         # a line topology has no pad capacitance to absorb it
         lambda d: d.update({"topology": "two-line", "free_params": {},
                             "parasitics": {"c_pad_f": 5e-12}}) or "c_pad_f",
+        # a lumped pi section of a line leaves float range
+        lambda d: d.update({"topology": "two-line", "free_params": {},
+                            "config": {"alpha": 1.0, "r_opt_ohm": 1e-160, "r_l_ohm": 1e-160,
+                                       "f0_hz": 1e-160},
+                            "q_budget": {"q_l": 20.0, "q_c": 20.0}}) or "r_opt_ohm",
     ],
 )
 def test_malformed_design_corpus_exits_2(mutate, tmp_path, capsys):
@@ -149,7 +154,9 @@ def test_malformed_design_corpus_exits_2(mutate, tmp_path, capsys):
     key = mutate(doc)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
-    code, _, err = run(["synth", str(p), "--out-dir", str(tmp_path)], capsys)
+    # synth emits ideal lines; analyze realizes a line design's Q budget in pi sections
+    command = ["analyze", "--mode", "load-mod"] if "q_budget" in doc else ["synth"]
+    code, _, err = run([*command, str(p), "--out-dir", str(tmp_path)], capsys)
     assert code == 2
     assert err.count("\n") == 1  # exactly one JSON object
     payload = json.loads(err)
@@ -471,6 +478,15 @@ def test_pbo_eff_without_q_exit_2(design_path, tmp_path, capsys):
         ["analyze", design_path, "--mode", "pbo-eff", "--out-dir", str(tmp_path)], capsys
     )
     assert code == 2
+    # a finite capacitor Q alone is a finite Q, from a flag or from a q_budget
+    code, _, _ = run(["analyze", design_path, "--mode", "pbo-eff", "--q-c", "20",
+                      "--points", "3", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    p = tmp_path / "q_c_only.json"
+    p.write_text(json.dumps({**PROTO_DESIGN, "q_budget": {"q_c": 20.0}}))
+    code, _, _ = run(["analyze", str(p), "--mode", "pbo-eff", "--points", "3",
+                      "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
 
 
 def test_export_round_trip(design_path, tmp_path, capsys):

@@ -36,7 +36,6 @@ from dohertylab.netkit import (
     solve_columns,
 )
 from dohertylab.netkit.elements import Element
-from dohertylab.netkit import mna
 from dohertylab.netkit.mna import CHUNK
 
 
@@ -550,6 +549,8 @@ def test_solve_columns_rejects_bad_input(two_line_net, proto_cfg):
         solve_columns(two_line_net, f0, {"main": np.ones((2, 2))})
     with pytest.raises(ValueError):
         solve_columns(two_line_net, -f0, {"main": np.ones(3)})
+    with pytest.raises(ValueError, match="probes"):
+        solve_columns(two_line_net, f0, {"main": np.ones(1)}, probes=["nope"])
 
 
 def test_one_bad_column_is_rejected(two_line_net, proto_cfg, monkeypatch):
@@ -671,13 +672,20 @@ _every_kind_values = st.fixed_dictionaries(
 @settings(max_examples=4, deadline=None)
 @given(values=_every_kind_values, columns=st.lists(_current, min_size=1, max_size=3))
 def test_frequency_sweep_matches_per_frequency_solves(length, values, columns):
+    """A frequency sweep with every element probed agrees within 1e-12
+    with a solve at each frequency: the K-column single-point entry for
+    the port voltages and powers, and ``solve`` for each column's node
+    voltages, branch currents and element powers."""
     net = _every_kind_net(values)
+    names = [e.name for e in net.elements]
     freqs = np.linspace(1e9, 3e9, length)
     drives = {"in": np.array(columns, dtype=complex)}
-    sweep = solve_columns(net, freqs, drives)
+    sweep = solve_columns(net, freqs, drives, probes=names)
     assert sweep.x is None and sweep.freq.shape == (length,)
     assert sweep.backward_error.shape == (length, len(columns))
     assert np.all(sweep.backward_error <= 1e-14)  # 1.6e-15 at worst in 300 draws
+    assert set(sweep.branch_currents) == set(names)
+    nodes = sorted(sweep.node_voltages)
     for i, f in enumerate(freqs):
         point = solve_columns(net, float(f), drives)
         for port in net.ports:
@@ -687,9 +695,16 @@ def test_frequency_sweep_matches_per_frequency_solves(length, values, columns):
         apparent = 0.5 * (np.abs(v_in * drives["in"]) + np.abs(v_a * values["amps"]))
         _close(sweep.load_power[i], point.load_power, apparent.max())
         _close(sweep.injected_power[i], point.injected_power, apparent.max())
-    # the one-column single-point entry agrees as well
-    first = solve(net, float(freqs[0]), {"in": columns[0]})
-    _close(sweep.port_voltages["load"][0, 0], first.port_voltage(net, "load"))
+        for k, current in enumerate(columns):
+            single = solve(net, float(f), {"in": current})
+            _close([sweep.node_voltages[nd][i, k] for nd in nodes],
+                   [single.node_voltages[nd] for nd in nodes])
+            for name in names:
+                _close([c[i, k] for c in sweep.branch_currents[name]],
+                       single.branch_currents[name])
+            _close([sweep.element_power[e][i, k] for e in sorted(single.element_power)],
+                   [single.element_power[e] for e in sorted(single.element_power)],
+                   apparent[k])
 
 
 def _tank_net() -> Netlist:
@@ -764,160 +779,6 @@ def test_one_lapack_call_per_frequency(tf_net, proto_cfg, monkeypatch):
         drive = np.arange(1.0, columns + 1.0)
         solve_columns(tf_net, freqs, {"main": drive, "aux": 1j * drive})
         assert shapes == [((n, n), (n, columns))] * len(freqs)
-
-
-# ----------------------------------------------------------------------
-# element-value sweeps
-# ----------------------------------------------------------------------
-
-
-def _rebuilt(net: Netlist, values: dict, j: int) -> Netlist:
-    """``net`` with each swept field set to its j-th value, through the
-    element constructors."""
-    out = net.copy()
-    out.elements = [
-        dataclasses.replace(
-            e,
-            component=dataclasses.replace(
-                e.component, **{f: float(v[j]) for f, v in values[e.name].items()}
-            ),
-        )
-        if e.name in values
-        else e
-        for e in net.elements
-    ]
-    return out
-
-
-def _assert_sweep_matches_per_point_solves(net, freq, drives, values):
-    """A value sweep (at one frequency, or at one frequency per point)
-    agrees within 1e-12 with ``solve`` on the netlist rebuilt at each
-    point, probes included."""
-    names = [e.name for e in net.elements]
-    sweep = solve_columns(net, freq, {p: np.array([i]) for p, i in drives.items()}, values,
-                          probes=names)
-    points = len(sweep.load_power)
-    assert sweep.x is None and np.all(sweep.backward_error <= 1e-15)
-    for j in range(points):
-        f = freq if np.ndim(freq) == 0 else float(freq[j])
-        point = solve(_rebuilt(net, values, j), f, drives)
-        _close([sweep.port_voltages[p][j, 0] for p in net.ports],
-               [point.port_voltage(net, p) for p in net.ports])
-        nodes = sorted(sweep.node_voltages)
-        _close([sweep.node_voltages[nd][j, 0] for nd in nodes],
-               [point.node_voltages[nd] for nd in nodes])
-        for name in names:
-            _close([i[j, 0] for i in sweep.branch_currents[name]], point.branch_currents[name])
-        apparent = 0.5 * sum(abs(point.port_voltage(net, p) * i) for p, i in drives.items())
-        _close(sweep.load_power[j, 0], point.load_power, apparent)
-        _close(sweep.injected_power[j, 0], point.total_injected(), apparent)
-
-
-@pytest.mark.parametrize("axes", ["values", "values and frequencies"])
-def test_transformer_tolerance_monte_carlo(tf_design, proto_cfg, axes, monkeypatch):
-    """50 seeded draws of every L, C and k of the synthesized transformer
-    combiner (Q = 20) within a few percent, solved as one value sweep,
-    against a per-draw solve of the rebuilt netlist."""
-    monkeypatch.setattr(mna, "CHUNK", 16)  # several chunks of swept values
-    net = to_netlist(tf_design, q_l=20.0, q_c=20.0)
-    rng = np.random.default_rng(2018)
-    draws = 50
-    values = {}
-    for e in net.elements:
-        comp = e.component
-        if isinstance(comp, Capacitor):
-            values[e.name] = {"farads": comp.farads * rng.normal(1.0, 0.05, draws)}
-        elif isinstance(comp, CoupledInductors):
-            values[e.name] = {
-                "l_p": comp.l_p * rng.normal(1.0, 0.05, draws),
-                "k": comp.k * rng.uniform(0.97, 1.03, draws),
-            }
-    assert {"C1", "C3", "TF1", "TF2"} <= set(values)
-    assert all(v["k"].max() < 1.0 for v in values.values() if "k" in v)
-    freq = proto_cfg.f0
-    if axes == "values and frequencies":
-        freq = freq * rng.uniform(0.8, 1.2, draws)
-    _assert_sweep_matches_per_point_solves(net, freq, {"main": 1.0, "aux": 0.8j}, values)
-
-
-def test_every_real_field_can_be_swept():
-    base = {"r_in": 50.0, "l": 3e-9, "c": 2e-12, "q_l": 20.0, "q_c": 30.0, "amps": 0.2 + 0.1j,
-            "l_p": 4e-9, "n": 1.3, "k": 0.7, "n_x": 0.8, "z0": 45.0, "theta": 70.0,
-            "loss": 0.2, "r_l": 60.0}
-    net = _every_kind_net(base)
-    rng = np.random.default_rng(7)
-    values = {
-        e.name: {
-            f.name: getattr(e.component, f.name) * rng.uniform(0.9, 1.1, 5)
-            for f in dataclasses.fields(e.component)
-            if f.name != "f_ref"
-        }
-        for e in net.elements
-        if not e.component.source
-    }
-    assert values["T1"]["theta_deg"].std() > 0 and values["L1"]["q"].std() > 0
-    _assert_sweep_matches_per_point_solves(net, 2e9, {"in": 0.5}, values)
-
-
-def test_lossless_values_sweep_with_inf_q():
-    net = Netlist(f0=1e9)
-    net.add("L1", Inductor(1e-9), "a", "b")
-    net.add("RL", Resistor(50.0), "b", "0")
-    net.add_port("in", "a")
-    values = {"L1": {"q": [math.inf, 10.0]}, "RL": {"ohms": [25.0, 100.0]}}
-    _assert_sweep_matches_per_point_solves(net, 1e9, {"in": 1.0}, values)
-
-
-@pytest.mark.parametrize(
-    "values, match",
-    [
-        ({"R1": {"ohms": [50.0, math.nan]}}, "resistance"),
-        ({"R1": {"ohms": [math.inf]}}, "resistance"),
-        ({"R1": {"ohms": [10.0, 0.0]}}, "resistance"),
-        ({"R1": {"ohms": [-5.0]}}, "resistance"),
-        ({"K1": {"k": [0.5, 1.0]}}, "coupling"),
-        ({"L1": {"q": [0.0]}}, "Q"),
-        ({"nope": {"ohms": [50.0]}}, "unknown or source element 'nope'"),
-        ({"R1": {"farads": [1e-12]}}, "farads"),
-        ({"I1": {"amps": [1.0]}}, "unknown or source element 'I1'"),
-        ({"R1": {"ohms": []}}, "nonzero length"),
-        ({"R1": {"ohms": [[50.0]]}}, "1-D"),
-        ({"R1": {"ohms": [50.0, 60.0]}, "L1": {"henries": [1e-9]}}, "one nonzero length"),
-        ({"R1": {}}, "one nonzero length"),
-    ],
-)
-def test_bad_swept_values_rejected(values, match):
-    net = Netlist(f0=1e9)
-    net.add("R1", Resistor(50.0), "a", "0")
-    net.add("L1", Inductor(1e-9, q=20.0), "a", "b")
-    net.add("K1", CoupledInductors(1e-9, 1.0, 0.5), "b", "0", "c", "0")
-    net.add("I1", CurrentSource(0.1), "c", "0")
-    net.add_port("in", "a")
-    with pytest.raises(ValueError, match=match):
-        solve_columns(net, 1e9, {"in": np.ones(1)}, values)
-
-
-def test_value_and_frequency_sweeps_need_one_length(two_line_net, proto_cfg):
-    freqs = proto_cfg.f0 * np.linspace(0.9, 1.1, 3)
-    with pytest.raises(ValueError, match="one nonzero length"):
-        solve_columns(two_line_net, freqs, {"main": np.ones(1)}, {"RL": {"ohms": [40.0, 50.0]}})
-    with pytest.raises(ValueError, match="probes"):
-        solve_columns(two_line_net, proto_cfg.f0, {"main": np.ones(1)}, probes=["nope"])
-
-
-def test_one_lapack_call_per_swept_value(tf_net, proto_cfg, monkeypatch):
-    exact = np.linalg.solve
-    shapes = []
-
-    def counting(a, b):
-        shapes.append((a.shape, b.shape))
-        return exact(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
-    n = assemble(tf_net, proto_cfg.f0).size
-    solve_columns(tf_net, proto_cfg.f0, {"main": np.ones(2)},
-                  {"C1": {"farads": tf_net.element("C1").component.farads * np.ones(7)}})
-    assert shapes == [((n, n), (n, 2))] * 7
 
 
 def every_kind_net() -> Netlist:
