@@ -549,8 +549,14 @@ def test_solve_columns_rejects_bad_input(two_line_net, proto_cfg):
         solve_columns(two_line_net, f0, {"main": np.ones((2, 2))})
     with pytest.raises(ValueError):
         solve_columns(two_line_net, -f0, {"main": np.ones(3)})
+
+
+def test_value_and_frequency_sweeps_need_one_length(two_line_net, proto_cfg):
+    freqs = proto_cfg.f0 * np.linspace(0.9, 1.1, 3)
+    with pytest.raises(ValueError, match="one nonzero length"):
+        solve_columns(two_line_net, freqs, {"main": np.ones(3), "aux": np.ones(2)})
     with pytest.raises(ValueError, match="probes"):
-        solve_columns(two_line_net, f0, {"main": np.ones(1)}, probes=["nope"])
+        solve_columns(two_line_net, proto_cfg.f0, {"main": np.ones(1)}, probes=["nope"])
 
 
 def test_one_bad_column_is_rejected(two_line_net, proto_cfg, monkeypatch):
