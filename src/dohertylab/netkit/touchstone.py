@@ -55,9 +55,11 @@ def s_parameters(
         raise InputError(f"supported port counts are 1..4, got {len(ports)}")
     if not 0 < z_ref < math.inf:
         raise InputError(f"reference impedance must be positive and finite, got {z_ref}")
-    for p in ports:
+    for k, p in enumerate(ports):
         if p not in netlist.ports:
             raise InputError(f"unknown port '{p}'")
+        if p in ports[:k]:
+            raise InputError(f"port '{p}' is listed more than once")
 
     terminated = netlist.copy()
     for p in ports:
@@ -131,13 +133,18 @@ def write_touchstone(
 def read_touchstone(text: str) -> TouchstoneData:
     """Parse Touchstone v1 text written by :func:`write_touchstone`.
 
-    Handles arbitrary line wrapping by token counting; the option line is
-    case-insensitive.  Only the RI format emitted here is accepted.
+    A record starts on a line with an odd number of values (the frequency
+    and whole complex pairs); the lines after it that hold an even number
+    continue it.  That covers this writer's layout (4 pairs per line) and
+    the v1 layout of one matrix row per line.  Every record must hold
+    1 + 2n^2 values for one n in 1..4, and frequencies must increase.  The
+    option line is case-insensitive; only the RI format is accepted.
     """
     unit_scale = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
     scale = 1e9
     z_ref = 50.0
     tokens: list[str] = []
+    counts: list[int] = []
     saw_options = False
     for raw in text.splitlines():
         line = raw.split("!", 1)[0].strip()
@@ -160,23 +167,28 @@ def read_touchstone(text: str) -> TouchstoneData:
                 i += 1
             saw_options = True
             continue
-        tokens.extend(line.split())
+        values = line.split()
+        tokens.extend(values)
+        counts.append(len(values))
     if not saw_options:
         raise InputError("missing touchstone option line")
 
     if not tokens:
         raise InputError("touchstone file holds no data records")
     values = np.array(tokens, dtype=float)
-    # Infer the port count from the record length: 1 + 2*n^2 floats each.
-    for n in (1, 2, 3, 4):
-        rec = 1 + 2 * n * n
-        freqs = values[0::rec]
-        if len(values) % rec == 0 and np.all(freqs[1:] > freqs[:-1]):
-            break
-    else:
-        raise InputError("cannot infer port count from token stream")
-
+    sizes = np.array(counts)
+    starts = (np.cumsum(sizes) - sizes)[sizes % 2 == 1]
+    lengths = np.diff(starts, append=len(values))
+    n = round(math.sqrt((lengths[0] - 1) / 2)) if len(starts) else 0
+    rec = 1 + 2 * n * n
+    if not 1 <= n <= 4 or starts[0] != 0 or np.any(lengths != rec):
+        raise InputError(
+            "cannot infer port count: each record must start on a line with an odd"
+            " number of values and hold 1 + 2n^2 values for one n in 1..4"
+        )
     data = values.reshape(-1, rec)
+    if not np.all(data[1:, 0] > data[:-1, 0]):
+        raise InputError("touchstone frequencies must increase")
     s = np.empty((len(data), n, n), dtype=complex)
     for pos, (i, j) in enumerate(_record_order(n)):
         s.real[:, i, j] = data[:, 1 + 2 * pos]

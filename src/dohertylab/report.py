@@ -61,20 +61,32 @@ def csv_text(header: list[str], rows) -> str:
     ``rows`` is 2-D: a float array, or rows of numbers and None with
     strings in whole columns.  Numbers take ``%.{d}g`` with d from
     :func:`float_digits` and -0.0 folded to 0; NaN and None give an empty
-    cell; strings are written as they are.  The whole table is formatted
-    with one template in one pass.  Text columns stay ``%s`` placeholders
-    until NaN cells are blanked, so a text cell is never touched.
+    cell; strings are written as they are.  Each pattern of empty cells
+    gets one line template with no field at its empty cells, and the rows'
+    templates are filled in one ``%`` pass over the written cells alone,
+    so an empty cell is never formatted.
     """
-    text = np.zeros(len(header), dtype=bool)
-    if len(rows):
-        text[:] = [isinstance(v, str) for v in rows[0]]
-    table = np.asarray(rows, dtype=object if text.any() else float).reshape(-1, len(header))
-    cell = f"%.{float_digits()}g"
-    line = ",".join("%%s" if t else cell for t in text) + "\n"
+    width = len(header)
+    if isinstance(rows, np.ndarray) and rows.dtype != object:
+        table = rows.reshape(-1, width)
+        text = np.zeros(width, dtype=bool)
+    else:
+        table = np.array(rows, dtype=object).reshape(-1, width)
+        text = np.array([any(isinstance(v, str) for v in col) for col in table.T], dtype=bool)
     numbers = table[:, ~text].astype(float) + 0.0
-    body = (line * len(table)) % tuple(numbers.ravel().tolist())
-    body = body.replace("nan", "") % tuple(table[:, text].ravel().tolist())
-    return ",".join(header) + "\n" + body
+    empty = np.empty(table.shape, dtype=bool)
+    empty[:, ~text] = np.isnan(numbers)
+    empty[:, text] = np.equal(table[:, text], None)
+    if text.any():
+        table[:, ~text] = numbers  # table is a copy here
+    else:
+        table = numbers
+    # a row's key is its mask of empty cells as bytes; each key gets one template
+    keys = empty.view(np.dtype((np.void, width))).ravel().tolist()
+    fields = np.where(text, "%s", f"%.{float_digits()}g")
+    lines = {k: ",".join(np.where(np.frombuffer(k, bool), "", fields)) + "\n" for k in set(keys)}
+    body = "".join([lines[k] for k in keys])
+    return ",".join(header) + "\n" + body % tuple(table[~empty].tolist())
 
 
 def _round_floats(obj, digits: int):

@@ -544,6 +544,20 @@ def test_export_five_ports_exit_2(design_path, tmp_path, capsys):
     assert code == 2
 
 
+def test_export_repeated_port_exit_2(design_path, tmp_path, capsys):
+    out_dir = str(tmp_path / "out")
+    run(["synth", design_path, "--out-dir", out_dir], capsys)
+    ts_path = tmp_path / "o.s3p"
+    code, _, err = run(
+        ["export", os.path.join(out_dir, "netlist.json"), "--touchstone", str(ts_path),
+         "--ports", "main,main"],
+        capsys,
+    )
+    assert code == 2
+    assert "port 'main' is listed more than once" in json.loads(err)["error"]
+    assert not ts_path.exists()
+
+
 def test_precision_env_override(design_path, tmp_path, capsys, monkeypatch):
     out_dir = str(tmp_path)
     monkeypatch.setenv("DOHERTYLAB_PRECISION", "4")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dohertylab.errors import InputError
 from dohertylab.netkit import (
     Netlist,
     Resistor,
@@ -112,6 +113,63 @@ def test_round_trip_extreme_values(n):
     assert back.s.imag.tobytes() == tokens(s.imag).tobytes()
     assert back.freqs_hz.tobytes() == (tokens(freqs / 1e9) * 1e9).tobytes()
     assert write_touchstone(back.freqs_hz, back.s, 50.0) == text
+
+
+def row_per_line(text, n):
+    """The same Touchstone data laid out with one matrix row per line."""
+    lines = text.splitlines()
+    values = " ".join(lines[2:]).split()
+    rec = 1 + 2 * n * n
+    out = lines[:2]
+    for k in range(0, len(values), rec):
+        entries = values[k + 1 : k + rec]
+        rows = [" ".join(entries[2 * n * i : 2 * n * (i + 1)]) for i in range(n)]
+        out += [f"{values[k]} {rows[0]}"] + rows[1:]
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("n_freq", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_round_trip_every_port_count(n, n_freq):
+    # S entries that increase like frequencies do, so no token count can tell n
+    freqs = np.array([1e6, 5e8, 6e8])[:n_freq]
+    parts = np.linspace(0.01, 0.99, n_freq * n * n * 2).reshape(n_freq, n, n, 2)
+    s = parts[..., 0] + 1j * parts[..., 1]
+    text = write_touchstone(freqs, s, 50.0)
+    for layout in (text, row_per_line(text, n)):
+        back = read_touchstone(layout)
+        assert back.s.shape == (n_freq, n, n)
+        assert np.abs(back.freqs_hz - freqs).max() < 1e-6
+        assert np.abs(back.s - s).max() < 1e-12
+        assert write_touchstone(back.freqs_hz, back.s, 50.0) == text
+
+
+def test_nine_values_read_by_their_lines():
+    s = np.array([[[0.1 + 0.2j, 0.5 + 0.6j], [0.5 + 0.7j, 0.3 + 0.4j]]])
+    text = write_touchstone([1e6], s, 50.0)
+    values = text.splitlines()[2].split()
+    assert len(values) == 9
+    one_record = read_touchstone(text)
+    assert one_record.s.shape == (1, 2, 2)
+    assert np.abs(one_record.s - s).max() < 1e-15
+    # the same nine values on three lines are three 1-port records
+    three = read_touchstone("# GHz S RI R 50\n" + "\n".join(
+        " ".join(values[k : k + 3]) for k in (0, 3, 6)) + "\n")
+    assert three.s.shape == (3, 1, 1)
+    assert np.allclose(three.freqs_hz, [1e6, 5e8, 6e8], rtol=1e-12)
+    assert np.allclose(three.s[:, 0, 0], [0.1 + 0.2j, 0.7 + 0.5j, 0.3 + 0.4j], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["1.0 0.1 0.2 0.3 0.4\n",  # 5 values: no port count
+     "0.1 0.2\n1.0 0.1 0.2\n",  # a continuation line before any record
+     "1.0 0.1 0.2\n2.0 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8\n",  # records of two sizes
+     "2.0 0.1 0.2\n1.0 0.1 0.2\n"],  # frequencies out of order
+)
+def test_malformed_records_rejected(body):
+    with pytest.raises(InputError):
+        read_touchstone("# GHz S RI R 50\n" + body)
 
 
 def test_case_insensitive_option_line():

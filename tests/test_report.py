@@ -5,7 +5,7 @@ import os
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dohertylab.analysis import DriveProfile, LoadModulationSweep, PASimResult
@@ -45,26 +45,56 @@ def reference_csv(header, rows, digits):
 
 @st.composite
 def tables(draw):
-    n_cols = draw(st.integers(1, 6))
+    """Tables of 1-6 or 62-130 columns and 0-8 rows, with at most one text
+    column.  Rows take a few shared patterns of empty cells: all empty, none
+    empty, a drawn base pattern and the base with one cell flipped, so two
+    patterns may differ in one column past the 64th alone.  Up to two whole
+    columns may be empty too.  Cells cycle through small drawn pools of
+    numbers (NaN and None among them), words and blanks."""
+    n_cols = draw(st.one_of(st.integers(1, 6), st.integers(62, 130)))
     n_rows = draw(st.integers(0, 8))
     text_col = draw(st.one_of(st.none(), st.integers(0, n_cols - 1)))
-    rows = [
-        [draw(words) if j == text_col else draw(numbers) for j in range(n_cols)]
-        for _ in range(n_rows)
-    ]
+    base = draw(st.integers(0, 2**n_cols - 1))
+    flips = draw(st.lists(st.integers(0, n_cols - 1), max_size=3))
+    patterns = [2**n_cols - 1, 0, base] + [base ^ 2**c for c in flips]
+    empty_cols = draw(st.sets(st.integers(0, n_cols - 1), max_size=2))
+    values = draw(st.lists(numbers, min_size=1, max_size=6))
+    texts = draw(st.lists(words, min_size=1, max_size=3))
+    blanks = draw(st.lists(st.sampled_from([None, math.nan, -math.nan]), min_size=1, max_size=3))
+    rows = []
+    for i in range(n_rows):
+        pattern = draw(st.sampled_from(patterns))
+        row = []
+        for j in range(n_cols):
+            k = i * n_cols + j
+            if pattern >> j & 1 or j in empty_cols:
+                row.append(None if j == text_col else blanks[k % len(blanks)])
+            else:
+                row.append(texts[k % len(texts)] if j == text_col else values[k % len(values)])
+        rows.append(row)
     return [f"c{j}" for j in range(n_cols)], rows, text_col
 
 
-@settings(max_examples=300, deadline=None)
-@given(tables(), st.integers(1, 17), st.booleans())
-def test_csv_text_matches_per_cell_reference(table, digits, as_array):
+def wide_table():
+    """Two rows whose patterns of empty cells differ in the 70th column alone,
+    and an all-empty row."""
+    rows = [[1.5] * 70, [1.5] * 69 + [None], [None] * 70]
+    return [f"c{j}" for j in range(70)], rows, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.booleans())
+@example(wide_table(), True)
+@example(([f"c{j}" for j in range(70)], [], 3), False)
+def test_csv_text_matches_per_cell_reference(table, as_array):
     header, rows, text_col = table
-    want = reference_csv(header, rows, digits)
-    with mock.patch.dict(os.environ, {"DOHERTYLAB_PRECISION": str(digits)}):
-        got = csv_text(header, rows)
-        assert got == want
-        if text_col is None and as_array:  # the same table as a float array
-            assert csv_text(header, np.array(rows, dtype=float).reshape(-1, len(header))) == want
+    for digits in range(1, 18):
+        want = reference_csv(header, rows, digits)
+        with mock.patch.dict(os.environ, {"DOHERTYLAB_PRECISION": str(digits)}):
+            assert csv_text(header, rows) == want
+            if text_col is None and as_array:  # the same table as a float array
+                array = np.array(rows, dtype=float).reshape(-1, len(header))
+                assert csv_text(header, array) == want
 
 
 def one_nan_part():
