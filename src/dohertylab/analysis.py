@@ -25,7 +25,8 @@ from .ideal import (
     itr_intro,
     pbo_level,
 )
-from .netkit import Netlist, Resistor, solve, solve_columns
+from .netkit import Netlist, Resistor, solve_columns
+from .netkit import solve  # stays: perfbench/tracing.py patches it here
 from .synth import CombinerDesign
 
 __all__ = [
@@ -83,7 +84,8 @@ def required_phase_offset(
     f0 = f0 if f0 is not None else netlist.f0
     work = _terminated_copy(netlist)
     # column 0 drives the main port alone, column 1 the auxiliary port
-    r = solve_columns(work, f0, {"main": np.array([1.0, 0.0]), "aux": np.array([0.0, 1.0])})
+    drives = {"main": np.array([1.0, 0.0]), "aux": np.array([0.0, 1.0])}
+    r = solve_columns(work, f0, drives, powers=False)
 
     args = {}
     for port, t in zip(("main", "aux"), r.port_voltages["load"]):
@@ -134,11 +136,13 @@ class DriveProfile:
         return len(self.i_main)
 
 
-def _grid_with(lo: float, hi: float, n_points: int, point: float) -> np.ndarray:
+def _grid_with(
+    lo: float, hi: float, n_points: int, point: float, tol: float = 1e-12
+) -> np.ndarray:
     """``n_points`` from ``lo`` to ``hi``, plus ``point`` when it lies
-    inside the range and no grid point is within 1e-12 of it."""
+    inside the range and no grid point is within ``tol`` of it."""
     grid = np.linspace(lo, hi, n_points)
-    if lo < point < hi and np.abs(grid - point).min() > 1e-12:
+    if lo < point < hi and np.abs(grid - point).min() > tol:
         grid = np.concatenate((grid, [point]))
         grid.sort()
     return grid
@@ -276,8 +280,10 @@ def bandwidth_report(
     "load-match": band where the reflection at the ``main`` port stays
     below ``-threshold_db`` (default 10) return loss; the reference is
     ``z_ref_ohm`` when given, else the port's own center-frequency input
-    resistance.  A criterion never met at center yields a zero-width
-    report, not an error.
+    resistance.  The grid holds f0 itself: it is added when no point of
+    the ``n_points`` lies within a relative 1e-12 of it (an even count).
+    A criterion never met at center yields a zero-width report, not an
+    error.
     """
     f0 = netlist.f0
     if metric == "passive-efficiency":
@@ -286,10 +292,11 @@ def bandwidth_report(
         thr = threshold_db if threshold_db is not None else 10.0
     else:
         raise InputError(f"unknown metric '{metric}'")
-    freqs = np.linspace((1.0 - window) * f0, (1.0 + window) * f0, n_points)
+    freqs = _grid_with((1.0 - window) * f0, (1.0 + window) * f0, n_points, f0, 1e-12 * f0)
     i_center = int(np.argmin(np.abs(freqs - f0)))
 
-    sweep = solve_columns(netlist, freqs, {p: np.array([i]) for p, i in excitations.items()})
+    drives = {p: np.array([i]) for p, i in excitations.items()}
+    sweep = solve_columns(netlist, freqs, drives, powers=metric == "passive-efficiency")
     if metric == "passive-efficiency":
         eta = sweep.passive_efficiency()[:, 0]
         ref = eta[i_center]
@@ -311,7 +318,7 @@ def bandwidth_report(
     while lo > 0 and meets[lo - 1]:
         lo -= 1
     hi = i_center
-    while hi < n_points - 1 and meets[hi + 1]:
+    while hi < len(freqs) - 1 and meets[hi + 1]:
         hi += 1
     f_lo, f_hi = float(freqs[lo]), float(freqs[hi])
     return BandwidthReport(metric, thr, f_lo, f_hi, (f_hi - f_lo) / f0, True, freqs, values_db)
@@ -446,7 +453,8 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
     ``inverter_rows``.  Where it lands on the load node (three-line,
     transformer) the base node resistance is the system load; where it
     lands on an output line (two-line) it is measured, not assumed: the
-    input resistance of the remaining rows terminated in the system load.
+    input resistance of the remaining rows terminated in the system load,
+    read at a port on the face.
 
     Returns (measured, closed_form) arrays over ``i_main_grid``.
     """
@@ -469,13 +477,15 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
             probe.add(name, component, *nodes)
         probe.add("RL", Resistor(cfg.r_l), "out", probe.ground)
         probe.add_port("in", face)
-        r_base = solve(probe, f0, {"in": 1.0}).node_voltages[face].real
+        r_in = solve_columns(probe, f0, {"in": np.array([1.0])}, powers=False)
+        r_base = r_in.port_voltages["in"][0].real
         closed = itr_conv(cfg.alpha, grid)
 
     net.add_port("main", "main")
     net.add_port("face", face)
     # column 0 drives main alone, column 1 the face: [z11, z12] and [z21, z22]
-    z = solve_columns(net, f0, {"main": np.array([1.0, 0.0]), "face": np.array([0.0, 1.0])})
+    drives = {"main": np.array([1.0, 0.0]), "face": np.array([0.0, 1.0])}
+    z = solve_columns(net, f0, drives, powers=False)
     (z11, z12), (z21, z22) = z.port_voltages["main"], z.port_voltages["face"]
     r_node = r_base * (grid + current_profile(cfg.alpha, grid)) / grid
     r_main = (z11 - z12 * z21 / (z22 + r_node)).real

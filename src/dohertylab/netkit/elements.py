@@ -59,9 +59,11 @@ Freq = float | np.ndarray
 Value = complex | np.ndarray
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *values) -> None:
+    """Raise InputError(``msg`` formatted with ``values``) unless ``cond``;
+    the message is formatted only when it is raised."""
     if not cond:
-        raise InputError(msg)
+        raise InputError(msg.format(*values))
 
 
 def _positive(val: float, what: str) -> None:
@@ -148,7 +150,7 @@ class Inductor(_Lumped):
 
     def __post_init__(self):
         _positive(self.henries, "inductance")
-        _require(self.q > 0, f"Q must be positive or inf, got {self.q}")
+        _require(self.q > 0, "Q must be positive or inf, got {}", self.q)
 
     def impedance(self, freq: Freq) -> Value:
         w = 2.0 * math.pi * freq
@@ -165,7 +167,7 @@ class Capacitor(_Lumped):
 
     def __post_init__(self):
         _positive(self.farads, "capacitance")
-        _require(self.q > 0, f"Q must be positive or inf, got {self.q}")
+        _require(self.q > 0, "Q must be positive or inf, got {}", self.q)
 
     def admittance(self, freq: Freq) -> Value:
         # shunt-G loss model; impedance() is its inverse
@@ -203,8 +205,8 @@ class CoupledInductors(Element):
     def __post_init__(self):
         _positive(self.l_p, "primary inductance")
         _positive(self.n, "turn ratio")
-        _require(0.0 < self.k < 1.0, f"coupling must lie in (0, 1), got {self.k}")
-        _require(self.q > 0, f"Q must be positive or inf, got {self.q}")
+        _require(0.0 < self.k < 1.0, "coupling must lie in (0, 1), got {}", self.k)
+        _require(self.q > 0, "Q must be positive or inf, got {}", self.q)
 
     @property
     def l_leak(self) -> float:
@@ -379,7 +381,7 @@ class CurrentSource(Element):
     source = True
 
     def __post_init__(self):
-        _require(cmath.isfinite(self.amps), f"source current must be finite, got {self.amps}")
+        _require(cmath.isfinite(self.amps), "source current must be finite, got {}", self.amps)
 
     def stamp(self, A, b, t, a, freq):
         b[t[0]] += self.amps

@@ -126,18 +126,20 @@ class ColumnsResult:
     ``element_power`` cover the probed elements, the last leaving out the
     load termination, whose power is ``load_power``.  Powers are
     time-averaged watts.  ``backward_error`` is :func:`_accepted`'s.
+    ``load_power``, ``injected_power`` and ``port_injected_power`` are
+    None when :func:`solve_columns` was asked for no powers.
     """
 
     freq: float | np.ndarray
     x: np.ndarray | None
     port_voltages: dict[str, np.ndarray]
-    load_power: np.ndarray
-    injected_power: np.ndarray
     backward_error: np.ndarray
+    load_power: np.ndarray | None = None
+    injected_power: np.ndarray | None = None
     node_voltages: dict[str, np.ndarray] = field(default_factory=dict)
     branch_currents: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
     element_power: dict[str, np.ndarray] = field(default_factory=dict)
-    port_injected_power: dict[str, np.ndarray] = field(default_factory=dict)
+    port_injected_power: dict[str, np.ndarray] | None = None
 
     def passive_efficiency(self) -> np.ndarray:
         """Fraction of the injected power that reaches the load port's
@@ -179,15 +181,19 @@ class MnaSystem:
     def rhs(self, drives: dict[str, np.ndarray], columns: int) -> np.ndarray:
         """Right-hand side, (size, ``columns``): the current sources in
         every column plus each port's drive, a 1-D array of ``columns``
-        currents."""
-        b = np.repeat(self.source_rhs[:, None], columns, axis=1)
+        currents.  The ground row is left out, not written and dropped."""
+        n, index, ports = self.size, self.node_index, self.netlist.ports
+        b = np.empty((n, columns), dtype=complex)
+        b[:] = self.source_rhs[:n, None]
         for port, current in drives.items():
-            if port not in self.netlist.ports:
+            if port not in ports:
                 raise InputError(f"unknown port '{port}'")
-            plus, minus = self.netlist.ports[port]
-            b[self.node_index[plus]] += current
-            b[self.node_index[minus]] -= current
-        return b[:-1]
+            plus, minus = ports[port]
+            if (i := index[plus]) < n:
+                b[i] += current
+            if (i := index[minus]) < n:
+                b[i] -= current
+        return b
 
     def matrices(self, freq: np.ndarray) -> np.ndarray:
         """The (points, size, size) matrices at ``freq``, one frequency
@@ -221,9 +227,7 @@ def assemble(netlist: Netlist, freq: float) -> MnaSystem:
     """Build the MNA matrix of ``netlist`` at ``freq`` hertz."""
     if not 0 < freq < math.inf:
         raise InputError(f"analysis frequency must be positive and finite, got {freq}")
-    netlist.validate()
-
-    nodes = netlist.nodes()
+    nodes = netlist.validate()
     n = len(nodes) + sum(e.component.aux for e in netlist.elements)
     node_index = {nd: i for i, nd in enumerate(nodes)}
     node_index[netlist.ground] = n
@@ -237,7 +241,7 @@ def assemble(netlist: Netlist, freq: float) -> MnaSystem:
         first_aux = a.stop
         e.component.stamp(A, b, t, a, freq)
         slots.append((e, t, a))
-    return MnaSystem(netlist, freq, np.ascontiguousarray(A[:n, :n]), b, node_index, slots)
+    return MnaSystem(netlist, freq, A[:n, :n], b, node_index, slots)
 
 
 def _diagnose_singular(system: MnaSystem, x: np.ndarray, eta: float) -> SingularSystemError:
@@ -317,14 +321,17 @@ def _accepted(system: MnaSystem, A: np.ndarray, x: np.ndarray, rhs: np.ndarray) 
     rejected point raises, as a loop of single solves would.
     """
     # an empty row divides by zero, an infinite x makes inf/inf: NaN
-    # rejects both (a row sum by matrix product is the fastest on small rows)
+    # rejects both (a row sum by matrix product is the fastest on small
+    # rows; the reductions are called as ufuncs, without the Python
+    # wrappers of the array methods)
+    most = np.maximum.reduce
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = (np.abs(A) @ np.ones(A.shape[-1]))[..., None]
-        residual = (np.abs(A @ x - rhs) / rows).max(axis=-2)
-        scale = np.abs(x).max(axis=-2) + (np.abs(rhs) / rows).max(axis=-2)
+        residual = most(np.abs(A @ x - rhs) / rows, axis=-2)
+        scale = most(np.abs(x), axis=-2) + most(np.abs(rhs) / rows, axis=-2)
         eta = residual / np.maximum(scale, 1e-300)  # a zero column has no residual
-    accepted = eta <= BACKWARD_ERROR_TOL  # NaN fails
-    if not accepted.all():
+    if not most(eta, axis=None) <= BACKWARD_ERROR_TOL:  # NaN fails
+        accepted = eta <= BACKWARD_ERROR_TOL
         j = int(np.argmin(accepted.reshape(-1, eta.shape[-1]).all(axis=1)))
         if A.ndim == 3:
             system, x, eta = replace(system, matrix=A[j]), x[j], eta[j]
@@ -392,6 +399,7 @@ def solve_columns(
     freq: float | np.ndarray,
     drives: dict[str, np.ndarray],
     probes=(),
+    powers: bool = True,
 ) -> ColumnsResult:
     """Solve ``netlist`` at ``freq`` for K drive columns with one
     factorization.
@@ -401,17 +409,19 @@ def solve_columns(
     elements contribute to every column.  Each column is accepted on its
     own backward error (:func:`_accepted`).  The elements named in
     ``probes`` read back their node voltages, branch currents and
-    absorbed power.
+    absorbed power.  Port voltages are always read back, the load and
+    injected powers only with ``powers``.
 
     With ``freq`` a 1-D array of V frequencies, a sweep solves the same
     K columns at each of them on one netlist layout, with a leading point
     axis on the result.
     """
     drives = {p: np.asarray(i, dtype=complex) for p, i in drives.items()}
-    lengths = {i.shape for i in drives.values()}
-    if len(lengths) > 1 or any(len(shape) != 1 or shape[0] == 0 for shape in lengths):
+    lengths = {i.shape for i in drives.values()} or {(1,)}
+    (shape, *others) = lengths
+    if others or len(shape) != 1 or shape[0] == 0:
         raise InputError(f"drives must be 1-D arrays of one nonzero length, got {lengths}")
-    columns = lengths.pop()[0] if lengths else 1
+    columns = shape[0]
     if probes and not set(probes) <= {e.name for e in netlist.elements}:
         raise InputError(f"unknown element among probes {sorted(probes)}")
     # isinstance first: np.ndim of a float costs about 1 us a solve
@@ -423,7 +433,7 @@ def solve_columns(
     rhs = system.rhs(drives, columns)
     if one_freq:
         x, eta = _solve_one(system, rhs)
-        read = _readback(system, drives, x, freq, probes)
+        read = _readback(system, drives, x, freq, probes, powers)
         return ColumnsResult(freq, x, backward_error=eta, **read)
 
     by_column = {port: i[:, None] for port, i in drives.items()}
@@ -431,7 +441,7 @@ def solve_columns(
     for rows, at, x, eta in _solved_chunks(system, rhs, freqs):
         # unknowns first and points last, so that values per frequency
         # broadcast over the K drive columns; each result is (K, f)
-        read = _readback(system, by_column, x.transpose(1, 2, 0), at, probes)
+        read = _readback(system, by_column, x.transpose(1, 2, 0), at, probes, powers)
         read["backward_error"] = eta.T
         whole = _gathered(whole, read, rows, (len(freqs), columns))
     return ColumnsResult(freqs, None, **whole)
@@ -452,39 +462,47 @@ def _gathered(whole, part, rows: slice, shape: tuple[int, int]):
 
 
 def _readback(
-    system: MnaSystem, drives: dict[str, np.ndarray], x: np.ndarray, freq, probes=()
+    system: MnaSystem, drives: dict[str, np.ndarray], x: np.ndarray, freq, probes=(),
+    powers: bool = True,
 ) -> dict:
     """The :class:`ColumnsResult` fields of the solutions ``x``, indexed by
     unknown on the first axis, other than ``freq``, ``x`` and
-    ``backward_error``: port voltages, the power each driven port and
-    current source injects and their total, load power, and the
-    ``probes``' node voltages, branch currents and absorbed power (the
-    load termination's is the load power).  ``freq`` broadcasts against
-    ``x[i]``."""
+    ``backward_error``: port voltages, the ``probes``' node voltages,
+    branch currents and absorbed power (the load termination's is the
+    load power), and with ``powers`` the power each driven port and
+    current source injects, their total and the load power.  ``freq``
+    broadcasts against ``x[i]``."""
     netlist, index = system.netlist, system.node_index
     port_voltages = {
         port: x[index[plus]] - x[index[minus]] for port, (plus, minus) in netlist.ports.items()
     }
-    injected = {p: 0.5 * (port_voltages[p] * i.conjugate()).real for p, i in drives.items()}
+    nodes, currents, absorbed = {}, {}, {}
+    read = dict(port_voltages=port_voltages, node_voltages=nodes, branch_currents=currents,
+                element_power=absorbed)
+    if not (powers or probes):
+        return read
+    injected = {p: 0.5 * (port_voltages[p] * i.conjugate()).real
+                for p, i in drives.items()} if powers else {}
     loads = {e.name for e in netlist.load_terminations()}
-    load_power = np.zeros(x.shape[1:])
-    nodes, currents, powers = {}, {}, {}
+    load_powers = []
     for e, t, a in system.slots:
         probed = e.name in probes
-        if not (probed or e.name in loads or e.component.source):
+        booked = powers and (e.name in loads or e.component.source)
+        if not (probed or booked):
             continue
         branch, p = e.component.readback(x, t, a, freq)
         if probed:
             currents[e.name] = branch
             nodes.update((nd, x[index[nd]]) for nd in e.nodes)
         if e.name in loads:
-            load_power += p
+            load_powers.append(p)
         elif probed:
-            powers[e.name] = p
-        if e.component.source:
+            absorbed[e.name] = p
+        if booked and e.component.source:
             dv = x[t[0]] - x[t[1]]
             injected[f"source:{e.name}"] = 0.5 * (dv * branch[0].conjugate()).real
-    total = sum(injected.values(), np.zeros(x.shape[1:]))
-    return dict(port_voltages=port_voltages, load_power=load_power, injected_power=total,
-                node_voltages=nodes, branch_currents=currents, element_power=powers,
-                port_injected_power=injected)
+    if powers:
+        # sums start from 0, as from an array of zeros (a solve always injects)
+        read.update(load_power=sum(load_powers) if load_powers else np.zeros(x.shape[1:]),
+                    injected_power=sum(injected.values()), port_injected_power=injected)
+    return read

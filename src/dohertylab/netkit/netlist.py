@@ -54,8 +54,9 @@ class Netlist:
     load_port: str | None = None
 
     def add(self, name: str, component: Component, *nodes: str) -> Placed:
-        if any(e.name == name for e in self.elements):
-            raise NetworkTopologyError(f"duplicate element name '{name}'", element=name)
+        for e in self.elements:
+            if e.name == name:
+                raise NetworkTopologyError(f"duplicate element name '{name}'", element=name)
         placed = Placed(name, component, tuple(nodes))
         self.elements.append(placed)
         return placed
@@ -68,17 +69,6 @@ class Netlist:
             if e.name == name:
                 return e
         raise KeyError(name)
-
-    def nodes(self) -> list[str]:
-        """All node names, ground excluded, in sorted order."""
-        seen = set()
-        for e in self.elements:
-            seen.update(e.nodes)
-        for plus, minus in self.ports.values():
-            seen.add(plus)
-            seen.add(minus)
-        seen.discard(self.ground)
-        return sorted(seen)
 
     def copy(self) -> "Netlist":
         return Netlist(
@@ -98,43 +88,44 @@ class Netlist:
             e for e in self.elements if e.component.resistive and set(e.nodes) == {plus, minus}
         ]
 
-    def validate(self) -> None:
-        """Check structural invariants; raises NetworkTopologyError."""
+    def validate(self) -> list[str]:
+        """Check structural invariants and return every node name of the
+        elements and ports, ground excluded, in sorted order: the
+        numbering of the MNA node voltages.  Raises NetworkTopologyError."""
         if not 0 < self.f0 < math.inf:
             raise NetworkTopologyError(
                 f"reference frequency must be positive and finite, got {self.f0}"
             )
-        node_set = set(self.nodes()) | {self.ground}
-        for pname, (plus, minus) in self.ports.items():
-            for n in (plus, minus):
-                if n not in node_set:
-                    raise NetworkTopologyError(
-                        f"port '{pname}' references unknown node '{n}'", node=n
-                    )
         if self.load_port is not None and self.load_port not in self.ports:
             raise NetworkTopologyError(f"load port '{self.load_port}' is not a port")
 
         # Every node must reach ground through the element graph, otherwise
-        # its potential is undetermined and the MNA matrix is singular.
-        adjacency: dict[str, set[str]] = {n: set() for n in node_set}
+        # its potential is undetermined and the MNA matrix is singular; a
+        # port node that no element touches has no path at all.
+        ground = self.ground
+        adjacency: dict[str, list[str]] = {ground: []}
         for e in self.elements:
-            for a, b in e.component.links(e.nodes, self.ground):
-                adjacency[a].add(b)
-                adjacency[b].add(a)
+            for a, b in e.component.links(e.nodes, ground):
+                adjacency.setdefault(a, []).append(b)
+                adjacency.setdefault(b, []).append(a)
+        for pair in self.ports.values():
+            for n in pair:
+                adjacency.setdefault(n, [])
 
-        reached = {self.ground}
-        stack = [self.ground]
+        reached = {ground}
+        stack = [ground]
         while stack:
             for neighbor in adjacency[stack.pop()]:
                 if neighbor not in reached:
                     reached.add(neighbor)
                     stack.append(neighbor)
-        floating = sorted(node_set - reached)
-        if floating:
+        if len(reached) < len(adjacency):
+            floating = min(adjacency.keys() - reached)
             raise NetworkTopologyError(
-                f"node '{floating[0]}' has no path to ground (floating subcircuit)",
-                node=floating[0],
+                f"node '{floating}' has no path to ground (floating subcircuit)", node=floating
             )
+        del adjacency[ground]
+        return sorted(adjacency)
 
     # ------------------------------------------------------------------
     # JSON round-trip (schema documented in dohertylab.cli)
@@ -160,31 +151,40 @@ class Netlist:
         ports = doc.get("ports", {})
         _check(isinstance(ports, dict), "key 'ports' must be an object")
         for name, pair in ports.items():
-            _check(_is_nodes(pair) and len(pair) == 2, f"port '{name}' must be a node pair")
+            _check(_is_nodes(pair) and len(pair) == 2, "port '{}' must be a node pair", name)
             net.add_port(name, *pair)
         load_port = doc.get("load_port")
         _check(load_port is None or isinstance(load_port, str), "key 'load_port' must be a name")
         net.load_port = load_port
         elements = doc.get("elements", [])
         _check(isinstance(elements, list), "key 'elements' must be a list")
+        names = set()  # the duplicate check of add(), on a set
         for entry in elements:
             _check(isinstance(entry, dict), "each element must be an object")
             name = entry.get("name")
             _check(isinstance(name, str), "each element needs a string 'name'")
             nodes = entry.get("nodes")
-            _check(_is_nodes(nodes), f"nodes of element '{name}' must be a list of names", name)
-            net.add(name, _component_from_json(name, entry), *nodes)
+            _check(_is_nodes(nodes), "nodes of element '{}' must be a list of names", name,
+                   element=name)
+            component = _component_from_json(name, entry)
+            _check(name not in names, "duplicate element name '{}'", name, element=name)
+            names.add(name)
+            net.elements.append(Placed(name, component, tuple(nodes)))
         net.validate()
         return net
 
 
-def _check(cond: bool, msg: str, element: str | None = None) -> None:
+def _check(cond: bool, msg: str, *values, element: str | None = None) -> None:
+    """Raise NetworkTopologyError(``msg`` formatted with ``values``) unless
+    ``cond``; the message is formatted only when it is raised."""
     if not cond:
-        raise NetworkTopologyError(msg, element=element)
+        raise NetworkTopologyError(msg.format(*values), element=element)
 
 
 def _number(val) -> float | None:
     """A JSON number as a float (an integer beyond float range as inf), else None."""
+    if type(val) is float:
+        return val
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         return None
     try:
@@ -194,7 +194,7 @@ def _number(val) -> float | None:
 
 
 def _is_nodes(val) -> bool:
-    return isinstance(val, list) and all(isinstance(n, str) for n in val)
+    return isinstance(val, list) and all([isinstance(n, str) for n in val])
 
 
 def _json_schema(cls) -> tuple[type, list[tuple[str, str, object, bool]]]:
@@ -228,22 +228,20 @@ def _component_from_json(name: str, entry: dict) -> Component:
     cls, keys = _SCHEMAS[kind]
     values = {}
     for key, attr, default, is_complex in keys:
-        if key not in entry:
-            _check(default is not MISSING, f"element '{name}' needs key '{key}'", name)
+        val = entry.get(key, MISSING)
+        if val is MISSING:
+            _check(default is not MISSING, "element '{}' needs key '{}'", name, key, element=name)
             continue
-        val = entry[key]
         if is_complex:
             parts = [_number(v) for v in val] if isinstance(val, list) else []
-            _check(
-                len(parts) == 2 and None not in parts,
-                f"key '{key}' of element '{name}' must be a [re, im] pair of numbers",
-                name,
-            )
+            _check(len(parts) == 2 and None not in parts,
+                   "key '{}' of element '{}' must be a [re, im] pair of numbers", key, name,
+                   element=name)
             values[attr] = complex(*parts)
         else:
             values[attr] = _number(val)
-            _check(values[attr] is not None, f"key '{key}' of element '{name}' must be a number",
-                   name)
+            _check(values[attr] is not None, "key '{}' of element '{}' must be a number", key,
+                   name, element=name)
     try:
         return cls(**values)
     except ValueError as exc:

@@ -70,7 +70,7 @@ def s_parameters(
     i0 = 1.0
     # column k drives port k alone
     drives = {p: i0 * np.eye(n)[k] for k, p in enumerate(ports)}
-    sweep = solve_columns(terminated, np.atleast_1d(freqs), drives).port_voltages
+    sweep = solve_columns(terminated, np.atleast_1d(freqs), drives, powers=False).port_voltages
     v = np.stack([sweep[p] for p in ports], axis=1)  # (freqs, port j, column k)
     return 2.0 * v / (z_ref * i0) - np.eye(n)
 
@@ -95,6 +95,14 @@ class TouchstoneData:
     z_ref: float
 
 
+def _number(token: str, what: str) -> float:
+    """``token`` as a float; InputError naming it when it is not a number."""
+    try:
+        return float(token)
+    except ValueError:
+        raise InputError(f"touchstone {what} '{token}' is not a number") from None
+
+
 def _record_order(n: int) -> list[tuple[int, int]]:
     if n == 2:
         return [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -113,12 +121,14 @@ def write_touchstone(
     line, the standard layout.
     """
     s = np.asarray(s, dtype=complex)
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise InputError(f"S-parameters must be an (f, n, n) array, got shape {s.shape}")
     n = s.shape[-1]
     if not 1 <= n <= 4:
         raise InputError(f"supported port counts are 1..4, got {n}")
     freqs = np.asarray(freqs_hz, dtype=float)
-    if s.ndim != 3 or len(freqs) != len(s):
-        raise InputError(f"{len(freqs)} frequencies for {len(s)} S-matrices")
+    if freqs.shape != (len(s),):
+        raise InputError(f"{freqs.size} frequencies for {len(s)} S-matrices")
     rows, cols = zip(*_record_order(n))
     pairs = np.stack([s.real[:, rows, cols], s.imag[:, rows, cols]], axis=-1)
     table = np.column_stack([freqs / 1e9, pairs.reshape(len(freqs), 2 * n * n)])
@@ -158,7 +168,7 @@ def read_touchstone(text: str) -> TouchstoneData:
                 if p in unit_scale:
                     scale = unit_scale[p]
                 elif p == "r" and i + 1 < len(parts):
-                    z_ref = float(parts[i + 1])
+                    z_ref = _number(parts[i + 1], "reference impedance")
                     i += 1
                 elif p in ("s", "ri"):
                     pass
@@ -175,7 +185,10 @@ def read_touchstone(text: str) -> TouchstoneData:
 
     if not tokens:
         raise InputError("touchstone file holds no data records")
-    values = np.array(tokens, dtype=float)
+    try:
+        values = np.array(tokens, dtype=float)
+    except ValueError:  # name the token that is not a number
+        values = np.array([_number(token, "value") for token in tokens])
     sizes = np.array(counts)
     starts = (np.cumsum(sizes) - sizes)[sizes % 2 == 1]
     lengths = np.diff(starts, append=len(values))

@@ -596,6 +596,25 @@ def test_bandwidth_mode_outputs(design_path, tmp_path, capsys):
     assert len(lines) == 202
 
 
+@pytest.mark.parametrize("points", [2, 200])
+def test_bandwidth_center_is_f0_on_even_grid(design_path, tmp_path, points, capsys):
+    # an even grid has no point at f0; the band must still be centered
+    # on f0, not on the grid point nearest it
+    code, _, _ = run(
+        ["analyze", design_path, "--mode", "bandwidth", "--metric", "load-match",
+         "--points", str(points), "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(open(os.path.join(tmp_path, "bandwidth.json")).read())
+    f0 = PROTO_DESIGN["config"]["f0_hz"]
+    assert doc["met_at_center"] is True
+    assert doc["f_lo_hz"] <= f0 <= doc["f_hi_hz"]
+    freqs = [float(line.split(",")[0])
+             for line in open(os.path.join(tmp_path, "bandwidth.csv")).read().splitlines()[1:]]
+    assert len(freqs) == points + 1 and f0 in freqs
+
+
 def test_analyze_netlist_input_with_flags(design_path, tmp_path, capsys):
     out_dir = str(tmp_path / "s")
     run(["synth", design_path, "--out-dir", out_dir], capsys)

@@ -134,6 +134,15 @@ def test_floating_node_rejected():
         solve(net, 1e9, {"in": 1.0})
     assert exc.value.node in ("s1", "s2")
 
+    # a port on a node that no element touches
+    net = Netlist(f0=1e9)
+    net.add("R1", Resistor(50.0), "a", "0")
+    net.add_port("in", "a")
+    net.add_port("out", "lone")
+    with pytest.raises(NetworkTopologyError, match="'lone'") as exc:
+        solve(net, 1e9, {"in": 1.0})
+    assert exc.value.node == "lone"
+
 
 def test_nonpositive_frequency_rejected(two_line_net):
     for freq in (-1e9, 0.0, math.nan, math.inf):
@@ -697,7 +706,7 @@ def test_frequency_sweep_matches_per_frequency_solves(length, values, columns):
         for port in net.ports:
             _close(sweep.port_voltages[port][i], point.port_voltages[port])
         # powers relative to the apparent power the port and the source deliver
-        v_in, v_a = point.port_voltages["in"], point.x[net.nodes().index("a")]
+        v_in, v_a = point.port_voltages["in"], point.x[net.validate().index("a")]
         apparent = 0.5 * (np.abs(v_in * drives["in"]) + np.abs(v_a * values["amps"]))
         _close(sweep.load_power[i], point.load_power, apparent.max())
         _close(sweep.injected_power[i], point.injected_power, apparent.max())
@@ -711,6 +720,33 @@ def test_frequency_sweep_matches_per_frequency_solves(length, values, columns):
             _close([sweep.element_power[e][i, k] for e in sorted(single.element_power)],
                    [single.element_power[e] for e in sorted(single.element_power)],
                    apparent[k])
+
+
+@pytest.mark.parametrize("freq", [2e9, np.linspace(1e9, 3e9, CHUNK + 1)])
+def test_powers_off_reads_the_same_voltages(freq):
+    """Without powers a solve reads back the same port voltages, probes
+    and backward errors, bit for bit, and leaves the power fields None."""
+    values = {"r_in": 50.0, "l": 3e-9, "c": 1e-12, "q_l": 30.0, "q_c": 40.0, "amps": 0.2 - 0.1j,
+              "l_p": 2e-9, "n": 1.3, "k": 0.7, "n_x": 0.8, "z0": 60.0, "theta": 70.0,
+              "loss": 0.1, "r_l": 75.0}
+    net = _every_kind_net(values)
+    drives = {"in": np.array([1.0, 0.5j, 0.0])}
+    for probes in ((), ("L1", "RL")):
+        full = solve_columns(net, freq, drives, probes=probes)
+        bare = solve_columns(net, freq, drives, probes=probes, powers=False)
+        assert bare.load_power is None and bare.injected_power is None
+        assert bare.port_injected_power is None
+        assert np.array_equal(bare.backward_error, full.backward_error)
+        for port in net.ports:
+            assert np.array_equal(bare.port_voltages[port], full.port_voltages[port])
+        assert bare.node_voltages.keys() == full.node_voltages.keys()
+        for nd, v in full.node_voltages.items():
+            assert np.array_equal(bare.node_voltages[nd], v)
+        for name, currents in full.branch_currents.items():
+            assert all(np.array_equal(a, b) for a, b in zip(bare.branch_currents[name], currents))
+        assert bare.element_power.keys() == full.element_power.keys() == set(probes) - {"RL"}
+        for name, p in full.element_power.items():
+            assert np.array_equal(bare.element_power[name], p)
 
 
 def _tank_net() -> Netlist:

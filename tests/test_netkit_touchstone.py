@@ -91,6 +91,9 @@ def test_write_rejects_frequency_count_mismatch():
         write_touchstone([1e9, 2e9], s, 50.0)  # used to write a truncated file
     with pytest.raises(ValueError, match="frequencies"):
         write_touchstone([1e9, 2e9, 3e9, 4e9], s, 50.0)
+    for bad in (0.5, np.zeros((2, 2)), np.zeros((1, 2, 3))):  # not (f, n, n)
+        with pytest.raises(InputError, match="shape"):
+            write_touchstone([1e9], bad, 50.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -165,11 +168,20 @@ def test_nine_values_read_by_their_lines():
     ["1.0 0.1 0.2 0.3 0.4\n",  # 5 values: no port count
      "0.1 0.2\n1.0 0.1 0.2\n",  # a continuation line before any record
      "1.0 0.1 0.2\n2.0 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8\n",  # records of two sizes
-     "2.0 0.1 0.2\n1.0 0.1 0.2\n"],  # frequencies out of order
+     "2.0 0.1 0.2\n1.0 0.1 0.2\n",  # frequencies out of order
+     "1.0 x 0.2\n",  # a value that is not a number
+     "# GHz S RI R abc\n1.0 0.1 0.2\n"],  # a reference impedance that is not one
 )
 def test_malformed_records_rejected(body):
     with pytest.raises(InputError):
         read_touchstone("# GHz S RI R 50\n" + body)
+
+
+def test_non_numeric_token_named():
+    with pytest.raises(InputError, match="'x'"):
+        read_touchstone("# GHz S RI R 50\n1.0 x 0.2\n")
+    with pytest.raises(InputError, match="'abc'"):
+        read_touchstone("# GHz S RI R abc\n1.0 0.1 0.2\n")
 
 
 def test_case_insensitive_option_line():
