@@ -82,6 +82,9 @@ def required_phase_offset(
     the drive level.
     """
     f0 = f0 if f0 is not None else netlist.f0
+    # not read from load_modulation's unit columns, which moves the offset by
+    # rounding noise (82.17076767726132 -> ...127 degrees on the README
+    # prototype) and PA sweep digits; offset_delivered_power, simulate_pa too
     work = _terminated_copy(netlist)
     # column 0 drives the main port alone, column 1 the auxiliary port
     drives = {"main": np.array([1.0, 0.0]), "aux": np.array([0.0, 1.0])}
@@ -203,12 +206,19 @@ def load_modulation(
     freq: float | None = None,
 ) -> LoadModulationSweep:
     """Effective impedances at the ``main`` and ``aux`` ports over the
-    drive grid at ``freq`` (defaults to center)."""
+    drive grid at ``freq`` (defaults to center).  The network is linear, so
+    every level is a sum of one solve's columns, which the acceptance check
+    judges: a unit drive into each port and, if any, the sources alone."""
     freq = freq if freq is not None else cfg.f0
     i_main = profile.i_main * cmath.exp(1j * math.radians(profile.main_phase_deg))
     aux_on = profile.i_aux > 0.0
     i_aux = np.where(aux_on, profile.i_aux, 0j)
-    r = solve_columns(netlist, freq, {"main": i_main, "aux": i_aux})
+    weights = [i_main, i_aux]
+    if any(e.component.source for e in netlist.elements):
+        weights.append(1.0 - i_main - i_aux)  # every level holds the sources once
+    k = len(weights)
+    r = solve_columns(netlist, freq, {"main": [1, 0, 0][:k], "aux": [0, 1, 0][:k]}, powers=False)
+    r = r.combined({"main": i_main, "aux": i_aux}, np.array(weights))
     v_aux = r.port_voltages["aux"]
     z_main = r.port_voltages["main"] / i_main
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -314,12 +324,9 @@ def bandwidth_report(
     met_center = bool(meets[i_center])
     if not met_center:
         return BandwidthReport(metric, thr, f0, f0, 0.0, False, freqs, values_db)
-    lo = i_center
-    while lo > 0 and meets[lo - 1]:
-        lo -= 1
-    hi = i_center
-    while hi < len(freqs) - 1 and meets[hi + 1]:
-        hi += 1
+    fails = np.flatnonzero(~meets)  # the band is the run of met points around center
+    lo = fails[fails < i_center].max(initial=-1) + 1
+    hi = fails[fails > i_center].min(initial=len(freqs)) - 1
     f_lo, f_hi = float(freqs[lo]), float(freqs[hi])
     return BandwidthReport(metric, thr, f_lo, f_hi, (f_hi - f_lo) / f0, True, freqs, values_db)
 

@@ -272,11 +272,8 @@ def _load_input(args) -> tuple[dict | None, Netlist | None]:
 
 
 def _config_from_flags(args, fallback_f0: float | None = None) -> DohertyConfig:
-    missing = [
-        name
-        for name, val in (("--alpha", args.alpha), ("--r-opt", args.r_opt), ("--r-l", args.r_l))
-        if val is None
-    ]
+    flags = {"--alpha": args.alpha, "--r-opt": args.r_opt, "--r-l": args.r_l}
+    missing = [flag for flag, val in flags.items() if val is None]
     if missing:
         raise InputError(f"netlist input needs {', '.join(missing)}")
     f0 = args.f0 if args.f0 is not None else fallback_f0

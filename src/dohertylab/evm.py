@@ -17,12 +17,14 @@ from .errors import InputError
 __all__ = ["qam64_symbols", "apply_memoryless", "evm_64qam"]
 
 
+_LEVELS = np.array([-7, -5, -3, -1, 1, 3, 5, 7], dtype=float)
+_QAM64 = np.add.outer(1j * _LEVELS, _LEVELS).ravel() / math.sqrt(42.0)  # unscaled E|s|^2 = 42
+_QAM64.flags.writeable = False  # shared by every call; qam64_symbols() hands out copies
+
+
 def qam64_symbols() -> np.ndarray:
-    """The 64 square-QAM symbols normalized to unit average power."""
-    levels = np.array([-7, -5, -3, -1, 1, 3, 5, 7], dtype=float)
-    re, im = np.meshgrid(levels, levels)
-    s = (re + 1j * im).ravel()
-    return s / math.sqrt(42.0)  # E|s|^2 = 2*mean(levels^2) = 42 before scaling
+    """The 64 square-QAM symbols normalized to unit average power (a copy)."""
+    return _QAM64.copy()
 
 
 def _interp_checked(x: np.ndarray, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -68,7 +70,7 @@ def evm_64qam(
     """
     if backoff_db < 0:
         raise InputError(f"backoff must be >= 0 dB, got {backoff_db}")
-    s = qam64_symbols()
+    s = _QAM64
     v_top = float(np.asarray(am_am[0], dtype=float).max())
     drive = np.abs(s) / np.abs(s).max() * v_top * 10.0 ** (-backoff_db / 20.0)
     y = apply_memoryless(s, am_am, am_pm, drive)

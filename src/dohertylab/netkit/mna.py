@@ -117,9 +117,9 @@ class AnalysisResult:
 class ColumnsResult:
     """Solution of K drive columns at one operating point or at each of V.
 
-    At one point ``x`` holds the unknowns with the ground row (zero)
-    last, shape (n+1, K), and every other array has one entry per column.
-    Over a sweep every other array is (V, K) and ``x`` is None.
+    At one point ``x`` holds the unknowns with the ground row (zero) last,
+    (n+1, K), of ``system``, and every other array has one entry per
+    column.  Over a sweep they are (V, K) and ``x`` and ``system`` None.
     ``injected_power`` totals ``port_injected_power``: the driven ports'
     and, as ``source:<name>``, the current sources'.  ``node_voltages``,
     ``branch_currents`` (as in :class:`AnalysisResult`) and
@@ -140,6 +140,16 @@ class ColumnsResult:
     branch_currents: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
     element_power: dict[str, np.ndarray] = field(default_factory=dict)
     port_injected_power: dict[str, np.ndarray] | None = None
+    system: MnaSystem | None = field(default=None, repr=False, compare=False)
+
+    def combined(self, drives: dict[str, np.ndarray], weights: np.ndarray) -> ColumnsResult:
+        """The L solutions ``x @ weights`` of this one-point result, read back
+        with powers for their port currents ``drives`` (by linearity, if the
+        sources' weights sum to one); each has the K columns' worst backward error."""
+        x = self.x @ weights
+        eta = np.full(x.shape[1], np.maximum.reduce(self.backward_error))
+        return ColumnsResult(self.freq, x, backward_error=eta,
+                             **_readback(self.system, drives, x, self.freq))
 
     def passive_efficiency(self) -> np.ndarray:
         """Fraction of the injected power that reaches the load port's
@@ -267,14 +277,6 @@ def _diagnose_singular(system: MnaSystem, x: np.ndarray, eta: float) -> Singular
     return SingularSystemError(
         f"solution rejected: backward error {eta:.2e} exceeds {BACKWARD_ERROR_TOL:g}"
     )
-
-
-def _solve_one(system: MnaSystem, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve at ``system``'s frequency: the solution with the ground row
-    (zero) appended, (size+1, K), and the result of :func:`_accepted`."""
-    x = np.zeros((system.size + 1, rhs.shape[1]), dtype=complex)
-    x[:-1] = _lapack(system.matrix, rhs)
-    return x, _accepted(system, system.matrix, x[:-1], rhs)
 
 
 def _solved_chunks(
@@ -432,9 +434,11 @@ def solve_columns(
         raise InputError("no excitation: provide port currents or source elements")
     rhs = system.rhs(drives, columns)
     if one_freq:
-        x, eta = _solve_one(system, rhs)
+        x = np.zeros((system.size + 1, columns), dtype=complex)  # the ground row stays 0
+        x[:-1] = _lapack(system.matrix, rhs)
+        eta = _accepted(system, system.matrix, x[:-1], rhs)
         read = _readback(system, drives, x, freq, probes, powers)
-        return ColumnsResult(freq, x, backward_error=eta, **read)
+        return ColumnsResult(freq, x, backward_error=eta, system=system, **read)
 
     by_column = {port: i[:, None] for port, i in drives.items()}
     whole = None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from ..errors import InputError
 from .elements import Component
@@ -71,13 +71,7 @@ class Netlist:
         raise KeyError(name)
 
     def copy(self) -> "Netlist":
-        return Netlist(
-            f0=self.f0,
-            ground=self.ground,
-            elements=list(self.elements),
-            ports=dict(self.ports),
-            load_port=self.load_port,
-        )
+        return replace(self, elements=list(self.elements), ports=dict(self.ports))
 
     def load_terminations(self) -> list[Placed]:
         """Resistors sitting directly across the designated load port."""

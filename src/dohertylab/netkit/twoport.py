@@ -72,11 +72,8 @@ class TwoPortMatrix:
                 raise InputError("chain matrix with C = 0 has no Z representation")
             m = [[a / c, (a * d - b * c) / c], [1.0 / c, d / c]]
             return TwoPortMatrix("z", np.array(m), warnings=self.warnings)
-        # S -> Z
-        z0 = self.z_ref
-        s = self.m
-        eye = np.eye(2)
-        m = z0 * (eye + s) @ np.linalg.inv(eye - s)
+        eye, s = np.eye(2), self.m  # S -> Z
+        m = self.z_ref * (eye + s) @ np.linalg.inv(eye - s)
         return TwoPortMatrix("z", m, warnings=self.warnings)
 
     def to_s(self, z_ref: float | None = None) -> "TwoPortMatrix":
@@ -125,10 +122,8 @@ def two_port_matrix(
     """
     if freq <= 0:
         raise InputError(f"frequency must be positive, got {freq}")
-    warnings: tuple[str, ...] = ()
+    warnings = () if chain else ("empty chain: identity two-port",)
     m = np.eye(2, dtype=complex)
-    if not chain:
-        warnings = ("empty chain: identity two-port",)
     for item in chain:
         m = m @ _abcd_of(item, freq)
     out = TwoPortMatrix("abcd", m, warnings=warnings)

@@ -37,7 +37,15 @@ from dohertylab.analysis import (
     simulate_pa,
 )
 from dohertylab.cells import ActiveCellModel, ideal_doherty_cells
-from dohertylab.netkit import Capacitor, Netlist, Resistor, TransmissionLine, solve
+from dohertylab.netkit import (
+    Capacitor,
+    CurrentSource,
+    Netlist,
+    Resistor,
+    TransmissionLine,
+    solve,
+    solve_columns,
+)
 from dohertylab.synth import TransformerCombinerDesign, TwoLineDesign
 
 
@@ -141,6 +149,62 @@ def test_off_center_imaginary_part_grows(proto_cfg, tf_net):
         sweep = load_modulation(tf_net, proto_cfg, prof, freq=fr * proto_cfg.f0)
         ims.append(abs(sweep.z_main[0].imag))
     assert all(b > a for a, b in zip(ims, ims[1:]))
+
+
+def _load_modulation_net(name, q, cfg):
+    if name == "source":  # a library netlist with a current-source element
+        net = to_netlist(synth_two_line(cfg), q_l=20.0, q_c=20.0, implementation="lumped-pi")
+        net.add("I1", CurrentSource(0.05 - 0.02j), "out", net.ground)
+        return net
+    if name == "transformer":
+        design, implementation = synth_transformer_combiner(cfg, 1.0, 0.7, 1.0), "line"
+    else:
+        synthesize = synth_two_line if name == "two-line" else synth_three_line
+        design, implementation = synthesize(cfg), "lumped-pi"
+    lossy = {} if q is None else {"q_l": q, "q_c": q, "implementation": implementation}
+    return to_netlist(design, **lossy)
+
+
+@pytest.mark.parametrize("freq_ratio", [1.0, 0.9])
+@pytest.mark.parametrize("name,q", [
+    (name, q) for name in ("two-line", "three-line", "transformer") for q in (None, 20.0)
+] + [("source", None)])
+def test_load_modulation_matches_per_column_solves(
+    name, q, freq_ratio, proto_cfg, monkeypatch
+):
+    # the sweep sums a unit drive column per port (and the sources alone)
+    # in one solve; it must agree with one solved column per drive level
+    net = _load_modulation_net(name, q, proto_cfg)
+    prof = drive_profile(proto_cfg, net, n_points=41, main_phase_deg=90.0)
+    freq = freq_ratio * proto_cfg.f0
+    i_main = prof.i_main * np.exp(1j * math.radians(prof.main_phase_deg))
+    aux_on = prof.i_aux > 0.0
+    i_aux = np.where(aux_on, prof.i_aux, 0j)
+    ref = solve_columns(net, freq, {"main": i_main, "aux": i_aux})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = {
+            "z_main": ref.port_voltages["main"] / i_main,
+            "z_aux": np.where(aux_on, ref.port_voltages["aux"] / i_aux, np.nan),
+            "y_aux": np.where(aux_on, i_aux / ref.port_voltages["aux"], 0j),
+            "eta_passive": ref.passive_efficiency(),
+        }
+
+    columns = []
+    lapack = np.linalg.solve
+
+    def counted(a, b):
+        columns.append(np.shape(b)[1])
+        return lapack(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    sweep = load_modulation(net, proto_cfg, prof, freq=freq)
+    assert columns == [3 if name == "source" else 2]
+    for field, expected in want.items():
+        got = getattr(sweep, field)
+        finite = np.isfinite(expected)
+        assert np.array_equal(np.isfinite(got), finite), field
+        err = np.abs(got[finite] - expected[finite])
+        assert np.all(err <= 1e-12 * np.abs(expected[finite])), (field, err.max())
 
 
 # ----------------------------------------------------------------------
