@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DegenerateTransferError, InputError
 from .ideal import (
     DohertyConfig,
     current_profile,
@@ -47,10 +47,6 @@ __all__ = [
     "itr_inverter_oracle",
     "peak_excitations",
 ]
-
-
-class DegenerateTransferError(RuntimeError):
-    """Transfer from a source port to the load is numerically zero."""
 
 
 def _terminated_copy(netlist: Netlist) -> Netlist:
@@ -121,7 +117,7 @@ def offset_delivered_power(netlist: Netlist, offset_deg: float) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriveProfile:
     """Grid of normalized drive currents plus the main port's phase.
 
@@ -172,7 +168,7 @@ def drive_profile(
     return DriveProfile(i_main, i_aux, pbo, main_phase_deg)
 
 
-@dataclass
+@dataclass(eq=False)
 class LoadModulationSweep:
     """Per-point effective load impedances and passive efficiency.
 
@@ -261,8 +257,11 @@ def compare_passive_eff(
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class BandwidthReport:
+    """Widest band around the center frequency where ``metric`` meets
+    ``threshold_db``, with the sampled metric it was read from."""
+
     metric: str
     threshold_db: float
     f_lo: float
@@ -343,7 +342,7 @@ def pa_drive_grid(alpha: float, n_points: int, v_min: float = 0.02) -> np.ndarra
     return _grid_with(v_min, 1.0, n_points, 1.0 / (1.0 + alpha))
 
 
-@dataclass
+@dataclass(eq=False)
 class PASimResult:
     """Drive-level sweep of the assembled PA behavioral model."""
 

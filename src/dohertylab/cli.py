@@ -85,8 +85,8 @@ from collections.abc import Container
 
 import numpy as np
 
-from . import analysis, cells, report
-from .errors import InputError
+from . import report
+from .errors import DegenerateTransferError, InputError
 from .ideal import DohertyConfig
 from .netkit import Netlist, SingularSystemError, check_network, export_touchstone
 from .netkit import s_parameters, write_touchstone
@@ -297,6 +297,8 @@ def cmd_analyze(args) -> int:
         print(path)
         return 0
 
+    from . import analysis  # here, not at the top: synth, export and itr-curves never run it
+
     if args.input is None:
         raise InputError("this mode needs a design or netlist input path")
     spec, netlist = _load_input(args)
@@ -379,6 +381,8 @@ def cmd_analyze(args) -> int:
     if args.mode == "pa-sim":
         if args.v_dc is None:
             raise InputError("pa-sim needs --v-dc (and --i-max unless --ideal-cells)")
+        from . import cells  # here, not at the top: pa-sim is its one command
+
         if args.ideal_cells:
             main_cell, aux_cell = cells.ideal_doherty_cells(cfg, args.v_dc)
         else:
@@ -408,6 +412,8 @@ def cmd_export(args) -> int:
         raise InputError("export needs a netlist JSON input")
     ports = args.ports.split(",") if args.ports else list(netlist.ports)
     ports = [p for p in ports if p]
+    if not 1 <= len(ports) <= 4:
+        raise InputError(f"--ports must name 1 to 4 ports, got {len(ports)}")
     f0 = netlist.f0
     f_start = args.f_start if args.f_start is not None else 0.6 * f0
     f_stop = args.f_stop if args.f_stop is not None else 1.4 * f0
@@ -499,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
         doc = {"error": str(exc), "code": 2}
         if exc.key is not None:
             doc["key"] = exc.key
-    except (DesignConsistencyError, SingularSystemError, analysis.DegenerateTransferError) as exc:
+    except (DesignConsistencyError, SingularSystemError, DegenerateTransferError) as exc:
         doc = {"error": str(exc), "code": 3}
     print(json.dumps(doc), file=sys.stderr)
     return doc["code"]

@@ -1,5 +1,6 @@
-"""The error every check of an input raises, and the post-condition of
-every closed form."""
+"""The error every check of an input raises, the post-condition of
+every closed form, and the analysis error the CLI maps to exit 3 without
+importing :mod:`dohertylab.analysis`."""
 
 import math
 
@@ -13,6 +14,10 @@ class InputError(ValueError):
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key
+
+
+class DegenerateTransferError(RuntimeError):
+    """Transfer from a source port to the load is numerically zero."""
 
 
 class ClosedForm:

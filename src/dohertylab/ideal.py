@@ -87,7 +87,7 @@ class DohertyConfig:
         return (1.0 + self.alpha) * self.r_opt / (2.0 * self.alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EfficiencyCurve:
     """Sampled (back-off dB, drain efficiency) curve with a class tag."""
 

@@ -1,8 +1,10 @@
 """General linear AC multiport network engine.
 
-Element models, modified nodal analysis, two-port conversions, power
-accounting and Touchstone I/O.  This is the simulation substrate used to
-cross-check every closed-form combiner result in the rest of the package.
+Element models, modified nodal analysis, power accounting and
+Touchstone I/O.  This is the simulation substrate used to cross-check
+every closed-form combiner result in the rest of the package.  The
+two-port cascade that the tests check MNA against is
+:mod:`dohertylab.netkit.twoport`, which this package does not import.
 """
 
 from .elements import (
@@ -32,7 +34,6 @@ from .touchstone import (
     s_parameters,
     write_touchstone,
 )
-from .twoport import Series, Shunt, TwoPortMatrix, input_impedance, two_port_matrix
 
 __all__ = [
     "Resistor",
@@ -53,11 +54,6 @@ __all__ = [
     "check_network",
     "solve",
     "solve_columns",
-    "Series",
-    "Shunt",
-    "TwoPortMatrix",
-    "two_port_matrix",
-    "input_impedance",
     "s_parameters",
     "export_touchstone",
     "write_touchstone",

@@ -127,6 +127,8 @@ class _Lumped(Element):
 
 @dataclass(frozen=True)
 class Resistor(_Lumped):
+    """Ideal resistor of ``ohms``."""
+
     ohms: float
 
     kind = "resistor"
@@ -142,6 +144,8 @@ class Resistor(_Lumped):
 
 @dataclass(frozen=True)
 class Inductor(_Lumped):
+    """Inductor of ``henries``, its loss a series resistance set by ``q``."""
+
     henries: float
     q: float = math.inf
 
@@ -159,6 +163,8 @@ class Inductor(_Lumped):
 
 @dataclass(frozen=True)
 class Capacitor(_Lumped):
+    """Capacitor of ``farads``, its loss a shunt conductance set by ``q``."""
+
     farads: float
     q: float = math.inf
 

@@ -113,7 +113,7 @@ class AnalysisResult:
         return abs(injected - out) / scale
 
 
-@dataclass
+@dataclass(eq=False)
 class ColumnsResult:
     """Solution of K drive columns at one operating point or at each of V.
 
@@ -160,7 +160,7 @@ class ColumnsResult:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class MnaSystem:
     """Assembled matrix with its index bookkeeping; ``node_index`` and
     ``source_rhs`` include the ground slot, ``matrix`` does not."""
@@ -323,11 +323,12 @@ def _accepted(system: MnaSystem, A: np.ndarray, x: np.ndarray, rhs: np.ndarray) 
     rejected point raises, as a loop of single solves would.
     """
     # an empty row divides by zero, an infinite x makes inf/inf: NaN
-    # rejects both (a row sum by matrix product is the fastest on small
+    # rejects both; a scale that overflows leaves eta 0 only for a finite
+    # residual (a row sum by matrix product is the fastest on small
     # rows; the reductions are called as ufuncs, without the Python
     # wrappers of the array methods)
     most = np.maximum.reduce
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rows = (np.abs(A) @ np.ones(A.shape[-1]))[..., None]
         residual = most(np.abs(A @ x - rhs) / rows, axis=-2)
         scale = most(np.abs(x), axis=-2) + most(np.abs(rhs) / rows, axis=-2)

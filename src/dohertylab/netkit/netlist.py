@@ -24,6 +24,8 @@ class NetworkTopologyError(InputError):
 
 @dataclass(frozen=True)
 class Placed:
+    """A component placed in a netlist under ``name`` on ``nodes``."""
+
     name: str
     component: Component
     nodes: tuple[str, ...]

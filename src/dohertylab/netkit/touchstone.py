@@ -81,15 +81,25 @@ def export_touchstone(
     freq_grid: np.ndarray | list[float],
     z_ref: float = 50.0,
 ) -> str:
-    """Touchstone v1 text of the netlist's S-parameters over ``freq_grid``."""
+    """Touchstone v1 text of the netlist's S-parameters over ``freq_grid``,
+    which must increase in the digits a record holds, or the text would
+    not read back."""
     freqs = np.asarray(freq_grid, dtype=float)
     if len(freqs) > 1 and not np.all(np.diff(freqs) > 0):
         raise InputError("frequency grid must be strictly increasing")
+    # a step above 1e-11 of the frequency changes its 13 written digits
+    for k in np.flatnonzero(np.diff(freqs) <= 1e-11 * freqs[1:]):
+        if "%.12e" % (freqs[k] / 1e9) == "%.12e" % (freqs[k + 1] / 1e9):
+            raise InputError(f"frequency grid steps below Touchstone's 13 digits: "
+                             f"{freqs[k]!r} and {freqs[k + 1]!r} Hz print alike")
     return write_touchstone(freqs, s_parameters(netlist, ports, freqs, z_ref), z_ref)
 
 
-@dataclass
+@dataclass(eq=False)
 class TouchstoneData:
+    """S-matrices read from a Touchstone file, with their frequencies and
+    reference impedance."""
+
     freqs_hz: np.ndarray
     s: np.ndarray  # (n_freq, n, n)
     z_ref: float

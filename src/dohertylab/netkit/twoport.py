@@ -37,8 +37,10 @@ class Shunt:
 ChainItem = Series | Shunt | TransmissionLine | CoupledInductors | IdealTransformer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoPortMatrix:
+    """A 2x2 two-port matrix in its ``representation``."""
+
     representation: str  # "abcd" | "s" | "z"
     m: np.ndarray  # 2x2 complex
     z_ref: float | None = None  # reference impedance, S only

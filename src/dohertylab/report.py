@@ -11,11 +11,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import LoadModulationSweep, PASimResult
 from .ideal import current_profile, itr_conv, itr_intro, pbo_level
+
+if TYPE_CHECKING:  # annotations only: rendering itr-curves needs no analysis
+    from .analysis import LoadModulationSweep, PASimResult
 
 __all__ = [
     "float_digits",

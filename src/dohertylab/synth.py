@@ -100,6 +100,9 @@ class CombinerDesign:
 
 @dataclass(frozen=True)
 class TwoLineDesign(CombinerDesign):
+    """Two quarter-wave lines: the main-side inverter and the output
+    transformer."""
+
     z01: float  # impedance inverter at the main output
     z02: float  # output transformer line
     cfg: DohertyConfig
@@ -121,6 +124,9 @@ class TwoLineDesign(CombinerDesign):
 
 @dataclass(frozen=True)
 class ThreeLineDesign(CombinerDesign):
+    """Three quarter-wave lines: the main inverter to the output, and two
+    auxiliary lines in series from the aux port to the output."""
+
     z01: float
     z02: float
     z03: float

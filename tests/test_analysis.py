@@ -207,6 +207,15 @@ def test_load_modulation_matches_per_column_solves(
         assert np.all(err <= 1e-12 * np.abs(expected[finite])), (field, err.max())
 
 
+def test_array_records_compare_by_identity(proto_cfg, tf_net):
+    # a generated field-wise == would ask numpy for the truth of an array
+    first, second = (drive_profile(proto_cfg, tf_net, n_points=5) for _ in range(2))
+    assert first == first and first != second
+    assert hash(first) != hash(second)
+    sweeps = [load_modulation(tf_net, proto_cfg, first) for _ in range(2)]
+    assert sweeps[0] == sweeps[0] and sweeps[0] != sweeps[1]
+
+
 # ----------------------------------------------------------------------
 # passive efficiency and bandwidth
 # ----------------------------------------------------------------------

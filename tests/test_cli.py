@@ -530,7 +530,7 @@ def test_export_header_has_z_ref(design_path, tmp_path, capsys):
 def test_export_five_ports_exit_2(design_path, tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     run(["synth", design_path, "--out-dir", out_dir], capsys)
-    code, _, _ = run(
+    code, _, err = run(
         [
             "export",
             os.path.join(out_dir, "netlist.json"),
@@ -542,6 +542,34 @@ def test_export_five_ports_exit_2(design_path, tmp_path, capsys):
         capsys,
     )
     assert code == 2
+    assert json.loads(err)["error"] == "--ports must name 1 to 4 ports, got 5"
+
+
+def test_export_empty_port_list_exit_2(design_path, tmp_path, capsys):
+    out_dir = str(tmp_path / "out")
+    run(["synth", design_path, "--out-dir", out_dir], capsys)
+    code, _, err = run(
+        ["export", os.path.join(out_dir, "netlist.json"), "--touchstone",
+         str(tmp_path / "x.s1p"), "--ports", ",,"],
+        capsys,
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "--ports must name 1 to 4 ports, got 0"
+
+
+def test_export_grid_finer_than_touchstone_digits_exit_2(design_path, tmp_path, capsys):
+    # the two frequencies print alike in a record's 13 digits, so the file
+    # would not read back
+    out_dir = str(tmp_path / "out")
+    run(["synth", design_path, "--out-dir", out_dir], capsys)
+    ts_path = tmp_path / "x.s3p"
+    code, _, err = run(
+        ["export", os.path.join(out_dir, "netlist.json"), "--touchstone", str(ts_path),
+         "--f-start", "999999999.9999999", "--f-stop", "1e9", "--points", "2"],
+        capsys,
+    )
+    assert_one_json_error(code, err, "frequency grid")
+    assert not ts_path.exists()
 
 
 def test_export_repeated_port_exit_2(design_path, tmp_path, capsys):
@@ -775,6 +803,23 @@ def test_line_too_lossy_for_double_precision_exits_2(loss_db, tmp_path, capsys):
 
 
 _FLAGS = ["--alpha", "1", "--r-opt", "41.3", "--r-l", "50"]
+
+
+def test_solution_near_float_range_is_judged_without_warning(tmp_path, capsys):
+    # at 1e-300 Hz the line's branch currents are near float range, so the
+    # backward error's scale overflows: the judgement stands, silently
+    p = tmp_path / "net.json"
+    p.write_text(json.dumps({
+        "f0_hz": 1e-300, "ports": {"main": ["a", "0"], "aux": ["a", "0"], "load": ["a", "0"]},
+        "load_port": "load", "elements": [
+            {"kind": "resistor", "name": "R1", "nodes": ["a", "0"], "ohms": 50.0},
+            {"kind": "tline", "name": "T1", "nodes": ["a", "a"], "z0_ohm": 25.0,
+             "theta_deg": 45.0, "f_ref_hz": 2e9, "loss_db_per_quarter": 0.2},
+        ],
+    }))
+    code, _, err = run(["analyze", str(p), "--mode", "load-mod", *_FLAGS,
+                        "--out-dir", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize(

@@ -340,7 +340,7 @@ def test_concurrent_solves_bitwise_identical(tf_net, proto_cfg):
 def test_mna_matches_two_port_chain_on_random_ladders():
     """Dual-route check: input impedance of a random terminated ladder via
     the MNA solve equals the value from the independent ABCD cascade."""
-    from dohertylab.netkit import Series, Shunt, input_impedance, two_port_matrix
+    from dohertylab.netkit.twoport import Series, Shunt, input_impedance, two_port_matrix
 
     rng = np.random.default_rng(42)
     freq = 3.7e9
