@@ -77,6 +77,7 @@ are lists of names and every value is a finite number (``amps`` a
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import math
 import os
@@ -101,7 +102,7 @@ from .synth import (  # all three synthesis functions stay importable from here
     to_netlist,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 #: the values each numeric flag accepts (by argparse dest), checked
 #: before any command runs
@@ -511,5 +512,17 @@ def main(argv: list[str] | None = None) -> int:
     return doc["code"]
 
 
+def run() -> None:
+    """The process entry of ``python -m dohertylab.cli`` and of the
+    ``dohertylab`` script: :func:`main` on ``sys.argv``, then end the
+    process without tearing the interpreter down.  Every output file is
+    closed by then; an exception from :func:`main` leaves the normal way."""
+    code = main()
+    atexit._run_exitfuncs()  # the handlers interpreter exit runs (coverage, site hooks)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

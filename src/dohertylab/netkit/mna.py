@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import InputError
-from .netlist import Netlist, Placed
+from .netlist import Netlist, NetworkTopologyError, Placed
 
 __all__ = [
     "AnalysisResult",
@@ -207,13 +207,16 @@ class MnaSystem:
 
     def matrices(self, freq: np.ndarray) -> np.ndarray:
         """The (points, size, size) matrices at ``freq``, one frequency
-        per point."""
+        per point.  A value beyond float range stays in them: no solution
+        passes :func:`_accepted` there, and :func:`_diagnose_singular`
+        names the element."""
         n = self.size
         A = np.zeros((len(freq), n + 1, n + 1), dtype=complex)
         by_entry = A.transpose(1, 2, 0)  # by_entry[i, j] is A[:, i, j]
         b = np.zeros(n + 1, dtype=complex)  # no stamp puts a frequency into b
-        for e, t, a in self.slots:
-            e.component.stamp(by_entry, b, t, a, freq)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for e, t, a in self.slots:
+                e.component.stamp(by_entry, b, t, a, freq)
         return A[:, :n, :n]
 
 
@@ -234,7 +237,8 @@ def _sweep_frequencies(freqs) -> np.ndarray:
 
 
 def assemble(netlist: Netlist, freq: float) -> MnaSystem:
-    """Build the MNA matrix of ``netlist`` at ``freq`` hertz."""
+    """Build the MNA matrix of ``netlist`` at ``freq`` hertz; a value beyond
+    float range is left to :func:`_diagnose_singular`, as in a sweep."""
     if not 0 < freq < math.inf:
         raise InputError(f"analysis frequency must be positive and finite, got {freq}")
     nodes = netlist.validate()
@@ -249,16 +253,41 @@ def assemble(netlist: Netlist, freq: float) -> MnaSystem:
         t = [node_index[nd] for nd in e.nodes]
         a = range(first_aux, first_aux + e.component.aux)
         first_aux = a.stop
-        e.component.stamp(A, b, t, a, freq)
         slots.append((e, t, a))
+        try:
+            e.component.stamp(A, b, t, a, freq)
+        except ZeroDivisionError:  # Python's complex 1/0, where an array gets inf
+            raise _out_of_range(slots, n, np.full(1, freq)) from None
     return MnaSystem(netlist, freq, A[:n, :n], b, node_index, slots)
 
 
-def _diagnose_singular(system: MnaSystem, x: np.ndarray, eta: float) -> SingularSystemError:
+def _out_of_range(slots, n: int, freq) -> NetworkTopologyError:
+    """The error for a matrix of ``n`` unknowns stamped by ``slots`` at
+    ``freq`` (a float, or an array of one point, stamped as they were)
+    that holds a value beyond float range: it names the first element
+    whose stamp puts one there."""
+    A = np.zeros((n + 1, n + 1, *np.shape(freq)), dtype=complex)
+    b = np.zeros(n + 1, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for e, t, a in slots:
+            e.component.stamp(A, b, t, a, freq)
+            if not np.isfinite(A[:n, :n]).all():
+                break
+    return NetworkTopologyError(
+        f"a value of element '{e.name}' leaves float range at {np.max(freq):g} Hz", element=e.name
+    )
+
+
+def _diagnose_singular(
+    system: MnaSystem, x: np.ndarray, eta: float
+) -> SingularSystemError | NetworkTopologyError:
     """The error for a rejected solution ``x`` of ``system``, of worst
-    backward error ``eta``: an unconstrained unknown by name, else a
-    singular matrix if ``x`` is not finite, else ``eta``."""
+    backward error ``eta``: an element that leaves float range, else an
+    unconstrained unknown by name, else a singular matrix if ``x`` is not
+    finite, else ``eta``."""
     A = system.matrix
+    if not np.isfinite(A).all():
+        return _out_of_range(system.slots, system.size, system.freq)
     for i in range(system.size):
         if not np.any(A[i, :]) or not np.any(A[:, i]):
             label = system.names[i]
@@ -297,7 +326,7 @@ def _solved_chunks(
         x = np.zeros((len(A), system.size + 1, rhs.shape[1]), dtype=complex)
         for j in range(len(A)):
             x[j, :-1] = _lapack(A[j], rhs)
-        yield rows, at, x, _accepted(system, A, x[:, :-1], rhs)
+        yield rows, at, x, _accepted(system, A, x[:, :-1], rhs, at)
 
 
 def _lapack(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -309,9 +338,11 @@ def _lapack(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.full(rhs.shape, math.nan)
 
 
-def _accepted(system: MnaSystem, A: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _accepted(
+    system: MnaSystem, A: np.ndarray, x: np.ndarray, rhs: np.ndarray, freqs=None
+) -> np.ndarray:
     """Each column's normwise backward error: (K,) for one matrix ``A``,
-    (f, K) for a stack of f matrices.
+    (f, K) for a stack of f matrices at ``freqs``.
 
     With D = diag(1 / sum_j |A_ij|), which scales each row of ``A`` to
     unit 1-norm, the backward error of a column x is
@@ -322,11 +353,12 @@ def _accepted(system: MnaSystem, A: np.ndarray, x: np.ndarray, rhs: np.ndarray) 
     column's exceeds :data:`BACKWARD_ERROR_TOL` or is NaN; the first
     rejected point raises, as a loop of single solves would.
     """
-    # an empty row divides by zero, an infinite x makes inf/inf: NaN
-    # rejects both; a scale that overflows leaves eta 0 only for a finite
-    # residual (a row sum by matrix product is the fastest on small
-    # rows; the reductions are called as ufuncs, without the Python
-    # wrappers of the array methods)
+    # an empty row divides by zero, an infinite x makes inf/inf and so
+    # does an entry of A beyond float range: NaN rejects all three; a
+    # scale that overflows leaves eta 0 only for a finite residual (a row
+    # sum by matrix product is the fastest on small rows; the reductions
+    # are called as ufuncs, without the Python wrappers of the array
+    # methods)
     most = np.maximum.reduce
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rows = (np.abs(A) @ np.ones(A.shape[-1]))[..., None]
@@ -336,8 +368,9 @@ def _accepted(system: MnaSystem, A: np.ndarray, x: np.ndarray, rhs: np.ndarray) 
     if not most(eta, axis=None) <= BACKWARD_ERROR_TOL:  # NaN fails
         accepted = eta <= BACKWARD_ERROR_TOL
         j = int(np.argmin(accepted.reshape(-1, eta.shape[-1]).all(axis=1)))
-        if A.ndim == 3:
-            system, x, eta = replace(system, matrix=A[j]), x[j], eta[j]
+        if A.ndim == 3:  # a one-point array: the diagnosis stamps it as the sweep did
+            system = replace(system, matrix=A[j], freq=freqs[j:j + 1])
+            x, eta = x[j], eta[j]
         raise _diagnose_singular(system, x, eta.max())
     return eta
 

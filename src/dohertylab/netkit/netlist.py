@@ -194,11 +194,11 @@ def _is_nodes(val) -> bool:
 
 
 def _json_schema(cls) -> tuple[type, list[tuple[str, str, object, bool]]]:
-    """(class, [(JSON key, field, default or MISSING, complex-valued)])."""
-    hints = typing.get_type_hints(cls)
-    defaults = {f.name: f.default for f in fields(cls)}
+    """(class, [(JSON key, field, default or MISSING, complex-valued)]), read
+    from the annotation strings of the fields (elements postpones them)."""
+    by_name = {f.name: f for f in fields(cls)}
     return cls, [
-        (key, name, defaults[name], hints[name] is complex)
+        (key, name, by_name[name].default, by_name[name].type == "complex")
         for key, name in cls.json_keys.items()
     ]
 

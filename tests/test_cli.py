@@ -822,6 +822,46 @@ def test_solution_near_float_range_is_judged_without_warning(tmp_path, capsys):
     assert (code, err) == (0, "")
 
 
+#: an element whose values are valid but whose stamp leaves float range
+#: at and around the netlist f0 it comes with
+_OUT_OF_RANGE = {
+    "capacitor-1e300": ({"kind": "capacitor", "farads": 1e300, "q": 20.0}, 1e9),
+    "inductor-1e300": ({"kind": "inductor", "henries": 1e300, "q": 20.0}, 1e9),
+    "tline-f_ref-1e-300": ({"kind": "tline", "nodes": ["a", "b"], "z0_ohm": 50.0,
+                            "theta_deg": 90.0, "f_ref_hz": 1e-300}, 1e9),
+    # (n/k)^2 overflows and k^2 underflows: z22 is inf * 0
+    "coupled-k-1e-300": ({"kind": "coupled_inductors", "nodes": ["a", "0", "b", "0"],
+                          "l_p_henries": 1e-8, "n": 1.0, "k": 1e-300, "q": 20.0}, 1e9),
+    # w L underflows to 0 at the 1e-300 Hz f0
+    "inductor-1e-300-at-1e-300-hz": ({"kind": "inductor", "henries": 1e-300, "q": 20.0}, 1e-300),
+}
+
+
+@pytest.mark.parametrize("command", ["export", "analyze"])
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_element_beyond_float_range_exits_2_naming_it(case, command, tmp_path, capsys):
+    # export stamps a frequency sweep, analyze one point at f0
+    element, f0 = _OUT_OF_RANGE[case]
+    p = tmp_path / "net.json"
+    p.write_text(json.dumps({
+        "f0_hz": f0, "ports": {"main": ["a", "0"], "aux": ["a", "0"], "load": ["b", "0"]},
+        "load_port": "load", "elements": [
+            {"kind": "resistor", "name": "Ra", "nodes": ["a", "0"], "ohms": 50.0},
+            {"name": "E0", "nodes": ["a", "0"], **element},
+            {"kind": "resistor", "name": "Rb", "nodes": ["b", "0"], "ohms": 50.0},
+        ],
+    }))
+    out = tmp_path / "out"
+    argv = {
+        "export": ["export", str(p), "--touchstone", str(out / "x.s3p"),
+                   "--f-start", str(f0 / 2), "--f-stop", str(f0 * 2), "--points", "3"],
+        "analyze": ["analyze", str(p), "--mode", "load-mod", *_FLAGS, "--out-dir", str(out)],
+    }[command]
+    code, _, err = run(argv, capsys)
+    assert_one_json_error(code, err, "a value of element 'E0' leaves float range")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

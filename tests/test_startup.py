@@ -20,16 +20,17 @@ DESIGN = {
     "q_budget": {"q_l": 20.0, "q_c": 20.0},
 }
 
-# runs dohertylab.cli as __main__ with the argv in sys.argv[1], then
+# runs dohertylab.cli as __main__ with the argv in sys.argv[1]; at exit
 # prints the dohertylab modules it loaded as the last stdout line
 MAIN_PROBE = """
-import json, runpy, sys
+import atexit, json, runpy, sys
 sys.argv = ["dohertylab"] + json.loads(sys.argv[1])
+atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules
+                                                if m.startswith("dohertylab")))))
 try:
     runpy.run_module("dohertylab.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("dohertylab"))))
 """
 
 
