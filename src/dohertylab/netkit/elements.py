@@ -25,7 +25,9 @@ Loss model: a finite-Q inductor is a series resistance R = wL/Q and a
 finite-Q capacitor a shunt conductance G = wC/Q, both evaluated at the
 analysis frequency (Q is held constant over frequency); Q = inf gives
 exactly zero loss.  Transmission
-lines take a uniform attenuation in dB per quarter wavelength.
+lines take a uniform attenuation in dB per quarter wavelength, with no
+cap of its own: a line past float range is refused by name like any
+element whose stamp leaves it (:mod:`~dohertylab.netkit.mna`).
 """
 
 from __future__ import annotations
@@ -348,11 +350,8 @@ class TransmissionLine(Element):
         n1, n2 = t
         a1, a2 = a
         gl = self.gamma_length(freq)
-        vector = isinstance(gl, np.ndarray)
-        # cosh and sinh leave float range at 710 Np
-        if (gl.real.max() if vector else gl.real) > 700.0:
-            raise InputError(f"line loss above 700 Np (6080 dB) at {np.max(freq):g} Hz")
-        if vector:
+        # past float range (about 710 Np) numpy gives inf, cmath OverflowError
+        if isinstance(gl, np.ndarray):
             ch, sh = np.cosh(gl), np.sinh(gl)
         else:
             ch, sh = cmath.cosh(gl), cmath.sinh(gl)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -176,18 +176,6 @@ class MnaSystem:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def names(self) -> list[str]:
-        """Unknown labels, for diagnostics."""
-        names = [""] * self.size
-        for node, i in self.node_index.items():
-            if i < self.size:
-                names[i] = f"V({node})"
-        for e, _, a in self.slots:
-            for k, i in enumerate(a, 1):
-                names[i] = f"I({e.name})" if len(a) == 1 else f"I({e.name}:{k})"
-        return names
-
     def rhs(self, drives: dict[str, np.ndarray], columns: int) -> np.ndarray:
         """Right-hand side, (size, ``columns``): the current sources in
         every column plus each port's drive, a 1-D array of ``columns``
@@ -204,20 +192,6 @@ class MnaSystem:
             if (i := index[minus]) < n:
                 b[i] -= current
         return b
-
-    def matrices(self, freq: np.ndarray) -> np.ndarray:
-        """The (points, size, size) matrices at ``freq``, one frequency
-        per point.  A value beyond float range stays in them: no solution
-        passes :func:`_accepted` there, and :func:`_diagnose_singular`
-        names the element."""
-        n = self.size
-        A = np.zeros((len(freq), n + 1, n + 1), dtype=complex)
-        by_entry = A.transpose(1, 2, 0)  # by_entry[i, j] is A[:, i, j]
-        b = np.zeros(n + 1, dtype=complex)  # no stamp puts a frequency into b
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for e, t, a in self.slots:
-                e.component.stamp(by_entry, b, t, a, freq)
-        return A[:, :n, :n]
 
 
 def _sweep_frequencies(freqs) -> np.ndarray:
@@ -245,58 +219,64 @@ def assemble(netlist: Netlist, freq: float) -> MnaSystem:
     n = len(nodes) + sum(e.component.aux for e in netlist.elements)
     node_index = {nd: i for i, nd in enumerate(nodes)}
     node_index[netlist.ground] = n
-    A = np.zeros((n + 1, n + 1), dtype=complex)
-    b = np.zeros(n + 1, dtype=complex)
     slots = []
     first_aux = len(nodes)
     for e in netlist.elements:
-        t = [node_index[nd] for nd in e.nodes]
         a = range(first_aux, first_aux + e.component.aux)
         first_aux = a.stop
-        slots.append((e, t, a))
-        try:
-            e.component.stamp(A, b, t, a, freq)
-        except ZeroDivisionError:  # Python's complex 1/0, where an array gets inf
-            raise _out_of_range(slots, n, np.full(1, freq)) from None
-    return MnaSystem(netlist, freq, A[:n, :n], b, node_index, slots)
+        slots.append((e, [node_index[nd] for nd in e.nodes], a))
+    A, b = _stamped(slots, n, freq)
+    return MnaSystem(netlist, freq, A, b, node_index, slots)
 
 
-def _out_of_range(slots, n: int, freq) -> NetworkTopologyError:
-    """The error for a matrix of ``n`` unknowns stamped by ``slots`` at
-    ``freq`` (a float, or an array of one point, stamped as they were)
-    that holds a value beyond float range: it names the first element
-    whose stamp puts one there."""
-    A = np.zeros((n + 1, n + 1, *np.shape(freq)), dtype=complex)
-    b = np.zeros(n + 1, dtype=complex)
+def _stamped(slots, n: int, freq) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix of ``n`` unknowns that the elements of ``slots`` stamp
+    at ``freq`` and the right-hand side, its ground slot kept: at a float
+    an (n, n) matrix of Python-scalar stamps, at an array of frequencies
+    a point-major (points, n, n) stack.  A value beyond float range stays
+    in the matrix as inf or NaN: no solution on it passes
+    :func:`_accepted`, and :func:`_diagnose_singular` names the element."""
+    stack = isinstance(freq, np.ndarray) and freq.ndim == 1
+    A = np.zeros((len(freq), n + 1, n + 1) if stack else (n + 1, n + 1), dtype=complex)
+    entries = A.transpose(1, 2, 0) if stack else A  # entries[i, j] is A[..., i, j]
+    b = np.zeros(n + 1, dtype=complex)  # no stamp puts a frequency into b
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for e, t, a in slots:
-            e.component.stamp(A, b, t, a, freq)
-            if not np.isfinite(A[:n, :n]).all():
+            try:
+                e.component.stamp(entries, b, t, a, freq)
+            except (ZeroDivisionError, OverflowError):  # Python's 1/0 and cmath's, inf in an array
+                A[:] = math.nan
                 break
-    return NetworkTopologyError(
-        f"a value of element '{e.name}' leaves float range at {np.max(freq):g} Hz", element=e.name
-    )
+    return A[..., :n, :n], b
 
 
-def _diagnose_singular(
-    system: MnaSystem, x: np.ndarray, eta: float
-) -> SingularSystemError | NetworkTopologyError:
-    """The error for a rejected solution ``x`` of ``system``, of worst
-    backward error ``eta``: an element that leaves float range, else an
+def _diagnose_singular(system: MnaSystem, A: np.ndarray, freq, x: np.ndarray,
+                       eta: float) -> SingularSystemError | NetworkTopologyError:
+    """The error for a rejected solution ``x``, of worst backward error
+    ``eta``, of the matrix ``A`` that ``system``'s elements stamp at
+    ``freq`` (a float, or an array of one point, stamped as they were):
+    the first element whose stamp leaves float range, else an
     unconstrained unknown by name, else a singular matrix if ``x`` is not
     finite, else ``eta``."""
-    A = system.matrix
-    if not np.isfinite(A).all():
-        return _out_of_range(system.slots, system.size, system.freq)
-    for i in range(system.size):
+    slots = system.slots
+    if not np.isfinite(A).all():  # restamp ever longer runs of the slots
+        e = next(e for k, (e, _, _) in enumerate(slots, 1)
+                 if not np.isfinite(_stamped(slots[:k], len(A), freq)[0]).all())
+        return NetworkTopologyError(
+            f"a value of element '{e.name}' leaves float range at {np.max(freq):g} Hz",
+            element=e.name,
+        )
+    nodes = list(system.node_index)  # numbered in order, ground last
+    for i in range(len(A)):
         if not np.any(A[i, :]) or not np.any(A[:, i]):
-            label = system.names[i]
-            node = label[2:-1] if label.startswith("V(") else None
-            element = label[2:-1].split(":")[0] if label.startswith("I(") else None
+            if i < len(nodes) - 1:
+                return SingularSystemError(
+                    f"singular system: no constraints for unknown V({nodes[i]})", node=nodes[i]
+                )
+            e, a = next((e, a) for e, _, a in slots if i in a)
+            label = e.name if len(a) == 1 else f"{e.name}:{i - a.start + 1}"
             return SingularSystemError(
-                f"singular system: no constraints for unknown {label}",
-                node=node,
-                element=element,
+                f"singular system: no constraints for unknown I({label})", element=e.name
             )
     if not np.isfinite(x).all():
         return SingularSystemError(
@@ -322,7 +302,7 @@ def _solved_chunks(
     for start in range(0, len(freqs), CHUNK):
         rows = slice(start, min(start + CHUNK, len(freqs)))
         at = freqs[rows]
-        A = system.matrices(at)
+        A = _stamped(system.slots, system.size, at)[0]
         x = np.zeros((len(A), system.size + 1, rhs.shape[1]), dtype=complex)
         for j in range(len(A)):
             x[j, :-1] = _lapack(A[j], rhs)
@@ -339,10 +319,11 @@ def _lapack(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _accepted(
-    system: MnaSystem, A: np.ndarray, x: np.ndarray, rhs: np.ndarray, freqs=None
+    system: MnaSystem, A: np.ndarray, x: np.ndarray, rhs: np.ndarray, freq
 ) -> np.ndarray:
-    """Each column's normwise backward error: (K,) for one matrix ``A``,
-    (f, K) for a stack of f matrices at ``freqs``.
+    """Each column's normwise backward error: (K,) for one matrix ``A``
+    at the float ``freq``, (f, K) for a stack of f matrices at the array
+    ``freq``.
 
     With D = diag(1 / sum_j |A_ij|), which scales each row of ``A`` to
     unit 1-norm, the backward error of a column x is
@@ -366,12 +347,10 @@ def _accepted(
         scale = most(np.abs(x), axis=-2) + most(np.abs(rhs) / rows, axis=-2)
         eta = residual / np.maximum(scale, 1e-300)  # a zero column has no residual
     if not most(eta, axis=None) <= BACKWARD_ERROR_TOL:  # NaN fails
-        accepted = eta <= BACKWARD_ERROR_TOL
-        j = int(np.argmin(accepted.reshape(-1, eta.shape[-1]).all(axis=1)))
         if A.ndim == 3:  # a one-point array: the diagnosis stamps it as the sweep did
-            system = replace(system, matrix=A[j], freq=freqs[j:j + 1])
-            x, eta = x[j], eta[j]
-        raise _diagnose_singular(system, x, eta.max())
+            j = int(np.argmin((eta <= BACKWARD_ERROR_TOL).all(axis=1)))
+            A, freq, x, eta = A[j], freq[j:j + 1], x[j], eta[j]
+        raise _diagnose_singular(system, A, freq, x, eta.max())
     return eta
 
 
@@ -390,8 +369,9 @@ def check_network(netlist: Netlist, freq: float) -> float:
     system = assemble(netlist, freq)
     A, unit = system.matrix, np.eye(system.size)
     inv = _lapack(A, unit)
-    _accepted(system, A, inv, unit)
-    kappa = (np.abs(inv) @ np.abs(A).sum(axis=1)).max()  # ||A^-1 D^-1||, ||DA|| = 1
+    _accepted(system, A, inv, unit, freq)
+    with np.errstate(over="ignore"):  # an overflow is a kappa past any bound
+        kappa = (np.abs(inv) @ np.abs(A).sum(axis=1)).max()  # ||A^-1 D^-1||, ||DA|| = 1
     error = kappa * np.finfo(float).eps / 2
     if not error <= ROUNDING_ERROR_TOL:
         raise SingularSystemError(
@@ -470,7 +450,7 @@ def solve_columns(
     if one_freq:
         x = np.zeros((system.size + 1, columns), dtype=complex)  # the ground row stays 0
         x[:-1] = _lapack(system.matrix, rhs)
-        eta = _accepted(system, system.matrix, x[:-1], rhs)
+        eta = _accepted(system, system.matrix, x[:-1], rhs, freq)
         read = _readback(system, drives, x, freq, probes, powers)
         return ColumnsResult(freq, x, backward_error=eta, system=system, **read)
 

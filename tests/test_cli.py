@@ -783,25 +783,6 @@ def test_export_points_below_one_exit_2(points, design_path, tmp_path, capsys):
     assert not ts_path.exists()
 
 
-@pytest.mark.parametrize("loss_db", [1e300, 5000.0])
-def test_line_too_lossy_for_double_precision_exits_2(loss_db, tmp_path, capsys):
-    # 5000 dB a quarter wave is 288 Np at 0.5 GHz and 1151 Np at 2 GHz,
-    # past the 710 at which cosh leaves float range: the sweep stamps it
-    p = tmp_path / "net.json"
-    p.write_text(json.dumps({
-        "f0_hz": 1e9, "ports": {"in": ["a", "0"]}, "elements": [
-            {"kind": "tline", "name": "T1", "nodes": ["a", "b"], "z0_ohm": 50.0,
-             "theta_deg": 90.0, "f_ref_hz": 1e9, "loss_db_per_quarter": loss_db},
-            {"kind": "resistor", "name": "R1", "nodes": ["b", "0"], "ohms": 50.0},
-        ],
-    }))
-    ts_path = tmp_path / "x.s1p"
-    code, _, err = run(["export", str(p), "--touchstone", str(ts_path), "--f-start", "0.5e9",
-                        "--f-stop", "2e9", "--points", "4"], capsys)
-    assert_one_json_error(code, err, "line loss above 700 Np")
-    assert not ts_path.exists()
-
-
 _FLAGS = ["--alpha", "1", "--r-opt", "41.3", "--r-l", "50"]
 
 
@@ -834,6 +815,15 @@ _OUT_OF_RANGE = {
                           "l_p_henries": 1e-8, "n": 1.0, "k": 1e-300, "q": 20.0}, 1e9),
     # w L underflows to 0 at the 1e-300 Hz f0
     "inductor-1e-300-at-1e-300-hz": ({"kind": "inductor", "henries": 1e-300, "q": 20.0}, 1e-300),
+    # lines too lossy for double precision (cosh leaves float range at
+    # 710 Np): at f_ref = f0/4, 5000 dB a quarter wave is 1151 Np already
+    # at f0/2; analyze's one point makes cmath overflow
+    "tline-loss-1e300-db": ({"kind": "tline", "nodes": ["a", "b"], "z0_ohm": 50.0,
+                             "theta_deg": 90.0, "f_ref_hz": 1e9,
+                             "loss_db_per_quarter": 1e300}, 1e9),
+    "tline-loss-5000-db": ({"kind": "tline", "nodes": ["a", "b"], "z0_ohm": 50.0,
+                            "theta_deg": 90.0, "f_ref_hz": 2.5e8,
+                            "loss_db_per_quarter": 5000.0}, 1e9),
 }
 
 
@@ -860,6 +850,34 @@ def test_element_beyond_float_range_exits_2_naming_it(case, command, tmp_path, c
     code, _, err = run(argv, capsys)
     assert_one_json_error(code, err, "a value of element 'E0' leaves float range")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("nepers", [700.5, 706.0])
+def test_line_short_of_float_range_is_solved_or_judged(nepers, tmp_path, capsys):
+    # a 60 ohm line hides its 100 ohm load: export writes S11 = 10/110;
+    # analyze refuses the network on its condition number, which at
+    # 706 Np leaves float range, without a warning
+    line = {"kind": "tline", "name": "T1", "nodes": ["a", "b"], "z0_ohm": 60.0,
+            "theta_deg": 90.0, "f_ref_hz": 1e9,
+            "loss_db_per_quarter": nepers * 20.0 / math.log(10.0)}
+    load = {"kind": "resistor", "name": "Rb", "nodes": ["b", "0"], "ohms": 100.0}
+    one_port = tmp_path / "one_port.json"
+    one_port.write_text(json.dumps({"f0_hz": 1e9, "ports": {"in": ["a", "0"]},
+                                    "elements": [line, load]}))
+    ts_path = tmp_path / "x.s1p"
+    code, _, _ = run(["export", str(one_port), "--touchstone", str(ts_path), "--f-start", "0.999e9",
+                      "--f-stop", "1e9", "--points", "2"], capsys)
+    assert code == 0
+    s11 = read_touchstone(ts_path.read_text()).s[:, 0, 0]
+    assert np.abs(s11 - 10.0 / 110.0).max() < 1e-12
+    combiner = tmp_path / "combiner.json"
+    combiner.write_text(json.dumps({
+        "f0_hz": 1e9, "ports": {"main": ["a", "0"], "aux": ["a", "0"], "load": ["b", "0"]},
+        "load_port": "load", "elements": [line, load]}))
+    code, _, err = run(["analyze", str(combiner), "--mode", "load-mod", *_FLAGS,
+                        "--out-dir", str(tmp_path / "out")], capsys)
+    assert_one_json_error_exit_3(code, err)
+    assert "ill-conditioned network" in err
 
 
 @pytest.mark.parametrize(

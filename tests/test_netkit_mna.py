@@ -776,6 +776,29 @@ def test_singular_frequency_raises_as_the_single_point_solve():
     solve_columns(net, np.delete(freqs, 300), {"in": np.array([1.0, 2.0j])})
 
 
+def _empty_second_winding_net():
+    # a secondary across one node at a frequency where the winding
+    # impedances underflow to 0: nothing constrains the second current
+    net = Netlist(f0=1e-300)
+    net.add("K1", CoupledInductors(1e-300, n=1.0, k=0.5), "a", "0", "b", "b")
+    net.add("R1", Resistor(50.0), "a", "0")
+    net.add("R2", Resistor(50.0), "b", "0")
+    net.add_port("in", "a")
+    return net
+
+
+@pytest.mark.parametrize("make, freq, label, node, element", [
+    (_unconstrained_current_net, 1e9, "I(X1)", None, "X1"),
+    (_empty_second_winding_net, 1e-300, "I(K1:2)", None, "K1"),
+    (_tank_net, 1.0 / (2.0 * math.pi), "V(a)", "a", None),
+])
+def test_singular_error_names_the_unconstrained_unknown(make, freq, label, node, element):
+    with pytest.raises(SingularSystemError) as err:
+        solve(make(), freq, {"in": 1.0})
+    assert str(err.value) == f"singular system: no constraints for unknown {label}"
+    assert (err.value.node, err.value.element) == (node, element)
+
+
 def test_sweep_rejects_the_first_bad_frequency(two_line_net, proto_cfg, monkeypatch):
     """The first rejected frequency raises, as a loop of single-point
     solves would: here one that misses the relative test, ahead of a

@@ -42,6 +42,20 @@ def test_one_port_matched_termination():
     assert abs(s[0, 0, 0]) < 1e-12
 
 
+@pytest.mark.parametrize("nepers", [700.5, 702.0, 705.0])
+def test_line_lossy_near_float_range_looks_like_its_z0(nepers):
+    # a line this lossy hides its 100 ohm load: the port sees z0 = 60 ohm;
+    # 60 sinh(alpha l) stays below float range up to about 706 Np
+    f0 = 1e9
+    loss_db = nepers * 20.0 / math.log(10.0)
+    net = Netlist(f0=f0)
+    net.add("TL", TransmissionLine(60.0, 90.0, f0, loss_db_per_quarter=loss_db), "a", "b")
+    net.add("RL", Resistor(100.0), "b", "0")
+    net.add_port("p1", "a")
+    s11 = s_parameters(net, ["p1"], [f0], 50.0)[0, 0, 0]
+    assert abs(s11 - (60.0 - 50.0) / (60.0 + 50.0)) < 1e-12
+
+
 def test_reciprocity_of_source_free_network(tf_design):
     from dohertylab import to_netlist
 
