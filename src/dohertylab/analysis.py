@@ -399,8 +399,8 @@ def simulate_pa(
     r = solve_columns(netlist, netlist.f0, {"main": drive_main, "aux": if_aux})
     vm, va = r.port_voltages["main"], r.port_voltages["aux"]
     p_out, v_load = r.load_power, r.port_voltages["load"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # NaN where the port is not driven
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # NaN where the port is not driven; a near-subnormal drive overflows
         z_main = np.where(if_main != 0, vm / drive_main, complex(np.nan, np.nan))
         z_aux = np.where(if_aux != 0, va / if_aux, complex(np.nan, np.nan))
         eta = np.where(p_dc > 0, p_out / p_dc, 0.0)

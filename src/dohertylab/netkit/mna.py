@@ -3,12 +3,13 @@
 :func:`solve_columns` factors the matrix once for K drive columns and
 reports arrays with one entry per column; :func:`solve` is its
 one-column case with every element probed, reported per node and per
-element in Python numbers.  One readback serves both.  Given an array of
-frequencies, :func:`solve_columns` validates and numbers the netlist
-once, stamps the frequencies ``CHUNK`` at a time into a point-major
-(V, n, n) stack, solves each point's matrix for its K columns, checks
-and reads back each chunk in batched array operations and reports arrays
-with a leading point axis.
+element in Python numbers.  Given an array of V frequencies,
+:func:`solve_columns` validates and numbers the netlist once, stamps the
+frequencies ``CHUNK`` at a time into a point-major stack of matrices,
+solves each point's matrix for its K columns and checks each chunk in
+batched array operations; it keeps the whole sweep's solutions, (n+1, V,
+K), and reports arrays with a leading point axis.  One readback, of all
+the solutions at once, serves a point and a sweep alike.
 :func:`check_network` judges a network at one frequency for every drive
 at once and for the error that rounding its matrix may cause.
 
@@ -27,7 +28,6 @@ Phasors are peak amplitudes (P = |V|^2 / 2R).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,9 +117,10 @@ class AnalysisResult:
 class ColumnsResult:
     """Solution of K drive columns at one operating point or at each of V.
 
-    At one point ``x`` holds the unknowns with the ground row (zero) last,
-    (n+1, K), of ``system``, and every other array has one entry per
-    column.  Over a sweep they are (V, K) and ``x`` and ``system`` None.
+    ``x`` holds the unknowns of ``system`` with the ground row (zero)
+    last, (n+1, K) at one point and (n+1, V, K) over a sweep, whose
+    ``system`` is stamped at its first frequency.  Every other array has
+    one entry per column, (K,), or per point and column, (V, K).
     ``injected_power`` totals ``port_injected_power``: the driven ports'
     and, as ``source:<name>``, the current sources'.  ``node_voltages``,
     ``branch_currents`` (as in :class:`AnalysisResult`) and
@@ -131,16 +132,16 @@ class ColumnsResult:
     """
 
     freq: float | np.ndarray
-    x: np.ndarray | None
+    x: np.ndarray
     port_voltages: dict[str, np.ndarray]
     backward_error: np.ndarray
+    system: MnaSystem = field(repr=False, compare=False)
     load_power: np.ndarray | None = None
     injected_power: np.ndarray | None = None
     node_voltages: dict[str, np.ndarray] = field(default_factory=dict)
     branch_currents: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
     element_power: dict[str, np.ndarray] = field(default_factory=dict)
     port_injected_power: dict[str, np.ndarray] | None = None
-    system: MnaSystem | None = field(default=None, repr=False, compare=False)
 
     def combined(self, drives: dict[str, np.ndarray], weights: np.ndarray) -> ColumnsResult:
         """The L solutions ``x @ weights`` of this one-point result, read back
@@ -148,7 +149,7 @@ class ColumnsResult:
         sources' weights sum to one); each has the K columns' worst backward error."""
         x = self.x @ weights
         eta = np.full(x.shape[1], np.maximum.reduce(self.backward_error))
-        return ColumnsResult(self.freq, x, backward_error=eta,
+        return ColumnsResult(self.freq, x, backward_error=eta, system=self.system,
                              **_readback(self.system, drives, x, self.freq))
 
     def passive_efficiency(self) -> np.ndarray:
@@ -288,25 +289,25 @@ def _diagnose_singular(system: MnaSystem, A: np.ndarray, freq, x: np.ndarray,
     )
 
 
-def _solved_chunks(
+def _solved_sweep(
     system: MnaSystem, rhs: np.ndarray, freqs: np.ndarray
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-    """Solve on the layout of ``system`` at each of ``freqs``: one
-    ``np.linalg.solve`` per frequency, ``CHUNK`` frequencies stamped and
-    checked at a time, so a sweep holds one chunk of solutions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve on the layout of ``system`` at each of the V ``freqs``: one
+    ``np.linalg.solve`` per frequency, ``CHUNK`` frequencies stamped,
+    solved and checked at a time, so a sweep holds one chunk of matrices.
 
-    Yields per chunk of f frequencies its rows, the frequencies there,
-    the solutions with the ground row (zero) appended, (f, size+1, K),
-    and the result of :func:`_accepted`, (f, K).
+    Returns the solutions with the ground row (zero) last, (size+1, V, K),
+    and the result of :func:`_accepted`, (V, K).
     """
+    x = np.zeros((len(freqs), system.size + 1, rhs.shape[1]), dtype=complex)
+    eta = np.empty((len(freqs), rhs.shape[1]))
     for start in range(0, len(freqs), CHUNK):
-        rows = slice(start, min(start + CHUNK, len(freqs)))
-        at = freqs[rows]
-        A = _stamped(system.slots, system.size, at)[0]
-        x = np.zeros((len(A), system.size + 1, rhs.shape[1]), dtype=complex)
-        for j in range(len(A)):
-            x[j, :-1] = _lapack(A[j], rhs)
-        yield rows, at, x, _accepted(system, A, x[:, :-1], rhs, at)
+        rows = slice(start, start + CHUNK)
+        A = _stamped(system.slots, system.size, freqs[rows])[0]
+        for a, point in zip(A, x[rows]):
+            point[:-1] = _lapack(a, rhs)
+        eta[rows] = _accepted(system, A, x[rows, :-1], rhs, freqs[rows])
+    return x.transpose(1, 0, 2), eta
 
 
 def _lapack(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -429,8 +430,8 @@ def solve_columns(
     injected powers only with ``powers``.
 
     With ``freq`` a 1-D array of V frequencies, a sweep solves the same
-    K columns at each of them on one netlist layout, with a leading point
-    axis on the result.
+    K columns at each of them on one netlist layout and reads all their
+    solutions back at once, with a leading point axis on the result.
     """
     drives = {p: np.asarray(i, dtype=complex) for p, i in drives.items()}
     lengths = {i.shape for i in drives.values()} or {(1,)}
@@ -451,32 +452,12 @@ def solve_columns(
         x = np.zeros((system.size + 1, columns), dtype=complex)  # the ground row stays 0
         x[:-1] = _lapack(system.matrix, rhs)
         eta = _accepted(system, system.matrix, x[:-1], rhs, freq)
-        read = _readback(system, drives, x, freq, probes, powers)
-        return ColumnsResult(freq, x, backward_error=eta, system=system, **read)
-
-    by_column = {port: i[:, None] for port, i in drives.items()}
-    whole = None
-    for rows, at, x, eta in _solved_chunks(system, rhs, freqs):
-        # unknowns first and points last, so that values per frequency
-        # broadcast over the K drive columns; each result is (K, f)
-        read = _readback(system, by_column, x.transpose(1, 2, 0), at, probes, powers)
-        read["backward_error"] = eta.T
-        whole = _gathered(whole, read, rows, (len(freqs), columns))
-    return ColumnsResult(freqs, None, **whole)
-
-
-def _gathered(whole, part, rows: slice, shape: tuple[int, int]):
-    """``whole`` (None before the first chunk) with a chunk's readback
-    ``part`` written to ``rows`` of its (V, K) arrays; ``part`` holds
-    (K, f) arrays in dicts and tuples as ``whole`` does."""
-    if isinstance(part, dict):
-        return {k: _gathered(whole and whole[k], v, rows, shape) for k, v in part.items()}
-    if isinstance(part, tuple):
-        return tuple(_gathered(whole and whole[j], v, rows, shape) for j, v in enumerate(part))
-    if whole is None:
-        whole = np.empty(shape, dtype=part.dtype)
-    whole[rows] = part.T
-    return whole
+        at = freq
+    else:
+        x, eta = _solved_sweep(system, rhs, freqs)
+        freq, at = freqs, freqs[:, None]  # values per point broadcast over the K columns
+    read = _readback(system, drives, x, at, probes, powers)
+    return ColumnsResult(freq, x, backward_error=eta, system=system, **read)
 
 
 def _readback(
@@ -484,7 +465,7 @@ def _readback(
     powers: bool = True,
 ) -> dict:
     """The :class:`ColumnsResult` fields of the solutions ``x``, indexed by
-    unknown on the first axis, other than ``freq``, ``x`` and
+    unknown on the first axis, other than ``freq``, ``x``, ``system`` and
     ``backward_error``: port voltages, the ``probes``' node voltages,
     branch currents and absorbed power (the load termination's is the
     load power), and with ``powers`` the power each driven port and

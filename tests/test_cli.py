@@ -757,6 +757,23 @@ def test_pa_sim_v_min_outside_unit_interval_exit_2(v_min, design_path, tmp_path,
     assert_one_json_error(code, err, "--v-min")
 
 
+def test_pa_sim_near_subnormal_drive_runs_without_warning(tmp_path, capsys):
+    """A first drive level near the smallest normal float overflows the
+    impedance division: the run exits 0 with nothing on stderr and leaves
+    that row's impedance cells empty."""
+    p = tmp_path / "design.json"
+    p.write_text(json.dumps({**PROTO_DESIGN, "topology": "two-line", "free_params": {}}))
+    code, _, err = run(
+        ["analyze", str(p), "--mode", "pa-sim", "--ideal-cells", "--v-dc", "1.0",
+         "--i-max", "1.0", "--alpha", "1.0", "--v-min", "1.1125369292536007e-308",
+         "--aux-turn-on", "0.5", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    first = (tmp_path / "pa_sim.csv").read_text().splitlines()[1].split(",")
+    assert first[3:7] == ["", "", "", ""]
+
+
 @pytest.mark.parametrize("window", ["1.5", "1", "-0.2", "nan"])
 def test_bandwidth_window_outside_unit_interval_exit_2(window, design_path, tmp_path, capsys):
     code, _, err = run(

@@ -35,8 +35,9 @@ from dohertylab.netkit import (
     solve,
     solve_columns,
 )
+from dohertylab.netkit import mna
 from dohertylab.netkit.elements import Element
-from dohertylab.netkit.mna import CHUNK
+from dohertylab.netkit.mna import CHUNK, ColumnsResult
 
 
 def simple_load(r=50.0, f0=1e9):
@@ -696,7 +697,9 @@ def test_frequency_sweep_matches_per_frequency_solves(length, values, columns):
     freqs = np.linspace(1e9, 3e9, length)
     drives = {"in": np.array(columns, dtype=complex)}
     sweep = solve_columns(net, freqs, drives, probes=names)
-    assert sweep.x is None and sweep.freq.shape == (length,)
+    n = assemble(net, freqs[0]).size
+    assert sweep.x.shape == (n + 1, length, len(columns)) and sweep.freq.shape == (length,)
+    assert np.all(sweep.x[-1] == 0)  # the ground row
     assert sweep.backward_error.shape == (length, len(columns))
     assert np.all(sweep.backward_error <= 1e-14)  # 1.6e-15 at worst in 300 draws
     assert set(sweep.branch_currents) == set(names)
@@ -844,6 +847,35 @@ def test_one_lapack_call_per_frequency(tf_net, proto_cfg, monkeypatch):
         drive = np.arange(1.0, columns + 1.0)
         solve_columns(tf_net, freqs, {"main": drive, "aux": 1j * drive})
         assert shapes == [((n, n), (n, columns))] * len(freqs)
+
+
+def _fields(res: ColumnsResult) -> dict:
+    return {f.name: getattr(res, f.name) for f in dataclasses.fields(res) if f.name != "system"}
+
+
+def _bit_equal(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_bit_equal(a[k], b[k]) for k in a)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_bit_equal, a, b))
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_sweep_results_do_not_depend_on_chunking(monkeypatch):
+    """A 600-point, two-column sweep with every element of every kind
+    probed reads every field bit for bit alike whether it is stamped and
+    solved one point at a time, 7 at a time or ``CHUNK`` at a time."""
+    net = every_kind_net()
+    freqs = np.linspace(0.5e9, 1.5e9, 600)
+    drives = {"in": np.array([0.5 + 0.2j, -1j])}
+    probes = [e.name for e in net.elements]
+    whole = _fields(solve_columns(net, freqs, drives, probes=probes))
+    assert whole["backward_error"].shape == (600, 2)
+    for chunk in (1, 7):
+        monkeypatch.setattr(mna, "CHUNK", chunk)
+        assert _bit_equal(_fields(solve_columns(net, freqs, drives, probes=probes)), whole)
 
 
 def every_kind_net() -> Netlist:

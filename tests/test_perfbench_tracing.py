@@ -38,9 +38,12 @@ def test_tracer_installs_on_every_patched_name():
     # three points: one layout, one solve per point
     (lambda net, f0: solve_columns(net, f0 * np.array([0.9, 1.0, 1.1]), {"main": [1.0, 2.0]}),
      1, 3, 6),
+    # 600 points across chunk edges: still one layout, one solve per point
+    (lambda net, f0: solve_columns(net, f0 * np.linspace(0.8, 1.2, 600), {"main": [1.0, 2.0]}),
+     1, 600, 1200),
     # two points, one column per port
     (lambda net, f0: s_parameters(net, ["main", "aux", "load"], [0.9 * f0, f0]), 1, 2, 6),
-], ids=["single-point", "sweep", "s-parameters"])
+], ids=["single-point", "sweep", "chunked-sweep", "s-parameters"])
 def test_traced_solver_counts(work, assembles, lapacks, columns, tf_net, proto_cfg):
     tracer = _tracer()
     try:
