@@ -11,11 +11,11 @@ Exit codes, mapped from errors in :func:`main` alone: 0 success; 2 bad
 input (:class:`~dohertylab.errors.InputError`); 3 internal-consistency
 failure (a synthesized design that fails its identities, a network the
 solver rejects, or a degenerate transfer).  Errors are emitted as one
-JSON object on stderr; any other error is a fault of the program and
-keeps its traceback.  ``synth`` and ``analyze`` first judge the network
-at its design frequency for every drive
-(:func:`~dohertylab.netkit.check_network`), so a network that double
-precision cannot hold exits 3 whatever the mode.
+JSON object on stderr, naming at exit 2 the ``key``, ``element``, ``node``
+or ``--flag`` at fault; any other error is a fault of the program and keeps
+its traceback.  ``synth`` and ``analyze`` first judge the network at its
+design frequency for every drive (:func:`~dohertylab.netkit.check_network`),
+so a network that double precision cannot hold exits 3 whatever the mode.
 
 Design file schema (all units in the key names)::
 
@@ -313,9 +313,9 @@ def cmd_analyze(args) -> int:
         impl = args.implementation or ("lumped-pi" if lossy else "line")
         netlist = to_netlist(design, q_l=q_l, q_c=q_c, implementation=impl)
     else:
-        missing = [p for p in ("main", "aux", "load") if p not in netlist.ports]
-        if missing:
-            raise InputError(f"netlist input needs ports main, aux and load; missing {missing}")
+        if missing := [p for p in ("main", "aux", "load") if p not in netlist.ports]:
+            raise InputError(f"netlist input needs ports main, aux and load; missing {missing}",
+                             key="ports")
         cfg = _config_from_flags(args, fallback_f0=netlist.f0)
         q_l = args.q_l
         q_c = args.q_c
@@ -411,15 +411,16 @@ def cmd_export(args) -> int:
     _, netlist = _load_input(args)
     if netlist is None:
         raise InputError("export needs a netlist JSON input")
-    ports = args.ports.split(",") if args.ports else list(netlist.ports)
-    ports = [p for p in ports if p]
+    ports = [p for p in (args.ports.split(",") if args.ports else netlist.ports) if p]
     if not 1 <= len(ports) <= 4:
         raise InputError(f"--ports must name 1 to 4 ports, got {len(ports)}")
+    if not set(ports) <= netlist.ports.keys() or len(set(ports)) < len(ports):
+        raise InputError(f"--ports must name distinct netlist ports, got {args.ports}")
     f0 = netlist.f0
     f_start = args.f_start if args.f_start is not None else 0.6 * f0
     f_stop = args.f_stop if args.f_stop is not None else 1.4 * f0
     if not 0 < f_start < f_stop:
-        raise InputError("need 0 < f-start < f-stop")
+        raise InputError("need 0 < --f-start < --f-stop")
     freqs = np.linspace(f_start, f_stop, args.points)
     _write(args.touchstone, export_touchstone(netlist, ports, freqs, z_ref=args.z_ref))
     print(args.touchstone)
@@ -503,9 +504,8 @@ def main(argv: list[str] | None = None) -> int:
         _check_flags(args)
         return args.func(args)
     except InputError as exc:  # NetworkTopologyError among them
-        doc = {"error": str(exc), "code": 2}
-        if exc.key is not None:
-            doc["key"] = exc.key
+        names = {"key": exc.key, "element": exc.element, "node": exc.node}
+        doc = {"error": str(exc), "code": 2, **{k: v for k, v in names.items() if v is not None}}
     except (DesignConsistencyError, SingularSystemError, DegenerateTransferError) as exc:
         doc = {"error": str(exc), "code": 3}
     print(json.dumps(doc), file=sys.stderr)

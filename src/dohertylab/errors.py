@@ -8,12 +8,13 @@ import math
 class InputError(ValueError):
     """An input the package refuses: a value outside its range, a name
     that does not exist, a malformed file.  The CLI exits 2 on it; any
-    other ``ValueError`` is a fault of the program.  ``key`` names the
-    design-file key at fault, when there is one."""
+    other ``ValueError`` is a fault of the program.  ``key``, ``element``
+    and ``node`` name the design-file or netlist key, element or node at fault."""
 
-    def __init__(self, message: str, key: str | None = None):
+    def __init__(self, message: str, key: str | None = None, element: str | None = None,
+                 node: str | None = None):
         super().__init__(message)
-        self.key = key
+        self.key, self.element, self.node = key, element, node
 
 
 class DegenerateTransferError(RuntimeError):

@@ -18,7 +18,6 @@ from .elements import (
     TransmissionLine,
 )
 from .mna import (
-    AnalysisResult,
     ColumnsResult,
     SingularSystemError,
     assemble,
@@ -47,7 +46,6 @@ __all__ = [
     "Netlist",
     "Placed",
     "NetworkTopologyError",
-    "AnalysisResult",
     "ColumnsResult",
     "SingularSystemError",
     "assemble",

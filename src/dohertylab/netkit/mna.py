@@ -2,14 +2,14 @@
 
 :func:`solve_columns` factors the matrix once for K drive columns and
 reports arrays with one entry per column; :func:`solve` is its
-one-column case with every element probed, reported per node and per
-element in Python numbers.  Given an array of V frequencies,
-:func:`solve_columns` validates and numbers the netlist once, stamps the
-frequencies ``CHUNK`` at a time into a point-major stack of matrices,
-solves each point's matrix for its K columns and checks each chunk in
-batched array operations; it keeps the whole sweep's solutions, (n+1, V,
-K), and reports arrays with a leading point axis.  One readback, of all
-the solutions at once, serves a point and a sweep alike.
+one-column case with every element probed.  Given an array of V
+frequencies, :func:`solve_columns` validates and numbers the netlist
+once, stamps the frequencies ``CHUNK`` at a time into a point-major
+stack of matrices, solves each point's matrix for its K columns and
+checks each chunk in batched array operations; it keeps the whole
+sweep's solutions, (n+1, V, K), and reports arrays with a leading point
+axis.  A point, a batch and a sweep return one result type,
+:class:`ColumnsResult`, from one readback of all their solutions.
 :func:`check_network` judges a network at one frequency for every drive
 at once and for the error that rounding its matrix may cause.
 
@@ -36,7 +36,6 @@ from ..errors import InputError
 from .netlist import Netlist, NetworkTopologyError, Placed
 
 __all__ = [
-    "AnalysisResult",
     "ColumnsResult",
     "SingularSystemError",
     "check_network",
@@ -70,49 +69,6 @@ class SingularSystemError(RuntimeError):
         self.element = element
 
 
-@dataclass
-class AnalysisResult:
-    """Solution of one AC operating point, per node and per element: the
-    one column of ``columns`` (see :func:`solve`) as Python numbers.
-
-    ``branch_currents`` maps element name to per-winding/per-port currents
-    flowing *into* the element at its first node of each terminal pair.
-    ``element_power`` covers every element but the load termination, whose
-    power is ``load_power``.  Powers are time-averaged watts.
-    ``backward_error`` is :func:`_accepted`'s.
-    """
-
-    freq: float
-    node_voltages: dict[str, complex]
-    branch_currents: dict[str, tuple[complex, ...]]
-    element_power: dict[str, float]
-    port_injected_power: dict[str, float]
-    load_power: float
-    backward_error: float
-    columns: ColumnsResult = field(repr=False, compare=False)
-
-    def port_voltage(self, netlist: Netlist, port: str) -> complex:
-        plus, minus = netlist.ports[port]
-        return self.node_voltages[plus] - self.node_voltages[minus]
-
-    def total_injected(self) -> float:
-        return sum(self.port_injected_power.values())
-
-    def passive_efficiency(self) -> float:
-        """:meth:`ColumnsResult.passive_efficiency` of the one column."""
-        return self.columns.passive_efficiency().item()
-
-    def total_dissipated(self) -> float:
-        return sum(self.element_power.values())
-
-    def power_balance_residual(self) -> float:
-        """Relative imbalance of injected = dissipated + delivered."""
-        injected = self.total_injected()
-        out = self.total_dissipated() + self.load_power
-        scale = max(abs(injected), abs(out), 1e-300)
-        return abs(injected - out) / scale
-
-
 @dataclass(eq=False)
 class ColumnsResult:
     """Solution of K drive columns at one operating point or at each of V.
@@ -123,10 +79,11 @@ class ColumnsResult:
     one entry per column, (K,), or per point and column, (V, K).
     ``injected_power`` totals ``port_injected_power``: the driven ports'
     and, as ``source:<name>``, the current sources'.  ``node_voltages``,
-    ``branch_currents`` (as in :class:`AnalysisResult`) and
-    ``element_power`` cover the probed elements, the last leaving out the
-    load termination, whose power is ``load_power``.  Powers are
-    time-averaged watts.  ``backward_error`` is :func:`_accepted`'s.
+    ``branch_currents`` and ``element_power`` cover the probed elements:
+    the currents per winding or port flow *into* the element at the first
+    node of each terminal pair, and the powers leave out the load
+    termination, whose power is ``load_power``.  Powers are time-averaged
+    watts.  ``backward_error`` is :func:`_accepted`'s.
     ``load_power``, ``injected_power`` and ``port_injected_power`` are
     None when :func:`solve_columns` was asked for no powers.
     """
@@ -386,29 +343,13 @@ def solve(
     netlist: Netlist,
     freq: float,
     excitations: dict[str, complex] | None = None,
-) -> AnalysisResult:
-    """Solve ``netlist`` at ``freq`` with per-port current drives.
-
-    ``excitations`` maps port names to complex peak currents injected into
-    the port plus node.  Current-source elements in the netlist contribute
-    as well.  This is :func:`solve_columns` for one column with every
-    element probed, read per node and per element.  Raises
-    :class:`SingularSystemError` on degenerate systems.
-    """
+) -> ColumnsResult:
+    """Solve ``netlist`` at ``freq`` with per-port current drives:
+    :func:`solve_columns` for the one column ``excitations`` (port name ->
+    complex peak current into the port's plus node) with every element
+    probed.  Current-source elements contribute as well."""
     drives = {port: [current] for port, current in (excitations or {}).items()}
-    res = solve_columns(netlist, freq, drives, probes={e.name for e in netlist.elements})
-    node_voltages = {nd: v.item() for nd, v in res.node_voltages.items()}
-    node_voltages.setdefault(netlist.ground, 0j)  # reached only through a line
-    return AnalysisResult(
-        res.freq,
-        node_voltages,
-        {e: tuple(c.item() for c in i) for e, i in res.branch_currents.items()},
-        {e: p.item() for e, p in res.element_power.items()},
-        {key: p.item() for key, p in res.port_injected_power.items()},
-        res.load_power.item(),
-        res.backward_error.item(),
-        res,
-    )
+    return solve_columns(netlist, freq, drives, probes={e.name for e in netlist.elements})
 
 
 def solve_columns(

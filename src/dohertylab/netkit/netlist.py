@@ -14,12 +14,8 @@ __all__ = ["Placed", "Netlist", "NetworkTopologyError"]
 
 class NetworkTopologyError(InputError):
     """Raised when a netlist is structurally unsound (floating nodes,
-    missing port nodes, duplicate element names) or its JSON is malformed."""
-
-    def __init__(self, msg: str, node: str | None = None, element: str | None = None):
-        super().__init__(msg)
-        self.node = node
-        self.element = element
+    missing port nodes, duplicate element names) or its JSON is malformed;
+    ``key``, ``element`` and ``node`` name what is at fault."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +86,11 @@ class Netlist:
         numbering of the MNA node voltages.  Raises NetworkTopologyError."""
         if not 0 < self.f0 < math.inf:
             raise NetworkTopologyError(
-                f"reference frequency must be positive and finite, got {self.f0}"
+                f"reference frequency must be positive and finite, got {self.f0}", key="f0_hz"
             )
         if self.load_port is not None and self.load_port not in self.ports:
-            raise NetworkTopologyError(f"load port '{self.load_port}' is not a port")
+            raise NetworkTopologyError(f"load port '{self.load_port}' is not a port",
+                                       key="load_port")
 
         # Every node must reach ground through the element graph, otherwise
         # its potential is undetermined and the MNA matrix is singular; a
@@ -142,23 +139,24 @@ class Netlist:
     def from_json_dict(cls, doc: dict) -> "Netlist":
         """Decode and check a netlist document; raises NetworkTopologyError."""
         f0 = _number(doc.get("f0_hz"))
-        _check(f0 is not None, "key 'f0_hz' must be a number")
+        _check(f0 is not None, "key 'f0_hz' must be a number", key="f0_hz")
         net = cls(f0=f0, ground=str(doc.get("ground", "0")))
         ports = doc.get("ports", {})
-        _check(isinstance(ports, dict), "key 'ports' must be an object")
+        _check(isinstance(ports, dict), "key 'ports' must be an object", key="ports")
         for name, pair in ports.items():
-            _check(_is_nodes(pair) and len(pair) == 2, "port '{}' must be a node pair", name)
+            _check(_is_nodes(pair) and len(pair) == 2, "port '{}' must be a node pair", name,
+                   key=name)
             net.add_port(name, *pair)
-        load_port = doc.get("load_port")
-        _check(load_port is None or isinstance(load_port, str), "key 'load_port' must be a name")
-        net.load_port = load_port
+        net.load_port = load_port = doc.get("load_port")
+        _check(load_port is None or isinstance(load_port, str), "key 'load_port' must be a name",
+               key="load_port")
         elements = doc.get("elements", [])
-        _check(isinstance(elements, list), "key 'elements' must be a list")
+        _check(isinstance(elements, list), "key 'elements' must be a list", key="elements")
         names = set()  # the duplicate check of add(), on a set
         for entry in elements:
-            _check(isinstance(entry, dict), "each element must be an object")
+            _check(isinstance(entry, dict), "each element must be an object", key="elements")
             name = entry.get("name")
-            _check(isinstance(name, str), "each element needs a string 'name'")
+            _check(isinstance(name, str), "each element needs a string 'name'", key="name")
             nodes = entry.get("nodes")
             _check(_is_nodes(nodes), "nodes of element '{}' must be a list of names", name,
                    element=name)
@@ -170,11 +168,11 @@ class Netlist:
         return net
 
 
-def _check(cond: bool, msg: str, *values, element: str | None = None) -> None:
-    """Raise NetworkTopologyError(``msg`` formatted with ``values``) unless
-    ``cond``; the message is formatted only when it is raised."""
+def _check(cond: bool, msg: str, *values, key: str | None = None, element: str | None = None):
+    """Raise NetworkTopologyError(``msg`` formatted with ``values``, naming
+    the ``key`` or ``element`` at fault) unless ``cond``; formatted only when raised."""
     if not cond:
-        raise NetworkTopologyError(msg.format(*values), element=element)
+        raise NetworkTopologyError(msg.format(*values), key=key, element=element)
 
 
 def _number(val) -> float | None:

@@ -44,3 +44,14 @@ def assert_close(actual, expected, rel=0.0, abs_=0.0, msg=""):
     err = abs(actual - expected)
     tol = max(abs_, rel * abs(expected))
     assert err <= tol, f"{msg} got {actual}, want {expected} (err {err:.3e} > tol {tol:.3e})"
+
+
+def power_balance_residual(res, scale=None) -> float:
+    """The worst column's power imbalance of a solve that probes every
+    element: |injected - (element powers + load power)| over ``scale``
+    (per column), by default the larger side, which makes it relative."""
+    out = sum(res.element_power.values(), res.load_power)
+    gap = np.abs(res.injected_power - out)
+    if scale is None:
+        scale = np.maximum(np.maximum(np.abs(res.injected_power), np.abs(out)), 1e-300)
+    return float(np.max(gap / scale))

@@ -14,7 +14,14 @@ from dohertylab import (
     synth_two_line,
 )
 from dohertylab.cli import main
-from dohertylab.netkit import Netlist, read_touchstone, s_parameters
+from dohertylab.netkit import (
+    Netlist,
+    Resistor,
+    SingularSystemError,
+    read_touchstone,
+    s_parameters,
+    solve_columns,
+)
 
 PROTO_DESIGN = {
     "config": {"alpha": 1.0, "r_opt_ohm": 41.3, "r_l_ohm": 50.0, "f0_hz": 37.0e9},
@@ -205,6 +212,30 @@ def test_malformed_netlist_exits_2(element, tmp_path, capsys):
     payload = json.loads(err)
     assert payload["code"] == 2
     assert json.loads(element)["name"] in payload["error"]
+    assert payload["element"] == json.loads(element)["name"]
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"f0_hz": "1e9"}, {"key": "f0_hz"}),
+        ({"ports": ["a", "0"]}, {"key": "ports"}),
+        ({"ports": {"in": "a"}}, {"key": "in"}),
+        ({"elements": {"R1": {}}}, {"key": "elements"}),
+        ({"ports": {"in": ["a", "0"], "out": ["c", "0"]}}, {"node": "c"}),
+    ],
+    ids=["f0-not-a-number", "ports-not-an-object", "port-not-a-pair", "elements-not-a-list",
+         "floating-port-node"],
+)
+def test_malformed_netlist_error_names_its_input(change, named, tmp_path, capsys):
+    doc = {"f0_hz": 1e9, "ports": {"in": ["a", "0"]},
+           "elements": [{"kind": "resistor", "name": "R1", "nodes": ["a", "0"], "ohms": 50.0}]}
+    p = tmp_path / "net.json"
+    p.write_text(json.dumps({**doc, **change}))
+    code, _, err = run(["export", str(p), "--touchstone", str(tmp_path / "x.s1p")], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert {name: payload.get(name) for name in named} == named
 
 
 @pytest.mark.parametrize(
@@ -582,7 +613,7 @@ def test_export_repeated_port_exit_2(design_path, tmp_path, capsys):
         capsys,
     )
     assert code == 2
-    assert "port 'main' is listed more than once" in json.loads(err)["error"]
+    assert json.loads(err)["error"] == "--ports must name distinct netlist ports, got main,main"
     assert not ts_path.exists()
 
 
@@ -895,6 +926,53 @@ def test_line_short_of_float_range_is_solved_or_judged(nepers, tmp_path, capsys)
                         "--out-dir", str(tmp_path / "out")], capsys)
     assert_one_json_error_exit_3(code, err)
     assert "ill-conditioned network" in err
+
+
+def test_lossy_line_into_the_load_node_is_refused_on_its_far_end_column(tmp_path, capsys):
+    """A known exit 3 for the numerics corpus: a 60 ohm line of 700 Np at
+    f0 from ``a`` to the load node ``b``, 100 ohm at ``b``.  ``export`` of
+    the main/aux/load netlist exits 3, while the one-port netlist of the
+    same line solves to its closed form, S11 = 10/110.
+
+    The rejected column of the export's sweep is the drive into ``load``,
+    at the line's far end (backward error 0.96 here, 2e-2 to 6e-2 at 699,
+    702 and 705 Np); the drives into ``main`` and ``aux`` pass at about
+    1e-23.  The reject is not false: in that column V(a) reads 2e283,
+    where the network gives 1.2e-303, and the exact solution of the
+    stamped matrix reads 5e287.  The line's chain-form stamp holds cosh
+    and sinh of 700 Np, each rounded near 5e303, whose difference of
+    1e-304 it cannot keep, so no refinement of the solve clears this
+    exit 3."""
+    f0, nepers = 1e9, 700.0
+    line = {"kind": "tline", "name": "T1", "nodes": ["a", "b"], "z0_ohm": 60.0,
+            "theta_deg": 90.0, "f_ref_hz": f0,
+            "loss_db_per_quarter": nepers * 20.0 / math.log(10.0)}
+    load = {"kind": "resistor", "name": "Rb", "nodes": ["b", "0"], "ohms": 100.0}
+    doc = {"f0_hz": f0, "ports": {"main": ["a", "0"], "aux": ["a", "0"], "load": ["b", "0"]},
+           "load_port": "load", "elements": [line, load]}
+    combiner = tmp_path / "combiner.json"
+    combiner.write_text(json.dumps(doc))
+    ts_path = tmp_path / "x.s3p"
+    code, _, err = run(["export", str(combiner), "--touchstone", str(ts_path), "--points", "1",
+                        "--f-start", str(f0), "--f-stop", str(2 * f0)], capsys)
+    assert_one_json_error_exit_3(code, err)
+    assert "solution rejected: backward error" in err and not ts_path.exists()
+
+    terminated = Netlist.from_json_dict(doc)  # as s_parameters terminates it
+    for port, (plus, minus) in doc["ports"].items():
+        terminated.add(f"Z_{port}", Resistor(50.0), plus, minus)
+    assert solve_columns(terminated, f0, {"main": [1.0]}).backward_error[0] < 1e-20
+    with pytest.raises(SingularSystemError, match="solution rejected: backward error"):
+        solve_columns(terminated, f0, {"load": [1.0]})
+
+    one_port = tmp_path / "one_port.json"
+    one_port.write_text(json.dumps({"f0_hz": f0, "ports": {"in": ["a", "0"]},
+                                    "elements": [line, load]}))
+    code, _, _ = run(["export", str(one_port), "--touchstone", str(tmp_path / "x.s1p"),
+                      "--points", "1", "--f-start", str(f0), "--f-stop", str(2 * f0)], capsys)
+    assert code == 0
+    s11 = read_touchstone((tmp_path / "x.s1p").read_text()).s[0, 0, 0]
+    assert abs(s11 - 10.0 / 110.0) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """The CLI contract on fuzzed input: every command exits 0, 2 or 3; a
 failure prints exactly one JSON object on stderr, whose ``code`` is the
-exit code, and writes no file; a successful export's Touchstone reads
-back within 1e-9.  Only the package's ``InputError`` exits 2: any other
-exception, a numpy ``ValueError`` among them, leaves ``main`` and fails
-the test.
+exit code, and writes no file; an exit-2 object names the input at
+fault, as its ``key``, ``element`` or ``node`` or as a ``--flag`` in its
+message; a successful export's Touchstone reads back within 1e-9.
+Only the package's ``InputError`` exits 2: any other exception, a numpy
+``ValueError`` among them, leaves ``main`` and fails the test.
 
 Inputs start from plausible designs, netlists and flags and break up to
 two of their values: an extreme or non-finite number, a value of the
@@ -17,14 +18,24 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
+from conftest import power_balance_residual
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dohertylab.cli import main
-from dohertylab.netkit import Netlist, read_touchstone, s_parameters
+from dohertylab.errors import InputError
+from dohertylab.netkit import (
+    Netlist,
+    SingularSystemError,
+    check_network,
+    read_touchstone,
+    s_parameters,
+    solve_columns,
+)
 
 CONTRACT = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -204,6 +215,9 @@ def _run(tmp: str, inputs: dict, argv: list[str]) -> int:
         assert len(lines) == 1, lines
         doc = json.loads(lines[0])
         assert isinstance(doc, dict) and doc["code"] == code and doc["error"], doc
+        if code == 2:  # the input at fault is named, so a program fault cannot pass as one
+            named = doc.keys() & {"key", "element", "node"}
+            assert named or re.search("--[a-z]", doc["error"]), doc
         assert _files(tmp) == before, "a failed command wrote a file"
     return code
 
@@ -261,3 +275,35 @@ def test_export_keeps_the_contract_and_round_trips(netlist, flags):
     assert np.allclose(data.freqs_hz, freqs, rtol=1e-9, atol=0.0)
     assert np.all(np.abs(data.s - s) <= 1e-9 * np.maximum(np.abs(s), 1.0))
     assert math.isclose(data.z_ref, z_ref, rel_tol=1e-9)
+
+
+@CONTRACT
+@given(netlist=_netlists())
+def test_accepted_solves_balance_power(netlist):
+    """Every column that a drawn netlist's solve accepts, a unit drive into
+    each port at f0 with every element probed, books its power: the ports
+    and current sources inject what the elements absorb and the load
+    takes.  Summed over the node rows N, the power the elements absorb at
+    any vector x is Re(x_N^H (Ax)_N) / 2 and the injected power
+    Re(x_N^H b_N) / 2, so the imbalance is Re(x_N^H r_N) / 2 for the
+    residual r = Ax - b, plus the rounding of the element values into A.  The residual is bounded by the column's
+    backward error eta, the rounding by u <= kappa u (kappa from
+    ``check_network``), each on the scale S = (||x|| + ||Db||) |x|^T |A| 1
+    / 2 of the backward error (D as in ``mna._accepted``).  So each column
+    must balance within n (kappa u + eta) S, n being the unknowns."""
+    try:
+        net = Netlist.from_json_dict(netlist)
+        kappa = check_network(net, net.f0)
+        drives = {p: np.eye(len(net.ports))[k] for k, p in enumerate(net.ports)}
+        res = solve_columns(net, net.f0, drives, probes=[e.name for e in net.elements])
+    except (InputError, SingularSystemError):
+        event("refused")
+        return
+    A, x = res.system.matrix, res.x[:-1]
+    rows = np.abs(A).sum(axis=1)
+    scaled_b = np.abs(res.system.rhs(drives, x.shape[1])) / rows[:, None]
+    scale = 0.5 * (np.abs(x).max(axis=0) + scaled_b.max(axis=0)) * (rows @ np.abs(x))
+    u = np.finfo(float).eps / 2
+    bound = len(A) * (kappa * u + res.backward_error) * scale
+    event("solved")
+    assert power_balance_residual(res, scale=bound) <= 1.0

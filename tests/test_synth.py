@@ -201,7 +201,7 @@ def test_two_line_netlist_maps_load_to_half_r_opt(proto_cfg):
     net.add("TL2", TransmissionLine(d.z02, 90.0, proto_cfg.f0), "x", "out")
     net.add("RL", Resistor(proto_cfg.r_l), "out", "0")
     net.add_port("in", "x")
-    z = solve(net, proto_cfg.f0, {"in": 1.0}).node_voltages["x"]
+    z = solve(net, proto_cfg.f0, {"in": 1.0}).node_voltages["x"][0]
     assert z.real == pytest.approx(proto_cfg.r_opt / 2.0, rel=1e-9)
     assert abs(z.imag) < 1e-9
 
