@@ -84,7 +84,7 @@ def required_phase_offset(
     work = _terminated_copy(netlist)
     # column 0 drives the main port alone, column 1 the auxiliary port
     drives = {"main": np.array([1.0, 0.0]), "aux": np.array([0.0, 1.0])}
-    r = solve_columns(work, f0, drives, powers=False)
+    r = solve_columns(work, f0, drives)
 
     args = {}
     for port, t in zip(("main", "aux"), r.port_voltages["load"]):
@@ -213,7 +213,7 @@ def load_modulation(
     if any(e.component.source for e in netlist.elements):
         weights.append(1.0 - i_main - i_aux)  # every level holds the sources once
     k = len(weights)
-    r = solve_columns(netlist, freq, {"main": [1, 0, 0][:k], "aux": [0, 1, 0][:k]}, powers=False)
+    r = solve_columns(netlist, freq, {"main": [1, 0, 0][:k], "aux": [0, 1, 0][:k]})
     r = r.combined({"main": i_main, "aux": i_aux}, np.array(weights))
     v_aux = r.port_voltages["aux"]
     z_main = r.port_voltages["main"] / i_main
@@ -305,7 +305,7 @@ def bandwidth_report(
     i_center = int(np.argmin(np.abs(freqs - f0)))
 
     drives = {p: np.array([i]) for p, i in excitations.items()}
-    sweep = solve_columns(netlist, freqs, drives, powers=metric == "passive-efficiency")
+    sweep = solve_columns(netlist, freqs, drives)
     if metric == "passive-efficiency":
         eta = sweep.passive_efficiency()[:, 0]
         ref = eta[i_center]
@@ -381,7 +381,7 @@ def simulate_pa(
     injected with the combiner's required phase offset (measured unless
     ``offset_deg`` is given) and all levels are solved in one pass.  Drain
     efficiency is P_load / (v_dc * (I_dc sum)).  Port voltages beyond
-    each cell's saturation limit set the per-point overdrive flag (the
+    each cell's ``v_dc`` set the per-point overdrive flag (the
     current-source model does not clip).
     """
     v = np.asarray(drive, dtype=float)
@@ -404,9 +404,8 @@ def simulate_pa(
         z_main = np.where(if_main != 0, vm / drive_main, complex(np.nan, np.nan))
         z_aux = np.where(if_aux != 0, va / if_aux, complex(np.nan, np.nan))
         eta = np.where(p_dc > 0, p_out / p_dc, 0.0)
-    lim_main = main_cell.v_dc - getattr(main_cell, "v_knee", 0.0)
-    lim_aux = aux_cell.v_dc - getattr(aux_cell, "v_knee", 0.0)
-    overdrive = (np.abs(vm) > lim_main * (1.0 + 1e-6)) | (np.abs(va) > lim_aux * (1.0 + 1e-6))
+    overdrive = ((np.abs(vm) > main_cell.v_dc * (1.0 + 1e-6))
+                 | (np.abs(va) > aux_cell.v_dc * (1.0 + 1e-6)))
 
     p_ref = p_out.max()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -483,7 +482,7 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
             probe.add(name, component, *nodes)
         probe.add("RL", Resistor(cfg.r_l), "out", probe.ground)
         probe.add_port("in", face)
-        r_in = solve_columns(probe, f0, {"in": np.array([1.0])}, powers=False)
+        r_in = solve_columns(probe, f0, {"in": np.array([1.0])})
         r_base = r_in.port_voltages["in"][0].real
         closed = itr_conv(cfg.alpha, grid)
 
@@ -491,7 +490,7 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
     net.add_port("face", face)
     # column 0 drives main alone, column 1 the face: [z11, z12] and [z21, z22]
     drives = {"main": np.array([1.0, 0.0]), "face": np.array([0.0, 1.0])}
-    z = solve_columns(net, f0, drives, powers=False)
+    z = solve_columns(net, f0, drives)
     (z11, z12), (z21, z22) = z.port_voltages["main"], z.port_voltages["face"]
     r_node = r_base * (grid + current_profile(cfg.alpha, grid)) / grid
     r_main = (z11 - z12 * z21 / (z22 + r_node)).real

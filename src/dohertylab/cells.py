@@ -35,15 +35,12 @@ class ActiveCellModel:
     phi_rad: float
     i_max: float
     v_dc: float
-    v_knee: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.phi_rad <= 2.0 * math.pi:
             raise InputError(f"conduction angle must lie in (0, 2*pi], got {self.phi_rad}")
         if self.i_max <= 0 or self.v_dc <= 0:
             raise InputError("i_max and v_dc must be positive")
-        if not 0.0 <= self.v_knee < self.v_dc:
-            raise InputError("knee voltage must lie in [0, v_dc)")
 
     @property
     def bias_class(self) -> str:
@@ -86,20 +83,18 @@ class ActiveCellModel:
         return i_dc[()], i_fund.astype(complex)[()]
 
     @classmethod
-    def class_b(cls, i_max: float, v_dc: float, v_knee: float = 0.0) -> "ActiveCellModel":
-        return cls(math.pi, i_max, v_dc, v_knee)
+    def class_b(cls, i_max: float, v_dc: float) -> "ActiveCellModel":
+        return cls(math.pi, i_max, v_dc)
 
     @classmethod
-    def class_c_turn_on(
-        cls, turn_on: float, i_max: float, v_dc: float, v_knee: float = 0.0
-    ) -> "ActiveCellModel":
+    def class_c_turn_on(cls, turn_on: float, i_max: float, v_dc: float) -> "ActiveCellModel":
         """Class-C cell that starts conducting at drive ``turn_on``.
 
         The full-drive conduction angle follows from cos(phi/2) = turn_on.
         """
         if not 0.0 < turn_on < 1.0:
             raise InputError(f"turn-on drive must lie in (0, 1), got {turn_on}")
-        return cls(2.0 * math.acos(turn_on), i_max, v_dc, v_knee)
+        return cls(2.0 * math.acos(turn_on), i_max, v_dc)
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,6 @@ class IdealMainCell:
     alpha: float
     i_scale: float
     v_dc: float
-    v_knee: float = 0.0
 
     def currents(self, v: float | np.ndarray) -> tuple:
         i = np.asarray(v, dtype=float) * 2.0 / (1.0 + self.alpha) * self.i_scale
@@ -125,7 +119,6 @@ class IdealAuxCell:
     alpha: float
     i_scale: float
     v_dc: float
-    v_knee: float = 0.0
 
     def currents(self, v: float | np.ndarray) -> tuple:
         i_main_norm = np.asarray(v, dtype=float) * 2.0 / (1.0 + self.alpha)

@@ -2,9 +2,7 @@
 
 Element models, modified nodal analysis, power accounting and
 Touchstone I/O.  This is the simulation substrate used to cross-check
-every closed-form combiner result in the rest of the package.  The
-two-port cascade that the tests check MNA against is
-:mod:`dohertylab.netkit.twoport`, which this package does not import.
+every closed-form combiner result in the rest of the package.
 """
 
 from .elements import (

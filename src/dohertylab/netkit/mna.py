@@ -2,14 +2,15 @@
 
 :func:`solve_columns` factors the matrix once for K drive columns and
 reports arrays with one entry per column; :func:`solve` is its
-one-column case with every element probed.  Given an array of V
-frequencies, :func:`solve_columns` validates and numbers the netlist
-once, stamps the frequencies ``CHUNK`` at a time into a point-major
-stack of matrices, solves each point's matrix for its K columns and
-checks each chunk in batched array operations; it keeps the whole
-sweep's solutions, (n+1, V, K), and reports arrays with a leading point
-axis.  A point, a batch and a sweep return one result type,
-:class:`ColumnsResult`, from one readback of all their solutions.
+one-column case.  Given an array of V frequencies, :func:`solve_columns`
+validates and numbers the netlist once, stamps the frequencies ``CHUNK``
+at a time into a point-major stack of matrices, solves each point's
+matrix for its K columns and checks each chunk in batched array
+operations; it keeps the whole sweep's solutions, (n+1, V, K), and
+reports arrays with a leading point axis.  A point, a batch and a sweep
+return one result type, :class:`ColumnsResult`, which reads each of its
+voltages, currents and powers back from the solutions when it is first
+used.
 :func:`check_network` judges a network at one frequency for every drive
 at once and for the error that rounding its matrix may cause.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,39 +77,35 @@ class ColumnsResult:
 
     ``x`` holds the unknowns of ``system`` with the ground row (zero)
     last, (n+1, K) at one point and (n+1, V, K) over a sweep, whose
-    ``system`` is stamped at its first frequency.  Every other array has
-    one entry per column, (K,), or per point and column, (V, K).
+    ``system`` is stamped at its first frequency; ``drives`` are the port
+    currents of its columns.  Every other field is read back from ``x``
+    when it is first used, each element at most once, and has one entry
+    per column, (K,), or per point and column, (V, K); the ports and load
+    port are ``system.netlist``'s at that time, so change the netlist only
+    after the fields are read.
     ``injected_power`` totals ``port_injected_power``: the driven ports'
     and, as ``source:<name>``, the current sources'.  ``node_voltages``,
-    ``branch_currents`` and ``element_power`` cover the probed elements:
-    the currents per winding or port flow *into* the element at the first
+    ``branch_currents`` and ``element_power`` cover every element: the
+    currents per winding or port flow *into* the element at the first
     node of each terminal pair, and the powers leave out the load
     termination, whose power is ``load_power``.  Powers are time-averaged
     watts.  ``backward_error`` is :func:`_accepted`'s.
-    ``load_power``, ``injected_power`` and ``port_injected_power`` are
-    None when :func:`solve_columns` was asked for no powers.
     """
 
     freq: float | np.ndarray
     x: np.ndarray
-    port_voltages: dict[str, np.ndarray]
+    drives: dict[str, np.ndarray]
     backward_error: np.ndarray
     system: MnaSystem = field(repr=False, compare=False)
-    load_power: np.ndarray | None = None
-    injected_power: np.ndarray | None = None
-    node_voltages: dict[str, np.ndarray] = field(default_factory=dict)
-    branch_currents: dict[str, tuple[np.ndarray, ...]] = field(default_factory=dict)
-    element_power: dict[str, np.ndarray] = field(default_factory=dict)
-    port_injected_power: dict[str, np.ndarray] | None = None
+    _readbacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def combined(self, drives: dict[str, np.ndarray], weights: np.ndarray) -> ColumnsResult:
-        """The L solutions ``x @ weights`` of this one-point result, read back
-        with powers for their port currents ``drives`` (by linearity, if the
-        sources' weights sum to one); each has the K columns' worst backward error."""
+        """The L solutions ``x @ weights`` of this one-point result, for the
+        port currents ``drives`` (by linearity, if the sources' weights sum
+        to one); each has the K columns' worst backward error."""
         x = self.x @ weights
         eta = np.full(x.shape[1], np.maximum.reduce(self.backward_error))
-        return ColumnsResult(self.freq, x, backward_error=eta, system=self.system,
-                             **_readback(self.system, drives, x, self.freq))
+        return ColumnsResult(self.freq, x, drives, eta, self.system)
 
     def passive_efficiency(self) -> np.ndarray:
         """Fraction of the injected power that reaches the load port's
@@ -116,6 +114,56 @@ class ColumnsResult:
             return np.where(
                 self.injected_power > 0, self.load_power / self.injected_power, math.nan
             )
+
+    @cached_property
+    def port_voltages(self) -> dict[str, np.ndarray]:
+        x, index = self.x, self.system.node_index
+        return {port: x[index[plus]] - x[index[minus]]
+                for port, (plus, minus) in self.system.netlist.ports.items()}
+
+    @cached_property
+    def node_voltages(self) -> dict[str, np.ndarray]:
+        x, index = self.x, self.system.node_index
+        return {nd: x[index[nd]] for e, _, _ in self.system.slots for nd in e.nodes}
+
+    @cached_property
+    def branch_currents(self) -> dict[str, tuple[np.ndarray, ...]]:
+        return {e.name: self._read(e, t, a)[0] for e, t, a in self.system.slots}
+
+    @cached_property
+    def element_power(self) -> dict[str, np.ndarray]:
+        loads = {e.name for e in self.system.netlist.load_terminations()}
+        return {e.name: self._read(e, t, a)[1] for e, t, a in self.system.slots
+                if e.name not in loads}
+
+    @cached_property
+    def load_power(self) -> np.ndarray:
+        loads = {e.name for e in self.system.netlist.load_terminations()}
+        powers = [self._read(e, t, a)[1] for e, t, a in self.system.slots if e.name in loads]
+        # a sum starts from 0, as from an array of zeros
+        return sum(powers) if powers else np.zeros(self.x.shape[1:])
+
+    @cached_property
+    def port_injected_power(self) -> dict[str, np.ndarray]:
+        x, v = self.x, self.port_voltages
+        injected = {p: 0.5 * (v[p] * i.conjugate()).real for p, i in self.drives.items()}
+        for e, t, a in self.system.slots:
+            if e.component.source:
+                dv, i = x[t[0]] - x[t[1]], self._read(e, t, a)[0][0]
+                injected[f"source:{e.name}"] = 0.5 * (dv * i.conjugate()).real
+        return injected
+
+    @cached_property
+    def injected_power(self) -> np.ndarray:
+        return sum(self.port_injected_power.values())
+
+    def _read(self, e: Placed, t: list[int], a: range) -> tuple[tuple, np.ndarray]:
+        """Element ``e``'s branch currents and absorbed power, read back once."""
+        read = self._readbacks.get(e.name)
+        if read is None:
+            at = self.freq[:, None] if self.x.ndim == 3 else self.freq  # per point, over K
+            read = self._readbacks[e.name] = e.component.readback(self.x, t, a, at)
+        return read
 
 
 @dataclass(eq=False)
@@ -346,18 +394,16 @@ def solve(
 ) -> ColumnsResult:
     """Solve ``netlist`` at ``freq`` with per-port current drives:
     :func:`solve_columns` for the one column ``excitations`` (port name ->
-    complex peak current into the port's plus node) with every element
-    probed.  Current-source elements contribute as well."""
+    complex peak current into the port's plus node).  Current-source
+    elements contribute as well."""
     drives = {port: [current] for port, current in (excitations or {}).items()}
-    return solve_columns(netlist, freq, drives, probes={e.name for e in netlist.elements})
+    return solve_columns(netlist, freq, drives)
 
 
 def solve_columns(
     netlist: Netlist,
     freq: float | np.ndarray,
     drives: dict[str, np.ndarray],
-    probes=(),
-    powers: bool = True,
 ) -> ColumnsResult:
     """Solve ``netlist`` at ``freq`` for K drive columns with one
     factorization.
@@ -365,14 +411,11 @@ def solve_columns(
     ``drives`` maps port names to 1-D arrays of K complex peak currents,
     column k of every array making one operating point; current-source
     elements contribute to every column.  Each column is accepted on its
-    own backward error (:func:`_accepted`).  The elements named in
-    ``probes`` read back their node voltages, branch currents and
-    absorbed power.  Port voltages are always read back, the load and
-    injected powers only with ``powers``.
+    own backward error (:func:`_accepted`).
 
     With ``freq`` a 1-D array of V frequencies, a sweep solves the same
-    K columns at each of them on one netlist layout and reads all their
-    solutions back at once, with a leading point axis on the result.
+    K columns at each of them on one netlist layout, with a leading point
+    axis on the result.
     """
     drives = {p: np.asarray(i, dtype=complex) for p, i in drives.items()}
     lengths = {i.shape for i in drives.values()} or {(1,)}
@@ -380,8 +423,6 @@ def solve_columns(
     if others or len(shape) != 1 or shape[0] == 0:
         raise InputError(f"drives must be 1-D arrays of one nonzero length, got {lengths}")
     columns = shape[0]
-    if probes and not set(probes) <= {e.name for e in netlist.elements}:
-        raise InputError(f"unknown element among probes {sorted(probes)}")
     # isinstance first: np.ndim of a float costs about 1 us a solve
     one_freq = isinstance(freq, (int, float)) or np.ndim(freq) == 0
     freqs = float(freq) if one_freq else _sweep_frequencies(freq)
@@ -393,56 +434,7 @@ def solve_columns(
         x = np.zeros((system.size + 1, columns), dtype=complex)  # the ground row stays 0
         x[:-1] = _lapack(system.matrix, rhs)
         eta = _accepted(system, system.matrix, x[:-1], rhs, freq)
-        at = freq
     else:
         x, eta = _solved_sweep(system, rhs, freqs)
-        freq, at = freqs, freqs[:, None]  # values per point broadcast over the K columns
-    read = _readback(system, drives, x, at, probes, powers)
-    return ColumnsResult(freq, x, backward_error=eta, system=system, **read)
-
-
-def _readback(
-    system: MnaSystem, drives: dict[str, np.ndarray], x: np.ndarray, freq, probes=(),
-    powers: bool = True,
-) -> dict:
-    """The :class:`ColumnsResult` fields of the solutions ``x``, indexed by
-    unknown on the first axis, other than ``freq``, ``x``, ``system`` and
-    ``backward_error``: port voltages, the ``probes``' node voltages,
-    branch currents and absorbed power (the load termination's is the
-    load power), and with ``powers`` the power each driven port and
-    current source injects, their total and the load power.  ``freq``
-    broadcasts against ``x[i]``."""
-    netlist, index = system.netlist, system.node_index
-    port_voltages = {
-        port: x[index[plus]] - x[index[minus]] for port, (plus, minus) in netlist.ports.items()
-    }
-    nodes, currents, absorbed = {}, {}, {}
-    read = dict(port_voltages=port_voltages, node_voltages=nodes, branch_currents=currents,
-                element_power=absorbed)
-    if not (powers or probes):
-        return read
-    injected = {p: 0.5 * (port_voltages[p] * i.conjugate()).real
-                for p, i in drives.items()} if powers else {}
-    loads = {e.name for e in netlist.load_terminations()}
-    load_powers = []
-    for e, t, a in system.slots:
-        probed = e.name in probes
-        booked = powers and (e.name in loads or e.component.source)
-        if not (probed or booked):
-            continue
-        branch, p = e.component.readback(x, t, a, freq)
-        if probed:
-            currents[e.name] = branch
-            nodes.update((nd, x[index[nd]]) for nd in e.nodes)
-        if e.name in loads:
-            load_powers.append(p)
-        elif probed:
-            absorbed[e.name] = p
-        if booked and e.component.source:
-            dv = x[t[0]] - x[t[1]]
-            injected[f"source:{e.name}"] = 0.5 * (dv * branch[0].conjugate()).real
-    if powers:
-        # sums start from 0, as from an array of zeros (a solve always injects)
-        read.update(load_power=sum(load_powers) if load_powers else np.zeros(x.shape[1:]),
-                    injected_power=sum(injected.values()), port_injected_power=injected)
-    return read
+        freq = freqs
+    return ColumnsResult(freq, x, drives, eta, system)

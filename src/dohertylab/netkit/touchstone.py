@@ -53,8 +53,7 @@ def s_parameters(
     """
     if not 1 <= len(ports) <= 4:
         raise InputError(f"supported port counts are 1..4, got {len(ports)}")
-    if not 0 < z_ref < math.inf:
-        raise InputError(f"reference impedance must be positive and finite, got {z_ref}")
+    _reference_impedance(z_ref)
     for k, p in enumerate(ports):
         if p not in netlist.ports:
             raise InputError(f"unknown port '{p}'")
@@ -70,7 +69,7 @@ def s_parameters(
     i0 = 1.0
     # column k drives port k alone
     drives = {p: i0 * np.eye(n)[k] for k, p in enumerate(ports)}
-    sweep = solve_columns(terminated, np.atleast_1d(freqs), drives, powers=False).port_voltages
+    sweep = solve_columns(terminated, np.atleast_1d(freqs), drives).port_voltages
     v = np.stack([sweep[p] for p in ports], axis=1)  # (freqs, port j, column k)
     return 2.0 * v / (z_ref * i0) - np.eye(n)
 
@@ -103,6 +102,13 @@ class TouchstoneData:
     freqs_hz: np.ndarray
     s: np.ndarray  # (n_freq, n, n)
     z_ref: float
+
+
+def _reference_impedance(z_ref: float) -> float:
+    """``z_ref``; InputError unless it is positive and finite."""
+    if not 0 < z_ref < math.inf:
+        raise InputError(f"reference impedance must be positive and finite, got {z_ref}")
+    return z_ref
 
 
 def _number(token: str, what: str) -> float:
@@ -139,9 +145,12 @@ def write_touchstone(
     freqs = np.asarray(freqs_hz, dtype=float)
     if freqs.shape != (len(s),):
         raise InputError(f"{freqs.size} frequencies for {len(s)} S-matrices")
+    _reference_impedance(z_ref)
     rows, cols = zip(*_record_order(n))
     pairs = np.stack([s.real[:, rows, cols], s.imag[:, rows, cols]], axis=-1)
     table = np.column_stack([freqs / 1e9, pairs.reshape(len(freqs), 2 * n * n)])
+    if not np.isfinite(table).all():
+        raise InputError(f"touchstone value {table[~np.isfinite(table)][0]} is not finite")
     vals = ["%.12e"] * (2 * n * n)
     width = len(vals) if n <= 2 else 8  # 4 complex pairs per physical line
     lines = [" ".join(vals[k : k + width]) for k in range(0, len(vals), width)]
@@ -157,7 +166,8 @@ def read_touchstone(text: str) -> TouchstoneData:
     and whole complex pairs); the lines after it that hold an even number
     continue it.  That covers this writer's layout (4 pairs per line) and
     the v1 layout of one matrix row per line.  Every record must hold
-    1 + 2n^2 values for one n in 1..4, and frequencies must increase.  The
+    1 + 2n^2 values for one n in 1..4, every value must be finite, the
+    reference impedance positive and frequencies must increase.  The
     option line is case-insensitive; only the RI format is accepted.
     """
     unit_scale = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -178,7 +188,7 @@ def read_touchstone(text: str) -> TouchstoneData:
                 if p in unit_scale:
                     scale = unit_scale[p]
                 elif p == "r" and i + 1 < len(parts):
-                    z_ref = _number(parts[i + 1], "reference impedance")
+                    z_ref = _reference_impedance(_number(parts[i + 1], "reference impedance"))
                     i += 1
                 elif p in ("s", "ri"):
                     pass
@@ -199,6 +209,9 @@ def read_touchstone(text: str) -> TouchstoneData:
         values = np.array(tokens, dtype=float)
     except ValueError:  # name the token that is not a number
         values = np.array([_number(token, "value") for token in tokens])
+    if not np.isfinite(values).all():
+        raise InputError(f"touchstone value '{tokens[np.argmin(np.isfinite(values))]}' "
+                         "is not finite")
     sizes = np.array(counts)
     starts = (np.cumsum(sizes) - sizes)[sizes % 2 == 1]
     lengths = np.diff(starts, append=len(values))

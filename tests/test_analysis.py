@@ -378,7 +378,7 @@ class PerPointCell:
     time, the way simulate_pa did before cells took drive arrays."""
 
     def __init__(self, cell):
-        self.cell, self.v_dc, self.v_knee = cell, cell.v_dc, cell.v_knee
+        self.cell, self.v_dc = cell, cell.v_dc
 
     def currents(self, v):
         points = [self.cell.currents(float(x)) for x in v]

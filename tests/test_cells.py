@@ -97,8 +97,6 @@ def test_cell_validation():
     with pytest.raises(ValueError):
         ActiveCellModel(phi_rad=0.0, i_max=1.0, v_dc=1.0)
     with pytest.raises(ValueError):
-        ActiveCellModel(phi_rad=math.pi, i_max=1.0, v_dc=1.0, v_knee=1.5)
-    with pytest.raises(ValueError):
         ActiveCellModel.class_c_turn_on(1.0, 1.0, 1.0)
     cell = ActiveCellModel.class_b(1.0, 1.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """MNA solver: element stamps, power accounting, failure modes."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -342,7 +343,7 @@ def test_concurrent_solves_bitwise_identical(tf_net, proto_cfg):
 def test_mna_matches_two_port_chain_on_random_ladders():
     """Dual-route check: input impedance of a random terminated ladder via
     the MNA solve equals the value from the independent ABCD cascade."""
-    from dohertylab.netkit.twoport import Series, Shunt, input_impedance, two_port_matrix
+    from twoport import Series, Shunt, input_impedance, two_port_matrix
 
     rng = np.random.default_rng(42)
     freq = 3.7e9
@@ -566,8 +567,6 @@ def test_value_and_frequency_sweeps_need_one_length(two_line_net, proto_cfg):
     freqs = proto_cfg.f0 * np.linspace(0.9, 1.1, 3)
     with pytest.raises(ValueError, match="one nonzero length"):
         solve_columns(two_line_net, freqs, {"main": np.ones(3), "aux": np.ones(2)})
-    with pytest.raises(ValueError, match="probes"):
-        solve_columns(two_line_net, proto_cfg.f0, {"main": np.ones(1)}, probes=["nope"])
 
 
 def test_one_bad_column_is_rejected(two_line_net, proto_cfg, monkeypatch):
@@ -689,15 +688,15 @@ _every_kind_values = st.fixed_dictionaries(
 @settings(max_examples=4, deadline=None)
 @given(values=_every_kind_values, columns=st.lists(_current, min_size=1, max_size=3))
 def test_frequency_sweep_matches_per_frequency_solves(length, values, columns):
-    """A frequency sweep with every element probed agrees within 1e-12
-    with a solve at each frequency: the K-column single-point entry for
-    the port voltages and powers, and ``solve`` for each column's node
-    voltages, branch currents and element powers."""
+    """A frequency sweep agrees within 1e-12 with a solve at each
+    frequency: the K-column single-point entry for the port voltages and
+    powers, and ``solve`` for each column's node voltages, branch
+    currents and element powers."""
     net = _every_kind_net(values)
     names = [e.name for e in net.elements]
     freqs = np.linspace(1e9, 3e9, length)
     drives = {"in": np.array(columns, dtype=complex)}
-    sweep = solve_columns(net, freqs, drives, probes=names)
+    sweep = solve_columns(net, freqs, drives)
     n = assemble(net, freqs[0]).size
     assert sweep.x.shape == (n + 1, length, len(columns)) and sweep.freq.shape == (length,)
     assert np.all(sweep.x[-1] == 0)  # the ground row
@@ -726,31 +725,55 @@ def test_frequency_sweep_matches_per_frequency_solves(length, values, columns):
                    apparent[k])
 
 
+def _every_kind_fixed_net() -> Netlist:
+    return _every_kind_net({
+        "r_in": 50.0, "l": 3e-9, "c": 1e-12, "q_l": 30.0, "q_c": 40.0, "amps": 0.2 - 0.1j,
+        "l_p": 2e-9, "n": 1.3, "k": 0.7, "n_x": 0.8, "z0": 60.0, "theta": 70.0, "loss": 0.1,
+        "r_l": 75.0})
+
+
 @pytest.mark.parametrize("freq", [2e9, np.linspace(1e9, 3e9, CHUNK + 1)])
-def test_powers_off_reads_the_same_voltages(freq):
-    """Without powers a solve reads back the same port voltages, probes
-    and backward errors, bit for bit, and leaves the power fields None."""
-    values = {"r_in": 50.0, "l": 3e-9, "c": 1e-12, "q_l": 30.0, "q_c": 40.0, "amps": 0.2 - 0.1j,
-              "l_p": 2e-9, "n": 1.3, "k": 0.7, "n_x": 0.8, "z0": 60.0, "theta": 70.0,
-              "loss": 0.1, "r_l": 75.0}
-    net = _every_kind_net(values)
+def test_fields_read_alike_in_any_order(freq, monkeypatch):
+    """Every field reads bit for bit alike whichever is read first, and
+    each element is read back at most once per result."""
+    net = _every_kind_fixed_net()
     drives = {"in": np.array([1.0, 0.5j, 0.0])}
-    for probes in ((), ("L1", "RL")):
-        full = solve_columns(net, freq, drives, probes=probes)
-        bare = solve_columns(net, freq, drives, probes=probes, powers=False)
-        assert bare.load_power is None and bare.injected_power is None
-        assert bare.port_injected_power is None
-        assert np.array_equal(bare.backward_error, full.backward_error)
-        for port in net.ports:
-            assert np.array_equal(bare.port_voltages[port], full.port_voltages[port])
-        assert bare.node_voltages.keys() == full.node_voltages.keys()
-        for nd, v in full.node_voltages.items():
-            assert np.array_equal(bare.node_voltages[nd], v)
-        for name, currents in full.branch_currents.items():
-            assert all(np.array_equal(a, b) for a, b in zip(bare.branch_currents[name], currents))
-        assert bare.element_power.keys() == full.element_power.keys() == set(probes) - {"RL"}
-        for name, p in full.element_power.items():
-            assert np.array_equal(bare.element_power[name], p)
+    calls = collections.Counter()
+    for cls in {type(e.component) for e in net.elements}:
+        def counting(self, *args, _read=cls.readback):
+            calls[id(self)] += 1
+            return _read(self, *args)
+        monkeypatch.setattr(cls, "readback", counting)
+    forward = _fields(solve_columns(net, freq, drives))
+    assert set(calls) == {id(e.component) for e in net.elements}
+    assert max(calls.values()) == 1
+    calls.clear()
+    backward = _fields(solve_columns(net, freq, drives), READ_BACK[::-1])
+    assert max(calls.values()) == 1
+    assert _bit_equal(forward, backward)
+
+
+def test_result_reads_every_element():
+    """A plain ``solve_columns`` result reads back the node voltages,
+    branch currents and powers of every element, each column bit for bit
+    as ``solve`` reads it alone."""
+    net = _every_kind_fixed_net()
+    columns = [1.0, 0.5j, -0.25]
+    res = solve_columns(net, 2e9, {"in": np.array(columns)})
+    assert res.node_voltages.keys() == {nd for e in net.elements for nd in e.nodes}
+    assert res.branch_currents.keys() == {e.name for e in net.elements}
+    assert res.element_power.keys() == {e.name for e in net.elements} - {"RL"}
+    for k, current in enumerate(columns):
+        single = solve(net, 2e9, {"in": current})
+        assert _bit_equal(_column(res, k), _column(single, 0))
+
+
+def _column(res: ColumnsResult, k: int) -> dict:
+    """Column ``k`` of a one-point result's node voltages, branch currents
+    and element powers."""
+    return {"nodes": {nd: v[k] for nd, v in res.node_voltages.items()},
+            "currents": {name: tuple(c[k] for c in cs) for name, cs in res.branch_currents.items()},
+            "powers": {name: p[k] for name, p in res.element_power.items()}}
 
 
 def _tank_net() -> Netlist:
@@ -850,8 +873,14 @@ def test_one_lapack_call_per_frequency(tf_net, proto_cfg, monkeypatch):
         assert shapes == [((n, n), (n, columns))] * len(freqs)
 
 
-def _fields(res: ColumnsResult) -> dict:
-    return {f.name: getattr(res, f.name) for f in dataclasses.fields(res) if f.name != "system"}
+#: the fields a result reads back from its solutions when first used
+READ_BACK = ("port_voltages", "node_voltages", "branch_currents", "element_power", "load_power",
+             "injected_power", "port_injected_power")
+
+
+def _fields(res: ColumnsResult, order=READ_BACK) -> dict:
+    stored = [f.name for f in dataclasses.fields(res) if f.name not in ("system", "_readbacks")]
+    return {name: getattr(res, name) for name in [*stored, *order]}
 
 
 def _bit_equal(a, b) -> bool:
@@ -865,18 +894,17 @@ def _bit_equal(a, b) -> bool:
 
 
 def test_sweep_results_do_not_depend_on_chunking(monkeypatch):
-    """A 600-point, two-column sweep with every element of every kind
-    probed reads every field bit for bit alike whether it is stamped and
-    solved one point at a time, 7 at a time or ``CHUNK`` at a time."""
+    """A 600-point, two-column sweep with an element of every kind reads
+    every field bit for bit alike whether it is stamped and solved one
+    point at a time, 7 at a time or ``CHUNK`` at a time."""
     net = every_kind_net()
     freqs = np.linspace(0.5e9, 1.5e9, 600)
     drives = {"in": np.array([0.5 + 0.2j, -1j])}
-    probes = [e.name for e in net.elements]
-    whole = _fields(solve_columns(net, freqs, drives, probes=probes))
+    whole = _fields(solve_columns(net, freqs, drives))
     assert whole["backward_error"].shape == (600, 2)
     for chunk in (1, 7):
         monkeypatch.setattr(mna, "CHUNK", chunk)
-        assert _bit_equal(_fields(solve_columns(net, freqs, drives, probes=probes)), whole)
+        assert _bit_equal(_fields(solve_columns(net, freqs, drives)), whole)
 
 
 def every_kind_net() -> Netlist:

@@ -198,6 +198,26 @@ def test_non_numeric_token_named():
         read_touchstone("# GHz S RI R abc\n1.0 0.1 0.2\n")
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [("# GHz S RI R nan\n1.0 0.1 0.2\n", "nan"),
+     ("# GHz S RI R -50\n1.0 0.1 0.2\n", "-50"),
+     ("# GHz S RI R 0\n1.0 0.1 0.2\n", "got 0"),
+     ("# GHz S RI R 50\nnan 0.5 inf\n", "'nan'"),
+     ("# GHz S RI R 50\n1.0 0.1 0.2\n2.0 nan 0.2\n", "'nan'")],
+    ids=["z_ref-nan", "z_ref-negative", "z_ref-zero", "record-nan-inf", "second-record-nan"],
+)
+def test_non_finite_numbers_rejected(text, named):
+    with pytest.raises(InputError, match=named):
+        read_touchstone(text)
+
+
+@pytest.mark.parametrize("z_ref, s", [(math.nan, 0.1), (-50.0, 0.1), (0.0, 0.1), (50.0, math.inf)])
+def test_writer_rejects_non_finite_numbers(z_ref, s):
+    with pytest.raises(InputError):
+        write_touchstone([1e9], np.full((1, 1, 1), s, dtype=complex), z_ref)
+
+
 def test_case_insensitive_option_line():
     text = "# ghz s ri r 75\n1.0 0.0 0.0\n"
     data = read_touchstone(text)

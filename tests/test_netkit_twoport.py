@@ -15,7 +15,7 @@ from dohertylab.netkit import (
     Resistor,
     TransmissionLine,
 )
-from dohertylab.netkit.twoport import Series, Shunt, input_impedance, two_port_matrix
+from twoport import Series, Shunt, input_impedance, two_port_matrix
 
 F0 = 1e9
 W0 = 2 * math.pi * F0
@@ -150,7 +150,7 @@ def test_z_conversion_of_pure_series_is_singular():
 
 
 def test_unknown_representation_rejected():
-    from dohertylab.netkit.twoport import TwoPortMatrix
+    from twoport import TwoPortMatrix
 
     with pytest.raises(ValueError):
         two_port_matrix([Series(Resistor(10.0))], F0, "h")

@@ -58,7 +58,7 @@ def test_importing_the_cli_loads_no_command_module():
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dohertylab'))))"
     )
     assert "dohertylab.cli" in loaded
-    for name in ("analysis", "cells", "evm", "netkit.twoport"):
+    for name in ("analysis", "cells", "evm"):
         assert f"dohertylab.{name}" not in loaded
 
 

@@ -1,4 +1,5 @@
-"""Two-port matrices: chain cascades and ABCD/S/Z conversions."""
+"""Two-port matrices: chain cascades and ABCD/S/Z conversions, the
+independent route that the tests check MNA against."""
 
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InputError
-from .elements import (
+from dohertylab.errors import InputError
+from dohertylab.netkit.elements import (
     Capacitor,
     CoupledInductors,
     IdealTransformer,
