@@ -30,7 +30,7 @@ from dohertylab.analysis import (
 )
 from dohertylab.cells import ideal_doherty_cells
 from dohertylab.evm import evm_64qam
-from dohertylab.report import SWEEP_COLUMNS, csv_text, load_mod_rows, pa_sim_rows
+from dohertylab.report import SWEEP_COLUMNS, csv_text, load_mod_rows, pa_sim_rows, write_text
 
 
 def main():
@@ -46,7 +46,6 @@ def main():
     ap.add_argument("--k1", type=float, default=0.7)
     ap.add_argument("--n2", type=float, default=1.0)
     args = ap.parse_args()
-    os.makedirs(args.out_dir, exist_ok=True)
     cfg = DohertyConfig(alpha=args.alpha, r_opt=args.r_opt, r_l=args.r_l, f0=args.f0)
 
     designs = {
@@ -62,8 +61,7 @@ def main():
 
     def emit(name, text):
         path = os.path.join(args.out_dir, name)
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        write_text(path, text)
         print(path)
 
     # lossless load modulation at center frequency

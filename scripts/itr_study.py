@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from dohertylab import itr_intro, zero_itr_alpha
-from dohertylab.report import ITR_COLUMNS, csv_text, itr_curve_rows
+from dohertylab.report import ITR_COLUMNS, csv_text, itr_curve_rows, write_text
 
 
 def main():
@@ -23,13 +23,11 @@ def main():
     ap.add_argument("--r-l", type=float, default=50.0)
     ap.add_argument("--alphas", default="0.5,1.0,2.0")
     args = ap.parse_args()
-    os.makedirs(args.out_dir, exist_ok=True)
 
     for alpha in (float(a) for a in args.alphas.split(",")):
         rows = itr_curve_rows(alpha, args.r_opt, args.r_l, n_points=241)
         path = os.path.join(args.out_dir, f"itr_alpha_{alpha:g}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(csv_text(ITR_COLUMNS, rows))
+        write_text(path, csv_text(ITR_COLUMNS, rows))
         print(path)
 
     rows = []
@@ -49,12 +47,8 @@ def main():
             ]
         )
     path = os.path.join(args.out_dir, "zero_itr_asymmetry.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            csv_text(
-                ["r_opt_over_r_l", "alpha", "aux_stronger", "itr_at_second_peak"], rows
-            )
-        )
+    header = ["r_opt_over_r_l", "alpha", "aux_stronger", "itr_at_second_peak"]
+    write_text(path, csv_text(header, rows))
     print(path)
 
 

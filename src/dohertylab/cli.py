@@ -7,6 +7,9 @@ analyze  design/netlist -> CSV sweeps (load-mod, pbo-eff, bandwidth,
          pa-sim, itr-curves)
 export   netlist.json -> Touchstone over a frequency grid
 
+Each command returns its files' texts by path; :func:`main` writes them once
+all are computed, then prints the last path: a failing command writes nothing.
+
 Exit codes, mapped from errors in :func:`main` alone: 0 success; 2 bad
 input (:class:`~dohertylab.errors.InputError`); 3 internal-consistency
 failure (a synthesized design that fails its identities, a network the
@@ -211,15 +214,7 @@ def synthesize(spec: dict):
     return spec["design"].synthesize(spec["config"], **spec["params"])
 
 
-def _write(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, creating its directory: a command makes
-    its output directory only once its inputs have passed their checks."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict[str, str]:
     spec = design_spec(_read_json(args.design, "design"))
     design = synthesize(spec)
     cfg = spec["config"]
@@ -227,13 +222,8 @@ def cmd_synth(args) -> int:
     netlist = to_netlist(design, q_l=spec["q_l"], q_c=spec["q_c"])
     export_net = to_netlist(design, include_load=False)
     freqs = np.linspace(0.6 * cfg.f0, 1.4 * cfg.f0, 201)
-    # solved before any file is written: a solver error leaves no output
     check_network(netlist, cfg.f0)
     s = s_parameters(export_net, ["main", "aux", "load"], freqs, z_ref=args.z_ref)
-    netlist_path = os.path.join(args.out_dir, "netlist.json")
-    _write(netlist_path, report.json_text(netlist.to_json_dict()))
-    ts_path = os.path.join(args.out_dir, "combiner.s3p")
-    _write(ts_path, write_touchstone(freqs, s, z_ref=args.z_ref))
 
     identities = [
         {"name": name, "residual": res, "pass": bool(res < IDENTITY_TOL)}
@@ -246,15 +236,13 @@ def cmd_synth(args) -> int:
         "identities": identities,
         "warnings": list(design.warnings),
         # names are relative to the report's own directory
-        "outputs": {
-            "netlist_json": os.path.basename(netlist_path),
-            "touchstone": os.path.basename(ts_path),
-        },
+        "outputs": {"netlist_json": "netlist.json", "touchstone": "combiner.s3p"},
     }
-    report_path = os.path.join(args.out_dir, "report.json")
-    _write(report_path, report.json_text(doc))
-    print(report_path)
-    return 0
+    return {
+        os.path.join(args.out_dir, "netlist.json"): report.json_text(netlist.to_json_dict()),
+        os.path.join(args.out_dir, "combiner.s3p"): write_touchstone(freqs, s, z_ref=args.z_ref),
+        os.path.join(args.out_dir, "report.json"): report.json_text(doc),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +271,7 @@ def _config_from_flags(args, fallback_f0: float | None = None) -> DohertyConfig:
     return DohertyConfig(alpha=args.alpha, r_opt=args.r_opt, r_l=args.r_l, f0=f0)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict[str, str]:
     if args.mode == "itr-curves":
         if args.input is not None:
             spec, _ = _load_input(args)
@@ -294,9 +282,7 @@ def cmd_analyze(args) -> int:
             cfg = _config_from_flags(args, fallback_f0=1e9)
         rows = report.itr_curve_rows(cfg.alpha, cfg.r_opt, cfg.r_l, args.points or 121)
         path = os.path.join(args.out_dir, "itr_curves.csv")
-        _write(path, report.csv_text(report.ITR_COLUMNS, rows))
-        print(path)
-        return 0
+        return {path: report.csv_text(report.ITR_COLUMNS, rows)}
 
     from . import analysis  # here, not at the top: synth, export and itr-curves never run it
 
@@ -327,9 +313,7 @@ def cmd_analyze(args) -> int:
         prof = analysis.drive_profile(cfg, netlist, n_points)
         sweep = analysis.load_modulation(netlist, cfg, prof)
         path = os.path.join(args.out_dir, "load_mod.csv")
-        _write(path, report.csv_text(report.SWEEP_COLUMNS, report.load_mod_rows(sweep)))
-        print(path)
-        return 0
+        return {path: report.csv_text(report.SWEEP_COLUMNS, report.load_mod_rows(sweep))}
 
     if args.mode == "pbo-eff":
         if spec is not None and math.isinf(q_l) and math.isinf(q_c):
@@ -347,9 +331,7 @@ def cmd_analyze(args) -> int:
             header.append("eta_passive_ref")
             columns.append(analysis.passive_eff_vs_pbo(ref, cfg, ref_prof)[1])
         path = os.path.join(args.out_dir, "pbo_eff.csv")
-        _write(path, report.csv_text(header, np.column_stack(columns)))
-        print(path)
-        return 0
+        return {path: report.csv_text(header, np.column_stack(columns))}
 
     if args.mode == "bandwidth":
         prof = analysis.drive_profile(cfg, netlist, 2)
@@ -364,7 +346,6 @@ def cmd_analyze(args) -> int:
         )
         csv_path = os.path.join(args.out_dir, "bandwidth.csv")
         rows = np.column_stack([bw.freqs, bw.values_db])
-        _write(csv_path, report.csv_text(["freq_hz", "metric_db"], rows))
         doc = {
             "metric": bw.metric,
             "threshold_db": bw.threshold_db,
@@ -374,10 +355,10 @@ def cmd_analyze(args) -> int:
             "met_at_center": bw.met_at_center,
             "csv": csv_path,
         }
-        json_path = os.path.join(args.out_dir, "bandwidth.json")
-        _write(json_path, report.json_text(doc))
-        print(json_path)
-        return 0
+        return {
+            csv_path: report.csv_text(["freq_hz", "metric_db"], rows),
+            os.path.join(args.out_dir, "bandwidth.json"): report.json_text(doc),
+        }
 
     if args.mode == "pa-sim":
         if args.v_dc is None:
@@ -400,14 +381,12 @@ def cmd_analyze(args) -> int:
         grid = analysis.pa_drive_grid(cfg.alpha, n_points, args.v_min)
         sim = analysis.simulate_pa(main_cell, aux_cell, netlist, grid, args.v_dc)
         path = os.path.join(args.out_dir, "pa_sim.csv")
-        _write(path, report.csv_text(report.SWEEP_COLUMNS, report.pa_sim_rows(sim)))
-        print(path)
-        return 0
+        return {path: report.csv_text(report.SWEEP_COLUMNS, report.pa_sim_rows(sim))}
 
     raise InputError(f"unknown mode '{args.mode}'")
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> dict[str, str]:
     _, netlist = _load_input(args)
     if netlist is None:
         raise InputError("export needs a netlist JSON input")
@@ -422,9 +401,7 @@ def cmd_export(args) -> int:
     if not 0 < f_start < f_stop:
         raise InputError("need 0 < --f-start < --f-stop")
     freqs = np.linspace(f_start, f_stop, args.points)
-    _write(args.touchstone, export_touchstone(netlist, ports, freqs, z_ref=args.z_ref))
-    print(args.touchstone)
-    return 0
+    return {args.touchstone: export_touchstone(netlist, ports, freqs, z_ref=args.z_ref)}
 
 
 # ----------------------------------------------------------------------
@@ -502,12 +479,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_flags(args)
-        return args.func(args)
+        outputs = args.func(args)
     except InputError as exc:  # NetworkTopologyError among them
         names = {"key": exc.key, "element": exc.element, "node": exc.node}
         doc = {"error": str(exc), "code": 2, **{k: v for k, v in names.items() if v is not None}}
     except (DesignConsistencyError, SingularSystemError, DegenerateTransferError) as exc:
         doc = {"error": str(exc), "code": 3}
+    else:
+        for path, text in outputs.items():
+            report.write_text(path, text)
+        print(path)
+        return 0
     print(json.dumps(doc), file=sys.stderr)
     return doc["code"]
 

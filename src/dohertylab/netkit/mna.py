@@ -81,8 +81,7 @@ class ColumnsResult:
     currents of its columns.  Every other field is read back from ``x``
     when it is first used, each element at most once, and has one entry
     per column, (K,), or per point and column, (V, K); the ports and load
-    port are ``system.netlist``'s at that time, so change the netlist only
-    after the fields are read.
+    terminations are ``system``'s, fixed when it was assembled.
     ``injected_power`` totals ``port_injected_power``: the driven ports'
     and, as ``source:<name>``, the current sources'.  ``node_voltages``,
     ``branch_currents`` and ``element_power`` cover every element: the
@@ -117,9 +116,7 @@ class ColumnsResult:
 
     @cached_property
     def port_voltages(self) -> dict[str, np.ndarray]:
-        x, index = self.x, self.system.node_index
-        return {port: x[index[plus]] - x[index[minus]]
-                for port, (plus, minus) in self.system.netlist.ports.items()}
+        return {p: self.x[plus] - self.x[minus] for p, (plus, minus) in self.system.ports.items()}
 
     @cached_property
     def node_voltages(self) -> dict[str, np.ndarray]:
@@ -132,14 +129,13 @@ class ColumnsResult:
 
     @cached_property
     def element_power(self) -> dict[str, np.ndarray]:
-        loads = {e.name for e in self.system.netlist.load_terminations()}
         return {e.name: self._read(e, t, a)[1] for e, t, a in self.system.slots
-                if e.name not in loads}
+                if e.name not in self.system.loads}
 
     @cached_property
     def load_power(self) -> np.ndarray:
-        loads = {e.name for e in self.system.netlist.load_terminations()}
-        powers = [self._read(e, t, a)[1] for e, t, a in self.system.slots if e.name in loads]
+        powers = [self._read(e, t, a)[1] for e, t, a in self.system.slots
+                  if e.name in self.system.loads]
         # a sum starts from 0, as from an array of zeros
         return sum(powers) if powers else np.zeros(self.x.shape[1:])
 
@@ -168,8 +164,8 @@ class ColumnsResult:
 
 @dataclass(eq=False)
 class MnaSystem:
-    """Assembled matrix with its index bookkeeping; ``node_index`` and
-    ``source_rhs`` include the ground slot, ``matrix`` does not."""
+    """Assembled matrix with its index bookkeeping; ``node_index``,
+    ``ports`` and ``source_rhs`` include the ground slot, ``matrix`` does not."""
 
     netlist: Netlist
     freq: float
@@ -177,6 +173,8 @@ class MnaSystem:
     source_rhs: np.ndarray  # contributions from current-source elements
     node_index: dict[str, int]
     slots: list[tuple[Placed, list[int], range]]  # element, terminal and aux slots
+    ports: dict[str, tuple[int, int]]  # each port's plus and minus slots
+    loads: frozenset[str]  # the names of the load terminations
 
     @property
     def size(self) -> int:
@@ -186,17 +184,17 @@ class MnaSystem:
         """Right-hand side, (size, ``columns``): the current sources in
         every column plus each port's drive, a 1-D array of ``columns``
         currents.  The ground row is left out, not written and dropped."""
-        n, index, ports = self.size, self.node_index, self.netlist.ports
+        n, ports = self.size, self.ports
         b = np.empty((n, columns), dtype=complex)
         b[:] = self.source_rhs[:n, None]
         for port, current in drives.items():
             if port not in ports:
                 raise InputError(f"unknown port '{port}'")
             plus, minus = ports[port]
-            if (i := index[plus]) < n:
-                b[i] += current
-            if (i := index[minus]) < n:
-                b[i] -= current
+            if plus < n:
+                b[plus] += current
+            if minus < n:
+                b[minus] -= current
         return b
 
 
@@ -232,7 +230,9 @@ def assemble(netlist: Netlist, freq: float) -> MnaSystem:
         first_aux = a.stop
         slots.append((e, [node_index[nd] for nd in e.nodes], a))
     A, b = _stamped(slots, n, freq)
-    return MnaSystem(netlist, freq, A, b, node_index, slots)
+    ports = {p: (node_index[plus], node_index[minus]) for p, (plus, minus) in netlist.ports.items()}
+    loads = frozenset(e.name for e in netlist.load_terminations())
+    return MnaSystem(netlist, freq, A, b, node_index, slots, ports, loads)
 
 
 def _stamped(slots, n: int, freq) -> tuple[np.ndarray, np.ndarray]:

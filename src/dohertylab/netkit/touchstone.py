@@ -111,6 +111,13 @@ def _reference_impedance(z_ref: float) -> float:
     return z_ref
 
 
+def _positive(freqs_hz: np.ndarray) -> np.ndarray:
+    """``freqs_hz``; InputError naming the first frequency at or below 0."""
+    if (bad := freqs_hz <= 0).any():
+        raise InputError(f"touchstone frequency {freqs_hz[bad][0]:g} Hz is not positive")
+    return freqs_hz
+
+
 def _number(token: str, what: str) -> float:
     """``token`` as a float; InputError naming it when it is not a number."""
     try:
@@ -142,7 +149,7 @@ def write_touchstone(
     n = s.shape[-1]
     if not 1 <= n <= 4:
         raise InputError(f"supported port counts are 1..4, got {n}")
-    freqs = np.asarray(freqs_hz, dtype=float)
+    freqs = _positive(np.asarray(freqs_hz, dtype=float))
     if freqs.shape != (len(s),):
         raise InputError(f"{freqs.size} frequencies for {len(s)} S-matrices")
     _reference_impedance(z_ref)
@@ -167,8 +174,9 @@ def read_touchstone(text: str) -> TouchstoneData:
     continue it.  That covers this writer's layout (4 pairs per line) and
     the v1 layout of one matrix row per line.  Every record must hold
     1 + 2n^2 values for one n in 1..4, every value must be finite, the
-    reference impedance positive and frequencies must increase.  The
-    option line is case-insensitive; only the RI format is accepted.
+    reference impedance and frequencies positive and the frequencies
+    increasing.  The option line is case-insensitive; only the RI format is
+    accepted.
     """
     unit_scale = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
     scale = 1e9
@@ -223,10 +231,11 @@ def read_touchstone(text: str) -> TouchstoneData:
             " number of values and hold 1 + 2n^2 values for one n in 1..4"
         )
     data = values.reshape(-1, rec)
+    freqs = _positive(data[:, 0] * scale)
     if not np.all(data[1:, 0] > data[:-1, 0]):
         raise InputError("touchstone frequencies must increase")
     s = np.empty((len(data), n, n), dtype=complex)
     for pos, (i, j) in enumerate(_record_order(n)):
         s.real[:, i, j] = data[:, 1 + 2 * pos]
         s.imag[:, i, j] = data[:, 2 + 2 * pos]
-    return TouchstoneData(freqs_hz=data[:, 0] * scale, s=s, z_ref=z_ref)
+    return TouchstoneData(freqs_hz=freqs, s=s, z_ref=z_ref)

@@ -1,4 +1,4 @@
-"""Deterministic CSV/JSON rendering of sweep results.
+"""Deterministic CSV/JSON rendering of sweep results, and the one file writer.
 
 All floats are formatted with a fixed number of significant digits
 (default 9, overridable through the DOHERTYLAB_PRECISION environment
@@ -24,6 +24,7 @@ __all__ = [
     "float_digits",
     "csv_text",
     "json_text",
+    "write_text",
     "SWEEP_COLUMNS",
     "load_mod_rows",
     "pa_sim_rows",
@@ -108,6 +109,13 @@ def _round_floats(obj, digits: int):
 
 def json_text(doc: dict) -> str:
     return json.dumps(_round_floats(doc, float_digits()), indent=2, sort_keys=True) + "\n"
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, newlines as they are, making its directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _re_im(z: np.ndarray) -> list[np.ndarray]:

@@ -326,6 +326,23 @@ def test_internal_consistency_failure_exits_3(design_path, tmp_path, capsys, mon
     assert json.loads(err)["code"] == 3
 
 
+def test_synth_failing_on_its_last_output_writes_nothing(design_path, tmp_path, monkeypatch):
+    from dohertylab import report
+
+    json_text = report.json_text
+
+    def failing_report(doc):
+        if "identities" in doc:  # the report document, rendered after the other outputs
+            raise RuntimeError("report rendering failed")
+        return json_text(doc)
+
+    monkeypatch.setattr(report, "json_text", failing_report)
+    out_dir = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="report rendering failed"):
+        main(["synth", design_path, "--out-dir", str(out_dir)])
+    assert not out_dir.exists()
+
+
 def assert_one_json_error_exit_3(code, err):
     assert code == 3
     lines = err.strip().splitlines()

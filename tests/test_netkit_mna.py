@@ -940,6 +940,23 @@ def test_solve_reads_every_element_kind():
     assert {v.shape for v in values} == {(1,)}  # one column, as from solve_columns
 
 
+def test_result_keeps_the_ports_and_load_it_was_solved_with(tf_net):
+    drives = {"main": [1.0, 0.5j], "aux": [0.0, 1.0]}
+    want = solve_columns(tf_net, tf_net.f0, drives)
+    net = tf_net.copy()
+    got = solve_columns(net, net.f0, drives)
+    net.load_port = None  # changed after the solve, before any field is read
+    net.ports["load"] = net.ports["main"]
+    for name in ("port_voltages", "node_voltages", "branch_currents", "element_power",
+                 "port_injected_power"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.keys() == theirs.keys(), name
+        assert all(np.array_equal(mine[k], theirs[k]) for k in mine), name
+    assert np.array_equal(got.load_power, want.load_power)
+    assert np.array_equal(got.injected_power, want.injected_power)
+    assert np.array_equal(got.passive_efficiency(), want.passive_efficiency())
+
+
 def test_solve_keeps_ground_reached_only_through_a_line():
     net = Netlist(f0=1e9)
     net.add("TL1", TransmissionLine(50.0, 30.0, 1e9), "a", "b")

@@ -218,6 +218,20 @@ def test_writer_rejects_non_finite_numbers(z_ref, s):
         write_touchstone([1e9], np.full((1, 1, 1), s, dtype=complex), z_ref)
 
 
+def test_read_rejects_non_positive_frequencies():
+    with pytest.raises(InputError, match="-1e\\+09 Hz is not positive"):
+        read_touchstone("# GHz S RI R 50\n-1 0.1 0.2\n0 0.1 0.2\n")
+    with pytest.raises(InputError, match="frequency 0 Hz"):
+        read_touchstone("# Hz S RI R 50\n0 0.1 0.2\n1 0.1 0.2\n")
+
+
+def test_write_rejects_non_positive_frequencies():
+    with pytest.raises(InputError, match="-1e\\+09 Hz is not positive"):
+        write_touchstone([-1e9, 0.0], np.zeros((2, 1, 1)), 50.0)
+    with pytest.raises(InputError, match="frequency 0 Hz"):
+        write_touchstone([0.0, 1e9], np.zeros((2, 1, 1)), 50.0)
+
+
 def test_case_insensitive_option_line():
     text = "# ghz s ri r 75\n1.0 0.0 0.0\n"
     data = read_touchstone(text)
