@@ -61,30 +61,26 @@ def _terminated_copy(netlist: Netlist) -> Netlist:
     return work
 
 
-def required_phase_offset(
-    netlist: Netlist,
-    f0: float | None = None,
-) -> float:
+def required_phase_offset(netlist: Netlist) -> float:
     """Main-minus-aux input phase (degrees) for in-phase combining.
 
     Computed as arg(T_aux) - arg(T_main) from the transimpedances of the
-    ``main`` and ``aux`` ports to the ``load`` port at ``f0``.  The
-    transfer is measured with the non-driven source ports resistively
-    terminated: an ideal current source at the other port would leave it
-    open, and a quarter-wave inverter maps that open into a short at the
-    load, collapsing the raw transimpedance to zero.  At center frequency
-    the measured phase does not depend on the termination value.  Raises
-    :class:`DegenerateTransferError` when a transfer is below 1e-15 of
-    the drive level.
+    ``main`` and ``aux`` ports to the ``load`` port at the netlist's
+    center frequency.  The transfer is measured with the non-driven source
+    ports resistively terminated: an ideal current source at the other port
+    would leave it open, and a quarter-wave inverter maps that open into a
+    short at the load, collapsing the raw transimpedance to zero.  At
+    center frequency the measured phase does not depend on the termination
+    value.  Raises :class:`DegenerateTransferError` when a transfer is
+    below 1e-15 of the drive level.
     """
-    f0 = f0 if f0 is not None else netlist.f0
     # not read from load_modulation's unit columns, which moves the offset by
     # rounding noise (82.17076767726132 -> ...127 degrees on the README
     # prototype) and PA sweep digits; offset_delivered_power, simulate_pa too
     work = _terminated_copy(netlist)
     # column 0 drives the main port alone, column 1 the auxiliary port
     drives = {"main": np.array([1.0, 0.0]), "aux": np.array([0.0, 1.0])}
-    r = solve_columns(work, f0, drives)
+    r = solve_columns(work, netlist.f0, drives)
 
     args = {}
     for port, t in zip(("main", "aux"), r.port_voltages["load"]):
@@ -161,7 +157,7 @@ def drive_profile(
     if main_phase_deg is None:
         if netlist is None:
             raise InputError("give either a netlist or an explicit main phase")
-        main_phase_deg = required_phase_offset(netlist, cfg.f0)
+        main_phase_deg = required_phase_offset(netlist)
     lo = i_main_min if i_main_min is not None else cfg.i_main_max / 100.0
     i_main = _grid_with(lo, cfg.i_main_max, n_points, cfg.i_main_turn_on)
     i_aux, pbo = current_profile(cfg.alpha, i_main), pbo_level(cfg.alpha, i_main)

@@ -11,14 +11,16 @@ Each command returns its files' texts by path; :func:`main` writes them once
 all are computed, then prints the last path: a failing command writes nothing.
 
 Exit codes, mapped from errors in :func:`main` alone: 0 success; 2 bad
-input (:class:`~dohertylab.errors.InputError`); 3 internal-consistency
+input (:class:`~dohertylab.errors.InputError`) or an output that cannot
+be written, whose files already written are removed; 3 internal-consistency
 failure (a synthesized design that fails its identities, a network the
 solver rejects, or a degenerate transfer).  Errors are emitted as one
 JSON object on stderr, naming at exit 2 the ``key``, ``element``, ``node``
 or ``--flag`` at fault; any other error is a fault of the program and keeps
-its traceback.  ``synth`` and ``analyze`` first judge the network at its
-design frequency for every drive (:func:`~dohertylab.netkit.check_network`),
-so a network that double precision cannot hold exits 3 whatever the mode.
+its traceback.  Every analysis runs at the ``f0_hz`` of its design or
+netlist, and ``synth`` and ``analyze`` first judge the network there for
+every drive (:func:`~dohertylab.netkit.check_network`), so a network that
+double precision cannot hold exits 3 whatever the mode.
 
 Design file schema (all units in the key names)::
 
@@ -92,8 +94,7 @@ import numpy as np
 from . import report
 from .errors import DegenerateTransferError, InputError
 from .ideal import DohertyConfig
-from .netkit import Netlist, SingularSystemError, check_network, export_touchstone
-from .netkit import s_parameters, write_touchstone
+from .netkit import Netlist, SingularSystemError, check_network, s_parameters, write_touchstone
 from .netkit.netlist import _number
 from .synth import (  # all three synthesis functions stay importable from here
     IDENTITY_TOL,
@@ -111,7 +112,7 @@ __all__ = ["main", "run"]
 #: before any command runs
 _FLAG_DOMAINS = {
     **dict.fromkeys(
-        ("alpha", "r_opt", "r_l", "f0", "z_ref", "v_dc", "i_max", "f_start", "f_stop"),
+        ("alpha", "r_opt", "r_l", "z_ref", "v_dc", "i_max", "f_start", "f_stop"),
         (lambda v: 0 < v < math.inf, "be positive and finite"),
     ),
     **dict.fromkeys(("q_l", "q_c"), (lambda v: v > 0, "be positive (inf for lossless)")),
@@ -260,14 +261,11 @@ def _load_input(args) -> tuple[dict | None, Netlist | None]:
     raise InputError("input is neither a design file (topology) nor a netlist (elements)")
 
 
-def _config_from_flags(args, fallback_f0: float | None = None) -> DohertyConfig:
+def _config_from_flags(args, f0: float) -> DohertyConfig:
     flags = {"--alpha": args.alpha, "--r-opt": args.r_opt, "--r-l": args.r_l}
     missing = [flag for flag, val in flags.items() if val is None]
     if missing:
         raise InputError(f"netlist input needs {', '.join(missing)}")
-    f0 = args.f0 if args.f0 is not None else fallback_f0
-    if f0 is None:
-        raise InputError("missing --f0")
     return DohertyConfig(alpha=args.alpha, r_opt=args.r_opt, r_l=args.r_l, f0=f0)
 
 
@@ -279,7 +277,7 @@ def cmd_analyze(args) -> dict[str, str]:
                 raise InputError("itr-curves needs a design file or --alpha/--r-opt/--r-l flags")
             cfg = spec["config"]
         else:
-            cfg = _config_from_flags(args, fallback_f0=1e9)
+            cfg = _config_from_flags(args, 1e9)  # the ITR curves do not depend on f0
         rows = report.itr_curve_rows(cfg.alpha, cfg.r_opt, cfg.r_l, args.points or 121)
         path = os.path.join(args.out_dir, "itr_curves.csv")
         return {path: report.csv_text(report.ITR_COLUMNS, rows)}
@@ -302,10 +300,10 @@ def cmd_analyze(args) -> dict[str, str]:
         if missing := [p for p in ("main", "aux", "load") if p not in netlist.ports]:
             raise InputError(f"netlist input needs ports main, aux and load; missing {missing}",
                              key="ports")
-        cfg = _config_from_flags(args, fallback_f0=netlist.f0)
+        cfg = _config_from_flags(args, netlist.f0)
         q_l = args.q_l
         q_c = args.q_c
-    check_network(netlist, cfg.f0)
+    check_network(netlist, netlist.f0)
 
     n_points = args.points or 41
 
@@ -401,7 +399,8 @@ def cmd_export(args) -> dict[str, str]:
     if not 0 < f_start < f_stop:
         raise InputError("need 0 < --f-start < --f-stop")
     freqs = np.linspace(f_start, f_stop, args.points)
-    return {args.touchstone: export_touchstone(netlist, ports, freqs, z_ref=args.z_ref)}
+    s = s_parameters(netlist, ports, freqs, args.z_ref)
+    return {args.touchstone: write_touchstone(freqs, s, args.z_ref)}
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--alpha", type=float, default=None)
     pa.add_argument("--r-opt", type=float, default=None)
     pa.add_argument("--r-l", type=float, default=None)
-    pa.add_argument("--f0", type=float, default=None)
     pa.set_defaults(func=cmd_analyze)
 
     pe = sub.add_parser("export", help="export Touchstone from a netlist")
@@ -486,10 +484,17 @@ def main(argv: list[str] | None = None) -> int:
     except (DesignConsistencyError, SingularSystemError, DegenerateTransferError) as exc:
         doc = {"error": str(exc), "code": 3}
     else:
-        for path, text in outputs.items():
-            report.write_text(path, text)
-        print(path)
-        return 0
+        try:
+            for k, (path, text) in enumerate(outputs.items()):
+                report.write_text(path, text)
+        except OSError as exc:
+            for done in list(outputs)[:k]:  # the files this call already wrote
+                os.remove(done)
+            flag = "--touchstone" if args.command == "export" else "--out-dir"
+            doc = {"error": f"cannot write {path} ({flag}): {exc}", "code": 2}
+        else:
+            print(path)
+            return 0
     print(json.dumps(doc), file=sys.stderr)
     return doc["code"]
 

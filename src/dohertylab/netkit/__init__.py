@@ -26,7 +26,6 @@ from .mna import (
 from .netlist import Netlist, NetworkTopologyError, Placed
 from .touchstone import (
     TouchstoneData,
-    export_touchstone,
     read_touchstone,
     s_parameters,
     write_touchstone,
@@ -51,7 +50,6 @@ __all__ = [
     "solve",
     "solve_columns",
     "s_parameters",
-    "export_touchstone",
     "write_touchstone",
     "read_touchstone",
     "TouchstoneData",

@@ -13,11 +13,11 @@ added to ``Component``.
 
 Stamps, readbacks and value helpers take the frequency as a float or
 as an array over the points of a frequency sweep.  Floats keep the
-arithmetic in Python scalars (``cmath``); arrays give arrays, and a
-value that does not depend on frequency may stay a scalar.  ``stamp``
-writes ``A[i, j]`` and ``b[i]``, each a scalar or an array over the
-points, and puts into ``b`` nothing that depends on frequency, so one
-right-hand side serves a whole sweep.
+arithmetic in scalars; arrays give arrays, and a value that does not
+depend on frequency may stay a scalar.  ``stamp`` writes ``A[i, j]`` and
+``b[i]``, each a scalar or an array over the points, and puts into ``b``
+nothing that depends on frequency, so one right-hand side serves a whole
+sweep.
 
 All values are SI (ohms, henries, farads, hertz, amperes) and phasors are
 peak amplitudes, so the average power in a resistor is |V|^2 / (2R).
@@ -350,11 +350,8 @@ class TransmissionLine(Element):
         n1, n2 = t
         a1, a2 = a
         gl = self.gamma_length(freq)
-        # past float range (about 710 Np) numpy gives inf, cmath OverflowError
-        if isinstance(gl, np.ndarray):
-            ch, sh = np.cosh(gl), np.sinh(gl)
-        else:
-            ch, sh = cmath.cosh(gl), cmath.sinh(gl)
+        # past float range (about 710 Np) both are inf, at a point as in a sweep
+        ch, sh = np.cosh(gl), np.sinh(gl)
         # chain relation with i1 into port 1, i2 into port 2:
         #   V1 = ch*V2 + z0*sh*(-i2)
         #   i1 = (sh/z0)*V2 + ch*(-i2)

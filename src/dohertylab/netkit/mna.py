@@ -238,7 +238,7 @@ def assemble(netlist: Netlist, freq: float) -> MnaSystem:
 def _stamped(slots, n: int, freq) -> tuple[np.ndarray, np.ndarray]:
     """The matrix of ``n`` unknowns that the elements of ``slots`` stamp
     at ``freq`` and the right-hand side, its ground slot kept: at a float
-    an (n, n) matrix of Python-scalar stamps, at an array of frequencies
+    an (n, n) matrix of scalar stamps, at an array of frequencies
     a point-major (points, n, n) stack.  A value beyond float range stays
     in the matrix as inf or NaN: no solution on it passes
     :func:`_accepted`, and :func:`_diagnose_singular` names the element."""
@@ -250,7 +250,7 @@ def _stamped(slots, n: int, freq) -> tuple[np.ndarray, np.ndarray]:
         for e, t, a in slots:
             try:
                 e.component.stamp(entries, b, t, a, freq)
-            except (ZeroDivisionError, OverflowError):  # Python's 1/0 and cmath's, inf in an array
+            except ZeroDivisionError:  # Python's complex 1/0; numpy gives inf or NaN
                 A[:] = math.nan
                 break
     return A[..., :n, :n], b

@@ -28,7 +28,6 @@ from .netlist import Netlist
 
 __all__ = [
     "s_parameters",
-    "export_touchstone",
     "write_touchstone",
     "read_touchstone",
     "TouchstoneData",
@@ -72,26 +71,6 @@ def s_parameters(
     sweep = solve_columns(terminated, np.atleast_1d(freqs), drives).port_voltages
     v = np.stack([sweep[p] for p in ports], axis=1)  # (freqs, port j, column k)
     return 2.0 * v / (z_ref * i0) - np.eye(n)
-
-
-def export_touchstone(
-    netlist: Netlist,
-    ports: list[str],
-    freq_grid: np.ndarray | list[float],
-    z_ref: float = 50.0,
-) -> str:
-    """Touchstone v1 text of the netlist's S-parameters over ``freq_grid``,
-    which must increase in the digits a record holds, or the text would
-    not read back."""
-    freqs = np.asarray(freq_grid, dtype=float)
-    if len(freqs) > 1 and not np.all(np.diff(freqs) > 0):
-        raise InputError("frequency grid must be strictly increasing")
-    # a step above 1e-11 of the frequency changes its 13 written digits
-    for k in np.flatnonzero(np.diff(freqs) <= 1e-11 * freqs[1:]):
-        if "%.12e" % (freqs[k] / 1e9) == "%.12e" % (freqs[k + 1] / 1e9):
-            raise InputError(f"frequency grid steps below Touchstone's 13 digits: "
-                             f"{freqs[k]!r} and {freqs[k + 1]!r} Hz print alike")
-    return write_touchstone(freqs, s_parameters(netlist, ports, freqs, z_ref), z_ref)
 
 
 @dataclass(eq=False)
@@ -139,9 +118,10 @@ def write_touchstone(
 ) -> str:
     """Render S-parameter data as Touchstone v1 text (GHz / RI).
 
-    One record template covers a frequency; the whole table is formatted
-    in one ``%`` pass.  Records of 3-4 ports wrap at 4 complex pairs per
-    line, the standard layout.
+    The frequencies must increase in the digits a record holds, or the
+    text would not read back.  One record template covers a frequency; the
+    whole table is formatted in one ``%`` pass.  Records of 3-4 ports wrap
+    at 4 complex pairs per line, the standard layout.
     """
     s = np.asarray(s, dtype=complex)
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
@@ -158,6 +138,13 @@ def write_touchstone(
     table = np.column_stack([freqs / 1e9, pairs.reshape(len(freqs), 2 * n * n)])
     if not np.isfinite(table).all():
         raise InputError(f"touchstone value {table[~np.isfinite(table)][0]} is not finite")
+    if not np.all(np.diff(freqs) > 0):
+        raise InputError("frequency grid must be strictly increasing")
+    # a step above 1e-11 of the frequency changes its 13 written digits
+    for k in np.flatnonzero(np.diff(freqs) <= 1e-11 * freqs[1:]):
+        if "%.12e" % (freqs[k] / 1e9) == "%.12e" % (freqs[k + 1] / 1e9):
+            raise InputError(f"frequency grid steps below Touchstone's 13 digits: "
+                             f"{freqs[k]!r} and {freqs[k + 1]!r} Hz print alike")
     vals = ["%.12e"] * (2 * n * n)
     width = len(vals) if n <= 2 else 8  # 4 complex pairs per physical line
     lines = [" ".join(vals[k : k + width]) for k in range(0, len(vals), width)]

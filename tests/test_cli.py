@@ -999,7 +999,6 @@ def test_lossy_line_into_the_load_node_is_refused_on_its_far_end_column(tmp_path
           "--r-l", "50"], "--alpha"),
         (["analyze", "NET", "--mode", "load-mod", "--alpha", "1", "--r-opt", "41.3",
           "--r-l", "-5"], "--r-l"),
-        (["analyze", "NET", "--mode", "load-mod", *_FLAGS, "--f0", "nan"], "--f0"),
         (["analyze", "--mode", "itr-curves", "--alpha", "1", "--r-opt", "inf", "--r-l", "50"],
          "--r-opt"),
         (["export", "NET", "--z-ref", "nan"], "--z-ref"),
@@ -1012,7 +1011,7 @@ def test_lossy_line_into_the_load_node_is_refused_on_its_far_end_column(tmp_path
         (["analyze", "--mode", "itr-curves", "--alpha", "1e300", "--r-opt", "41.3",
           "--r-l", "50"], "alpha = 1e+300 overflows"),
     ],
-    ids=["alpha-nan", "r-l-negative", "f0-nan", "r-opt-inf", "z-ref-nan", "f-stop-inf",
+    ids=["alpha-nan", "r-l-negative", "r-opt-inf", "z-ref-nan", "f-stop-inf",
          "threshold-nan", "v-dc-inf", "phi-out-of-range", "alpha-1e300-itr-curves"],
 )
 def test_numeric_flag_outside_domain_exit_2(argv, flag, design_path, tmp_path, capsys):
@@ -1027,6 +1026,36 @@ def test_numeric_flag_outside_domain_exit_2(argv, flag, design_path, tmp_path, c
     code, _, err = run(argv, capsys)
     assert_one_json_error(code, err, flag)
     assert not (tmp_path / "x.s3p").exists()
+
+
+@pytest.mark.parametrize("input_", ["DESIGN", "NET", None])
+def test_f0_flag_is_refused(input_, design_path, tmp_path, capsys):
+    # every analysis runs at the design's or netlist's f0_hz
+    out_dir = str(tmp_path / "s")
+    run(["synth", design_path, "--out-dir", out_dir], capsys)
+    paths = {"NET": os.path.join(out_dir, "netlist.json"), "DESIGN": design_path}
+    argv = ["analyze", "--mode", "itr-curves", *_FLAGS] if input_ is None else [
+        "analyze", paths[input_], "--mode", "load-mod", *_FLAGS]
+    code, _, err = run(argv + ["--f0", "30e9", "--out-dir", str(tmp_path / "out")], capsys)
+    assert_one_json_error(code, err, "--f0")
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_dir_that_is_a_file_exits_2(design_path, tmp_path, capsys):
+    code, out, err = run(["analyze", "--mode", "itr-curves", *_FLAGS, "--out-dir", design_path],
+                         capsys)
+    assert_one_json_error(code, err, "--out-dir")
+    assert design_path in json.loads(err)["error"] and not out
+    assert json.loads(open(design_path).read()) == PROTO_DESIGN
+
+
+def test_failed_write_removes_the_files_already_written(design_path, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    (out_dir / "combiner.s3p").mkdir(parents=True)
+    code, out, err = run(["synth", design_path, "--out-dir", str(out_dir)], capsys)
+    assert_one_json_error(code, err, "--out-dir")
+    assert str(out_dir / "combiner.s3p") in json.loads(err)["error"] and not out
+    assert os.listdir(out_dir) == ["combiner.s3p"] and not os.listdir(out_dir / "combiner.s3p")
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

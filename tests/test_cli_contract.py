@@ -169,7 +169,6 @@ _ANALYZE_FLAGS = {
     "--alpha": _near(1.0),
     "--r-opt": _near(41.3),
     "--r-l": _near(50.0),
-    "--f0": _near(1e9),
     "--metric": st.sampled_from(["passive-efficiency", "load-match"]),
     "--implementation": st.sampled_from(["line", "lumped-pi"]),
     "--compare": st.just("two-line"),
@@ -325,6 +324,24 @@ def test_accepted_solves_balance_power(netlist):
     assert power_balance_residual(res, scale=bound) <= 1.0
 
 
+def _open_circuit_z(netlist: dict):
+    """The open-circuit Z of a source-free ``netlist`` at f0, Z[j, k] being
+    port j's voltage for a unit drive into port k, each unknown of column k
+    within e_k of the exact solution (see the reciprocity test), and the
+    solve; None where it is refused or holds a current source."""
+    if (solved := _unit_drives_at_f0(netlist)) is None:
+        return None
+    kappa, res = solved
+    if any(e.component.source for e, _, _ in res.system.slots):
+        event("current source")
+        return None
+    z = np.array([res.port_voltages[p] for p in res.drives])
+    u = np.finfo(float).eps / 2
+    e = res.system.size * kappa * (u + res.backward_error) * _backward_norms(res)
+    event("solved")
+    return z, e, res
+
+
 # 500 draws hold enough transformers and coupled pairs between two driven
 # ports that a one-sided fault in their stamps fails here; 100 do not
 @settings(CONTRACT, max_examples=500)
@@ -341,14 +358,74 @@ def test_source_free_solves_are_reciprocal(netlist):
     unknown of column k is within e_k = n kappa (u + eta_k) (||x|| + ||Db||)
     of the exact one, and a port voltage, the difference of two unknowns,
     within 2 e_k: |Z - Z^T|[j, k] stays within 2 (e_j + e_k)."""
-    if (solved := _unit_drives_at_f0(netlist)) is None:
+    if (solved := _open_circuit_z(netlist)) is None:
         return
-    kappa, res = solved
-    if any(e.component.source for e, _, _ in res.system.slots):
-        event("current source")
-        return
-    z = np.array([res.port_voltages[p] for p in res.drives])
-    u = np.finfo(float).eps / 2
-    e = res.system.size * kappa * (u + res.backward_error) * _backward_norms(res)
-    event("solved")
+    z, e, _ = solved
     assert np.all(np.abs(z - z.T) <= 2 * (e[:, None] + e[None, :]))
+
+
+def _is_lossless(component) -> bool:
+    return (not component.resistive and getattr(component, "q", math.inf) == math.inf
+            and getattr(component, "loss_db_per_quarter", 0.0) == 0.0)
+
+
+def _reactive(doc: dict, lossless: bool) -> dict:
+    """``doc`` with every resistor a 3 pF capacitor of Q 20 (lossless when
+    ``lossless``, every other Q and line loss dropped with it), so that
+    the network's loss, if any, is the elements' own."""
+    if isinstance(doc.get("elements"), list):
+        for entry in doc["elements"]:
+            if not isinstance(entry, dict):
+                continue
+            if entry.get("kind") == "resistor":
+                entry["kind"] = "capacitor"
+                entry["farads"] = 3e-12
+                entry["q"] = 20.0
+                entry.pop("ohms", None)
+            if lossless:
+                entry.pop("q", None)
+                entry.pop("loss_db_per_quarter", None)
+    return doc
+
+
+@settings(CONTRACT, max_examples=500)
+@given(netlist=_netlists(), lossless=st.sampled_from([None, False, True]))
+def test_source_free_solves_are_passive(netlist, lossless):
+    """Every element kind but the current source absorbs power, so the
+    open-circuit Z's Hermitian part H = (Z + Z^H) / 2 has no negative
+    eigenvalue.  Each entry of column k of Z is within 2 e_k of the exact
+    one (see the reciprocity test), so each entry of H within e_j + e_k,
+    and its eigenvalues move by at most the 2-norm of that error matrix,
+    at most its largest row sum: lambda_min(H) >= -max_j sum_k (e_j + e_k).
+    The shunt resistors stay as drawn (``lossless`` None) or become
+    capacitors, lossy or lossless, so that no resistor hides a fault."""
+    if lossless is not None:
+        netlist = _reactive(netlist, lossless)
+    if (solved := _open_circuit_z(netlist)) is None:
+        return
+    z, e, _ = solved
+    bound = (e[:, None] + e[None, :]).sum(axis=1).max()
+    assert np.linalg.eigvalsh((z + z.conj().T) / 2).min() >= -bound
+
+
+def test_lossless_solves_are_lossless():
+    """A network of lossless elements (no resistor, every Q infinite, no
+    line loss) absorbs no power at any drive, so its open-circuit Z
+    satisfies Z + Z^H = 0; as in the reciprocity test, each entry of
+    |Z + Z^H| stays within 2 (e_j + e_k).  Enough of the draws must be
+    lossless and solved for the property to be exercised."""
+    lossless = []
+
+    @settings(CONTRACT, max_examples=300)
+    @given(netlist=_netlists().map(lambda doc: _reactive(doc, lossless=True)))
+    def check(netlist):
+        if (solved := _open_circuit_z(netlist)) is None:
+            return
+        z, e, res = solved
+        if not all(_is_lossless(el.component) for el, _, _ in res.system.slots):
+            return
+        lossless.append(len(z))
+        assert np.all(np.abs(z + z.conj().T) <= 2 * (e[:, None] + e[None, :]))
+
+    check()
+    assert len(lossless) >= 100, len(lossless)

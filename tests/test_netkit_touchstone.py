@@ -269,16 +269,27 @@ def test_magnitude_angle_format_rejected():
 
 
 def test_export_touchstone_composition(tf_design):
+    # the CLI's export: s_parameters over the grid, then write_touchstone
     from dohertylab import to_netlist
-    from dohertylab.netkit import export_touchstone
 
     net = to_netlist(tf_design, include_load=False)
     freqs = np.linspace(0.8 * net.f0, 1.2 * net.f0, 5)
-    text = export_touchstone(net, ["main", "aux", "load"], freqs, z_ref=50.0)
-    back = read_touchstone(text)
-    assert np.abs(back.s - s_parameters(net, ["main", "aux", "load"], freqs, 50.0)).max() < 1e-12
-    with pytest.raises(ValueError):
-        export_touchstone(net, ["main"], [2e9, 1e9], 50.0)
+    s = s_parameters(net, ["main", "aux", "load"], freqs, 50.0)
+    back = read_touchstone(write_touchstone(freqs, s, 50.0))
+    assert np.allclose(back.freqs_hz, freqs, rtol=1e-12, atol=0.0)
+    assert np.abs(back.s - s).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "freqs, message",
+    [([2e9, 1e9], "frequency grid must be strictly increasing"),
+     ([1e9, 1e9], "frequency grid must be strictly increasing"),
+     ([999999999.9999999, 1e9], "frequency grid steps below Touchstone's 13 digits")],
+    ids=["reversed", "repeated", "13-digit-collision"],
+)
+def test_write_refuses_a_grid_that_would_not_read_back(freqs, message):
+    with pytest.raises(InputError, match=message):
+        write_touchstone(freqs, np.zeros((2, 1, 1)), 50.0)
 
 
 def test_reciprocity_holds_with_loss():
