@@ -22,7 +22,6 @@ from .ideal import (
     average_efficiency,
     current_profile,
     efficiency_curve,
-    i_main_from_pbo,
     ideal_efficiency,
     itr_conv,
     itr_intro,
@@ -48,7 +47,6 @@ __all__ = [
     "EfficiencyCurve",
     "current_profile",
     "pbo_level",
-    "i_main_from_pbo",
     "itr_conv",
     "itr_intro",
     "zero_itr_alpha",

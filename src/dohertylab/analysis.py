@@ -25,7 +25,7 @@ from .ideal import (
     itr_intro,
     pbo_level,
 )
-from .netkit import Netlist, Resistor, solve_columns
+from .netkit import ColumnsResult, Netlist, Resistor, solve_columns
 from .netkit import solve  # stays: perfbench/tracing.py patches it here
 from .synth import CombinerDesign
 
@@ -49,16 +49,22 @@ __all__ = [
 ]
 
 
-def _terminated_copy(netlist: Netlist) -> Netlist:
-    """Copy with a resistor across the ``main`` and ``aux`` ports of the
-    load termination's value (50 ohm without one)."""
+def _unit_columns(netlist: Netlist, freq: float) -> ColumnsResult:
+    """One solve at ``freq`` of a unit drive into ``main`` and one into
+    ``aux`` and, when the netlist has current sources, a third column of
+    the sources alone: the columns :meth:`ColumnsResult.combined` weights."""
+    k = 3 if any(e.component.source for e in netlist.elements) else 2
+    return solve_columns(netlist, freq, {"main": [1, 0, 0][:k], "aux": [0, 1, 0][:k]})
+
+
+def _offset_columns(netlist: Netlist) -> ColumnsResult:
+    """:func:`_unit_columns` at the netlist's center frequency with a
+    resistor of the load termination's ohms (50 without one) across
+    ``main`` and ``aux``, ``load`` being the load port."""
     loads = netlist.load_terminations()
-    ohms = loads[0].component.ohms if loads else 50.0
-    work = netlist.copy()
-    for p in ("main", "aux"):
-        plus, minus = work.ports[p]
-        work.add(f"__offs_term_{p}", Resistor(ohms), plus, minus)
-    return work
+    work = netlist.terminated(("main", "aux"), loads[0].component.ohms if loads else 50.0)
+    work.load_port = "load"
+    return _unit_columns(work, netlist.f0)
 
 
 def required_phase_offset(netlist: Netlist) -> float:
@@ -71,19 +77,16 @@ def required_phase_offset(netlist: Netlist) -> float:
     would leave it open, and a quarter-wave inverter maps that open into a
     short at the load, collapsing the raw transimpedance to zero.  At
     center frequency the measured phase does not depend on the termination
-    value.  Raises :class:`DegenerateTransferError` when a transfer is
-    below 1e-15 of the drive level.
+    value.  Current sources do not move it: each transfer is a unit
+    drive's alone, its column less the sources'.  Raises
+    :class:`DegenerateTransferError` when a transfer is below 1e-15 of the
+    drive level.
     """
-    # not read from load_modulation's unit columns, which moves the offset by
-    # rounding noise (82.17076767726132 -> ...127 degrees on the README
-    # prototype) and PA sweep digits; offset_delivered_power, simulate_pa too
-    work = _terminated_copy(netlist)
-    # column 0 drives the main port alone, column 1 the auxiliary port
-    drives = {"main": np.array([1.0, 0.0]), "aux": np.array([0.0, 1.0])}
-    r = solve_columns(work, netlist.f0, drives)
-
+    transfers = _offset_columns(netlist).port_voltages["load"]
+    if len(transfers) == 3:  # less the sources' column
+        transfers = transfers[:2] - transfers[2]
     args = {}
-    for port, t in zip(("main", "aux"), r.port_voltages["load"]):
+    for port, t in zip(("main", "aux"), transfers):
         if abs(t) < 1e-15:
             raise DegenerateTransferError(
                 f"transfer from port '{port}' to 'load' is degenerate (|T|={abs(t):.2e})"
@@ -93,19 +96,17 @@ def required_phase_offset(netlist: Netlist) -> float:
     return (offset + 180.0) % 360.0 - 180.0
 
 
-def offset_delivered_power(netlist: Netlist, offset_deg: float) -> float:
+def offset_delivered_power(netlist: Netlist, main_phase_deg: float) -> float:
     """Load power for unit drives at the given main-minus-aux phase, at
     the netlist's center frequency.
 
-    Uses the same source-terminated network as
-    :func:`required_phase_offset`, where the optimum is a strict maximum;
+    Combines the columns of :func:`required_phase_offset`'s
+    source-terminated network, where the optimum is a strict maximum;
     the +-1 degree perturbation checks run against this function.
     """
-    work = _terminated_copy(netlist)
-    work.load_port = "load"
-    i_main = cmath.exp(1j * math.radians(offset_deg))
-    result = solve_columns(work, netlist.f0, {"main": np.array([i_main]), "aux": np.array([1.0])})
-    return float(result.load_power[0])
+    i_main = cmath.exp(1j * math.radians(main_phase_deg))
+    r = _offset_columns(netlist).combined({"main": np.array([i_main]), "aux": np.array([1.0])})
+    return float(r.load_power[0])
 
 
 # ----------------------------------------------------------------------
@@ -195,22 +196,15 @@ def load_modulation(
     netlist: Netlist,
     cfg: DohertyConfig,
     profile: DriveProfile,
-    freq: float | None = None,
 ) -> LoadModulationSweep:
     """Effective impedances at the ``main`` and ``aux`` ports over the
-    drive grid at ``freq`` (defaults to center).  The network is linear, so
-    every level is a sum of one solve's columns, which the acceptance check
-    judges: a unit drive into each port and, if any, the sources alone."""
-    freq = freq if freq is not None else cfg.f0
+    drive grid at ``cfg.f0``.  The network is linear, so every level
+    combines the columns of one solve (:func:`_unit_columns`), which the
+    acceptance check judges."""
     i_main = profile.i_main * cmath.exp(1j * math.radians(profile.main_phase_deg))
     aux_on = profile.i_aux > 0.0
     i_aux = np.where(aux_on, profile.i_aux, 0j)
-    weights = [i_main, i_aux]
-    if any(e.component.source for e in netlist.elements):
-        weights.append(1.0 - i_main - i_aux)  # every level holds the sources once
-    k = len(weights)
-    r = solve_columns(netlist, freq, {"main": [1, 0, 0][:k], "aux": [0, 1, 0][:k]})
-    r = r.combined({"main": i_main, "aux": i_aux}, np.array(weights))
+    r = _unit_columns(netlist, cfg.f0).combined({"main": i_main, "aux": i_aux})
     v_aux = r.port_voltages["aux"]
     z_main = r.port_voltages["main"] / i_main
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -275,7 +269,6 @@ def bandwidth_report(
     threshold_db: float | None = None,
     window: float = 0.4,
     n_points: int = 201,
-    z_ref_ohm: float | None = None,
 ) -> BandwidthReport:
     """Widest contiguous band around the netlist's center frequency
     meeting the criterion.
@@ -283,12 +276,11 @@ def bandwidth_report(
     metric "passive-efficiency": band where the efficiency stays within
     ``threshold_db`` (default 1) of its center value.  metric
     "load-match": band where the reflection at the ``main`` port stays
-    below ``-threshold_db`` (default 10) return loss; the reference is
-    ``z_ref_ohm`` when given, else the port's own center-frequency input
-    resistance.  The grid holds f0 itself: it is added when no point of
-    the ``n_points`` lies within a relative 1e-12 of it (an even count).
-    A criterion never met at center yields a zero-width report, not an
-    error.
+    below ``-threshold_db`` (default 10) return loss against the port's
+    own center-frequency input resistance.  The grid holds f0 itself: it
+    is added when no point of the ``n_points`` lies within a relative
+    1e-12 of it (an even count).  A criterion never met at center yields
+    a zero-width report, not an error.
     """
     f0 = netlist.f0
     if metric == "passive-efficiency":
@@ -310,7 +302,7 @@ def bandwidth_report(
         meets = values_db >= -thr
     else:
         z = sweep.port_voltages["main"][:, 0] / excitations["main"]
-        z_ref = z_ref_ohm if z_ref_ohm is not None else z[i_center].real
+        z_ref = z[i_center].real
         gamma = (z - z_ref) / (z + z_ref)
         with np.errstate(divide="ignore"):
             values_db = 20.0 * np.log10(np.maximum(np.abs(gamma), 1e-30))
@@ -367,24 +359,21 @@ def simulate_pa(
     netlist: Netlist,
     drive: np.ndarray | list[float],
     v_dc: float,
-    offset_deg: float | None = None,
 ) -> PASimResult:
     """Sweep the two-cell PA over normalized drive levels at the
     netlist's center frequency.
 
     Cells provide ``currents(v) -> (I_dc, I_fund)`` for a float or an
     array ``v`` and get the whole drive array in one call; fundamentals are
-    injected with the combiner's required phase offset (measured unless
-    ``offset_deg`` is given) and all levels are solved in one pass.  Drain
-    efficiency is P_load / (v_dc * (I_dc sum)).  Port voltages beyond
-    each cell's ``v_dc`` set the per-point overdrive flag (the
-    current-source model does not clip).
+    injected with the combiner's measured phase offset and all levels
+    are solved in one pass.  Drain efficiency is P_load / (v_dc * (I_dc
+    sum)).  Port voltages beyond each cell's ``v_dc`` set the per-point
+    overdrive flag (the current-source model does not clip).
     """
     v = np.asarray(drive, dtype=float)
     if np.any(v < 0) or np.any(v > 1.0 + 1e-12):
         raise InputError("drive levels must lie in [0, 1]")
-    offset = offset_deg if offset_deg is not None else required_phase_offset(netlist)
-    ph_main = cmath.exp(1j * math.radians(offset))
+    ph_main = cmath.exp(1j * math.radians(required_phase_offset(netlist)))
 
     idc_main, if_main = main_cell.currents(v)
     idc_aux, if_aux = aux_cell.currents(v)

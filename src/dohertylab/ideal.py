@@ -27,7 +27,6 @@ __all__ = [
     "ZeroItrResult",
     "current_profile",
     "pbo_level",
-    "i_main_from_pbo",
     "itr_conv",
     "itr_intro",
     "zero_itr_alpha",
@@ -129,11 +128,6 @@ def pbo_level(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
     if lo <= 0:
         raise InputError(f"i_main must be positive, got {lo}")
     return 20.0 * np.log10(2.0 / ((1.0 + alpha) * i_main))
-
-
-def i_main_from_pbo(alpha: float, pbo_db: float) -> float:
-    """Inverse of :func:`pbo_level`."""
-    return 2.0 / ((1.0 + alpha) * 10.0 ** (pbo_db / 20.0))
 
 
 def _check_aux_on(alpha: float, i_main: float | np.ndarray) -> np.ndarray:

@@ -98,11 +98,17 @@ class ColumnsResult:
     system: MnaSystem = field(repr=False, compare=False)
     _readbacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def combined(self, drives: dict[str, np.ndarray], weights: np.ndarray) -> ColumnsResult:
-        """The L solutions ``x @ weights`` of this one-point result, for the
-        port currents ``drives`` (by linearity, if the sources' weights sum
-        to one); each has the K columns' worst backward error."""
-        x = self.x @ weights
+    def combined(self, drives: dict[str, np.ndarray]) -> ColumnsResult:
+        """The solutions of this one-point result for the port currents
+        ``drives``, L per port, by linearity: its K columns are a unit drive
+        into each of its ports in order and, when the netlist has current
+        sources, last the sources alone, weighted by 1 minus the drives so
+        that each solution holds them once; each has the K columns' worst
+        backward error."""
+        weights = [drives[p] for p in self.drives]
+        if len(weights) < self.x.shape[1]:
+            weights.append(1.0 - sum(weights))
+        x = self.x @ np.array(weights)
         eta = np.full(x.shape[1], np.maximum.reduce(self.backward_error))
         return ColumnsResult(self.freq, x, drives, eta, self.system)
 

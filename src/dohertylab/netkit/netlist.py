@@ -7,7 +7,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from ..errors import InputError
-from .elements import Component
+from .elements import Component, Resistor
 
 __all__ = ["Placed", "Netlist", "NetworkTopologyError"]
 
@@ -62,14 +62,15 @@ class Netlist:
     def add_port(self, name: str, plus: str, minus: str | None = None) -> None:
         self.ports[name] = (plus, minus if minus is not None else self.ground)
 
-    def element(self, name: str) -> Placed:
-        for e in self.elements:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def copy(self) -> "Netlist":
         return replace(self, elements=list(self.elements), ports=dict(self.ports))
+
+    def terminated(self, ports, ohms: float) -> "Netlist":
+        """Copy with a resistor of ``ohms`` across each of ``ports``, appended in their order."""
+        work = self.copy()
+        for p in ports:
+            work.add(f"__term_{p}", Resistor(ohms), *self.ports[p])
+        return work
 
     def load_terminations(self) -> list[Placed]:
         """Resistors sitting directly across the designated load port."""

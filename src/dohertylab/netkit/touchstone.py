@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError
-from .elements import Resistor
 from .mna import assemble, solve_columns  # assemble stays: perfbench/tracing.py patches it here
 from .netlist import Netlist
 
@@ -32,8 +31,6 @@ __all__ = [
     "read_touchstone",
     "TouchstoneData",
 ]
-
-_TERMINATION_PREFIX = "__sterm_"
 
 
 def s_parameters(
@@ -59,15 +56,11 @@ def s_parameters(
         if p in ports[:k]:
             raise InputError(f"port '{p}' is listed more than once")
 
-    terminated = netlist.copy()
-    for p in ports:
-        plus, minus = terminated.ports[p]
-        terminated.add(f"{_TERMINATION_PREFIX}{p}", Resistor(z_ref), plus, minus)
-
     n = len(ports)
     i0 = 1.0
     # column k drives port k alone
     drives = {p: i0 * np.eye(n)[k] for k, p in enumerate(ports)}
+    terminated = netlist.terminated(ports, z_ref)
     sweep = solve_columns(terminated, np.atleast_1d(freqs), drives).port_voltages
     v = np.stack([sweep[p] for p in ports], axis=1)  # (freqs, port j, column k)
     return 2.0 * v / (z_ref * i0) - np.eye(n)
@@ -144,7 +137,7 @@ def write_touchstone(
     for k in np.flatnonzero(np.diff(freqs) <= 1e-11 * freqs[1:]):
         if "%.12e" % (freqs[k] / 1e9) == "%.12e" % (freqs[k + 1] / 1e9):
             raise InputError(f"frequency grid steps below Touchstone's 13 digits: "
-                             f"{freqs[k]!r} and {freqs[k + 1]!r} Hz print alike")
+                             f"{float(freqs[k])} and {float(freqs[k + 1])} Hz print alike")
     vals = ["%.12e"] * (2 * n * n)
     width = len(vals) if n <= 2 else 8  # 4 complex pairs per physical line
     lines = [" ".join(vals[k : k + width]) for k in range(0, len(vals), width)]

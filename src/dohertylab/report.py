@@ -100,10 +100,6 @@ def _round_floats(obj, digits: int):
         return {k: _round_floats(v, digits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v, digits) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _round_floats(float(obj), digits)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 

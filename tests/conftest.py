@@ -55,3 +55,25 @@ def power_balance_residual(res, scale=None) -> float:
     if scale is None:
         scale = np.maximum(np.maximum(np.abs(res.injected_power), np.abs(out)), 1e-300)
     return float(np.max(gap / scale))
+
+
+def backward_norms(res) -> np.ndarray:
+    """||x|| + ||Db|| per column of the one-point solve ``res`` in the
+    infinity norm (D as in ``mna._accepted``): the scale of its backward
+    error."""
+    x = res.x[:-1]
+    rows = np.abs(res.system.matrix).sum(axis=1)
+    scaled_b = np.abs(res.system.rhs(res.drives, x.shape[1])) / rows[:, None]
+    return np.abs(x).max(axis=0) + scaled_b.max(axis=0)
+
+
+def forward_errors(res, kappa: float) -> np.ndarray:
+    """Per column k of the one-point solve ``res``, a bound e_k on the
+    error of each of its unknowns: with ||DA|| = 1 and kappa =
+    ||(DA)^-1|| (``check_network``), a column of backward error eta lies
+    within kappa eta (||x|| + ||Db||) of the exact solution of the stamped
+    matrix, and rounding the element values into A (u per operation, at
+    most n of them summed into an entry, n being the unknowns) moves that
+    by at most n kappa u ||x||, so e_k = n kappa (u + eta_k) (||x|| + ||Db||)."""
+    u = np.finfo(float).eps / 2
+    return res.system.size * kappa * (u + res.backward_error) * backward_norms(res)

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import power_balance_residual
+from conftest import forward_errors, power_balance_residual
 
 from dohertylab import (
     DohertyConfig,
@@ -38,12 +38,15 @@ from dohertylab.analysis import (
     simulate_pa,
 )
 from dohertylab.cells import ActiveCellModel, ideal_doherty_cells
+from dohertylab.errors import InputError
 from dohertylab.netkit import (
     Capacitor,
     CurrentSource,
+    Inductor,
     Netlist,
     Resistor,
     TransmissionLine,
+    check_network,
     solve,
     solve_columns,
 )
@@ -92,6 +95,38 @@ def test_offset_perturbation_strictly_reduces_power(fixture, request):
     p0 = offset_delivered_power(net, off)
     assert offset_delivered_power(net, off + 1.0) < p0
     assert offset_delivered_power(net, off - 1.0) < p0
+
+
+def test_current_source_does_not_move_the_offset(proto_cfg):
+    # each transfer is a unit drive's alone; the sources are their own column
+    net = to_netlist(synth_two_line(proto_cfg), q_l=20.0, q_c=20.0, implementation="lumped-pi")
+    want = required_phase_offset(net)
+    net.add("I1", CurrentSource(0.05 - 0.02j), "out", net.ground)
+    got = required_phase_offset(net)
+    assert got == pytest.approx(want, rel=1e-12)
+
+    # the combined columns hold the source once, as a direct solve does:
+    # each weight is of modulus 1 (i_main, 1 and the sources' 1 - i_main - 1),
+    # so each unknown lies within the sum of the four columns' bounds, a
+    # voltage within twice that, and P = |V|^2 / 2R moves by (2|V| + d) d / 2R
+    ohms = net.load_terminations()[0].component.ohms
+    work = net.terminated(["main", "aux"], ohms)
+    work.load_port = "load"
+    kappa = check_network(work, net.f0)
+    units = solve_columns(work, net.f0, {"main": [1, 0, 0], "aux": [0, 1, 0]})
+    direct = solve_columns(work, net.f0, {"main": [np.exp(1j * math.radians(got))], "aux": [1]})
+    d = 2 * (forward_errors(units, kappa).sum() + forward_errors(direct, kappa)[0])
+    v = abs(direct.port_voltages["load"][0])
+    p = offset_delivered_power(net, got)
+    assert abs(p - direct.load_power[0]) <= (2 * v + d) * d / (2 * ohms)
+
+
+def test_offset_needs_a_load_port(proto_cfg):
+    net = to_netlist(synth_two_line(proto_cfg))
+    del net.ports["load"]
+    net.load_port = None
+    with pytest.raises(InputError, match="load port 'load' is not a port"):
+        required_phase_offset(net)
 
 
 def test_degenerate_transfer_raises():
@@ -147,7 +182,8 @@ def test_off_center_imaginary_part_grows(proto_cfg, tf_net):
     freqs = [1.0, 1.025, 1.05, 1.075, 1.10]
     ims = []
     for fr in freqs:
-        sweep = load_modulation(tf_net, proto_cfg, prof, freq=fr * proto_cfg.f0)
+        cfg = dataclasses.replace(proto_cfg, f0=fr * proto_cfg.f0)
+        sweep = load_modulation(tf_net, cfg, prof)
         ims.append(abs(sweep.z_main[0].imag))
     assert all(b > a for a, b in zip(ims, ims[1:]))
 
@@ -198,7 +234,7 @@ def test_load_modulation_matches_per_column_solves(
         return lapack(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    sweep = load_modulation(net, proto_cfg, prof, freq=freq)
+    sweep = load_modulation(net, dataclasses.replace(proto_cfg, f0=freq), prof)
     assert columns == [3 if name == "source" else 2]
     for field, expected in want.items():
         got = getattr(sweep, field)
@@ -270,15 +306,16 @@ def test_bandwidth_narrows_with_itr():
 
 
 def test_bandwidth_zero_width_when_unmet():
-    # grossly mismatched against an external 50 ohm reference at every
-    # frequency: zero-width report, not an error
+    # a mostly reactive input (50 + j503 ohm at f0) is grossly mismatched
+    # against its own 50 ohm resistance at every frequency: zero-width
+    # report, not an error
     net = Netlist(f0=1e9)
-    net.add("TL1", TransmissionLine(50.0, 90.0, 1e9), "main", "out")
-    net.add("RL", Resistor(5000.0), "out", "0")
+    net.add("L1", Inductor(80e-9), "main", "out")
+    net.add("RL", Resistor(50.0), "out", "0")
     net.add_port("main", "main")
     net.add_port("load", "out")
     net.load_port = "load"
-    bw = bandwidth_report(net, {"main": 1.0}, "load-match", 10.0, z_ref_ohm=50.0)
+    bw = bandwidth_report(net, {"main": 1.0}, "load-match", 10.0)
     assert bw.fractional == 0.0
     assert not bw.met_at_center
 
@@ -306,15 +343,14 @@ def test_single_class_b_cell_peak_efficiency():
     cfg = DohertyConfig(alpha=1.0, r_opt=50.0, r_l=50.0, f0=1e9)
     net = Netlist(f0=1e9)
     net.add("RL", Resistor(100.0), "main", "0")  # (1+alpha)*r_opt/2
-    net.add("Raux", Resistor(1e9), "aux", "0")
     net.add_port("main", "main")
-    net.add_port("aux", "aux")
+    net.add_port("aux", "main")  # one transfer for both: the measured offset is 0
     net.add_port("load", "main")
     net.load_port = "load"
     v_dc = 1.0
     main = ActiveCellModel.class_b(i_max=2.0 * v_dc / 100.0, v_dc=v_dc)
     aux = ActiveCellModel.class_c_turn_on(0.999, i_max=1e-12, v_dc=v_dc)
-    sim = simulate_pa(main, aux, net, [1.0], v_dc, offset_deg=0.0)
+    sim = simulate_pa(main, aux, net, [1.0], v_dc)
     assert sim.eta[0] == pytest.approx(math.pi / 4.0, abs=1e-6)
 
 
@@ -420,14 +456,13 @@ def test_overdrive_flagged():
     cfg = DohertyConfig(alpha=1.0, r_opt=50.0, r_l=50.0, f0=1e9)
     net = Netlist(f0=1e9)
     net.add("RL", Resistor(100.0), "main", "0")
-    net.add("Raux", Resistor(1e9), "aux", "0")
     net.add_port("main", "main")
-    net.add_port("aux", "aux")
+    net.add_port("aux", "main")  # one transfer for both: the measured offset is 0
     net.add_port("load", "main")
     net.load_port = "load"
     main = ActiveCellModel.class_b(i_max=0.1, v_dc=1.0)  # 0.1*100/2 = 5 V >> 1 V
     aux = ActiveCellModel.class_c_turn_on(0.999, i_max=1e-12, v_dc=1.0)
-    sim = simulate_pa(main, aux, net, [1.0], 1.0, offset_deg=0.0)
+    sim = simulate_pa(main, aux, net, [1.0], 1.0)
     assert sim.overdrive[0]
 
 

@@ -617,6 +617,11 @@ def test_export_grid_finer_than_touchstone_digits_exit_2(design_path, tmp_path, 
         capsys,
     )
     assert_one_json_error(code, err, "frequency grid")
+    # the two frequencies print as Python floats, not as numpy scalars
+    assert json.loads(err)["error"] == (
+        "frequency grid steps below Touchstone's 13 digits: "
+        "999999999.9999999 and 1000000000.0 Hz print alike"
+    )
     assert not ts_path.exists()
 
 

@@ -22,7 +22,7 @@ import re
 import tempfile
 
 import numpy as np
-from conftest import power_balance_residual
+from conftest import backward_norms, forward_errors, power_balance_residual
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -276,27 +276,25 @@ def test_export_keeps_the_contract_and_round_trips(netlist, flags):
     assert math.isclose(data.z_ref, z_ref, rel_tol=1e-9)
 
 
-def _unit_drives_at_f0(netlist: dict):
-    """kappa from ``check_network`` and the solve of a unit drive into each
-    port of the drawn ``netlist`` at its f0, or None where either refuses it."""
+def _solved_at_f0(netlist: dict, drives):
+    """kappa from ``check_network`` and the solves at f0 of the drawn
+    ``netlist`` for each of the drive maps ``drives(net)`` gives, or None
+    where any of them refuses it."""
     try:
         net = Netlist.from_json_dict(netlist)
         kappa = check_network(net, net.f0)
-        drives = {p: np.eye(len(net.ports))[k] for k, p in enumerate(net.ports)}
-        return kappa, solve_columns(net, net.f0, drives)
+        return kappa, [solve_columns(net, net.f0, d) for d in drives(net)]
     except (InputError, SingularSystemError):
         event("refused")
         return None
 
 
-def _backward_norms(res) -> np.ndarray:
-    """||x|| + ||Db|| per column of the one-point solve ``res`` in the
-    infinity norm (D as in ``mna._accepted``): the scale of its backward
-    error."""
-    x = res.x[:-1]
-    rows = np.abs(res.system.matrix).sum(axis=1)
-    scaled_b = np.abs(res.system.rhs(res.drives, x.shape[1])) / rows[:, None]
-    return np.abs(x).max(axis=0) + scaled_b.max(axis=0)
+def _unit_drives_at_f0(netlist: dict):
+    """kappa from ``check_network`` and the solve of a unit drive into each
+    port of the drawn ``netlist`` at its f0, or None where either refuses it."""
+    solved = _solved_at_f0(netlist, lambda net: [
+        {p: np.eye(len(net.ports))[k] for k, p in enumerate(net.ports)}])
+    return solved and (solved[0], solved[1][0])
 
 
 @CONTRACT
@@ -317,7 +315,7 @@ def test_accepted_solves_balance_power(netlist):
         return
     kappa, res = solved
     A, x = res.system.matrix, res.x[:-1]
-    scale = 0.5 * _backward_norms(res) * (np.abs(A).sum(axis=1) @ np.abs(x))
+    scale = 0.5 * backward_norms(res) * (np.abs(A).sum(axis=1) @ np.abs(x))
     u = np.finfo(float).eps / 2
     bound = len(A) * (kappa * u + res.backward_error) * scale
     event("solved")
@@ -336,10 +334,8 @@ def _open_circuit_z(netlist: dict):
         event("current source")
         return None
     z = np.array([res.port_voltages[p] for p in res.drives])
-    u = np.finfo(float).eps / 2
-    e = res.system.size * kappa * (u + res.backward_error) * _backward_norms(res)
     event("solved")
-    return z, e, res
+    return z, forward_errors(res, kappa), res
 
 
 # 500 draws hold enough transformers and coupled pairs between two driven
@@ -349,15 +345,10 @@ def _open_circuit_z(netlist: dict):
 def test_source_free_solves_are_reciprocal(netlist):
     """Every element kind but the current source is reciprocal, so a unit
     drive into each port at f0 gives an open-circuit Z equal to its
-    transpose, Z[j, k] being port j's voltage in column k.  With
-    ||DA|| = 1 and kappa = ||(DA)^-1|| (``check_network``), a column of
-    backward error eta lies within kappa eta (||x|| + ||Db||) of the exact
-    solution of the stamped matrix, and the rounding of the element values
-    into A (u per operation, at most n of them summed into an entry, n
-    being the unknowns) moves that by at most n kappa u ||x||.  So each
-    unknown of column k is within e_k = n kappa (u + eta_k) (||x|| + ||Db||)
-    of the exact one, and a port voltage, the difference of two unknowns,
-    within 2 e_k: |Z - Z^T|[j, k] stays within 2 (e_j + e_k)."""
+    transpose, Z[j, k] being port j's voltage in column k.  Each unknown of
+    column k is within e_k (conftest's ``forward_errors``) of the exact
+    one, and a port voltage, the difference of two unknowns, within 2 e_k:
+    |Z - Z^T|[j, k] stays within 2 (e_j + e_k)."""
     if (solved := _open_circuit_z(netlist)) is None:
         return
     z, e, _ = solved
@@ -429,3 +420,74 @@ def test_lossless_solves_are_lossless():
 
     check()
     assert len(lossless) >= 100, len(lossless)
+
+
+_WEIGHTS = st.lists(st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+                    min_size=3, max_size=3)
+
+
+@settings(CONTRACT, max_examples=300)
+@given(netlist=_netlists(), weights=_WEIGHTS)
+def test_solves_superpose(netlist, weights):
+    """The network is linear, so ``ColumnsResult.combined`` of a unit drive
+    into each port and, when the netlist has current sources, the sources
+    alone equals a direct solve of the weighted drives with the sources
+    held once.  Each unknown of column k is within e_k of the exact one
+    (conftest's ``forward_errors``), so each unknown of the combination is
+    within sum_k |w_k| e_k, the sources column weighted by 1 minus the
+    drives, and the direct column's within its own e."""
+
+    def drives(net):
+        ports = list(net.ports)
+        columns = np.eye(len(ports) + any(e.component.source for e in net.elements))
+        w = dict(zip(ports, weights))
+        return [{p: columns[j] for j, p in enumerate(ports)}, {p: [w[p]] for p in ports}]
+
+    if (solved := _solved_at_f0(netlist, drives)) is None:
+        return
+    kappa, (units, direct) = solved
+    combined = units.combined(direct.drives)
+    w = np.array([direct.drives[p][0] for p in units.drives])
+    if units.x.shape[1] > len(w):
+        event("current source")
+        w = np.append(w, 1.0 - w.sum())
+    bound = np.abs(w) @ forward_errors(units, kappa) + forward_errors(direct, kappa)
+    event("solved")
+    assert np.all(np.abs(combined.x - direct.x) <= bound)
+
+
+#: the JSON keys of a value that scales with the impedance level, by power
+_IMPEDANCE_KEYS = {"ohms": 1, "henries": 1, "l_p_henries": 1, "z0_ohm": 1, "farads": -1}
+
+
+def _scaled(doc: dict, c: float) -> dict | None:
+    """``doc`` at c times its impedance level: every resistance,
+    inductance and line impedance times c, every capacitance over c; None
+    where such a value is not a float."""
+    doc = copy.deepcopy(doc)
+    for entry in doc.get("elements") if isinstance(doc.get("elements"), list) else []:
+        for key, power in _IMPEDANCE_KEYS.items():
+            if isinstance(entry, dict) and key in entry:
+                if type(entry[key]) is not float:
+                    return None
+                entry[key] *= c**power
+    return doc
+
+
+@settings(CONTRACT, max_examples=300)
+@given(netlist=_netlists(), log2_c=st.integers(-30, 30))
+def test_impedance_scaling_scales_z(netlist, log2_c):
+    """Scaling every resistance, inductance and line impedance by c and
+    every capacitance by 1/c scales every impedance of the network, and so
+    its open-circuit Z at f0, by c; a Q, a coupling and a turns ratio do
+    not change.  A power of two c scales the element
+    values exactly, so each entry of column k of the scaled Z is within
+    2 e'_k of c times the exact Z, and c Z within 2 c e_k of it."""
+    c = 2.0**log2_c
+    if (scaled := _scaled(netlist, c)) is None:
+        return
+    solved = [_open_circuit_z(doc) for doc in (netlist, scaled)]
+    if None in solved:
+        return
+    (z, e, _), (z_c, e_c, _) = solved
+    assert np.all(np.abs(z_c - c * z) <= 2 * (e_c + c * e)[None, :])

@@ -12,7 +12,6 @@ from dohertylab import (
     average_efficiency,
     current_profile,
     efficiency_curve,
-    i_main_from_pbo,
     ideal_efficiency,
     itr_conv,
     itr_intro,
@@ -144,12 +143,6 @@ def test_pbo_anchors():
     assert pbo_level(1.0, 0.583) == pytest.approx(4.69, abs=0.005)
     with pytest.raises(ValueError):
         pbo_level(1.0, 0.0)
-
-
-def test_pbo_inverse():
-    for alpha in (0.5, 1.0, 2.0):
-        for pbo in (0.0, 3.0, 6.02, 9.0):
-            assert pbo_level(alpha, i_main_from_pbo(alpha, pbo)) == pytest.approx(pbo)
 
 
 def test_itr_conv_anchors():

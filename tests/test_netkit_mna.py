@@ -428,13 +428,6 @@ def test_unknown_element_kind_in_json_rejected():
         Netlist.from_json_dict(doc)
 
 
-def test_element_lookup():
-    net = simple_load()
-    assert net.element("R1").component.ohms == 50.0
-    with pytest.raises(KeyError):
-        net.element("R9")
-
-
 # ----------------------------------------------------------------------
 # multi-column solve
 # ----------------------------------------------------------------------

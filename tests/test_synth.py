@@ -1,5 +1,6 @@
 """Combiner synthesis: component values, identities, netlist emission."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -232,7 +233,8 @@ def test_pi_diverges_smoothly_off_center(proto_cfg, three_line_net):
         zs = []
         for net in (three_line_net, lumped):
             prof = drive_profile(proto_cfg, net, n_points=1, i_main_min=1.0)
-            zs.append(load_modulation(net, proto_cfg, prof, freq=f * proto_cfg.f0).z_main[0])
+            cfg = dataclasses.replace(proto_cfg, f0=f * proto_cfg.f0)
+            zs.append(load_modulation(net, cfg, prof).z_main[0])
         diffs.append(abs(zs[0] - zs[1]))
     assert diffs[0] < 1e-9
     assert all(a < b for a, b in zip(diffs, diffs[1:]))
