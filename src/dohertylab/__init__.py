@@ -18,10 +18,7 @@ Layers:
 
 from .ideal import (
     DohertyConfig,
-    EfficiencyCurve,
-    average_efficiency,
     current_profile,
-    efficiency_curve,
     ideal_efficiency,
     itr_conv,
     itr_intro,
@@ -44,15 +41,12 @@ from .synth import (
 
 __all__ = [
     "DohertyConfig",
-    "EfficiencyCurve",
     "current_profile",
     "pbo_level",
     "itr_conv",
     "itr_intro",
     "zero_itr_alpha",
     "ideal_efficiency",
-    "efficiency_curve",
-    "average_efficiency",
     "TwoLineDesign",
     "ThreeLineDesign",
     "PiNetwork",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_positive
 from .ideal import DohertyConfig, current_profile
 
 __all__ = ["ActiveCellModel", "IdealMainCell", "IdealAuxCell", "ideal_doherty_cells"]
@@ -39,27 +39,13 @@ class ActiveCellModel:
     def __post_init__(self):
         if not 0.0 < self.phi_rad <= 2.0 * math.pi:
             raise InputError(f"conduction angle must lie in (0, 2*pi], got {self.phi_rad}")
-        if self.i_max <= 0 or self.v_dc <= 0:
-            raise InputError("i_max and v_dc must be positive")
-
-    @property
-    def bias_class(self) -> str:
-        if abs(self.phi_rad - math.pi) < 1e-12:
-            return "class-B"
-        return "class-AB" if self.phi_rad > math.pi else "class-C"
+        require_positive(i_max=self.i_max, v_dc=self.v_dc)
 
     @property
     def _iq_ip(self) -> tuple[float, float]:
         cos_half = math.cos(self.phi_rad / 2.0)
         i_p1 = self.i_max / (1.0 - cos_half)
         return -i_p1 * cos_half, i_p1
-
-    @property
-    def turn_on_drive(self) -> float:
-        """Drive level below which the cell passes no current (class-C
-        only; 0 for class-B and class-AB)."""
-        i_q, i_p1 = self._iq_ip
-        return max(0.0, -i_q / i_p1)
 
     def currents(self, v: float | np.ndarray) -> tuple:
         """(I_dc, fundamental phasor) at normalized drive ``v`` in [0, 1],
@@ -81,10 +67,6 @@ class ActiveCellModel:
         i_dc = np.select(law, [max(i_q, 0.0), 0.0, i_q], i_dc)
         i_fund = np.select(law, [0.0, 0.0, i_p], i_fund)
         return i_dc[()], i_fund.astype(complex)[()]
-
-    @classmethod
-    def class_b(cls, i_max: float, v_dc: float) -> "ActiveCellModel":
-        return cls(math.pi, i_max, v_dc)
 
     @classmethod
     def class_c_turn_on(cls, turn_on: float, i_max: float, v_dc: float) -> "ActiveCellModel":

@@ -21,6 +21,14 @@ class DegenerateTransferError(RuntimeError):
     """Transfer from a source port to the load is numerically zero."""
 
 
+def require_positive(**values: float) -> None:
+    """An :class:`InputError`, keyed by its name, for the first of ``values``
+    that is not positive and finite; NaN and inf among them."""
+    for key, val in values.items():
+        if not 0 < val < math.inf:
+            raise InputError(f"{key} must be positive and finite, got {val}", key=key)
+
+
 class ClosedForm:
     """A ``with`` block that evaluates a closed form of ``inputs`` (by
     design-file key), each of which must be positive and finite, and hands
@@ -31,9 +39,7 @@ class ClosedForm:
     names the input farthest from 1 in log scale."""
 
     def __init__(self, inputs: dict[str, float]):
-        for key, val in inputs.items():
-            if not 0 < val < math.inf:
-                raise InputError(f"{key} must be positive and finite, got {val}", key=key)
+        require_positive(**inputs)
         self.inputs = inputs
 
     def __enter__(self):

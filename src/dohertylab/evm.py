@@ -68,8 +68,8 @@ def evm_64qam(
     backoff scales every symbol's drive down by a factor 10^(-1/20).
     Raises when any symbol lands outside the characterized range.
     """
-    if backoff_db < 0:
-        raise InputError(f"backoff must be >= 0 dB, got {backoff_db}")
+    if not 0 <= backoff_db < math.inf:
+        raise InputError(f"backoff must be finite and >= 0 dB, got {backoff_db}")
     s = _QAM64
     v_top = float(np.asarray(am_am[0], dtype=float).max())
     drive = np.abs(s) / np.abs(s).max() * v_top * 10.0 ** (-backoff_db / 20.0)

@@ -19,11 +19,10 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import ClosedForm, InputError
+from .errors import ClosedForm, InputError, require_positive
 
 __all__ = [
     "DohertyConfig",
-    "EfficiencyCurve",
     "ZeroItrResult",
     "current_profile",
     "pbo_level",
@@ -31,8 +30,6 @@ __all__ = [
     "itr_intro",
     "zero_itr_alpha",
     "ideal_efficiency",
-    "efficiency_curve",
-    "average_efficiency",
 ]
 
 PEAK_CLASS_B = math.pi / 4.0
@@ -86,20 +83,6 @@ class DohertyConfig:
         return (1.0 + self.alpha) * self.r_opt / (2.0 * self.alpha)
 
 
-@dataclass(frozen=True, eq=False)
-class EfficiencyCurve:
-    """Sampled (back-off dB, drain efficiency) curve with a class tag."""
-
-    pbo_db: np.ndarray
-    eta: np.ndarray
-    tag: str
-
-    def interp(self, pbo: float) -> float:
-        if pbo < self.pbo_db.min() - 1e-12 or pbo > self.pbo_db.max() + 1e-12:
-            raise InputError(f"back-off {pbo} dB outside curve support")
-        return float(np.interp(pbo, self.pbo_db, self.eta))
-
-
 def current_profile(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
     """Auxiliary current demanded by ideal load modulation at ``i_main``
     (a float or an array; the result has its shape).
@@ -107,8 +90,7 @@ def current_profile(alpha: float, i_main: float | np.ndarray) -> float | np.ndar
     Zero below the turn-on point 2/(1+alpha)^2, then the linear ramp
     (1+alpha)*i_main - 2/(1+alpha); continuous at the junction.
     """
-    if alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
+    require_positive(alpha=alpha)
     top = 2.0 / (1.0 + alpha)
     i_main = np.asarray(i_main, dtype=float)
     lo = np.fmin.reduce(i_main, None, initial=np.inf)  # NaN passes
@@ -121,8 +103,7 @@ def current_profile(alpha: float, i_main: float | np.ndarray) -> float | np.ndar
 
 def pbo_level(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
     """Output back-off in dB at ``i_main``, a float or an array: 20*log10(2/((1+alpha)*i_main))."""
-    if alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
+    require_positive(alpha=alpha)
     i_main = np.asarray(i_main, dtype=float)
     lo = np.fmin.reduce(i_main, None, initial=np.inf)  # NaN passes
     if lo <= 0:
@@ -152,8 +133,7 @@ def itr_conv(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
     drive, monotone increasing during back-off, (1+alpha)^2 once the
     auxiliary branch shuts off.  Independent of the load values.
     """
-    if alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
+    require_positive(alpha=alpha)
     i_main = _check_aux_on(alpha, i_main)
     # the denominator written without cancellation at the turn-on point
     i_on = 2.0 / (1.0 + alpha) ** 2
@@ -172,8 +152,7 @@ def itr_intro(
     monotonicity of the conventional ratio and ties the ITR to the peak
     output power.
     """
-    if r_opt <= 0 or r_l <= 0:
-        raise InputError("r_opt and r_l must be positive")
+    require_positive(r_opt=r_opt, r_l=r_l)
     beta = r_opt / (2.0 * r_l) * itr_conv(alpha, i_main)
     return np.maximum(beta, 1.0 / beta)
 
@@ -190,8 +169,7 @@ def zero_itr_alpha(r_opt: float, r_l: float) -> ZeroItrResult | None:
     exceeds one (auxiliary stronger than main) precisely when
     r_opt < r_l/2.
     """
-    if r_opt <= 0 or r_l <= 0:
-        raise InputError("r_opt and r_l must be positive")
+    require_positive(r_opt=r_opt, r_l=r_l)
     alpha = math.sqrt(2.0 * r_l / r_opt) - 1.0
     if alpha <= 0:
         return None
@@ -222,43 +200,3 @@ def ideal_efficiency(tag: str, pbo_db: float, alpha: float | None = None) -> flo
             return PEAK_CLASS_B * x * x * (1.0 + alpha) / ((2.0 + alpha) * x - 1.0)
         return PEAK_CLASS_B * x * (1.0 + alpha)
     raise InputError(f"unknown class tag '{tag}'")
-
-
-def efficiency_curve(
-    tag: str,
-    pbo_grid: np.ndarray | list[float],
-    alpha: float | None = None,
-) -> EfficiencyCurve:
-    pbo = np.asarray(pbo_grid, dtype=float)
-    eta = np.array([ideal_efficiency(tag, p, alpha) for p in pbo])
-    label = f"doherty(alpha={alpha:g})" if tag == "doherty" else tag
-    return EfficiencyCurve(pbo_db=pbo, eta=eta, tag=label)
-
-
-def average_efficiency(
-    curve: EfficiencyCurve,
-    pdf_pbo_db: np.ndarray | list[float],
-    pdf_mass: np.ndarray | list[float],
-) -> float:
-    """Power-weighted average efficiency over a back-off distribution.
-
-    The distribution is a set of point masses (continuous densities can be
-    pre-sampled with quadrature weights).  Defined as the ratio of expected
-    output power to expected DC power with P_dc = P_out / eta, i.e. the
-    long-run efficiency of a transmitter dwelling on those levels.
-    """
-    pbo = np.asarray(pdf_pbo_db, dtype=float)
-    mass = np.asarray(pdf_mass, dtype=float)
-    if pbo.shape != mass.shape or pbo.ndim != 1 or pbo.size == 0:
-        raise InputError("pdf must be two equal-length 1-d arrays")
-    if np.any(mass < 0):
-        raise InputError("pdf masses must be non-negative")
-    total = float(mass.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise InputError(f"pdf mass sums to {total}, expected 1 within 1e-6")
-    p_out = 10.0 ** (-pbo / 10.0)
-    eta = np.array([curve.interp(p) for p in pbo])  # raises off-support
-    if np.any(eta <= 0):
-        raise InputError("pdf puts mass where the curve has zero efficiency")
-    p_dc = p_out / eta
-    return float((mass * p_out).sum() / (mass * p_dc).sum())

@@ -1,9 +1,8 @@
 """Deterministic CSV/JSON rendering of sweep results, and the one file writer.
 
-All floats are formatted with a fixed number of significant digits
-(default 9, overridable through the DOHERTYLAB_PRECISION environment
-variable) and a lowercase exponent, so identical inputs always produce
-byte-identical files.
+All floats are formatted with :data:`DIGITS` significant digits and a
+lowercase exponent, so identical inputs always produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ if TYPE_CHECKING:  # annotations only: rendering itr-curves needs no analysis
     from .analysis import LoadModulationSweep, PASimResult
 
 __all__ = [
-    "float_digits",
     "csv_text",
     "json_text",
     "write_text",
@@ -49,26 +47,20 @@ SWEEP_COLUMNS = [
 
 ITR_COLUMNS = ["pbo_db", "i_main", "i_aux", "itr_conv", "itr_intro"]
 
-
-def float_digits() -> int:
-    raw = os.environ.get("DOHERTYLAB_PRECISION", "")
-    try:
-        digits = int(raw)
-    except ValueError:
-        return 9
-    return digits if 1 <= digits <= 17 else 9
+#: significant digits of every float written
+DIGITS = 9
 
 
 def csv_text(header: list[str], rows) -> str:
     """CSV text of a table: ``header``, then one line per row of ``rows``.
 
     ``rows`` is 2-D: a float array, or rows of numbers and None with
-    strings in whole columns.  Numbers take ``%.{d}g`` with d from
-    :func:`float_digits` and -0.0 folded to 0; NaN and None give an empty
-    cell; strings are written as they are.  Each pattern of empty cells
-    gets one line template with no field at its empty cells, and the rows'
-    templates are filled in one ``%`` pass over the written cells alone,
-    so an empty cell is never formatted.
+    strings in whole columns.  Numbers take ``%.9g`` (:data:`DIGITS`)
+    with -0.0 folded to 0; NaN and None give an empty cell; strings are
+    written as they are.  Each pattern of empty cells gets one line
+    template with no field at its empty cells, and the rows' templates are
+    filled in one ``%`` pass over the written cells alone, so an empty
+    cell is never formatted.
     """
     width = len(header)
     if isinstance(rows, np.ndarray) and rows.dtype != object:
@@ -87,24 +79,24 @@ def csv_text(header: list[str], rows) -> str:
         table = numbers
     # a row's key is its mask of empty cells as bytes; each key gets one template
     keys = empty.view(np.dtype((np.void, width))).ravel().tolist()
-    fields = np.where(text, "%s", f"%.{float_digits()}g")
+    fields = np.where(text, "%s", f"%.{DIGITS}g")
     lines = {k: ",".join(np.where(np.frombuffer(k, bool), "", fields)) + "\n" for k in set(keys)}
     body = "".join([lines[k] for k in keys])
     return ",".join(header) + "\n" + body % tuple(table[~empty].tolist())
 
 
-def _round_floats(obj, digits: int):
+def _round_floats(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}") if math.isfinite(obj) else None
+        return float(f"{obj:.{DIGITS}g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 
 def json_text(doc: dict) -> str:
-    return json.dumps(_round_floats(doc, float_digits()), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n"
 
 
 def write_text(path: str, text: str) -> None:

@@ -348,7 +348,7 @@ def test_single_class_b_cell_peak_efficiency():
     net.add_port("load", "main")
     net.load_port = "load"
     v_dc = 1.0
-    main = ActiveCellModel.class_b(i_max=2.0 * v_dc / 100.0, v_dc=v_dc)
+    main = ActiveCellModel(math.pi, i_max=2.0 * v_dc / 100.0, v_dc=v_dc)
     aux = ActiveCellModel.class_c_turn_on(0.999, i_max=1e-12, v_dc=v_dc)
     sim = simulate_pa(main, aux, net, [1.0], v_dc)
     assert sim.eta[0] == pytest.approx(math.pi / 4.0, abs=1e-6)
@@ -427,7 +427,7 @@ def test_simulate_pa_matches_per_point_cell_loop(cells, proto_cfg, two_line_net)
         main, aux = ideal_doherty_cells(proto_cfg, v_dc=1.0)
     else:
         i_max = 2.0 / proto_cfg.r_opt
-        main = ActiveCellModel.class_b(i_max=i_max, v_dc=1.0)
+        main = ActiveCellModel(math.pi, i_max=i_max, v_dc=1.0)
         aux = ActiveCellModel.class_c_turn_on(0.5, i_max=i_max, v_dc=1.0)
     grid = np.concatenate(([0.0], pa_drive_grid(proto_cfg.alpha, 41)))  # 0, turn-on 0.5 and 1
     sim = simulate_pa(main, aux, two_line_net, grid, v_dc=1.0)
@@ -460,7 +460,7 @@ def test_overdrive_flagged():
     net.add_port("aux", "main")  # one transfer for both: the measured offset is 0
     net.add_port("load", "main")
     net.load_port = "load"
-    main = ActiveCellModel.class_b(i_max=0.1, v_dc=1.0)  # 0.1*100/2 = 5 V >> 1 V
+    main = ActiveCellModel(math.pi, i_max=0.1, v_dc=1.0)  # 0.1*100/2 = 5 V >> 1 V
     aux = ActiveCellModel.class_c_turn_on(0.999, i_max=1e-12, v_dc=1.0)
     sim = simulate_pa(main, aux, net, [1.0], 1.0)
     assert sim.overdrive[0]
@@ -581,7 +581,7 @@ def test_conduction_angle_doherty_underdrive_and_enhancement(proto_cfg, two_line
     pi/4, twice the plain class-B value."""
     v_dc = 1.0
     i_scale = v_dc / proto_cfg.r_opt
-    main = ActiveCellModel.class_b(i_max=2.0 * i_scale, v_dc=v_dc)
+    main = ActiveCellModel(math.pi, i_max=2.0 * i_scale, v_dc=v_dc)
     aux = ActiveCellModel.class_c_turn_on(0.5, i_max=2.0 * i_scale, v_dc=v_dc)
 
     assert aux.currents(1.0)[1].real < i_scale  # under-delivery at full drive

@@ -8,18 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dohertylab.cells import ActiveCellModel, IdealAuxCell, IdealMainCell, ideal_doherty_cells
+from dohertylab.errors import InputError
 from dohertylab.ideal import DohertyConfig, current_profile
 
 
 def test_class_b_full_drive_fourier():
-    cell = ActiveCellModel.class_b(i_max=1.0, v_dc=1.0)
+    cell = ActiveCellModel(math.pi, i_max=1.0, v_dc=1.0)
     i_dc, i_fund = cell.currents(1.0)
     assert i_fund.real == pytest.approx(0.5, rel=1e-12)
     assert i_dc == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
 def test_class_b_scales_linearly():
-    cell = ActiveCellModel.class_b(i_max=1.0, v_dc=1.0)
+    cell = ActiveCellModel(math.pi, i_max=1.0, v_dc=1.0)
     i_dc, i_fund = cell.currents(0.5)
     assert i_fund.real == pytest.approx(0.25, rel=1e-12)
     assert i_dc == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
@@ -28,8 +29,8 @@ def test_class_b_scales_linearly():
 def test_class_c_turn_on_threshold():
     cell = ActiveCellModel.class_c_turn_on(0.5, i_max=1.0, v_dc=1.0)
     assert cell.phi_rad == pytest.approx(2.0 * math.pi / 3.0)
-    assert cell.bias_class == "class-C"
-    assert cell.turn_on_drive == pytest.approx(0.5)
+    i_q, i_p1 = cell._iq_ip
+    assert -i_q / i_p1 == pytest.approx(0.5)  # the drive at which conduction starts
     assert cell.currents(0.49) == (0.0, 0j)
     assert abs(cell.currents(0.5)[1]) < 1e-15  # boundary, conduction just opening
     i_dc, i_fund = cell.currents(0.75)
@@ -45,9 +46,9 @@ def test_class_c_peak_matches_i_max():
 
 def test_class_ab_conducts_fully_at_small_drive():
     cell = ActiveCellModel(phi_rad=1.2 * math.pi, i_max=1.0, v_dc=1.0)
-    assert cell.bias_class == "class-AB"
     i_dc_small, i_fund_small = cell.currents(1e-3)
     i_q, i_p1 = cell._iq_ip
+    assert i_q > 0.0  # a quiescent current: conducts at zero drive
     assert i_dc_small == pytest.approx(i_q)  # no clipping yet
     assert i_fund_small.real == pytest.approx(1e-3 * i_p1, rel=1e-9)
 
@@ -98,9 +99,14 @@ def test_cell_validation():
         ActiveCellModel(phi_rad=0.0, i_max=1.0, v_dc=1.0)
     with pytest.raises(ValueError):
         ActiveCellModel.class_c_turn_on(1.0, 1.0, 1.0)
-    cell = ActiveCellModel.class_b(1.0, 1.0)
+    cell = ActiveCellModel(math.pi, 1.0, 1.0)
     with pytest.raises(ValueError):
         cell.currents(1.2)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="i_max must be positive and finite"):
+            ActiveCellModel(math.pi, bad, 1.0)
+        with pytest.raises(InputError, match="v_dc must be positive and finite"):
+            ActiveCellModel(math.pi, 1.0, bad)
 
 
 def test_class_c_fundamental_steeper_than_linear():
@@ -138,7 +144,7 @@ def assert_array_form_is_per_point(cell, drives):
 def test_active_cell_array_matches_scalar_calls(phi, i_max, drives):
     cell = ActiveCellModel(phi, i_max, 1.0)
     # the turn-on boundary and both ends of the drive range
-    assert_array_form_is_per_point(cell, drives + [0.0, cell.turn_on_drive, 1.0])
+    assert_array_form_is_per_point(cell, drives + [0.0, max(0.0, math.cos(phi / 2.0)), 1.0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,7 +164,7 @@ def test_ideal_cells_array_matches_scalar_calls(alpha, drives):
 
 def test_scalar_drive_gives_scalars():
     cfg = DohertyConfig(alpha=1.0, r_opt=41.3, r_l=50.0, f0=37e9)
-    for cell in (ActiveCellModel.class_b(1.0, 1.0), *ideal_doherty_cells(cfg, v_dc=1.0)):
+    for cell in (ActiveCellModel(math.pi, 1.0, 1.0), *ideal_doherty_cells(cfg, v_dc=1.0)):
         i_dc, i_fund = cell.currents(0.7)
         assert np.ndim(i_dc) == np.ndim(i_fund) == 0
         assert isinstance(i_dc, float) and isinstance(i_fund, complex)

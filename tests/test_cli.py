@@ -103,9 +103,7 @@ _COMPONENTS = {
     ],
     ids=["two-line", "three-line", "transformer"],
 )
-def test_synth_reports_the_topology_components(topology, free, synth, tmp_path, capsys,
-                                               monkeypatch):
-    monkeypatch.setenv("DOHERTYLAB_PRECISION", "17")  # the report then reads back exactly
+def test_synth_reports_the_topology_components(topology, free, synth, tmp_path, capsys):
     doc = {"config": PROTO_DESIGN["config"], "topology": topology, "free_params": free}
     if topology == "transformer":
         doc["parasitics"] = {"c_pad_f": 1e-14}
@@ -116,7 +114,9 @@ def test_synth_reports_the_topology_components(topology, free, synth, tmp_path, 
     components = json.loads((tmp_path / "out" / "report.json").read_text())["components"]
     c = PROTO_DESIGN["config"]
     design = synth(DohertyConfig(c["alpha"], c["r_opt_ohm"], c["r_l_ohm"], c["f0_hz"]))
-    assert components == {key: getattr(design, f) for key, f in _COMPONENTS[topology].items()}
+    # the report holds each value at 9 significant digits
+    want = {key: float(f"{getattr(design, f):.9g}") for key, f in _COMPONENTS[topology].items()}
+    assert components == want
     if topology == "three-line":  # the free choice, not the default z02 = z01
         assert components["z02_ohm"] == 60.0 != design.z01
 
@@ -639,16 +639,24 @@ def test_export_repeated_port_exit_2(design_path, tmp_path, capsys):
     assert not ts_path.exists()
 
 
-def test_precision_env_override(design_path, tmp_path, capsys, monkeypatch):
-    out_dir = str(tmp_path)
-    monkeypatch.setenv("DOHERTYLAB_PRECISION", "4")
-    run(
-        ["analyze", "--mode", "itr-curves", "--alpha", "1", "--r-opt", "41.3",
-         "--r-l", "50", "--out-dir", out_dir],
-        capsys,
-    )
-    first_data = open(os.path.join(out_dir, "itr_curves.csv")).read().splitlines()[1]
-    assert "2.421" in first_data and "2.42130751" not in first_data
+def test_precision_env_override(tmp_path, capsys, monkeypatch):
+    """No environment variable sets the digit count: DOHERTYLAB_PRECISION=4
+    writes the same bytes as an unset environment."""
+    monkeypatch.delenv("DOHERTYLAB_PRECISION", raising=False)
+    written = []
+    for precision in (None, "4"):
+        if precision:
+            monkeypatch.setenv("DOHERTYLAB_PRECISION", precision)
+        out_dir = tmp_path / str(precision)
+        code, _, _ = run(
+            ["analyze", "--mode", "itr-curves", "--alpha", "1", "--r-opt", "41.3",
+             "--r-l", "50", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        written.append((out_dir / "itr_curves.csv").read_bytes())
+    assert written[0] == written[1]
+    assert b"2.42130751" in written[0].splitlines()[1]
 
 
 def test_bandwidth_mode_outputs(design_path, tmp_path, capsys):

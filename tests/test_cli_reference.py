@@ -42,11 +42,10 @@ COMMANDS = {
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Directory with one subdirectory of outputs per command, at default precision."""
+    """Directory with one subdirectory of outputs per command."""
     work = tmp_path_factory.mktemp("prototype")
     (work / "design.json").write_text(json.dumps(DESIGN_DOC, indent=2))
     with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("DOHERTYLAB_PRECISION", raising=False)
         for cmd, (argv, _) in COMMANDS.items():
             (work / cmd).mkdir()
             mp.chdir(work / cmd)

@@ -1,8 +1,11 @@
 """Memoryless 64QAM EVM evaluation against a per-symbol brute force."""
 
+import math
+
 import numpy as np
 import pytest
 
+from dohertylab.errors import InputError
 from dohertylab.evm import apply_memoryless, evm_64qam, qam64_symbols
 
 
@@ -74,8 +77,9 @@ def test_backoff_out_of_range_rejected():
     am_pm = (lv, np.zeros_like(lv))
     with pytest.raises(ValueError):
         evm_64qam(am_am, am_pm, 0.0)  # inner symbols fall below 0.5
-    with pytest.raises(ValueError):
-        evm_64qam(am_am, am_pm, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="backoff must be finite and >= 0 dB"):
+            evm_64qam(am_am, am_pm, bad)
 
 
 def test_apply_memoryless_gain_curve():

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from dohertylab import (
     DohertyConfig,
-    average_efficiency,
     current_profile,
-    efficiency_curve,
     ideal_efficiency,
     itr_conv,
     itr_intro,
     pbo_level,
     zero_itr_alpha,
 )
+from dohertylab.errors import InputError
 
 alphas = st.floats(min_value=0.1, max_value=4.0, allow_nan=False)
 
@@ -65,6 +64,26 @@ def test_closed_forms_on_arrays_match_scalar_calls(alpha, fractions):
     pbo = pbo_level(alpha, positive)
     assert pbo.shape == positive.shape
     assert _ulps(pbo, [pbo_level(alpha, float(i)) for i in positive]).max() <= 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("alpha", lambda x: current_profile(x, [0.5])),
+        ("alpha", lambda x: pbo_level(x, [0.5])),
+        ("alpha", lambda x: itr_conv(x, [0.5])),
+        ("r_opt", lambda x: itr_intro(1.0, [0.5], x, 50.0)),
+        ("r_l", lambda x: itr_intro(1.0, [0.5], 41.3, x)),
+        ("r_opt", lambda x: zero_itr_alpha(x, 50.0)),
+        ("r_l", lambda x: zero_itr_alpha(41.3, x)),
+    ],
+    ids=["current_profile", "pbo_level", "itr_conv", "itr_intro-r_opt", "itr_intro-r_l",
+         "zero_itr_alpha-r_opt", "zero_itr_alpha-r_l"],
+)
+def test_closed_forms_refuse_non_finite_and_non_positive_arguments(name, call, bad):
+    with pytest.raises(InputError, match=f"{name} must be positive and finite"):
+        call(bad)
 
 
 def test_closed_forms_reject_out_of_range_array_element():
@@ -259,38 +278,3 @@ def test_class_ordering_everywhere():
             assert d > b
 
 
-def test_efficiency_curve_and_interp():
-    curve = efficiency_curve("class-b", np.linspace(0.0, 10.0, 101))
-    assert curve.interp(3.0) == pytest.approx(ideal_efficiency("class-b", 3.0), rel=1e-4)
-    with pytest.raises(ValueError):
-        curve.interp(11.0)
-
-
-def test_average_efficiency_point_mass_at_peak():
-    curve = efficiency_curve("class-b", np.linspace(0.0, 10.0, 201))
-    assert average_efficiency(curve, [0.0], [1.0]) == pytest.approx(math.pi / 4.0, rel=1e-9)
-
-
-def test_average_efficiency_two_point_class_b():
-    # hand integration: E[P_out] = 0.625, E[P_dc] = (4/pi + 2/pi)/2 = 3/pi
-    # so the power-weighted average is 0.625*pi/3 = 5*pi/24
-    curve = efficiency_curve("class-b", np.linspace(0.0, 7.0, 701))
-    got = average_efficiency(curve, [0.0, 20.0 * math.log10(2.0)], [0.5, 0.5])
-    assert got == pytest.approx(5.0 * math.pi / 24.0, rel=1e-6)
-
-
-def test_average_efficiency_doherty_peaks():
-    # both mass points sit on efficiency peaks, so the average is pi/4
-    pk2 = 20.0 * math.log10(2.0)
-    grid = np.sort(np.append(np.linspace(0.0, 7.0, 141), pk2))
-    curve = efficiency_curve("doherty", grid, alpha=1.0)
-    got = average_efficiency(curve, [0.0, pk2], [0.5, 0.5])
-    assert got == pytest.approx(math.pi / 4.0, rel=1e-9)
-
-
-def test_average_efficiency_validation():
-    curve = efficiency_curve("class-b", np.linspace(0.0, 6.0, 61))
-    with pytest.raises(ValueError):
-        average_efficiency(curve, [0.0, 3.0], [0.6, 0.5])  # mass != 1
-    with pytest.raises(ValueError):
-        average_efficiency(curve, [0.0, 9.0], [0.5, 0.5])  # off support

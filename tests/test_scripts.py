@@ -13,7 +13,6 @@ REFERENCE_DIR = os.path.join(ROOT, "tests", "reference")
 
 def test_itr_study_writes_parseable_csvs(tmp_path):
     env = dict(os.environ)
-    env.pop("DOHERTYLAB_PRECISION", None)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "itr_study.py"), "--out-dir", str(tmp_path)],
@@ -44,10 +43,9 @@ def test_itr_study_writes_parseable_csvs(tmp_path):
 
 @pytest.mark.parametrize("script", ["combiner_study", "itr_study"])
 def test_study_outputs_match_reference(script, tmp_path):
-    # tests/reference/<script>/ holds the script's output at its defaults and
-    # default precision; every file must come back byte for byte
+    # tests/reference/<script>/ holds the script's output at its defaults;
+    # every file must come back byte for byte
     env = dict(os.environ)
-    env.pop("DOHERTYLAB_PRECISION", None)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", f"{script}.py"), "--out-dir", str(tmp_path)],
