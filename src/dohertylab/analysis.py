@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTransferError, InputError
+from .errors import DegenerateTransferError, InputError, require_within
 from .ideal import (
     DohertyConfig,
     current_profile,
@@ -137,6 +137,8 @@ def _grid_with(
 ) -> np.ndarray:
     """``n_points`` from ``lo`` to ``hi``, plus ``point`` when it lies
     inside the range and no grid point is within ``tol`` of it."""
+    if n_points < 1:
+        raise InputError(f"n_points must be at least 1, got {n_points}")
     grid = np.linspace(lo, hi, n_points)
     if lo < point < hi and np.abs(grid - point).min() > tol:
         grid = np.concatenate((grid, [point]))
@@ -370,9 +372,7 @@ def simulate_pa(
     sum)).  Port voltages beyond each cell's ``v_dc`` set the per-point
     overdrive flag (the current-source model does not clip).
     """
-    v = np.asarray(drive, dtype=float)
-    if np.any(v < 0) or np.any(v > 1.0 + 1e-12):
-        raise InputError("drive levels must lie in [0, 1]")
+    v = require_within("drive", drive, 0.0, 1.0 + 1e-12)
     ph_main = cmath.exp(1j * math.radians(required_phase_offset(netlist)))
 
     idc_main, if_main = main_cell.currents(v)

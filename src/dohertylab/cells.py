@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, require_positive
+from .errors import InputError, require_positive, require_within
 from .ideal import DohertyConfig, current_profile
 
 __all__ = ["ActiveCellModel", "IdealMainCell", "IdealAuxCell", "ideal_doherty_cells"]
@@ -50,10 +50,7 @@ class ActiveCellModel:
     def currents(self, v: float | np.ndarray) -> tuple:
         """(I_dc, fundamental phasor) at normalized drive ``v`` in [0, 1],
         a float or an array; both results have the shape of ``v``."""
-        v = np.asarray(v, dtype=float)
-        ok = (0.0 <= v) & (v <= 1.0 + 1e-12)
-        if not ok.all():
-            raise InputError(f"drive must lie in [0, 1], got {v[~ok][0]}")
+        v = require_within("drive", v, 0.0, 1.0 + 1e-12)
         i_q, i_p1 = self._iq_ip
         i_p = v * i_p1
         driven = i_p > 0.0

@@ -153,8 +153,9 @@ def _section(doc: dict, name: str, allowed: Container[str]) -> dict:
     return section
 
 
-def _num(doc: dict, key: str, where: str) -> float:
-    """``doc[key]`` as a positive, finite float, else exit code 2."""
+def _num(doc: dict, key: str, where: str, positive: bool = True) -> float:
+    """``doc[key]`` as a finite float, also positive unless ``positive`` is
+    false, else exit code 2."""
     if key not in doc:
         raise InputError(f"missing key '{key}' in {where}", key=key)
     val = _number(doc[key])
@@ -162,7 +163,7 @@ def _num(doc: dict, key: str, where: str) -> float:
         raise InputError(f"key '{key}' in {where} must be a number", key=key)
     if not math.isfinite(val):
         raise InputError(f"key '{key}' in {where} must be finite", key=key)
-    if not val > 0:
+    if positive and not val > 0:
         raise InputError(f"key '{key}' in {where} must be positive", key=key)
     return val
 
@@ -203,7 +204,9 @@ def design_spec(doc) -> dict:
     for name in ("free_params", "parasitics"):
         keys = design.keys.get(name, {})
         section = _section(doc, name, keys)
-        params.update((keys[key], _num(section, key, name)) for key in section)
+        # a pad capacitance may be 0; the synthesis checks its domain by key
+        params.update((keys[key], _num(section, key, name, name != "parasitics"))
+                      for key in section)
 
     q_doc = _section(doc, "q_budget", {"q_l", "q_c"})
     q_l = _num(q_doc, "q_l", "q_budget") if "q_l" in q_doc else math.inf
@@ -373,9 +376,11 @@ def cmd_analyze(args) -> dict[str, str]:
             ) / 2.0
             phi = math.radians(args.main_phi_deg)
             main_cell = cells.ActiveCellModel(phi, args.i_max, args.v_dc)
-            aux_cell = cells.ActiveCellModel.class_c_turn_on(
-                turn_on, args.i_max * cfg.alpha, args.v_dc
-            )
+            aux_i_max = args.i_max * cfg.alpha
+            if not 0 < aux_i_max < math.inf:
+                raise InputError(f"--i-max {args.i_max} times alpha {cfg.alpha} leaves float "
+                                 f"range as the auxiliary cell's peak current")
+            aux_cell = cells.ActiveCellModel.class_c_turn_on(turn_on, aux_i_max, args.v_dc)
         grid = analysis.pa_drive_grid(cfg.alpha, n_points, args.v_min)
         sim = analysis.simulate_pa(main_cell, aux_cell, netlist, grid, args.v_dc)
         path = os.path.join(args.out_dir, "pa_sim.csv")

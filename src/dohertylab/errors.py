@@ -4,6 +4,8 @@ importing :mod:`dohertylab.analysis`."""
 
 import math
 
+import numpy as np
+
 
 class InputError(ValueError):
     """An input the package refuses: a value outside its range, a name
@@ -27,6 +29,17 @@ def require_positive(**values: float) -> None:
     for key, val in values.items():
         if not 0 < val < math.inf:
             raise InputError(f"{key} must be positive and finite, got {val}", key=key)
+
+
+def require_within(name: str, values, lo: float, hi: float) -> np.ndarray:
+    """``values`` (a float or an array) as a float array; an
+    :class:`InputError` naming the first element outside [``lo``, ``hi``],
+    NaN among them."""
+    values = np.asarray(values, dtype=float)
+    ok = (lo <= values) & (values <= hi)
+    if not ok.all():
+        raise InputError(f"{name} {values[~ok][0]} outside [{lo}, {hi}]")
+    return values
 
 
 class ClosedForm:

@@ -19,7 +19,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import ClosedForm, InputError, require_positive
+from .errors import ClosedForm, InputError, require_positive, require_within
 
 __all__ = [
     "DohertyConfig",
@@ -91,12 +91,7 @@ def current_profile(alpha: float, i_main: float | np.ndarray) -> float | np.ndar
     (1+alpha)*i_main - 2/(1+alpha); continuous at the junction.
     """
     require_positive(alpha=alpha)
-    top = 2.0 / (1.0 + alpha)
-    i_main = np.asarray(i_main, dtype=float)
-    lo = np.fmin.reduce(i_main, None, initial=np.inf)  # NaN passes
-    hi = np.fmax.reduce(i_main, None, initial=-np.inf)
-    if lo < -1e-15 or hi > top * (1.0 + 1e-12):
-        raise InputError(f"i_main {lo if lo < 0 else hi} outside [0, {top}]")
+    i_main = require_within("i_main", i_main, -1e-15, 2.0 / (1.0 + alpha) * (1.0 + 1e-12))
     ramp = (1.0 + alpha) * i_main - 2.0 / (1.0 + alpha)
     return np.where(i_main < 2.0 / (1.0 + alpha) ** 2, 0.0, ramp)[()]
 
@@ -104,25 +99,8 @@ def current_profile(alpha: float, i_main: float | np.ndarray) -> float | np.ndar
 def pbo_level(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
     """Output back-off in dB at ``i_main``, a float or an array: 20*log10(2/((1+alpha)*i_main))."""
     require_positive(alpha=alpha)
-    i_main = np.asarray(i_main, dtype=float)
-    lo = np.fmin.reduce(i_main, None, initial=np.inf)  # NaN passes
-    if lo <= 0:
-        raise InputError(f"i_main must be positive, got {lo}")
+    i_main = require_within("i_main", i_main, math.ulp(0.0), math.inf)
     return 20.0 * np.log10(2.0 / ((1.0 + alpha) * i_main))
-
-
-def _check_aux_on(alpha: float, i_main: float | np.ndarray) -> np.ndarray:
-    """``i_main`` as a float array; ValueError naming an element outside
-    the auxiliary-on region, NaN among them."""
-    i_main = np.asarray(i_main, dtype=float)
-    lo = 2.0 / (1.0 + alpha) ** 2
-    hi = 2.0 / (1.0 + alpha)
-    least = np.min(i_main, initial=np.inf)  # NaN propagates and fails
-    most = np.max(i_main, initial=-np.inf)
-    if not (lo * (1.0 - 1e-12) <= least and most <= hi * (1.0 + 1e-12)):
-        bad = most if lo * (1.0 - 1e-12) <= least else least
-        raise InputError(f"i_main {bad} outside the auxiliary-on region [{lo}, {hi}]")
-    return i_main
 
 
 def itr_conv(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
@@ -134,9 +112,10 @@ def itr_conv(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
     auxiliary branch shuts off.  Independent of the load values.
     """
     require_positive(alpha=alpha)
-    i_main = _check_aux_on(alpha, i_main)
-    # the denominator written without cancellation at the turn-on point
     i_on = 2.0 / (1.0 + alpha) ** 2
+    i_main = require_within("i_main", i_main, i_on * (1.0 - 1e-12),
+                            2.0 / (1.0 + alpha) * (1.0 + 1e-12))
+    # the denominator written without cancellation at the turn-on point
     denom = 1.0 + (1.0 + alpha) * (i_main - i_on) / i_main
     return np.square((1.0 + alpha) / denom)
 
@@ -185,16 +164,17 @@ def ideal_efficiency(tag: str, pbo_db: float, alpha: float | None = None) -> flo
     main device held at voltage saturation while the auxiliary is on;
     peaks at pi/4 at 0 dB and at 20*log10(1+alpha) dB.
     """
-    if pbo_db < 0:
-        raise InputError(f"back-off must be >= 0 dB, got {pbo_db}")
+    if not 0 <= pbo_db < math.inf:
+        raise InputError(f"back-off must be finite and >= 0 dB, got {pbo_db}")
     x = 10.0 ** (-pbo_db / 20.0)  # normalized output voltage
     if tag == "class-a":
         return 0.5 * x * x
     if tag == "class-b":
         return PEAK_CLASS_B * x
     if tag == "doherty":
-        if alpha is None or alpha <= 0:
+        if alpha is None:
             raise InputError("doherty efficiency needs a positive alpha")
+        require_positive(alpha=alpha)
         x_t = 1.0 / (1.0 + alpha)
         if x >= x_t:
             return PEAK_CLASS_B * x * x * (1.0 + alpha) / ((2.0 + alpha) * x - 1.0)

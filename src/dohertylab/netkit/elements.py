@@ -39,7 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, require_positive
 
 __all__ = [
     "Element",
@@ -66,11 +66,6 @@ def _require(cond: bool, msg: str, *values) -> None:
     the message is formatted only when it is raised."""
     if not cond:
         raise InputError(msg.format(*values))
-
-
-def _positive(val: float, what: str) -> None:
-    if not 0 < val < math.inf:
-        raise InputError(f"{what} must be positive and finite, got {val}")
 
 
 class Element:
@@ -138,7 +133,7 @@ class Resistor(_Lumped):
     resistive = True
 
     def __post_init__(self):
-        _positive(self.ohms, "resistance")
+        require_positive(ohms=self.ohms)
 
     def impedance(self, freq: Freq) -> Value:
         return self.ohms + 0j
@@ -155,7 +150,7 @@ class Inductor(_Lumped):
     json_keys = {"henries": "henries", "q": "q"}
 
     def __post_init__(self):
-        _positive(self.henries, "inductance")
+        require_positive(henries=self.henries)
         _require(self.q > 0, "Q must be positive or inf, got {}", self.q)
 
     def impedance(self, freq: Freq) -> Value:
@@ -174,7 +169,7 @@ class Capacitor(_Lumped):
     json_keys = {"farads": "farads", "q": "q"}
 
     def __post_init__(self):
-        _positive(self.farads, "capacitance")
+        require_positive(farads=self.farads)
         _require(self.q > 0, "Q must be positive or inf, got {}", self.q)
 
     def admittance(self, freq: Freq) -> Value:
@@ -211,8 +206,7 @@ class CoupledInductors(Element):
     aux = 2
 
     def __post_init__(self):
-        _positive(self.l_p, "primary inductance")
-        _positive(self.n, "turn ratio")
+        require_positive(l_p_henries=self.l_p, n=self.n)
         _require(0.0 < self.k < 1.0, "coupling must lie in (0, 1), got {}", self.k)
         _require(self.q > 0, "Q must be positive or inf, got {}", self.q)
 
@@ -285,7 +279,7 @@ class IdealTransformer(Element):
     aux = 1
 
     def __post_init__(self):
-        _positive(self.n, "turn ratio")
+        require_positive(n=self.n)
 
     def stamp(self, A, b, t, a, freq):
         p1, p2, s1, s2 = t
@@ -332,9 +326,7 @@ class TransmissionLine(Element):
     aux = 2
 
     def __post_init__(self):
-        _positive(self.z0, "characteristic impedance")
-        _positive(self.theta_deg, "electrical length")
-        _positive(self.f_ref, "reference frequency")
+        require_positive(z0_ohm=self.z0, theta_deg=self.theta_deg, f_ref_hz=self.f_ref)
         _require(0 <= self.loss_db_per_quarter < math.inf, "line loss must be finite and >= 0")
 
     def gamma_length(self, freq: Freq) -> Value:

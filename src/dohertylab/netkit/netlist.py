@@ -153,7 +153,6 @@ class Netlist:
                key="load_port")
         elements = doc.get("elements", [])
         _check(isinstance(elements, list), "key 'elements' must be a list", key="elements")
-        names = set()  # the duplicate check of add(), on a set
         for entry in elements:
             _check(isinstance(entry, dict), "each element must be an object", key="elements")
             name = entry.get("name")
@@ -161,10 +160,7 @@ class Netlist:
             nodes = entry.get("nodes")
             _check(_is_nodes(nodes), "nodes of element '{}' must be a list of names", name,
                    element=name)
-            component = _component_from_json(name, entry)
-            _check(name not in names, "duplicate element name '{}'", name, element=name)
-            names.add(name)
-            net.elements.append(Placed(name, component, tuple(nodes)))
+            net.add(name, _component_from_json(name, entry), *nodes)
         net.validate()
         return net
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, require_positive, require_within
 from .mna import assemble, solve_columns  # assemble stays: perfbench/tracing.py patches it here
 from .netlist import Netlist
 
@@ -49,7 +49,7 @@ def s_parameters(
     """
     if not 1 <= len(ports) <= 4:
         raise InputError(f"supported port counts are 1..4, got {len(ports)}")
-    _reference_impedance(z_ref)
+    require_positive(z_ref=z_ref)
     for k, p in enumerate(ports):
         if p not in netlist.ports:
             raise InputError(f"unknown port '{p}'")
@@ -74,20 +74,6 @@ class TouchstoneData:
     freqs_hz: np.ndarray
     s: np.ndarray  # (n_freq, n, n)
     z_ref: float
-
-
-def _reference_impedance(z_ref: float) -> float:
-    """``z_ref``; InputError unless it is positive and finite."""
-    if not 0 < z_ref < math.inf:
-        raise InputError(f"reference impedance must be positive and finite, got {z_ref}")
-    return z_ref
-
-
-def _positive(freqs_hz: np.ndarray) -> np.ndarray:
-    """``freqs_hz``; InputError naming the first frequency at or below 0."""
-    if (bad := freqs_hz <= 0).any():
-        raise InputError(f"touchstone frequency {freqs_hz[bad][0]:g} Hz is not positive")
-    return freqs_hz
 
 
 def _number(token: str, what: str) -> float:
@@ -122,10 +108,10 @@ def write_touchstone(
     n = s.shape[-1]
     if not 1 <= n <= 4:
         raise InputError(f"supported port counts are 1..4, got {n}")
-    freqs = _positive(np.asarray(freqs_hz, dtype=float))
+    freqs = require_within("touchstone frequency", freqs_hz, math.ulp(0.0), math.inf)
     if freqs.shape != (len(s),):
         raise InputError(f"{freqs.size} frequencies for {len(s)} S-matrices")
-    _reference_impedance(z_ref)
+    require_positive(z_ref=z_ref)
     rows, cols = zip(*_record_order(n))
     pairs = np.stack([s.real[:, rows, cols], s.imag[:, rows, cols]], axis=-1)
     table = np.column_stack([freqs / 1e9, pairs.reshape(len(freqs), 2 * n * n)])
@@ -176,7 +162,8 @@ def read_touchstone(text: str) -> TouchstoneData:
                 if p in unit_scale:
                     scale = unit_scale[p]
                 elif p == "r" and i + 1 < len(parts):
-                    z_ref = _reference_impedance(_number(parts[i + 1], "reference impedance"))
+                    z_ref = _number(parts[i + 1], "reference impedance")
+                    require_positive(z_ref=z_ref)
                     i += 1
                 elif p in ("s", "ri"):
                     pass
@@ -211,7 +198,7 @@ def read_touchstone(text: str) -> TouchstoneData:
             " number of values and hold 1 + 2n^2 values for one n in 1..4"
         )
     data = values.reshape(-1, rec)
-    freqs = _positive(data[:, 0] * scale)
+    freqs = require_within("touchstone frequency", data[:, 0] * scale, math.ulp(0.0), math.inf)
     if not np.all(data[1:, 0] > data[:-1, 0]):
         raise InputError("touchstone frequencies must increase")
     s = np.empty((len(data), n, n), dtype=complex)

@@ -621,6 +621,37 @@ def test_simulate_pa_rejects_bad_drive(proto_cfg, two_line_net):
 
 
 @pytest.mark.parametrize(
+    "name, call",
+    [
+        ("i_main", lambda cfg, net: current_profile(1.0, [0.5, math.nan])),
+        ("i_main", lambda cfg, net: pbo_level(1.0, [0.5, math.nan])),
+        ("i_main", lambda cfg, net: itr_conv(1.0, [0.5, math.nan])),
+        ("drive", lambda cfg, net: ActiveCellModel(math.pi, 1.0, 1.0).currents([0.5, math.nan])),
+        ("drive", lambda cfg, net: simulate_pa(*ideal_doherty_cells(cfg, 1.0), net,
+                                               [0.5, math.nan], 1.0)),
+    ],
+    ids=["current_profile", "pbo_level", "itr_conv", "ActiveCellModel.currents", "simulate_pa"],
+)
+def test_nan_array_element_rejected(name, call, proto_cfg, two_line_net):
+    with pytest.raises(InputError, match=f"{name} nan outside"):
+        call(proto_cfg, two_line_net)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg, net: drive_profile(cfg, net, 0),
+        lambda cfg, net: pa_drive_grid(1.0, 0),
+        lambda cfg, net: bandwidth_report(net, {"main": 1.0, "aux": 1.0}, n_points=0),
+    ],
+    ids=["drive_profile", "pa_drive_grid", "bandwidth_report"],
+)
+def test_empty_grid_rejected(call, proto_cfg, two_line_net):
+    with pytest.raises(InputError, match="n_points must be at least 1, got 0"):
+        call(proto_cfg, two_line_net)
+
+
+@pytest.mark.parametrize(
     "alpha,n_points,v_min",
     [
         (1.0, 41, 0.02),  # the CLI default: 0.5 falls between grid points

@@ -173,5 +173,5 @@ def test_scalar_drive_gives_scalars():
 @pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
 def test_out_of_range_array_element_rejected(bad):
     cell = ActiveCellModel.class_c_turn_on(0.5, 1.0, 1.0)
-    with pytest.raises(ValueError, match="drive must lie in"):
+    with pytest.raises(InputError, match=f"drive {bad} outside"):
         cell.currents(np.array([0.2, bad, 0.9]))

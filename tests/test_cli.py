@@ -121,6 +121,16 @@ def test_synth_reports_the_topology_components(topology, free, synth, tmp_path, 
         assert components["z02_ohm"] == 60.0 != design.z01
 
 
+def test_zero_pad_capacitance_is_the_default(design_path, tmp_path, capsys):
+    p = tmp_path / "zero_pad.json"
+    p.write_text(json.dumps({**PROTO_DESIGN, "parasitics": {"c_pad_f": 0}}))
+    default, zero = tmp_path / "default", tmp_path / "zero"
+    for path, out in ((design_path, default), (str(p), zero)):
+        assert run(["synth", path, "--out-dir", str(out)], capsys)[0] == 0
+    for name in ("report.json", "netlist.json", "combiner.s3p"):
+        assert (default / name).read_bytes() == (zero / name).read_bytes()
+
+
 def test_synth_deterministic_bytes(design_path, tmp_path, capsys):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert run(["synth", design_path, "--out-dir", out_a], capsys)[0] == 0
@@ -154,6 +164,8 @@ def test_synth_deterministic_bytes(design_path, tmp_path, capsys):
                             "config": {"alpha": 1.0, "r_opt_ohm": 1e-160, "r_l_ohm": 1e-160,
                                        "f0_hz": 1e-160},
                             "q_budget": {"q_l": 20.0, "q_c": 20.0}}) or "r_opt_ohm",
+        # a pad capacitance may be 0, not below
+        lambda d: d.update({"parasitics": {"c_pad_f": -1e-15}}) or "c_pad_f",
     ],
 )
 def test_malformed_design_corpus_exits_2(mutate, tmp_path, capsys):
@@ -816,6 +828,21 @@ def test_pa_sim_v_min_outside_unit_interval_exit_2(v_min, design_path, tmp_path,
         capsys,
     )
     assert_one_json_error(code, err, "--v-min")
+
+
+def test_pa_sim_aux_peak_current_overflow_names_i_max(tmp_path, capsys):
+    """The auxiliary cell's peak current is --i-max times alpha: when that
+    product leaves float range the error names the flag, not a key."""
+    p = tmp_path / "design.json"
+    config = {**PROTO_DESIGN["config"], "alpha": 10.0}
+    p.write_text(json.dumps({"config": config, "topology": "two-line"}))
+    code, _, err = run(
+        ["analyze", str(p), "--mode", "pa-sim", "--v-dc", "1", "--i-max", "1e308",
+         "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert_one_json_error(code, err, "--i-max")
+    assert "key" not in json.loads(err)
 
 
 def test_pa_sim_near_subnormal_drive_runs_without_warning(tmp_path, capsys):

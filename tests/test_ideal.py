@@ -91,7 +91,7 @@ def test_closed_forms_reject_out_of_range_array_element():
         current_profile(1.0, np.array([0.2, 1.5, 0.9]))
     with pytest.raises(ValueError, match="outside"):
         current_profile(1.0, np.array([0.2, -0.1]))
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(InputError, match="i_main 0.0 outside"):
         pbo_level(1.0, np.array([0.5, 0.0, 1.0]))
 
 
@@ -255,6 +255,20 @@ def test_ideal_efficiency_anchors():
         ideal_efficiency("class-z", 0.0)
     with pytest.raises(ValueError):
         ideal_efficiency("class-b", -1.0)
+
+
+@pytest.mark.parametrize(
+    "tag, pbo_db, alpha, message",
+    [
+        ("class-b", math.nan, None, "back-off must be finite and >= 0 dB, got nan"),
+        ("class-a", math.inf, None, "back-off must be finite and >= 0 dB, got inf"),
+        ("doherty", 3.0, math.nan, "alpha must be positive and finite, got nan"),
+    ],
+    ids=["class-b-nan-backoff", "class-a-inf-backoff", "doherty-nan-alpha"],
+)
+def test_ideal_efficiency_refuses_non_finite_inputs(tag, pbo_db, alpha, message):
+    with pytest.raises(InputError, match=message):
+        ideal_efficiency(tag, pbo_db, alpha=alpha)
 
 
 def test_doherty_efficiency_peaks_and_valley():

@@ -219,16 +219,16 @@ def test_writer_rejects_non_finite_numbers(z_ref, s):
 
 
 def test_read_rejects_non_positive_frequencies():
-    with pytest.raises(InputError, match="-1e\\+09 Hz is not positive"):
+    with pytest.raises(InputError, match="touchstone frequency -1000000000.0 outside"):
         read_touchstone("# GHz S RI R 50\n-1 0.1 0.2\n0 0.1 0.2\n")
-    with pytest.raises(InputError, match="frequency 0 Hz"):
+    with pytest.raises(InputError, match="touchstone frequency 0.0 outside"):
         read_touchstone("# Hz S RI R 50\n0 0.1 0.2\n1 0.1 0.2\n")
 
 
 def test_write_rejects_non_positive_frequencies():
-    with pytest.raises(InputError, match="-1e\\+09 Hz is not positive"):
+    with pytest.raises(InputError, match="touchstone frequency -1000000000.0 outside"):
         write_touchstone([-1e9, 0.0], np.zeros((2, 1, 1)), 50.0)
-    with pytest.raises(InputError, match="frequency 0 Hz"):
+    with pytest.raises(InputError, match="touchstone frequency 0.0 outside"):
         write_touchstone([0.0, 1e9], np.zeros((2, 1, 1)), 50.0)
 
 
