@@ -14,50 +14,31 @@ Layers:
   :mod:`dohertylab.evm` - load-modulation sweeps, bandwidth and passive
   efficiency studies, behavioral PA simulation, 64QAM EVM.
 * :mod:`dohertylab.cli` - ``dohertylab synth|analyze|export``.
+
+Importing the package loads none of them: each public name below resolves
+on first use, from the submodule that defines it.
 """
 
-from .ideal import (
-    DohertyConfig,
-    current_profile,
-    ideal_efficiency,
-    itr_conv,
-    itr_intro,
-    pbo_level,
-    zero_itr_alpha,
-)
-from .synth import (
-    DesignConsistencyError,
-    PiNetwork,
-    ThreeLineDesign,
-    TransformerCombinerDesign,
-    TwoLineDesign,
-    pi_approx,
-    synth_three_line,
-    synth_transformer_combiner,
-    synth_two_line,
-    to_netlist,
-    transformer_combiner_explicit_netlist,
-)
+import importlib
 
-__all__ = [
-    "DohertyConfig",
-    "current_profile",
-    "pbo_level",
-    "itr_conv",
-    "itr_intro",
-    "zero_itr_alpha",
-    "ideal_efficiency",
-    "TwoLineDesign",
-    "ThreeLineDesign",
-    "PiNetwork",
-    "TransformerCombinerDesign",
-    "DesignConsistencyError",
-    "synth_two_line",
-    "synth_three_line",
-    "pi_approx",
-    "synth_transformer_combiner",
-    "to_netlist",
-    "transformer_combiner_explicit_netlist",
-]
+#: the submodule that defines each public name
+_SOURCES = {
+    **dict.fromkeys(("DohertyConfig", "current_profile", "pbo_level", "itr_conv", "itr_intro",
+                     "zero_itr_alpha", "ideal_efficiency"), "ideal"),
+    **dict.fromkeys(("TwoLineDesign", "ThreeLineDesign", "PiNetwork", "TransformerCombinerDesign",
+                     "synth_two_line", "synth_three_line", "pi_approx",
+                     "synth_transformer_combiner", "to_netlist",
+                     "transformer_combiner_explicit_netlist"), "synth"),
+    "DesignConsistencyError": "errors",
+}
+
+__all__ = list(_SOURCES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A public name, imported from its submodule on first use."""
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)

@@ -83,30 +83,45 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import importlib
 import json
 import math
 import os
 import sys
 from collections.abc import Container
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import report
-from .errors import DegenerateTransferError, InputError
-from .ideal import DohertyConfig
-from .netkit import Netlist, SingularSystemError, check_network, s_parameters, write_touchstone
-from .netkit.netlist import _number
-from .synth import (  # all three synthesis functions stay importable from here
-    IDENTITY_TOL,
-    TOPOLOGIES,
+from .errors import (
+    DegenerateTransferError,
     DesignConsistencyError,
-    synth_three_line,
-    synth_transformer_combiner,
-    synth_two_line,
-    to_netlist,
+    InputError,
+    SingularSystemError,
+    json_number,
 )
 
+if TYPE_CHECKING:  # annotations only: each command imports the modules it runs
+    from .ideal import DohertyConfig
+    from .netkit import Netlist
+
 __all__ = ["main", "run"]
+
+#: names ``perfbench/tracing.py`` patches here, each resolved from the module
+#: that defines it; the commands call them through that module, which the
+#: tracer patches too, so each traced call is counted once
+_REEXPORTS = {
+    **dict.fromkeys(("synth_two_line", "synth_three_line", "synth_transformer_combiner",
+                     "to_netlist"), "synth"),
+    **dict.fromkeys(("s_parameters", "write_touchstone"), "netkit.touchstone"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _REEXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_REEXPORTS[name]}", __package__), name)
 
 #: the values each numeric flag accepts (by argparse dest), checked
 #: before any command runs
@@ -116,9 +131,10 @@ _FLAG_DOMAINS = {
         (lambda v: 0 < v < math.inf, "be positive and finite"),
     ),
     **dict.fromkeys(("q_l", "q_c"), (lambda v: v > 0, "be positive (inf for lossless)")),
-    **dict.fromkeys(("threshold_db", "main_phi_deg", "aux_turn_on"), (math.isfinite, "be finite")),
+    "threshold_db": (math.isfinite, "be finite"),
+    "main_phi_deg": (lambda v: 0.0 < v <= 360.0, "lie in (0, 360]"),
     "points": (lambda v: 1 <= v <= 10**6, "lie in [1, 1000000]"),
-    "window": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    **dict.fromkeys(("window", "aux_turn_on"), (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
     "v_min": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
 }
 
@@ -158,7 +174,7 @@ def _num(doc: dict, key: str, where: str, positive: bool = True) -> float:
     false, else exit code 2."""
     if key not in doc:
         raise InputError(f"missing key '{key}' in {where}", key=key)
-    val = _number(doc[key])
+    val = json_number(doc[key])
     if val is None:
         raise InputError(f"key '{key}' in {where} must be a number", key=key)
     if not math.isfinite(val):
@@ -183,6 +199,9 @@ def design_spec(doc) -> dict:
     """The checked design spec of a parsed design file: its config, its
     topology's design class, the synthesis keywords it sets and its Q
     budget."""
+    from .ideal import DohertyConfig
+    from .synth import TOPOLOGIES
+
     if not isinstance(doc, dict):
         raise InputError("design file must hold a JSON object")
     _check_keys(doc, {"config", "topology", "free_params", "q_budget", "parasitics"}, "design")
@@ -219,18 +238,21 @@ def synthesize(spec: dict):
 
 
 def cmd_synth(args) -> dict[str, str]:
+    from . import synth
+    from .netkit import check_network, touchstone
+
     spec = design_spec(_read_json(args.design, "design"))
     design = synthesize(spec)
     cfg = spec["config"]
 
-    netlist = to_netlist(design, q_l=spec["q_l"], q_c=spec["q_c"])
-    export_net = to_netlist(design, include_load=False)
+    netlist = synth.to_netlist(design, q_l=spec["q_l"], q_c=spec["q_c"])
+    export_net = synth.to_netlist(design, include_load=False)
     freqs = np.linspace(0.6 * cfg.f0, 1.4 * cfg.f0, 201)
     check_network(netlist, cfg.f0)
-    s = s_parameters(export_net, ["main", "aux", "load"], freqs, z_ref=args.z_ref)
+    s = touchstone.s_parameters(export_net, ["main", "aux", "load"], freqs, z_ref=args.z_ref)
 
     identities = [
-        {"name": name, "residual": res, "pass": bool(res < IDENTITY_TOL)}
+        {"name": name, "residual": res, "pass": bool(res < synth.IDENTITY_TOL)}
         for name, res in sorted(design.identity_residuals.items())
     ]
     doc = {
@@ -244,7 +266,8 @@ def cmd_synth(args) -> dict[str, str]:
     }
     return {
         os.path.join(args.out_dir, "netlist.json"): report.json_text(netlist.to_json_dict()),
-        os.path.join(args.out_dir, "combiner.s3p"): write_touchstone(freqs, s, z_ref=args.z_ref),
+        os.path.join(args.out_dir, "combiner.s3p"):
+            touchstone.write_touchstone(freqs, s, z_ref=args.z_ref),
         os.path.join(args.out_dir, "report.json"): report.json_text(doc),
     }
 
@@ -260,11 +283,15 @@ def _load_input(args) -> tuple[dict | None, Netlist | None]:
     if isinstance(doc, dict) and "topology" in doc:
         return design_spec(doc), None
     if isinstance(doc, dict) and "elements" in doc:
+        from .netkit import Netlist
+
         return None, Netlist.from_json_dict(doc)
     raise InputError("input is neither a design file (topology) nor a netlist (elements)")
 
 
 def _config_from_flags(args, f0: float) -> DohertyConfig:
+    from .ideal import DohertyConfig
+
     flags = {"--alpha": args.alpha, "--r-opt": args.r_opt, "--r-l": args.r_l}
     missing = [flag for flag, val in flags.items() if val is None]
     if missing:
@@ -285,7 +312,9 @@ def cmd_analyze(args) -> dict[str, str]:
         path = os.path.join(args.out_dir, "itr_curves.csv")
         return {path: report.csv_text(report.ITR_COLUMNS, rows)}
 
-    from . import analysis  # here, not at the top: synth, export and itr-curves never run it
+    # here, not at the top: synth, export and itr-curves never run analysis
+    from . import analysis, synth
+    from .netkit import check_network
 
     if args.input is None:
         raise InputError("this mode needs a design or netlist input path")
@@ -298,7 +327,7 @@ def cmd_analyze(args) -> dict[str, str]:
         # a finite Q budget only bites line topologies in lumped form
         lossy = math.isfinite(q_l) or math.isfinite(q_c)
         impl = args.implementation or ("lumped-pi" if lossy else "line")
-        netlist = to_netlist(design, q_l=q_l, q_c=q_c, implementation=impl)
+        netlist = synth.to_netlist(design, q_l=q_l, q_c=q_c, implementation=impl)
     else:
         if missing := [p for p in ("main", "aux", "load") if p not in netlist.ports]:
             raise InputError(f"netlist input needs ports main, aux and load; missing {missing}",
@@ -327,7 +356,8 @@ def cmd_analyze(args) -> dict[str, str]:
         columns = [pbo, prof.i_main, prof.i_aux, eta]
         if args.compare == "two-line":
             # the reference gets its own phase offset on the same drive grid
-            ref = to_netlist(synth_two_line(cfg), q_l=q_l, q_c=q_c, implementation="lumped-pi")
+            ref = synth.to_netlist(synth.synth_two_line(cfg), q_l=q_l, q_c=q_c,
+                                   implementation="lumped-pi")
             ref_prof = analysis.drive_profile(cfg, ref, n_points, cfg.i_main_turn_on)
             header.append("eta_passive_ref")
             columns.append(analysis.passive_eff_vs_pbo(ref, cfg, ref_prof)[1])
@@ -390,6 +420,8 @@ def cmd_analyze(args) -> dict[str, str]:
 
 
 def cmd_export(args) -> dict[str, str]:
+    from .netkit import touchstone
+
     _, netlist = _load_input(args)
     if netlist is None:
         raise InputError("export needs a netlist JSON input")
@@ -404,8 +436,8 @@ def cmd_export(args) -> dict[str, str]:
     if not 0 < f_start < f_stop:
         raise InputError("need 0 < --f-start < --f-stop")
     freqs = np.linspace(f_start, f_stop, args.points)
-    s = s_parameters(netlist, ports, freqs, args.z_ref)
-    return {args.touchstone: write_touchstone(freqs, s, args.z_ref)}
+    s = touchstone.s_parameters(netlist, ports, freqs, args.z_ref)
+    return {args.touchstone: touchstone.write_touchstone(freqs, s, args.z_ref)}
 
 
 # ----------------------------------------------------------------------

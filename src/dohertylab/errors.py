@@ -1,6 +1,6 @@
 """The error every check of an input raises, the post-condition of
-every closed form, and the analysis error the CLI maps to exit 3 without
-importing :mod:`dohertylab.analysis`."""
+every closed form, the JSON-number rule, and the three errors the CLI maps
+to exit 3 without importing the modules that raise them."""
 
 import math
 
@@ -21,6 +21,31 @@ class InputError(ValueError):
 
 class DegenerateTransferError(RuntimeError):
     """Transfer from a source port to the load is numerically zero."""
+
+
+class DesignConsistencyError(RuntimeError):
+    """A synthesized design violates one of its own defining identities."""
+
+
+class SingularSystemError(RuntimeError):
+    """The MNA matrix could not be solved reliably."""
+
+    def __init__(self, msg: str, node: str | None = None, element: str | None = None):
+        super().__init__(msg)
+        self.node = node
+        self.element = element
+
+
+def json_number(val) -> float | None:
+    """A JSON number as a float (an integer beyond float range as inf), else None."""
+    if type(val) is float:
+        return val
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        return float(val)
+    except OverflowError:
+        return math.inf
 
 
 def require_positive(**values: float) -> None:

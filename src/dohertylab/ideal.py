@@ -97,9 +97,10 @@ def current_profile(alpha: float, i_main: float | np.ndarray) -> float | np.ndar
 
 
 def pbo_level(alpha: float, i_main: float | np.ndarray) -> float | np.ndarray:
-    """Output back-off in dB at ``i_main``, a float or an array: 20*log10(2/((1+alpha)*i_main))."""
+    """Output back-off in dB at ``i_main`` in (0, 2/(1+alpha)], a float or an
+    array: 20*log10(2/((1+alpha)*i_main))."""
     require_positive(alpha=alpha)
-    i_main = require_within("i_main", i_main, math.ulp(0.0), math.inf)
+    i_main = require_within("i_main", i_main, math.ulp(0.0), 2.0 / (1.0 + alpha) * (1.0 + 1e-12))
     return 20.0 * np.log10(2.0 / ((1.0 + alpha) * i_main))
 
 

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, SingularSystemError
 from .netlist import Netlist, NetworkTopologyError, Placed
 
 __all__ = [
@@ -60,15 +60,6 @@ ROUNDING_ERROR_TOL = 1e-3
 #: Python work of each stamp over many points, few enough that a dense
 #: sweep holds only a chunk of matrices (256 of 9x9 are 0.3 MB)
 CHUNK = 256
-
-
-class SingularSystemError(RuntimeError):
-    """The MNA matrix could not be solved reliably."""
-
-    def __init__(self, msg: str, node: str | None = None, element: str | None = None):
-        super().__init__(msg)
-        self.node = node
-        self.element = element
 
 
 @dataclass(eq=False)

@@ -6,7 +6,7 @@ import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from ..errors import InputError
+from ..errors import InputError, json_number
 from .elements import Component, Resistor
 
 __all__ = ["Placed", "Netlist", "NetworkTopologyError"]
@@ -139,7 +139,7 @@ class Netlist:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Netlist":
         """Decode and check a netlist document; raises NetworkTopologyError."""
-        f0 = _number(doc.get("f0_hz"))
+        f0 = json_number(doc.get("f0_hz"))
         _check(f0 is not None, "key 'f0_hz' must be a number", key="f0_hz")
         net = cls(f0=f0, ground=str(doc.get("ground", "0")))
         ports = doc.get("ports", {})
@@ -170,18 +170,6 @@ def _check(cond: bool, msg: str, *values, key: str | None = None, element: str |
     the ``key`` or ``element`` at fault) unless ``cond``; formatted only when raised."""
     if not cond:
         raise NetworkTopologyError(msg.format(*values), key=key, element=element)
-
-
-def _number(val) -> float | None:
-    """A JSON number as a float (an integer beyond float range as inf), else None."""
-    if type(val) is float:
-        return val
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return None
-    try:
-        return float(val)
-    except OverflowError:
-        return math.inf
 
 
 def _is_nodes(val) -> bool:
@@ -224,13 +212,13 @@ def _component_from_json(name: str, entry: dict) -> Component:
             _check(default is not MISSING, "element '{}' needs key '{}'", name, key, element=name)
             continue
         if is_complex:
-            parts = [_number(v) for v in val] if isinstance(val, list) else []
+            parts = [json_number(v) for v in val] if isinstance(val, list) else []
             _check(len(parts) == 2 and None not in parts,
                    "key '{}' of element '{}' must be a [re, im] pair of numbers", key, name,
                    element=name)
             values[attr] = complex(*parts)
         else:
-            values[attr] = _number(val)
+            values[attr] = json_number(val)
             _check(values[attr] is not None, "key '{}' of element '{}' must be a number", key,
                    name, element=name)
     try:

@@ -14,8 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ideal import current_profile, itr_conv, itr_intro, pbo_level
-
 if TYPE_CHECKING:  # annotations only: rendering itr-curves needs no analysis
     from .analysis import LoadModulationSweep, PASimResult
 
@@ -150,6 +148,8 @@ def pa_sim_rows(sim: PASimResult) -> np.ndarray:
 def itr_curve_rows(alpha: float, r_opt: float, r_l: float, n_points: int = 121) -> np.ndarray:
     """One row per point in ``ITR_COLUMNS`` order, from peak drive down to
     the auxiliary turn-on point; one call per closed form."""
+    from .ideal import current_profile, itr_conv, itr_intro, pbo_level  # itr-curves alone needs it
+
     i_main = np.linspace(2.0 / (1.0 + alpha) ** 2, 2.0 / (1.0 + alpha), n_points)[::-1]
     return np.column_stack(
         [

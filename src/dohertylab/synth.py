@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .errors import ClosedForm, InputError
+from .errors import ClosedForm, DesignConsistencyError, InputError
 from .ideal import DohertyConfig
 from .netkit import (
     Capacitor,
@@ -59,10 +59,6 @@ IDENTITY_TOL = 1e-9
 Z0_WINDOW = (10.0, 150.0)
 L_WINDOW = (50e-12, 10e-9)
 C_WINDOW = (5e-15, 10e-12)
-
-
-class DesignConsistencyError(RuntimeError):
-    """A synthesized design violates one of its own defining identities."""
 
 
 def _rel_residual(a: float, b: float) -> float:

@@ -830,6 +830,23 @@ def test_pa_sim_v_min_outside_unit_interval_exit_2(v_min, design_path, tmp_path,
     assert_one_json_error(code, err, "--v-min")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--main-phi-deg", "400"), ("--main-phi-deg", "0"), ("--main-phi-deg", "-90"),
+    ("--aux-turn-on", "1.5"), ("--aux-turn-on", "1"), ("--aux-turn-on", "0"),
+])
+def test_pa_sim_cell_flag_outside_its_domain_exit_2(flag, value, design_path, tmp_path, capsys):
+    """The conduction angle lies in (0, 360] degrees and the auxiliary
+    turn-on drive in (0, 1): the error names the flag and its own units."""
+    code, _, err = run(
+        ["analyze", design_path, "--mode", "pa-sim", "--v-dc", "1", "--i-max", "1",
+         flag, value, "--out-dir", str(tmp_path / "out")],
+        capsys,
+    )
+    assert_one_json_error(code, err, flag)
+    assert f"got {float(value)}" in json.loads(err)["error"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_pa_sim_aux_peak_current_overflow_names_i_max(tmp_path, capsys):
     """The auxiliary cell's peak current is --i-max times alpha: when that
     product leaves float range the error names the flag, not a key."""
@@ -1046,7 +1063,7 @@ def test_lossy_line_into_the_load_node_is_refused_on_its_far_end_column(tmp_path
         (["analyze", "DESIGN", "--mode", "bandwidth", "--threshold-db", "nan"], "--threshold-db"),
         (["analyze", "DESIGN", "--mode", "pa-sim", "--ideal-cells", "--v-dc", "inf"], "--v-dc"),
         (["analyze", "DESIGN", "--mode", "pa-sim", "--v-dc", "1", "--i-max", "1",
-          "--main-phi-deg", "400"], "conduction angle"),
+          "--main-phi-deg", "400"], "--main-phi-deg"),
         # (1 + alpha)^2 leaves float range
         (["analyze", "--mode", "itr-curves", "--alpha", "1e300", "--r-opt", "41.3",
           "--r-l", "50"], "alpha = 1e+300 overflows"),
@@ -1114,11 +1131,10 @@ def test_analyze_points_below_one_exit_2(mode, points, design_path, tmp_path, ca
 def test_analyze_input_error_leaves_no_output_dir(design_path, tmp_path, capsys):
     out_dir = tmp_path / "new"
     code, _, err = run(
-        ["analyze", design_path, "--mode", "pa-sim", "--v-dc", "1", "--i-max", "1",
-         "--main-phi-deg", "400", "--out-dir", str(out_dir)],
+        ["analyze", design_path, "--mode", "pa-sim", "--v-dc", "1", "--out-dir", str(out_dir)],
         capsys,
     )
-    assert_one_json_error(code, err, "conduction angle")
+    assert_one_json_error(code, err, "--i-max")
     assert not out_dir.exists()
 
 

@@ -164,6 +164,16 @@ def test_pbo_anchors():
         pbo_level(1.0, 0.0)
 
 
+@pytest.mark.parametrize("i_main", [math.inf, 2.0, 1.0 + 1e-9], ids=["inf", "2", "above-peak"])
+def test_pbo_level_refuses_drive_above_peak(i_main):
+    """i_main lies in (0, 2/(1+alpha)], as for current_profile: above the
+    peak a back-off would read negative, and inf would read -inf dB."""
+    with pytest.raises(InputError, match=f"i_main {i_main} outside"):
+        pbo_level(1.0, i_main)
+    with pytest.raises(InputError, match="outside"):
+        pbo_level(1.0, [0.5, i_main])
+
+
 def test_itr_conv_anchors():
     assert itr_conv(1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert itr_conv(1.0, 0.5) == pytest.approx(4.0, abs=1e-12)

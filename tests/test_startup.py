@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from dohertylab import analysis, errors
+from dohertylab import analysis, errors, synth
 from dohertylab.cli import main
+from dohertylab.netkit import mna
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(errors.__file__)))
 
@@ -52,14 +53,21 @@ def files(tmp_path_factory):
     return {"root": str(root), "design": str(design), "netlist": str(root / "netlist.json")}
 
 
-def test_importing_the_cli_loads_no_command_module():
-    loaded = loaded_modules(
-        "import json, sys, dohertylab.cli; "
+def imported_by(module: str) -> set[str]:
+    return loaded_modules(
+        f"import json, sys, {module}; "
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dohertylab'))))"
     )
-    assert "dohertylab.cli" in loaded
-    for name in ("analysis", "cells", "evm"):
-        assert f"dohertylab.{name}" not in loaded
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert imported_by("dohertylab") == {"dohertylab"}
+
+
+def test_importing_the_cli_loads_no_command_module():
+    assert imported_by("dohertylab.cli") == {
+        "dohertylab", "dohertylab.cli", "dohertylab.errors", "dohertylab.report"
+    }
 
 
 @pytest.mark.parametrize("command", ["synth", "export", "itr-curves"])
@@ -71,9 +79,19 @@ def test_commands_without_analysis_do_not_load_it(command, files):
         "itr-curves": ["analyze", files["design"], "--mode", "itr-curves", "--out-dir", out],
     }[command]
     loaded = loaded_modules(MAIN_PROBE, json.dumps(argv))
-    assert "dohertylab.synth" in loaded
+    # export reads a netlist: it runs neither synthesis nor the closed forms
+    for name in ("synth", "ideal"):
+        assert (f"dohertylab.{name}" in loaded) == (command != "export")
     assert "dohertylab.analysis" not in loaded
     assert "dohertylab.cells" not in loaded
+
+
+def test_itr_curves_from_flags_loads_no_solver(files):
+    argv = ["analyze", "--mode", "itr-curves", "--alpha", "1", "--r-opt", "41.3", "--r-l", "50",
+            "--out-dir", os.path.join(files["root"], "itr-flags")]
+    loaded = loaded_modules(MAIN_PROBE, json.dumps(argv))
+    assert "dohertylab.ideal" in loaded
+    assert not any(m == "dohertylab.synth" or m.startswith("dohertylab.netkit") for m in loaded)
 
 
 def test_pa_sim_loads_cells(files):
@@ -85,3 +103,9 @@ def test_pa_sim_loads_cells(files):
 
 def test_degenerate_transfer_error_lives_in_errors():
     assert analysis.DegenerateTransferError is errors.DegenerateTransferError
+
+
+def test_design_and_solver_errors_live_in_errors():
+    """The CLI maps these to exit 3 without importing the modules that raise them."""
+    assert synth.DesignConsistencyError is errors.DesignConsistencyError
+    assert mna.SingularSystemError is errors.SingularSystemError
