@@ -15,12 +15,13 @@ input (:class:`~dohertylab.errors.InputError`) or an output that cannot
 be written, whose files already written are removed; 3 internal-consistency
 failure (a synthesized design that fails its identities, a network the
 solver rejects, or a degenerate transfer).  Errors are emitted as one
-JSON object on stderr, naming at exit 2 the ``key``, ``element``, ``node``
-or ``--flag`` at fault; any other error is a fault of the program and keeps
-its traceback.  Every analysis runs at the ``f0_hz`` of its design or
-netlist, and ``synth`` and ``analyze`` first judge the network there for
-every drive (:func:`~dohertylab.netkit.check_network`), so a network that
-double precision cannot hold exits 3 whatever the mode.
+JSON object on stderr with the ``key``, ``element`` or ``node`` the error
+names, which at exit 2 (or a ``--flag`` in its message) is the input at
+fault; any other error is a fault of the program and keeps its traceback.
+Every analysis runs at the ``f0_hz`` of its design or netlist, and
+``synth`` and ``analyze`` first judge the network there for every drive
+(:func:`~dohertylab.netkit.check_network`), so a network that double
+precision cannot hold exits 3 whatever the mode.
 
 Design file schema (all units in the key names)::
 
@@ -94,13 +95,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import report
-from .errors import (
-    DegenerateTransferError,
-    DesignConsistencyError,
-    InputError,
-    SingularSystemError,
-    json_number,
-)
+from .errors import InputError, Refusal, json_number
 
 if TYPE_CHECKING:  # annotations only: each command imports the modules it runs
     from .ideal import DohertyConfig
@@ -332,6 +327,9 @@ def cmd_analyze(args) -> dict[str, str]:
         if missing := [p for p in ("main", "aux", "load") if p not in netlist.ports]:
             raise InputError(f"netlist input needs ports main, aux and load; missing {missing}",
                              key="ports")
+        if netlist.load_port != "load":  # the phase offset terminates the load port
+            raise InputError(f"netlist input needs load_port 'load', got {netlist.load_port!r}",
+                             key="load_port")
         cfg = _config_from_flags(args, netlist.f0)
         q_l = args.q_l
         q_c = args.q_c
@@ -515,11 +513,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _check_flags(args)
         outputs = args.func(args)
-    except InputError as exc:  # NetworkTopologyError among them
+    except Refusal as exc:  # exit 2 for an InputError, NetworkTopologyError among them
         names = {"key": exc.key, "element": exc.element, "node": exc.node}
-        doc = {"error": str(exc), "code": 2, **{k: v for k, v in names.items() if v is not None}}
-    except (DesignConsistencyError, SingularSystemError, DegenerateTransferError) as exc:
-        doc = {"error": str(exc), "code": 3}
+        doc = {"error": str(exc), "code": 2 if isinstance(exc, InputError) else 3,
+               **{k: v for k, v in names.items() if v is not None}}
     else:
         try:
             for k, (path, text) in enumerate(outputs.items()):

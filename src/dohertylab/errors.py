@@ -1,17 +1,18 @@
 """The error every check of an input raises, the post-condition of
 every closed form, the JSON-number rule, and the three errors the CLI maps
-to exit 3 without importing the modules that raise them."""
+to exit 3 without importing the modules that raise them: all four are a
+:class:`Refusal`."""
 
 import math
 
 import numpy as np
 
 
-class InputError(ValueError):
-    """An input the package refuses: a value outside its range, a name
-    that does not exist, a malformed file.  The CLI exits 2 on it; any
-    other ``ValueError`` is a fault of the program.  ``key``, ``element``
-    and ``node`` name the design-file or netlist key, element or node at fault."""
+class Refusal(Exception):
+    """The base of the errors that refuse a call on what it was given, each
+    of which the CLI maps to an exit code.  ``key``, ``element`` and
+    ``node`` name the design-file or netlist key, element or node at fault,
+    where one is known."""
 
     def __init__(self, message: str, key: str | None = None, element: str | None = None,
                  node: str | None = None):
@@ -19,21 +20,22 @@ class InputError(ValueError):
         self.key, self.element, self.node = key, element, node
 
 
-class DegenerateTransferError(RuntimeError):
+class InputError(Refusal, ValueError):
+    """An input the package refuses: a value outside its range, a name
+    that does not exist, a malformed file.  The CLI exits 2 on it; any
+    other ``ValueError`` is a fault of the program."""
+
+
+class DegenerateTransferError(Refusal, RuntimeError):
     """Transfer from a source port to the load is numerically zero."""
 
 
-class DesignConsistencyError(RuntimeError):
+class DesignConsistencyError(Refusal, RuntimeError):
     """A synthesized design violates one of its own defining identities."""
 
 
-class SingularSystemError(RuntimeError):
+class SingularSystemError(Refusal, RuntimeError):
     """The MNA matrix could not be solved reliably."""
-
-    def __init__(self, msg: str, node: str | None = None, element: str | None = None):
-        super().__init__(msg)
-        self.node = node
-        self.element = element
 
 
 def json_number(val) -> float | None:

@@ -402,6 +402,33 @@ def test_degenerate_transfer_exits_3(design_path, tmp_path, capsys, monkeypatch)
     assert not out_dir.exists()
 
 
+#: netlists the solver finds an unknown unconstrained in, by the field and
+#: name the exit-3 object carries for it
+_UNCONSTRAINED = {
+    ("node", "b"): [
+        {"kind": "current_source", "name": "I1", "nodes": ["b", "0"], "amps": [1.0, 0.0]},
+    ],
+    ("element", "T1"): [
+        {"kind": "resistor", "name": "Rb", "nodes": ["b", "0"], "ohms": 50.0},
+        {"kind": "ideal_transformer", "name": "T1", "nodes": ["a", "a", "b", "b"], "n": 1.0},
+    ],
+}
+
+
+@pytest.mark.parametrize("field, name", sorted(_UNCONSTRAINED))
+def test_unconstrained_unknown_exits_3_naming_it(field, name, tmp_path, capsys):
+    ra = {"kind": "resistor", "name": "Ra", "nodes": ["a", "0"], "ohms": 50.0}
+    p = tmp_path / "net.json"
+    p.write_text(json.dumps({"f0_hz": 1e9, "ports": {"main": ["a", "0"]},
+                             "elements": [ra, *_UNCONSTRAINED[field, name]]}))
+    out = tmp_path / "out" / "x.s1p"
+    code, _, err = run(["export", str(p), "--touchstone", str(out)], capsys)
+    assert_one_json_error_exit_3(code, err)
+    doc = json.loads(err)
+    assert doc[field] == name and name in doc["error"]
+    assert not out.parent.exists()
+
+
 def test_itr_curves_contains_prototype_anchor_rows(tmp_path, capsys):
     out_dir = str(tmp_path)
     code, _, _ = run(
@@ -761,6 +788,29 @@ def test_analyze_netlist_input_missing_flags_exit_2(design_path, tmp_path, capsy
     )
     assert code == 2
     assert "--alpha" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("load_port", [None, "main"])
+@pytest.mark.parametrize("mode", [
+    ["load-mod"], ["pbo-eff"], ["bandwidth"], ["pa-sim", "--ideal-cells", "--v-dc", "1"],
+], ids=lambda mode: mode[0])
+def test_analyze_netlist_without_load_as_load_port_exit_2(load_port, mode, design_path,
+                                                          tmp_path, capsys):
+    """The phase offset terminates the ``load`` port while the analyses
+    book load power across ``load_port``: another port, or none, would
+    book the power of the wrong port, or none at all."""
+    run(["synth", design_path, "--out-dir", str(tmp_path / "s")], capsys)
+    doc = json.loads((tmp_path / "s" / "netlist.json").read_text())
+    doc.pop("load_port")
+    if load_port is not None:
+        doc["load_port"] = load_port
+    p = tmp_path / "net.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(["analyze", str(p), "--mode", *mode, "--alpha", "1", "--r-opt", "41.3",
+                        "--r-l", "50", "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert json.loads(err)["key"] == "load_port"
+    assert not (tmp_path / "out").exists()
 
 
 def test_export_design_input_exit_2(design_path, tmp_path, capsys):

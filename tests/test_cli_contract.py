@@ -2,7 +2,8 @@
 failure prints exactly one JSON object on stderr, whose ``code`` is the
 exit code, and writes no file; an exit-2 object names the input at
 fault, as its ``key``, ``element`` or ``node`` or as a ``--flag`` in its
-message; a successful export's Touchstone reads back within 1e-9.
+message, and each name an exit-3 object carries appears in its message;
+a successful export's Touchstone reads back within 1e-9.
 Only the package's ``InputError`` exits 2: any other exception, a numpy
 ``ValueError`` among them, leaves ``main`` and fails the test.
 
@@ -214,9 +215,11 @@ def _run(tmp: str, inputs: dict, argv: list[str]) -> int:
         assert len(lines) == 1, lines
         doc = json.loads(lines[0])
         assert isinstance(doc, dict) and doc["code"] == code and doc["error"], doc
+        named = doc.keys() & {"key", "element", "node"}
         if code == 2:  # the input at fault is named, so a program fault cannot pass as one
-            named = doc.keys() & {"key", "element", "node"}
             assert named or re.search("--[a-z]", doc["error"]), doc
+        else:  # a name the solver gives is the one its message shows
+            assert all(doc[field] in doc["error"] for field in named), doc
         assert _files(tmp) == before, "a failed command wrote a file"
     return code
 
