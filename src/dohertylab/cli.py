@@ -75,9 +75,11 @@ Netlist JSON schema (produced by ``Netlist.to_json_dict``)::
       ]
     }
 
-``q`` and ``loss_db_per_quarter`` are omitted when lossless.  Node lists
-are lists of names and every value is a finite number (``amps`` a
-[re, im] pair).
+``q`` and ``loss_db_per_quarter`` are omitted when lossless.  ``ground``
+is a node name, node lists are lists of names and every value is a
+finite number (``amps`` a [re, im] pair).  Any other key is rejected, as
+in a design file, naming the key and its element: both inputs are read
+by :func:`~dohertylab.errors.json_fields`.
 """
 
 from __future__ import annotations
@@ -89,13 +91,12 @@ import json
 import math
 import os
 import sys
-from collections.abc import Container
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import report
-from .errors import InputError, Refusal, json_number
+from .errors import InputError, Refusal, json_fields, require_positive
 
 if TYPE_CHECKING:  # annotations only: each command imports the modules it runs
     from .ideal import DohertyConfig
@@ -148,35 +149,10 @@ def _check_flags(args) -> None:
 # Design-file validation
 # ----------------------------------------------------------------------
 
-def _check_keys(doc: dict, allowed: Container[str], where: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise InputError(f"unknown key '{key}' in {where}", key=key)
-
-
-def _section(doc: dict, name: str, allowed: Container[str]) -> dict:
-    """The design's ``name`` section, empty when absent; it must be a JSON
-    object of ``allowed`` keys."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise InputError(f"key '{name}' in design must be an object", key=name)
-    _check_keys(section, allowed, name)
-    return section
-
-
-def _num(doc: dict, key: str, where: str, positive: bool = True) -> float:
-    """``doc[key]`` as a finite float, also positive unless ``positive`` is
-    false, else exit code 2."""
-    if key not in doc:
-        raise InputError(f"missing key '{key}' in {where}", key=key)
-    val = json_number(doc[key])
-    if val is None:
-        raise InputError(f"key '{key}' in {where} must be a number", key=key)
-    if not math.isfinite(val):
-        raise InputError(f"key '{key}' in {where} must be finite", key=key)
-    if positive and not val > 0:
-        raise InputError(f"key '{key}' in {where} must be positive", key=key)
-    return val
+#: the design file's sections by key, each a JSON object; the topology is
+#: checked against the names in ``synth.TOPOLOGIES``
+_DESIGN = {"config": dict, "topology": object, "free_params": dict, "q_budget": dict,
+           "parasitics": dict}
 
 
 def _read_json(path: str, what: str):
@@ -197,16 +173,9 @@ def design_spec(doc) -> dict:
     from .ideal import DohertyConfig
     from .synth import TOPOLOGIES
 
-    if not isinstance(doc, dict):
-        raise InputError("design file must hold a JSON object")
-    _check_keys(doc, {"config", "topology", "free_params", "q_budget", "parasitics"}, "design")
-
-    if "config" not in doc:
-        raise InputError("missing key 'config' in design", key="config")
-    cfg_doc = _section(doc, "config", DohertyConfig.keys)
-    config = DohertyConfig(
-        **{name: _num(cfg_doc, key, "config") for key, name in DohertyConfig.keys.items()}
-    )
+    json_fields(doc, "design", {}, _DESIGN, required=["config"])
+    config = DohertyConfig(**json_fields(doc["config"], "config", DohertyConfig.keys,
+                                         required=DohertyConfig.keys))
 
     topology = doc.get("topology")
     design = TOPOLOGIES.get(topology) if isinstance(topology, str) else None
@@ -214,18 +183,17 @@ def design_spec(doc) -> dict:
         raise InputError(
             f"topology must be one of {tuple(TOPOLOGIES)}, got {topology!r}", key="topology"
         )
-    params = {}
-    for name in ("free_params", "parasitics"):
-        keys = design.keys.get(name, {})
-        section = _section(doc, name, keys)
-        # a pad capacitance may be 0; the synthesis checks its domain by key
-        params.update((keys[key], _num(section, key, name, name != "parasitics"))
-                      for key in section)
+    free = doc.get("free_params", {})
+    params = json_fields(free, "free_params", design.keys.get("free_params", {}))
+    require_positive(**free)  # a pad capacitance may be 0: the synthesis checks it by key
+    params.update(json_fields(doc.get("parasitics", {}), "parasitics",
+                              design.keys.get("parasitics", {})))
 
-    q_doc = _section(doc, "q_budget", {"q_l", "q_c"})
-    q_l = _num(q_doc, "q_l", "q_budget") if "q_l" in q_doc else math.inf
-    q_c = _num(q_doc, "q_c", "q_budget") if "q_c" in q_doc else math.inf
-    return {"config": config, "design": design, "params": params, "q_l": q_l, "q_c": q_c}
+    q_budget = doc.get("q_budget", {})
+    q = {"q_l": math.inf, "q_c": math.inf}
+    q.update(json_fields(q_budget, "q_budget", {"q_l": "q_l", "q_c": "q_c"}))
+    require_positive(**q_budget)
+    return {"config": config, "design": design, "params": params, **q}
 
 
 def synthesize(spec: dict):
@@ -299,7 +267,8 @@ def cmd_analyze(args) -> dict[str, str]:
         if args.input is not None:
             spec, _ = _load_input(args)
             if spec is None:
-                raise InputError("itr-curves needs a design file or --alpha/--r-opt/--r-l flags")
+                raise InputError("itr-curves takes no netlist input: give --alpha/--r-opt/--r-l "
+                                 "alone, or a design file")
             cfg = spec["config"]
         else:
             cfg = _config_from_flags(args, 1e9)  # the ITR curves do not depend on f0

@@ -1,8 +1,9 @@
 """The error every check of an input raises, the post-condition of
-every closed form, the JSON-number rule, and the three errors the CLI maps
-to exit 3 without importing the modules that raise them: all four are a
-:class:`Refusal`."""
+every closed form, the one rule that reads a JSON object of the CLI's
+inputs, and the three errors the CLI maps to exit 3 without importing
+the modules that raise them: all four are a :class:`Refusal`."""
 
+import cmath
 import math
 
 import numpy as np
@@ -48,6 +49,50 @@ def json_number(val) -> float | None:
         return float(val)
     except OverflowError:
         return math.inf
+
+
+#: what a JSON value must be, by the type a schema reads it as
+_JSON_TYPES = {float: "a number", complex: "a [re, im] pair of numbers", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def json_fields(doc, where: str, schema: dict[str, str], types: dict[str, type] = {},
+                required=(), error: type[InputError] = InputError,
+                element: str | None = None) -> dict:
+    """The JSON object ``doc``, called ``where`` in messages, read by its
+    ``schema`` ({JSON key: field}): {field: value} for each key of
+    ``schema`` it holds, a finite float, or a complex from an [re, im] pair
+    of finite numbers where ``types`` ({JSON key: type}) says ``complex``.
+    A key that ``types`` alone gives another type is the caller's to read
+    and must hold a value of that type (``object``: any value).  Any other
+    key, a missing ``required`` key or a value of another type is an
+    ``error`` naming the key and ``element``."""
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be a JSON object", element=element)
+    out = {}
+    for key, val in doc.items():
+        kind = types.get(key, float)
+        if kind is float or kind is complex:
+            field = schema.get(key)
+            if field is None:
+                raise error(f"unknown key '{key}' in {where}", key=key, element=element)
+            if kind is float:
+                val = val if type(val) is float else json_number(val)
+            elif type(val) is list and len(val) == 2:
+                re, im = json_number(val[0]), json_number(val[1])
+                val = None if re is None or im is None else complex(re, im)
+        elif isinstance(val, kind):  # the caller's to read
+            continue
+        if not isinstance(val, kind):
+            raise error(f"key '{key}' in {where} must be {_JSON_TYPES[kind]}", key=key,
+                        element=element)
+        if not cmath.isfinite(val):
+            raise error(f"key '{key}' in {where} must be finite", key=key, element=element)
+        out[field] = val
+    for key in required:
+        if key not in doc:
+            raise error(f"missing key '{key}' in {where}", key=key, element=element)
+    return out
 
 
 def require_positive(**values: float) -> None:

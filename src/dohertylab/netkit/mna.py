@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import InputError, SingularSystemError
+from ..errors import InputError, SingularSystemError, require_within
 from .netlist import Netlist, NetworkTopologyError, Placed
 
 __all__ = [
@@ -196,19 +196,14 @@ class MnaSystem:
 
 
 def _sweep_frequencies(freqs) -> np.ndarray:
-    """``freqs`` as a float array; ValueError unless it is a non-empty 1-D
+    """``freqs`` as a float array; InputError unless it is a non-empty 1-D
     array of positive, finite frequencies."""
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or freqs.size == 0:
         raise InputError(
             f"analysis frequencies must be a non-empty 1-D array, got shape {freqs.shape}"
         )
-    bad = ~(np.isfinite(freqs) & (freqs > 0))
-    if bad.any():
-        raise InputError(
-            f"analysis frequency must be positive and finite, got {freqs[bad][0]}"
-        )
-    return freqs
+    return require_within("analysis frequency", freqs, math.ulp(0.0), np.finfo(float).max)
 
 
 def assemble(netlist: Netlist, freq: float) -> MnaSystem:

@@ -6,7 +6,7 @@ import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from ..errors import InputError, json_number
+from ..errors import InputError, json_fields
 from .elements import Component, Resistor
 
 __all__ = ["Placed", "Netlist", "NetworkTopologyError"]
@@ -139,30 +139,36 @@ class Netlist:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Netlist":
         """Decode and check a netlist document; raises NetworkTopologyError."""
-        f0 = json_number(doc.get("f0_hz"))
-        _check(f0 is not None, "key 'f0_hz' must be a number", key="f0_hz")
-        net = cls(f0=f0, ground=str(doc.get("ground", "0")))
-        ports = doc.get("ports", {})
-        _check(isinstance(ports, dict), "key 'ports' must be an object", key="ports")
-        for name, pair in ports.items():
+        top = json_fields(doc, "netlist", {"f0_hz": "f0"}, _NETLIST_TYPES, ["f0_hz"],
+                          NetworkTopologyError)
+        net = cls(**top, ground=doc.get("ground", "0"), load_port=doc.get("load_port"))
+        for name, pair in doc.get("ports", {}).items():
             _check(_is_nodes(pair) and len(pair) == 2, "port '{}' must be a node pair", name,
                    key=name)
             net.add_port(name, *pair)
-        net.load_port = load_port = doc.get("load_port")
-        _check(load_port is None or isinstance(load_port, str), "key 'load_port' must be a name",
-               key="load_port")
-        elements = doc.get("elements", [])
-        _check(isinstance(elements, list), "key 'elements' must be a list", key="elements")
-        for entry in elements:
+        for entry in doc.get("elements", []):
             _check(isinstance(entry, dict), "each element must be an object", key="elements")
             name = entry.get("name")
             _check(isinstance(name, str), "each element needs a string 'name'", key="name")
-            nodes = entry.get("nodes")
-            _check(_is_nodes(nodes), "nodes of element '{}' must be a list of names", name,
+            kind = entry.get("kind")
+            _check(isinstance(kind, str) and kind in _SCHEMAS, "unknown element kind '{}'", kind,
                    element=name)
-            net.add(name, _component_from_json(name, entry), *nodes)
+            comp, types, required, _ = _SCHEMAS[kind]
+            values = json_fields(entry, f"element '{name}'", comp.json_keys, types, required,
+                                 NetworkTopologyError, name)
+            _check(_is_nodes(entry["nodes"]), "nodes of element '{}' must be a list of names",
+                   name, element=name)
+            try:
+                component = comp(**values)
+            except ValueError as exc:
+                raise NetworkTopologyError(f"element '{name}': {exc}", element=name) from None
+            net.add(name, component, *entry["nodes"])
         net.validate()
         return net
+
+
+#: the type of each top-level netlist key but the number ``f0_hz``
+_NETLIST_TYPES = {"ground": str, "ports": dict, "load_port": str, "elements": list}
 
 
 def _check(cond: bool, msg: str, *values, key: str | None = None, element: str | None = None):
@@ -176,14 +182,19 @@ def _is_nodes(val) -> bool:
     return isinstance(val, list) and all([isinstance(n, str) for n in val])
 
 
-def _json_schema(cls) -> tuple[type, list[tuple[str, str, object, bool]]]:
-    """(class, [(JSON key, field, default or MISSING, complex-valued)]), read
-    from the annotation strings of the fields (elements postpones them)."""
+def _json_schema(cls) -> tuple:
+    """(class, types, required keys, [(JSON key, field, default or MISSING,
+    complex-valued)]) of an element kind, from its ``json_keys`` and the
+    annotation strings of its fields (elements postpones them): the types
+    and required keys :func:`~dohertylab.errors.json_fields` reads it by,
+    a complex field from an [re, im] pair, the ``nodes`` the netlist reads
+    itself and every field without a default required."""
     by_name = {f.name: f for f in fields(cls)}
-    return cls, [
-        (key, name, by_name[name].default, by_name[name].type == "complex")
-        for key, name in cls.json_keys.items()
-    ]
+    keys = [(key, name, by_name[name].default, by_name[name].type == "complex")
+            for key, name in cls.json_keys.items()]
+    types = {"name": str, "kind": str, "nodes": list}
+    types.update((key, complex) for key, _, _, is_complex in keys if is_complex)
+    return cls, types, ["nodes", *(key for key, _, default, _ in keys if default is MISSING)], keys
 
 
 #: element kind -> JSON schema, from the element descriptions
@@ -193,35 +204,8 @@ _SCHEMAS = {cls.kind: _json_schema(cls) for cls in typing.get_args(Component)}
 def _element_to_json(e: Placed) -> dict:
     comp = e.component
     out = {"name": e.name, "nodes": list(e.nodes), "kind": comp.kind}
-    for key, name, default, is_complex in _SCHEMAS[comp.kind][1]:
+    for key, name, default, is_complex in _SCHEMAS[comp.kind][3]:
         val = getattr(comp, name)
         if val != default:
             out[key] = [val.real, val.imag] if is_complex else val
     return out
-
-
-def _component_from_json(name: str, entry: dict) -> Component:
-    kind = entry.get("kind")
-    if not isinstance(kind, str) or kind not in _SCHEMAS:
-        raise NetworkTopologyError(f"unknown element kind '{kind}'", element=name)
-    cls, keys = _SCHEMAS[kind]
-    values = {}
-    for key, attr, default, is_complex in keys:
-        val = entry.get(key, MISSING)
-        if val is MISSING:
-            _check(default is not MISSING, "element '{}' needs key '{}'", name, key, element=name)
-            continue
-        if is_complex:
-            parts = [json_number(v) for v in val] if isinstance(val, list) else []
-            _check(len(parts) == 2 and None not in parts,
-                   "key '{}' of element '{}' must be a [re, im] pair of numbers", key, name,
-                   element=name)
-            values[attr] = complex(*parts)
-        else:
-            values[attr] = json_number(val)
-            _check(values[attr] is not None, "key '{}' of element '{}' must be a number", key,
-                   name, element=name)
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise NetworkTopologyError(f"element '{name}': {exc}", element=name) from None

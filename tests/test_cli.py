@@ -208,8 +208,10 @@ def test_unknown_key_named_in_error(tmp_path, capsys):
         '{"kind": "current_source", "name": "I1", "nodes": ["a", "0"], "amps": 5}',
         '{"kind": "resistor", "name": "R2", "nodes": "a0", "ohms": 50.0}',
         '{"kind": "resistor", "name": "R2", "nodes": ["a", "0"], "ohms": 1e400}',
+        # an overflowing Q is not the lossless default, which leaves the key out
+        '{"kind": "inductor", "name": "L2", "nodes": ["a", "0"], "henries": 1e-9, "q": 1e400}',
     ],
-    ids=["amps-not-a-pair", "nodes-not-a-list", "ohms-not-finite"],
+    ids=["amps-not-a-pair", "nodes-not-a-list", "ohms-not-finite", "q-not-finite"],
 )
 def test_malformed_netlist_exits_2(element, tmp_path, capsys):
     p = tmp_path / "net.json"
@@ -248,6 +250,60 @@ def test_malformed_netlist_error_names_its_input(change, named, tmp_path, capsys
     assert code == 2
     payload = json.loads(err)
     assert {name: payload.get(name) for name in named} == named
+
+
+#: the netlist ``synth`` writes for the README prototype
+REFERENCE_NETLIST = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference",
+                                 "synth", "netlist.json")
+
+
+def _rename_tf1_q(doc):
+    (tf1,) = [e for e in doc["elements"] if e["name"] == "TF1"]
+    tf1["Q"] = tf1.pop("q")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["export", "--touchstone", "x.s3p"],
+     ["analyze", "--mode", "load-mod", "--alpha", "1", "--r-opt", "41.3", "--r-l", "50"]],
+    ids=["export", "analyze"],
+)
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        (_rename_tf1_q, {"key": "Q", "element": "TF1"}),
+        (lambda doc: doc.update(elementz=[]), {"key": "elementz", "element": None}),
+        (lambda doc: doc.update(ground=None), {"key": "ground", "element": None}),
+    ],
+    ids=["tf1-q-as-Q", "extra-top-level-key", "ground-null"],
+)
+def test_netlist_key_outside_its_schema_exits_2(change, named, argv, tmp_path, capsys,
+                                                monkeypatch):
+    """A netlist is read as a design file is: a key outside its schema is
+    refused by name, not dropped (TF1's ``q`` spelt ``Q`` would leave its
+    windings lossless), and ``ground`` must be a node name."""
+    with open(REFERENCE_NETLIST) as fh:
+        doc = json.load(fh)
+    change(doc)
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run([argv[0], "net.json", *argv[1:]], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert {name: payload.get(name) for name in named} == named
+    assert os.listdir(tmp_path) == ["net.json"]
+
+
+def test_itr_curves_refuses_a_netlist_input_by_name(tmp_path, capsys):
+    """The flags alone give itr-curves its config: the netlist input is
+    what it refuses, not a missing flag."""
+    code, _, err = run(["analyze", REFERENCE_NETLIST, "--mode", "itr-curves", "--alpha", "1",
+                        "--r-opt", "41.3", "--r-l", "50", "--out-dir", str(tmp_path / "out")],
+                       capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == (
+        "itr-curves takes no netlist input: give --alpha/--r-opt/--r-l alone, or a design file")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

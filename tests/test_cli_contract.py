@@ -151,10 +151,10 @@ def _netlists(draw):
     }
     if "load" in ports:
         doc["load_port"] = "load"
-    if draw(st.booleans()):  # one element value broken in place
+    if draw(st.booleans()):  # one element value broken in place, or an unknown key added
         entry = draw(st.sampled_from(elements))
-        entry[draw(st.sampled_from(sorted(entry)))] = draw(_BAD)
-    paths = [(None, k) for k in ("f0_hz", "ports", "elements", "load_port", "ground")]
+        entry[draw(st.sampled_from(sorted(entry) + ["extra"]))] = draw(_BAD)
+    paths = [(None, k) for k in ("f0_hz", "ports", "elements", "load_port", "ground", "extra")]
     return draw(_broken(doc, paths + [("ports", p) for p in ports]))
 
 
