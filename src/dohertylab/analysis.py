@@ -25,7 +25,7 @@ from .ideal import (
     itr_intro,
     pbo_level,
 )
-from .netkit import ColumnsResult, Netlist, Resistor, solve_columns
+from .netkit import ColumnsResult, Netlist, Resistor, solve_columns, unit_columns
 from .netkit import solve  # stays: perfbench/tracing.py patches it here
 from .synth import CombinerDesign
 
@@ -49,22 +49,14 @@ __all__ = [
 ]
 
 
-def _unit_columns(netlist: Netlist, freq: float) -> ColumnsResult:
-    """One solve at ``freq`` of a unit drive into ``main`` and one into
-    ``aux`` and, when the netlist has current sources, a third column of
-    the sources alone: the columns :meth:`ColumnsResult.combined` weights."""
-    k = 3 if any(e.component.source for e in netlist.elements) else 2
-    return solve_columns(netlist, freq, {"main": [1, 0, 0][:k], "aux": [0, 1, 0][:k]})
-
-
 def _offset_columns(netlist: Netlist) -> ColumnsResult:
-    """:func:`_unit_columns` at the netlist's center frequency with a
-    resistor of the load termination's ohms (50 without one) across
-    ``main`` and ``aux``, ``load`` being the load port."""
+    """The unit columns of ``main`` and ``aux`` at the netlist's center
+    frequency with a resistor of the load termination's ohms (50 without
+    one) across each, ``load`` being the load port."""
     loads = netlist.load_terminations()
     work = netlist.terminated(("main", "aux"), loads[0].component.ohms if loads else 50.0)
     work.load_port = "load"
-    return _unit_columns(work, netlist.f0)
+    return unit_columns(work, ("main", "aux"), netlist.f0)
 
 
 def required_phase_offset(netlist: Netlist) -> float:
@@ -82,9 +74,7 @@ def required_phase_offset(netlist: Netlist) -> float:
     :class:`DegenerateTransferError` when a transfer is below 1e-15 of the
     drive level.
     """
-    transfers = _offset_columns(netlist).port_voltages["load"]
-    if len(transfers) == 3:  # less the sources' column
-        transfers = transfers[:2] - transfers[2]
+    transfers = _offset_columns(netlist).unit_response("load")
     args = {}
     for port, t in zip(("main", "aux"), transfers):
         if abs(t) < 1e-15:
@@ -201,12 +191,12 @@ def load_modulation(
 ) -> LoadModulationSweep:
     """Effective impedances at the ``main`` and ``aux`` ports over the
     drive grid at ``cfg.f0``.  The network is linear, so every level
-    combines the columns of one solve (:func:`_unit_columns`), which the
-    acceptance check judges."""
+    combines the unit columns of one solve, which the acceptance check
+    judges."""
     i_main = profile.i_main * cmath.exp(1j * math.radians(profile.main_phase_deg))
     aux_on = profile.i_aux > 0.0
     i_aux = np.where(aux_on, profile.i_aux, 0j)
-    r = _unit_columns(netlist, cfg.f0).combined({"main": i_main, "aux": i_aux})
+    r = unit_columns(netlist, ("main", "aux"), cfg.f0).combined({"main": i_main, "aux": i_aux})
     v_aux = r.port_voltages["aux"]
     z_main = r.port_voltages["main"] / i_main
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -467,16 +457,13 @@ def itr_inverter_oracle(design, i_main_grid) -> tuple[np.ndarray, np.ndarray]:
             probe.add(name, component, *nodes)
         probe.add("RL", Resistor(cfg.r_l), "out", probe.ground)
         probe.add_port("in", face)
-        r_in = solve_columns(probe, f0, {"in": np.array([1.0])})
-        r_base = r_in.port_voltages["in"][0].real
+        r_base = unit_columns(probe, ["in"], f0).unit_response("in")[0].real
         closed = itr_conv(cfg.alpha, grid)
 
     net.add_port("main", "main")
     net.add_port("face", face)
-    # column 0 drives main alone, column 1 the face: [z11, z12] and [z21, z22]
-    drives = {"main": np.array([1.0, 0.0]), "face": np.array([0.0, 1.0])}
-    z = solve_columns(net, f0, drives)
-    (z11, z12), (z21, z22) = z.port_voltages["main"], z.port_voltages["face"]
+    z = unit_columns(net, ("main", "face"), f0)  # [z11, z12] and [z21, z22]
+    (z11, z12), (z21, z22) = z.unit_response("main"), z.unit_response("face")
     r_node = r_base * (grid + current_profile(cfg.alpha, grid)) / grid
     r_main = (z11 - z12 * z21 / (z22 + r_node)).real
     return np.maximum(r_main / r_node, r_node / r_main), closed

@@ -22,6 +22,7 @@ from .mna import (
     check_network,
     solve,
     solve_columns,
+    unit_columns,
 )
 from .netlist import Netlist, NetworkTopologyError, Placed
 from .touchstone import (
@@ -49,6 +50,7 @@ __all__ = [
     "check_network",
     "solve",
     "solve_columns",
+    "unit_columns",
     "s_parameters",
     "write_touchstone",
     "read_touchstone",

@@ -1,16 +1,16 @@
 """Complex-valued modified nodal analysis at one operating point or over a sweep.
 
 :func:`solve_columns` factors the matrix once for K drive columns and
-reports arrays with one entry per column; :func:`solve` is its
-one-column case.  Given an array of V frequencies, :func:`solve_columns`
-validates and numbers the netlist once, stamps the frequencies ``CHUNK``
-at a time into a point-major stack of matrices, solves each point's
-matrix for its K columns and checks each chunk in batched array
-operations; it keeps the whole sweep's solutions, (n+1, V, K), and
-reports arrays with a leading point axis.  A point, a batch and a sweep
-return one result type, :class:`ColumnsResult`, which reads each of its
-voltages, currents and powers back from the solutions when it is first
-used.
+reports arrays with one entry per column; :func:`solve` is its one-column
+case, :func:`unit_columns` its unit drive into each port.  Given an array
+of V frequencies, it validates and numbers the netlist once, stamps the
+frequencies ``CHUNK`` at a time into a point-major stack of matrices,
+solves each point's matrix for its K columns and checks each chunk in
+batched array operations; it keeps the whole sweep's solutions,
+(n+1, V, K), and reports arrays with a leading point axis.  A point, a
+batch and a sweep return one result type, :class:`ColumnsResult`, which
+reads each of its voltages, currents and powers back from the solutions
+when it is first used.
 :func:`check_network` judges a network at one frequency for every drive
 at once and for the error that rounding its matrix may cause.
 
@@ -43,6 +43,7 @@ __all__ = [
     "check_network",
     "solve",
     "solve_columns",
+    "unit_columns",
     "assemble",
     "MnaSystem",
 ]
@@ -90,11 +91,11 @@ class ColumnsResult:
     _readbacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def combined(self, drives: dict[str, np.ndarray]) -> ColumnsResult:
-        """The solutions of this one-point result for the port currents
-        ``drives``, L per port, by linearity: its K columns are a unit drive
-        into each of its ports in order and, when the netlist has current
-        sources, last the sources alone, weighted by 1 minus the drives so
-        that each solution holds them once; each has the K columns' worst
+        """The solutions of this one-point :func:`unit_columns` result for
+        the port currents ``drives``, L per port, by linearity: each unit
+        column weighted by its port's currents and, when the netlist has
+        current sources, the sources' column by 1 minus the drives, so that
+        each solution holds them once; each has the K columns' worst
         backward error."""
         weights = [drives[p] for p in self.drives]
         if len(weights) < self.x.shape[1]:
@@ -102,6 +103,13 @@ class ColumnsResult:
         x = self.x @ np.array(weights)
         eta = np.full(x.shape[1], np.maximum.reduce(self.backward_error))
         return ColumnsResult(self.freq, x, drives, eta, self.system)
+
+    def unit_response(self, port: str) -> np.ndarray:
+        """Port ``port``'s voltage for each unit drive alone of this
+        :func:`unit_columns` result of P ports, (P,) or (V, P): each unit
+        column less the sources' column, when it has one."""
+        v, p = self.port_voltages[port], len(self.drives)
+        return v[..., :p] - v[..., p:] if v.shape[-1] > p else v
 
     def passive_efficiency(self) -> np.ndarray:
         """Fraction of the injected power that reaches the load port's
@@ -407,7 +415,7 @@ def solve_columns(
 
     With ``freq`` a 1-D array of V frequencies, a sweep solves the same
     K columns at each of them on one netlist layout, with a leading point
-    axis on the result.
+    axis on the result.  Port responses are read from :func:`unit_columns`.
     """
     drives = {p: np.asarray(i, dtype=complex) for p, i in drives.items()}
     lengths = {i.shape for i in drives.values()} or {(1,)}
@@ -430,3 +438,12 @@ def solve_columns(
         x, eta = _solved_sweep(system, rhs, freqs)
         freq = freqs
     return ColumnsResult(freq, x, drives, eta, system)
+
+
+def unit_columns(netlist: Netlist, ports, freq: float | np.ndarray) -> ColumnsResult:
+    """:func:`solve_columns` for a unit current into each of ``ports`` in
+    order and, when the netlist has current sources, a last column of the
+    sources alone: the columns :meth:`ColumnsResult.combined` weights and
+    :meth:`ColumnsResult.unit_response` reads."""
+    k = len(ports) + any(e.component.source for e in netlist.elements)
+    return solve_columns(netlist, freq, dict(zip(ports, np.eye(len(ports), k, dtype=complex))))

@@ -20,20 +20,11 @@ class NetworkTopologyError(InputError):
 
 @dataclass(frozen=True)
 class Placed:
-    """A component placed in a netlist under ``name`` on ``nodes``."""
+    """A component placed in a netlist under ``name`` on ``nodes`` by :meth:`Netlist.add`."""
 
     name: str
     component: Component
     nodes: tuple[str, ...]
-
-    def __post_init__(self):
-        want = self.component.terminals
-        if len(self.nodes) != want:
-            raise NetworkTopologyError(
-                f"{type(self.component).__name__} '{self.name}' needs {want} nodes, "
-                f"got {len(self.nodes)}",
-                element=self.name,
-            )
 
 
 @dataclass
@@ -50,14 +41,20 @@ class Netlist:
     elements: list[Placed] = field(default_factory=list)
     ports: dict[str, tuple[str, str]] = field(default_factory=dict)
     load_port: str | None = None
+    _names: set[str] = field(init=False, repr=False, compare=False)  # the names in ``elements``
+
+    def __post_init__(self):
+        self._names = {e.name for e in self.elements}
 
     def add(self, name: str, component: Component, *nodes: str) -> Placed:
-        for e in self.elements:
-            if e.name == name:
-                raise NetworkTopologyError(f"duplicate element name '{name}'", element=name)
-        placed = Placed(name, component, tuple(nodes))
-        self.elements.append(placed)
-        return placed
+        if name in self._names:
+            raise NetworkTopologyError(f"duplicate element name '{name}'", element=name)
+        if len(nodes) != (want := component.terminals):
+            raise NetworkTopologyError(f"{type(component).__name__} '{name}' needs {want} "
+                                       f"nodes, got {len(nodes)}", element=name)
+        self._names.add(name)
+        self.elements.append(Placed(name, component, nodes))
+        return self.elements[-1]
 
     def add_port(self, name: str, plus: str, minus: str | None = None) -> None:
         self.ports[name] = (plus, minus if minus is not None else self.ground)

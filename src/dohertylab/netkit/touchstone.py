@@ -4,10 +4,11 @@ S-parameters are extracted the way a circuit simulator does it: every
 listed port gets a z_ref termination, port k is driven by a 1 A Norton
 source, and the resulting port voltages give the k-th column,
 
-    S[j,k] = 2*V_j / (z_ref * I0)          (j != k)
-    S[k,k] = 2*V_k / (z_ref * I0) - 1,
+    S[j,k] = 2*V_j / z_ref          (j != k)
+    S[k,k] = 2*V_k / z_ref - 1,
 
-because the incident wave at a matched termination vanishes.
+because the incident wave at a matched termination vanishes.  Current
+sources are zeroed (left open) in S.
 
 The Touchstone writer emits version-1 text (``# GHz S RI R <z_ref>``).
 Port counts 1..4 are supported; the 2-port record order is the standard
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError, require_positive, require_within
-from .mna import assemble, solve_columns  # assemble stays: perfbench/tracing.py patches it here
+from .mna import assemble, unit_columns  # assemble stays: perfbench/tracing.py patches it here
 from .netlist import Netlist
 
 __all__ = [
@@ -43,9 +44,9 @@ def s_parameters(
 
     Returns an array of shape (len(freqs), n, n).  The netlist is taken
     as-is; any termination that should not be part of the device must be
-    left out by the caller.  The frequencies are solved as one sweep of
-    :func:`~.mna.solve_columns`, each accepted on its backward error as
-    every solve is.
+    left out by the caller; its current sources are zeroed (open).  The
+    frequencies are solved as one sweep of :func:`~.mna.unit_columns`,
+    each accepted on its backward error as every solve is.
     """
     if not 1 <= len(ports) <= 4:
         raise InputError(f"supported port counts are 1..4, got {len(ports)}")
@@ -56,14 +57,9 @@ def s_parameters(
         if p in ports[:k]:
             raise InputError(f"port '{p}' is listed more than once")
 
-    n = len(ports)
-    i0 = 1.0
-    # column k drives port k alone
-    drives = {p: i0 * np.eye(n)[k] for k, p in enumerate(ports)}
-    terminated = netlist.terminated(ports, z_ref)
-    sweep = solve_columns(terminated, np.atleast_1d(freqs), drives).port_voltages
-    v = np.stack([sweep[p] for p in ports], axis=1)  # (freqs, port j, column k)
-    return 2.0 * v / (z_ref * i0) - np.eye(n)
+    sweep = unit_columns(netlist.terminated(ports, z_ref), ports, np.atleast_1d(freqs))
+    v = np.stack([sweep.unit_response(p) for p in ports], axis=1)  # (freqs, port j, column k)
+    return 2.0 * v / z_ref - np.eye(len(ports))
 
 
 @dataclass(eq=False)

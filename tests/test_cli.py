@@ -657,6 +657,27 @@ def test_export_round_trip(design_path, tmp_path, capsys):
     assert np.abs(s - data.s).max() < 1e-9
 
 
+def test_export_zeroes_current_sources(tmp_path, capsys):
+    # a 50/25/100 ohm resistor network exports the same Touchstone text with
+    # a 1 A current source into its first port node as without it
+    elements = [{"kind": "resistor", "name": "R1", "nodes": ["a", "0"], "ohms": 50.0},
+                {"kind": "resistor", "name": "R2", "nodes": ["a", "b"], "ohms": 25.0},
+                {"kind": "resistor", "name": "R3", "nodes": ["b", "0"], "ohms": 100.0}]
+    source = {"kind": "current_source", "name": "I1", "nodes": ["a", "0"], "amps": [1.0, 0.0]}
+    texts = []
+    for name, extra in (("bare", []), ("sourced", [source])):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps({"f0_hz": 1e9, "ports": {"p1": ["a", "0"], "p2": ["b", "0"]},
+                                 "elements": elements + extra}))
+        out = tmp_path / f"{name}.s2p"
+        code, _, _ = run(["export", str(p), "--touchstone", str(out), "--points", "5",
+                          "--f-start", "0.5e9", "--f-stop", "2e9"], capsys)
+        assert code == 0
+        texts.append(out.read_text())
+    assert texts[1] == texts[0]
+    assert np.abs(read_touchstone(texts[0]).s - [[-0.3, 0.4], [0.4, -0.2]]).max() <= 1e-12
+
+
 def test_export_header_has_z_ref(design_path, tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     run(["synth", design_path, "--out-dir", out_dir], capsys)

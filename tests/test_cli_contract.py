@@ -36,6 +36,7 @@ from dohertylab.netkit import (
     read_touchstone,
     s_parameters,
     solve_columns,
+    unit_columns,
 )
 
 CONTRACT = settings(derandomize=True, max_examples=100, deadline=None)
@@ -326,19 +327,28 @@ def test_accepted_solves_balance_power(netlist):
 
 
 def _open_circuit_z(netlist: dict):
-    """The open-circuit Z of a source-free ``netlist`` at f0, Z[j, k] being
-    port j's voltage for a unit drive into port k, each unknown of column k
-    within e_k of the exact solution (see the reciprocity test), and the
-    solve; None where it is refused or holds a current source."""
-    if (solved := _unit_drives_at_f0(netlist)) is None:
+    """The open-circuit Z of ``netlist`` at f0, its current sources zeroed,
+    Z[j, k] being port j's voltage for a unit drive into port k alone
+    (``ColumnsResult.unit_response``), a bound e_k on the error of each
+    unknown of column k, and the solve; None where it is refused.  A
+    solved column k is within its ``forward_errors`` e_k of the exact one.
+    With current sources, column k of Z is unit column k less the sources'
+    column s, and the exact Z the same difference of the exact columns, so
+    each unknown of it is within e_k + e_s: the bound adds the subtracted
+    column's own forward error e_s, and nothing for a source-free draw."""
+    try:
+        net = Netlist.from_json_dict(netlist)
+        kappa, res = check_network(net, net.f0), unit_columns(net, list(net.ports), net.f0)
+    except (InputError, SingularSystemError):
+        event("refused")
         return None
-    kappa, res = solved
-    if any(e.component.source for e, _, _ in res.system.slots):
+    e, ports = forward_errors(res, kappa), list(res.drives)
+    if len(e) > len(ports):
         event("current source")
-        return None
-    z = np.array([res.port_voltages[p] for p in res.drives])
+        e = e[:-1] + e[-1]
+    z = np.array([res.unit_response(p) for p in ports])
     event("solved")
-    return z, forward_errors(res, kappa), res
+    return z, e, res
 
 
 # 500 draws hold enough transformers and coupled pairs between two driven
@@ -347,10 +357,11 @@ def _open_circuit_z(netlist: dict):
 @given(netlist=_netlists())
 def test_source_free_solves_are_reciprocal(netlist):
     """Every element kind but the current source is reciprocal, so a unit
-    drive into each port at f0 gives an open-circuit Z equal to its
-    transpose, Z[j, k] being port j's voltage in column k.  Each unknown of
-    column k is within e_k (conftest's ``forward_errors``) of the exact
-    one, and a port voltage, the difference of two unknowns, within 2 e_k:
+    drive into each port at f0, the sources zeroed, gives an open-circuit Z
+    equal to its transpose, Z[j, k] being port j's voltage in column k.
+    Each unknown of column k is within e_k (conftest's ``forward_errors``,
+    plus the sources column's where it is subtracted) of the exact one,
+    and a port voltage, the difference of two unknowns, within 2 e_k:
     |Z - Z^T|[j, k] stays within 2 (e_j + e_k)."""
     if (solved := _open_circuit_z(netlist)) is None:
         return
@@ -386,8 +397,8 @@ def _reactive(doc: dict, lossless: bool) -> dict:
 @given(netlist=_netlists(), lossless=st.sampled_from([None, False, True]))
 def test_source_free_solves_are_passive(netlist, lossless):
     """Every element kind but the current source absorbs power, so the
-    open-circuit Z's Hermitian part H = (Z + Z^H) / 2 has no negative
-    eigenvalue.  Each entry of column k of Z is within 2 e_k of the exact
+    open-circuit Z's (sources zeroed) Hermitian part H = (Z + Z^H) / 2 has
+    no negative eigenvalue.  Each entry of column k of Z is within 2 e_k of the exact
     one (see the reciprocity test), so each entry of H within e_j + e_k,
     and its eigenvalues move by at most the 2-norm of that error matrix,
     at most its largest row sum: lambda_min(H) >= -max_j sum_k (e_j + e_k).

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import time
 import typing
 
 import numpy as np
@@ -183,6 +184,38 @@ def test_duplicate_element_name_rejected():
     net.add("R1", Resistor(50.0), "a", "0")
     with pytest.raises(NetworkTopologyError):
         net.add("R1", Resistor(10.0), "a", "0")
+
+
+def test_add_checks_the_name_then_the_node_count():
+    net = Netlist(f0=1e9)
+    net.add("R1", Resistor(50.0), "a", "0")
+    with pytest.raises(NetworkTopologyError, match=r"^duplicate element name 'R1'$"):
+        net.add("R1", Resistor(10.0), "a")
+    with pytest.raises(NetworkTopologyError, match=r"^Resistor 'R2' needs 2 nodes, got 1$") as err:
+        net.add("R2", Resistor(10.0), "a")
+    assert err.value.element == "R2"
+    with pytest.raises(NetworkTopologyError, match="duplicate"):  # a copy keeps the names
+        net.copy().add("R1", Resistor(10.0), "a", "0")
+    assert [e.name for e in net.elements] == ["R1"]
+
+
+def _json_build_seconds(n: int) -> float:
+    """Best of three reads of a netlist of ``n`` shunt resistors from JSON."""
+    doc = {"f0_hz": 1e9, "elements": [{"kind": "resistor", "name": f"R{k}",
+                                       "nodes": [f"n{k}", "0"], "ohms": 50.0} for k in range(n)]}
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        Netlist.from_json_dict(doc)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_netlist_build_is_linear():
+    # ten times the elements take about eleven times as long (sorting the
+    # nodes adds a log factor); a duplicate-name scan per element made it
+    # about 115 times
+    assert _json_build_seconds(20_000) < 30 * _json_build_seconds(2_000)
 
 
 def test_element_value_validation():

@@ -7,6 +7,7 @@ import pytest
 
 from dohertylab.errors import InputError
 from dohertylab.netkit import (
+    CurrentSource,
     Netlist,
     Resistor,
     TransmissionLine,
@@ -290,6 +291,33 @@ def test_export_touchstone_composition(tf_design):
 def test_write_refuses_a_grid_that_would_not_read_back(freqs, message):
     with pytest.raises(InputError, match=message):
         write_touchstone(freqs, np.zeros((2, 1, 1)), 50.0)
+
+
+def resistor_pi(source: bool) -> Netlist:
+    """50 ohm from port p1's node to ground, 25 ohm on to p2's node and 100
+    ohm from there to ground; with ``source``, a 1 A current source into
+    p1's node as well."""
+    net = Netlist(f0=1e9)
+    net.add("R1", Resistor(50.0), "a", "0")
+    net.add("R2", Resistor(25.0), "a", "b")
+    net.add("R3", Resistor(100.0), "b", "0")
+    if source:
+        net.add("I1", CurrentSource(1.0), "a", "0")
+    net.add_port("p1", "a")
+    net.add_port("p2", "b")
+    return net
+
+
+def test_current_source_is_open_in_s_parameters():
+    # S is the response to the port drives alone: S11 -0.3, S21 = S12 0.4,
+    # S22 -0.2 with the source or without it (a source once folded into
+    # every column gave 0.4, 0.8, 1.1 and 0.2)
+    freqs = [0.5e9, 1e9, 2e9]
+    s = s_parameters(resistor_pi(source=True), ["p1", "p2"], freqs, 50.0)
+    want = s_parameters(resistor_pi(source=False), ["p1", "p2"], freqs, 50.0)
+    assert np.abs(s - want).max() <= 1e-12
+    assert np.abs(want - [[-0.3, 0.4], [0.4, -0.2]]).max() <= 1e-12
+    assert np.abs(s - np.transpose(s, (0, 2, 1))).max() <= 1e-12
 
 
 def test_reciprocity_holds_with_loss():
